@@ -3,8 +3,10 @@
 The generating identity: writing the weighted class polynomial evaluated
 at j as q^(-h(d)) prod (1-q^n)^A(n^2,d), the negated logarithmic
 q-derivative L(q) has constant term h(d) and [q^n] L = sum over m|n of
-m A(m^2,d).  Everything exact runs over Q (integrality of the recovered
-exponents is asserted, not assumed); reductions mod l happen at the end.
+m A(m^2,d).  L is computed by one routine over two rings: exactly over Q
+for the exponents (integrality of the recovered exponents is asserted,
+not assumed), and directly over F_l, from the class polynomial and j
+reduced mod l, for the congruences.
 
 Fitting: over F_l the series L is a combination of E_{l+1} and the
 weight l+1 cusp eigenforms; the constant term gives c0 and an r x r
@@ -22,7 +24,7 @@ from .arith import (Mod, QuadExt, dirichlet_inverse, divisors, kronecker,
 from .classpoly import eligibility, hilbert_class_poly
 from .errors import (IneligiblePairError, InputError,
                      InternalConsistencyError, TruncationError)
-from .qseries import QQ, ZZ, QSeries, f2, jfunction
+from .qseries import GF, QQ, ZZ, QSeries, f2, jfunction, monomial_basis
 from .ssforms import (EigenformBasis, _solve_linear_mod, eigenbasis,
                       eisenstein_cusp_split)
 
@@ -44,31 +46,40 @@ class ExponentTable:
         return {"d": self.d, "n_max": self.n_max, "values": list(self.values)}
 
 
-_LOGDER_CACHE: dict[int, QSeries] = {}
+_LOGDER_CACHE: dict[tuple[int, str], QSeries] = {}
 
 
-def log_derivative_exact(d: int, n: int, cache_dir: str | None = None) -> QSeries:
-    """-q d/dq log of the weighted class polynomial at j, over Q, to order n.
+def _log_derivative(d: int, n: int, ring, cache_dir: str | None) -> QSeries:
+    """-q d/dq log of the weighted class polynomial at j, to order n.
 
-    Computed per component as w * (-q dS/dq) / S with S = P(j(z)), which
-    stays in Z because S has unit leading coefficient; the weighted sum
-    has constant term h(d) (checked).
+    ring is ZZ (the result is over QQ, since the weights are 1, 1/2 or 1/3)
+    or GF(l) (everything is reduced mod l first: P mod l evaluated at j mod
+    l).  Per component S = P(j) has unit leading coefficient, so S'/S needs
+    no denominators; the weighted sum has constant term h(d) (checked).
     """
-    cached = _LOGDER_CACHE.get(d)
+    key = (d, ring.name)
+    cached = _LOGDER_CACHE.get(key)
     if cached is not None and cached.trunc >= n:
         return cached.truncate(n)
     wcp = hilbert_class_poly(d, cache_dir=cache_dir)
-    j = jfunction(n, ZZ)
-    total = QSeries.zero(QQ, n)
+    out_ring = QQ if ring is ZZ else ring
+    j = jfunction(n, ring)
+    total = QSeries.zero(out_ring, n)
     for poly, w in wcp.components:
-        s = poly.evaluate_series(j)
-        li = (-s.q_derivative()) / s
-        total = total + li.truncate(n).map_coefficients(lambda c: w * c, QQ)
-    if total.coeff(0) != wcp.h:
+        if ring is not ZZ:
+            poly = poly.reduce_mod(ring.ell)
+        li = poly.evaluate_series(j).log_derivative().truncate(n)
+        total = total - li.map_coefficients(lambda c: c * w, out_ring)
+    if total.coeff(0) != out_ring.coerce(wcp.h):
         raise InternalConsistencyError(
-            f"constant term {total.coeff(0)} != h({d}) = {wcp.h}")
-    _LOGDER_CACHE[d] = total
+            f"constant term {total.coeff(0)} != h({d}) = {wcp.h} over {out_ring.name}")
+    _LOGDER_CACHE[key] = total
     return total
+
+
+def log_derivative_exact(d: int, n: int, cache_dir: str | None = None) -> QSeries:
+    """-q d/dq log of the weighted class polynomial at j, over Q, to order n."""
+    return _log_derivative(d, n, ZZ, cache_dir)
 
 
 def exact_exponents(d: int, n_max: int, cache_dir: str | None = None) -> ExponentTable:
@@ -87,13 +98,13 @@ def exact_exponents(d: int, n_max: int, cache_dir: str | None = None) -> Exponen
 
 def log_derivative_mod(d: int, ell: int, n: int,
                        cache_dir: str | None = None) -> QSeries:
-    """Reduction mod l of the exact log derivative, for eligible (d, l)."""
+    """The log derivative computed over F_l directly, for eligible (d, l)."""
     report = eligibility(d, ell, cache_dir=cache_dir)
     if not report.divides:
         raise IneligiblePairError(
             f"H_{d} mod {ell} does not divide s_{ell}: the weight l+1 "
             f"membership hypothesis fails for (d={d}, l={ell})")
-    return log_derivative_exact(d, n, cache_dir=cache_dir).reduce_mod(ell)
+    return _log_derivative(d, n, GF(ell), cache_dir)
 
 
 @dataclass(frozen=True)
@@ -126,11 +137,9 @@ class CongruenceFormula:
 def fit_congruence(d: int, ell: int, verify_to: int | None = None,
                    cache_dir: str | None = None) -> CongruenceFormula:
     """Fit c0, c_1..c_r and verify the full series identity to the stated order."""
-    basis = eigenbasis(ell)
-    r = basis.dim
+    r = len(monomial_basis(ell + 1, cusp_only=True))
     n = verify_to if verify_to is not None else max(200, 3 * r)
-    if basis.order < n:
-        basis = eigenbasis(ell, order=n)
+    basis = eigenbasis(ell, order=n)
     lbar = log_derivative_mod(d, ell, n, cache_dir=cache_dir)
     c0, cusp = eisenstein_cusp_split(lbar, ell)
     if r == 0:

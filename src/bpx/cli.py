@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -20,7 +21,15 @@ from .classpoly import (cache_stats, default_cache_dir, eligibility,
 from .density import asymptotic_table, empirical_table
 from .errors import InputError, InternalConsistencyError
 from .kernel import backend
-from .ssforms import supersingular_poly, supersingular_poly_bruteforce
+from .ssforms import (BRUTEFORCE_MAX_ELL, supersingular_poly,
+                      supersingular_poly_bruteforce)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -38,19 +47,19 @@ def _parser() -> argparse.ArgumentParser:
         if ell:
             p.add_argument("--ell", type=int, required=True, help="odd prime modulus")
         if n is not None:
-            p.add_argument("--n", type=int, default=n, help="index bound")
+            p.add_argument("--n", type=_positive_int, default=n, help="index bound")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--cache-dir", default=None,
                        help="class polynomial cache directory")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=1)
 
     p = sub.add_parser("exponents", help="exact exponents A(n^2, d)")
     common(p, d=True, n=10)
 
     p = sub.add_parser("congruence", help="fit the congruence constants mod l")
     common(p, d=True, ell=True)
-    p.add_argument("--verify-to", type=int, default=None)
+    p.add_argument("--verify-to", type=_positive_int, default=None)
 
     p = sub.add_parser("density", help="asymptotic or empirical density table")
     common(p, d=True, ell=True)
@@ -155,7 +164,7 @@ def _cmd_supersingular(args) -> dict:
     s = supersingular_poly(args.ell)
     doc = {"ell": args.ell, "s": str(s), "degree": s.degree,
            "coeffs": [c.value for c in s.coeffs]}
-    if args.ell <= 1000:
+    if args.ell <= BRUTEFORCE_MAX_ELL:
         brute = supersingular_poly_bruteforce(args.ell)
         doc["bruteforce_match"] = brute == s
     text = [f"s_{args.ell}(x) = {s}"]
@@ -214,18 +223,29 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.cache_dir is None:
         args.cache_dir = default_cache_dir()
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        print(f"error: the directory of --out {args.out} does not exist",
+              file=sys.stderr)
+        return 2
+    # exact exponents outgrow the default 4300-digit int/str conversion limit
+    digits_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits_limit is not None:
+        sys.set_int_max_str_digits(0)
     before = cache_stats()
     try:
         doc, text = _COMMANDS[args.command](args)
+        after = cache_stats()
+        doc["cache"] = {k: after[k] - before[k] for k in after}
+        _emit(doc, args, text)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    after = cache_stats()
-    doc["cache"] = {k: after[k] - before[k] for k in after}
-    _emit(doc, args, text)
+    finally:
+        if digits_limit is not None:
+            sys.set_int_max_str_digits(digits_limit)
     return 0
 
 

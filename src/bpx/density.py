@@ -280,6 +280,8 @@ def empirical_table(F: CongruenceFormula, x: int, threads: int = 1,
     (any x), otherwise from exact eigenform expansions (x capped).  p = l
     is excluded from the tallies but counted in the denominator pi(x).
     """
+    if x < 3:
+        raise InputError(f"need X >= 3 so that some prime lies below X, got {x}")
     ell = F.ell
     primes = sieve(x).primes
     total = len(primes)

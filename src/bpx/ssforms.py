@@ -51,7 +51,9 @@ def supersingular_poly(ell: int) -> Poly:
         raise InputError(f"need a prime l >= 5, got {ell}")
     wd = weight_decomposition(ell - 1)
     ring = GF(ell)
-    n = wd.m + 8
+    # the quotient by Delta^m (valuation m) starts at q^-m and is known
+    # only to q^(n - 2m)
+    n = 2 * wd.m + 8
     f = eisenstein(ell - 1, n, ring) / monomial_form(wd.m, wd.delta, wd.epsilon, n, ring)
     try:
         etilde = as_j_polynomial(f)
@@ -71,9 +73,14 @@ def _nonresidue(ell: int) -> int:
     return n
 
 
+# largest l for the brute-force point count, which grows like l^4
+BRUTEFORCE_MAX_ELL = 200
+
+
 def _ss_encoded(ell: int) -> tuple[int, list[int]]:
-    if ell < 5 or ell > 200 or not is_prime(ell):
-        raise InputError("brute-force enumeration expects a prime 5 <= l <= 200")
+    if ell < 5 or ell > BRUTEFORCE_MAX_ELL or not is_prime(ell):
+        raise InputError("brute-force enumeration expects a prime "
+                         f"5 <= l <= {BRUTEFORCE_MAX_ELL}")
     ns = _nonresidue(ell)
     return ns, kernel.supersingular_js_fq2(ell, ns)
 

@@ -9,9 +9,9 @@ from bpx.borcherds import (exact_exponents, fit_congruence,
                            log_derivative_exact, log_derivative_mod, nu,
                            nu_closed_form, twisted_forward, twisted_roundtrip,
                            verify_congruence)
-from bpx.classpoly import hurwitz_class_number
+from bpx.classpoly import hilbert_class_poly, hurwitz_class_number
 from bpx.errors import IneligiblePairError, InputError
-from bpx.qseries import GF, delta, eisenstein, f2, monomial_form
+from bpx.qseries import GF, delta, eisenstein, f2, jfunction, monomial_form
 
 
 # exact square-index exponents, frozen from the product identity
@@ -85,6 +85,35 @@ def test_log_derivative_mod_known_forms():
 def test_log_derivative_mod_rejects_ineligible():
     with pytest.raises(IneligiblePairError):
         log_derivative_mod(4, 13, 20)
+
+
+@pytest.mark.parametrize("d, ell, components", [
+    (4, 11, [("x + -1728", "1/2")]),                     # h = 1/2
+    (3, 11, [("x", "1/3")]),                             # h = 1/3
+    (20, 31, [("x^2 + -1264000*x + -681472000", "1")]),  # h = 2
+    (12, 11, [("x + -54000", "1"), ("x", "1/3")]),       # two weighted factors
+])
+def test_log_derivative_routes_agree_to_500(d, ell, components):
+    wcp = hilbert_class_poly(d)
+    assert [(str(p), str(w)) for p, w in wcp.components] == components
+    direct = log_derivative_mod(d, ell, 500)
+    reduced = log_derivative_exact(d, 500).reduce_mod(ell)
+    assert direct.trunc == reduced.trunc == 500
+    assert direct == reduced
+
+
+def test_log_derivative_mod_builds_no_integer_series(monkeypatch):
+    import bpx.borcherds as borcherds
+    rings = []
+
+    def spy(n, ring):
+        rings.append(ring.name)
+        return jfunction(n, ring)
+
+    monkeypatch.setattr(borcherds, "_LOGDER_CACHE", {})
+    monkeypatch.setattr(borcherds, "jfunction", spy)
+    log_derivative_mod(20, 31, 100)
+    assert rings == ["GF(31)"]
 
 
 def test_fit_congruence_4_11():

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -85,6 +86,16 @@ def test_supersingular_command(capsys):
     assert "matches point-counting enumeration: True" in out
 
 
+def test_supersingular_above_bruteforce_bound(capsys):
+    # s_l is computed for l past the brute-force bound; the cross-check is
+    # left out instead of failing
+    code, out, err = invoke(capsys, "supersingular", "--ell", "211",
+                            "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["degree"] == 18 and "bruteforce_match" not in doc
+
+
 def test_classpoly_command(capsys):
     code, out, _ = invoke(capsys, "classpoly", "--d", "20")
     assert code == 0
@@ -168,3 +179,54 @@ def test_congruence_text_golden(capsys):
         "  eigenforms: ['Delta']\n"
         "  verified to order 200\n"
     )
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int/str conversion limit in this Python")
+def test_exponents_document_beyond_int_str_limit(capsys):
+    # A(250^2, 4) has about 680 digits, over a limit lowered to 640
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = invoke(capsys, "exponents", "--d", "4", "--n", "250",
+                                "--format", "json")
+        assert sys.get_int_max_str_digits() == 640  # restored by run
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 0, err
+    assert len(str(json.loads(out)["values"][-1])) > 640
+
+
+def test_density_empirical_below_3_exit_2(capsys):
+    code, out, err = invoke(capsys, "density", "--d", "4", "--ell", "11",
+                            "--empirical", "2")
+    assert code == 2 and out == ""
+    assert "X >= 3" in err
+
+
+def test_out_into_missing_directory_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "out.json")
+    code, out, err = invoke(capsys, "exponents", "--d", "4", "--n", "2",
+                            "--out", path)
+    assert code == 2 and out == ""
+    assert "does not exist" in err and not os.path.exists(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--d", "4", "--threads", "0"],
+    ["exponents", "--d", "4", "--n", "0"],
+    ["check", "--d", "4", "--ell", "11", "--n", "-3"],
+    ["congruence", "--d", "4", "--ell", "11", "--verify-to", "0"],
+], ids=["threads", "n", "negative-n", "verify-to"])
+def test_counts_below_1_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_csv_without_rows_exit_2(capsys):
+    code, out, err = invoke(capsys, "congruence", "--d", "4", "--ell", "11",
+                            "--format", "csv")
+    assert code == 2 and out == ""
+    assert "no CSV form" in err

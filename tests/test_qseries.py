@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from bpx.arith import Mod, QuadExt, is_fundamental_discriminant, kronecker
 from bpx.errors import InputError, TruncationError
-from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, QuadField, as_j_polynomial,
-                         delta, eisenstein, f2, f2_numeric, jfunction,
-                         monomial_basis, monomial_form, pd_log_coeffs)
+from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, QuadField, _kron_mul_zz,
+                         as_j_polynomial, delta, eisenstein, euler_product, f2,
+                         f2_numeric, jfunction, monomial_basis, monomial_form,
+                         pd_log_coeffs)
 
 
 def test_eisenstein_small():
@@ -106,6 +107,77 @@ def test_gf_product_matches_schoolbook(a, b):
     got = fa * fb
     want = [v % ell for v in _conv_oracle(a, b, n)]
     assert [got.coeff(i).value for i in range(n + 1)] == want
+
+
+_SIGNED = st.one_of(st.just(0), st.integers(-9, 9),
+                    st.integers(-10 ** 40, 10 ** 40))
+
+
+@given(st.lists(_SIGNED, min_size=1, max_size=30),
+       st.lists(_SIGNED, min_size=1, max_size=30), st.integers(1, 64))
+@settings(max_examples=150, deadline=None)
+def test_signed_kronecker_product_matches_schoolbook(a, b, n_out):
+    # random signed, sparse (zeros drawn often), huge and length-1 operands
+    assert _kron_mul_zz(a, b, n_out) == _conv_oracle(a, b, n_out - 1)
+
+
+def test_signed_kronecker_product_edge_cases():
+    assert _kron_mul_zz([5], [-7], 1) == [-35]
+    assert _kron_mul_zz([0, 0], [3], 3) == [0, 0, 0]
+    a = [0] * 40 + [-(2 ** 64)]
+    b = [2 ** 64 - 1, -1, 0, 1]
+    assert _kron_mul_zz(a, b, 44) == _conv_oracle(a, b, 43)
+    # every ZZ product shape the program uses, whichever method is chosen
+    j = jfunction(60, ZZ).shift(1)
+    growing = QSeries(ZZ, 0, [(-10) ** (3 * i) for i in range(62)])
+    shapes = [(j, j), (QSeries.constant(ZZ, -1728, 61), j),
+              (euler_product(61, ZZ), euler_product(61, ZZ)),
+              (QSeries(ZZ, 0, [1, -3] + [0] * 59), growing), (growing, growing)]
+    for f, g in shapes:
+        got = f * g
+        assert got.coeffs == _conv_oracle(f.coeffs, g.coeffs, got.trunc)
+
+
+def _inverse_oracle(u):
+    """Schoolbook inverse: the first len(u) terms of 1/u (Fraction or Mod values)."""
+    inv = [1 / u[0]]
+    for n in range(1, len(u)):
+        acc = sum((u[k] * inv[n - k] for k in range(1, n + 1)), 0 * u[0])
+        inv.append(-acc / u[0])
+    return inv
+
+
+@given(st.sampled_from([5, 11, 31]), st.integers(-3, 3), st.integers(0, 3),
+       st.integers(1, 30), st.lists(st.integers(0, 30), max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_gf_newton_inverse_matches_schoolbook(ell, lead, zeros, head, tail):
+    ring = GF(ell)
+    unit = [Mod(head % (ell - 1) + 1, ell)] + [Mod(v, ell) for v in tail]
+    s = QSeries(ring, lead, [ring.zero] * zeros + unit)
+    inv = s.inverse()
+    assert inv.lead == -(lead + zeros) and inv.trunc == s.trunc - 2 * (lead + zeros)
+    assert inv.coeffs == _inverse_oracle(unit)
+    assert s * inv == QSeries.one(ring, inv.trunc + lead + zeros)
+
+
+@given(st.sampled_from(["ZZ", "QQ", "GF(11)"]), st.integers(-3, 3),
+       st.integers(0, 2), st.lists(st.integers(-50, 50), min_size=1, max_size=30))
+@settings(max_examples=80, deadline=None)
+def test_log_derivative_recurrence_matches_inverse_product(name, v, zeros, vals):
+    ring = {"ZZ": ZZ, "QQ": QQ, "GF(11)": GF(11)}[name]
+    vals[0] = {"ZZ": 1 if vals[0] >= 0 else -1,
+               "QQ": Fraction(vals[0] or 1, 7),
+               "GF(11)": vals[0] % 10 + 1}[name]
+    unit = [ring.coerce(c) for c in vals]
+    f = QSeries(ring, v - zeros, [ring.zero] * zeros + unit)
+    got = f.log_derivative()
+    # oracle: q f' times the schoolbook inverse of the unit part
+    as_field = unit if name == "GF(11)" else [Fraction(c) for c in unit]
+    inv = _inverse_oracle(as_field)
+    want = [sum((v + i) * as_field[i] * inv[k - i] for i in range(k + 1))
+            for k in range(len(unit))]
+    assert got.lead == 0 and got.trunc == f.trunc - v
+    assert got.coeffs == want
 
 
 def test_laurent_truncation_bookkeeping():

@@ -2,7 +2,7 @@ import pytest
 
 from bpx.arith import Mod
 from bpx.errors import InputError, TruncationError
-from bpx.qseries import GF, QQ, ZZ, delta, eisenstein
+from bpx.qseries import GF, QQ, ZZ, Poly, delta, eisenstein
 from bpx.ssforms import (eigenbasis, eisenstein_cusp_split,
                          hecke_Tp, supersingular_j_invariants,
                          supersingular_poly, supersingular_poly_bruteforce,
@@ -47,6 +47,26 @@ def test_supersingular_degree_formula_to_100():
                 67, 71, 73, 79, 83, 89, 97):
         wd = weight_decomposition(ell - 1)
         assert supersingular_poly(ell).degree == wd.m + wd.delta + wd.epsilon
+
+
+def test_supersingular_certificates_above_100():
+    # the Delta^m division used to run short of terms for every l >= 109;
+    # certificates instead of the l^4 brute force: the number of
+    # supersingular j (Deuring/Eichler) and s_l | x^(l^2) - x, i.e. s_l is
+    # squarefree with every root in F_(l^2)
+    for ell in (109, 113, 199):
+        s = supersingular_poly(ell)
+        ring = GF(ell)
+        assert s.leading == ring.one
+        assert s.degree == ell // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[ell % 12]
+        x = Poly(ring, [ring.zero, ring.one])
+        power, base, e = Poly(ring, [ring.one]), x, ell * ell
+        while e:
+            if e & 1:
+                power = (power * base) % s
+            base = (base * base) % s
+            e >>= 1
+        assert power == x % s
 
 
 def test_hecke_t2_on_delta():
