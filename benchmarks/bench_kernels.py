@@ -11,6 +11,7 @@ import argparse
 import time
 
 import bpx._eckernel_py as pure
+from bpx.kernel import NAIVE_LIMITS
 
 try:
     import bpx._eckernel as compiled
@@ -42,7 +43,9 @@ def main():
                     help="benchmark the full X = 10^6 trace workload")
     args = ap.parse_args()
 
-    print(f"compiled kernel available: {compiled is not None}\n")
+    print(f"compiled kernel available: {compiled is not None}")
+    print("naive/BSGS crossover: "
+          + ", ".join(f"{k} p < {v}" for k, v in NAIVE_LIMITS.items()) + "\n")
     c = compiled
     row("primes_below(10^7)", pure.primes_below,
         c.primes_below if c else None, 10 ** 7)
@@ -53,9 +56,10 @@ def main():
     row("ec_traces, 400 primes near 10^6 (BSGS)", pure.ec_traces,
         c.ec_traces if c else None, A11, B11, band)
 
+    # naive on both sides, whatever each backend's crossover
     small = [p for p in primes if p < 10000][-300:]
     row("ec_traces, 300 primes < 10^4 (naive)", pure.ec_traces,
-        c.ec_traces if c else None, A11, B11, small)
+        c.ec_traces if c else None, A11, B11, small, 10 ** 9)
 
     row("supersingular_js_fq2(47)", pure.supersingular_js_fq2,
         c.supersingular_js_fq2 if c else None, 47, 5)

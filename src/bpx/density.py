@@ -144,7 +144,8 @@ def _trace_tiny(E: EllCurve, p: int) -> int:
     return p + 1 - npts
 
 
-def ec_trace(E: EllCurve, p: int, naive_limit: int = 10000) -> int:
+def ec_trace(E: EllCurve, p: int,
+             naive_limit: int = kernel.NAIVE_LIMIT) -> int:
     """Trace of Frobenius a(p) = p + 1 - #E(F_p) at a good-reduction prime."""
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -156,7 +157,7 @@ def ec_trace(E: EllCurve, p: int, naive_limit: int = 10000) -> int:
     return kernel.ec_trace(A, B, p, naive_limit)
 
 
-def ec_traces(E: EllCurve, primes, naive_limit: int = 10000,
+def ec_traces(E: EllCurve, primes, naive_limit: int = kernel.NAIVE_LIMIT,
               threads: int = 1) -> list[int]:
     """Traces at many good primes; parallel over blocks, deterministic merge."""
     primes = list(primes)
@@ -273,7 +274,7 @@ EXPANSION_LIMIT = 100_000
 
 
 def empirical_table(F: CongruenceFormula, x: int, threads: int = 1,
-                    naive_limit: int = 10000) -> DensityTable:
+                    naive_limit: int = kernel.NAIVE_LIMIT) -> DensityTable:
     """Tally of the congruence values over primes p < x.
 
     Traces come from the level l modular curve for l in {11, 17, 19}

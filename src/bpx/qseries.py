@@ -657,10 +657,15 @@ class Poly:
 def eisenstein(k: int, n: int, ring=QQ) -> QSeries:
     """E_k = 1 - (2k/B_k) sum sigma_{k-1}(m) q^m to order n.
 
-    k = 2 is allowed (the quasi-modular E_2, same expansion).
+    k = 2 is allowed (the quasi-modular E_2, same expansion).  Over F_l with
+    (l - 1) | k the series is 1: by von Staudt-Clausen l divides the
+    denominator of B_k once and not its numerator, so l | 2k/B_k, and no
+    Bernoulli number is computed.
     """
     if k < 2 or k % 2:
         raise InputError(f"Eisenstein weight must be even and >= 2, got {k}")
+    if isinstance(ring, PrimeField) and k % (ring.ell - 1) == 0:
+        return QSeries.one(ring, n)
     factor = Fraction(-2 * k) / bernoulli(k)
     coeffs = [ring.one]
     if n >= 1:

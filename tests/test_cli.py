@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpx.cli import run
 
@@ -230,3 +234,53 @@ def test_csv_without_rows_exit_2(capsys):
                             "--format", "csv")
     assert code == 2 and out == ""
     assert "no CSV form" in err
+
+
+# Well-formed argv: every subcommand, with values that parse but need not
+# make sense (d that is no discriminant, l that is no prime, an empty scan).
+_D = st.sampled_from(["-4", "0", "3", "4", "5", "7", "12", "15", "20"])
+_ELL = st.sampled_from(["-11", "2", "3", "5", "9", "11", "13", "17", "19"])
+_ARGV = st.one_of(
+    st.tuples(st.just("exponents"), st.just("--d"), _D,
+              st.just("--n"), st.sampled_from(["1", "5"])),
+    st.tuples(st.just("classpoly"), st.just("--d"), _D),
+    st.tuples(st.just("congruence"), st.just("--d"), _D, st.just("--ell"), _ELL,
+              st.sampled_from([(), ("--verify-to", "30")])),
+    st.tuples(st.just("density"), st.just("--d"), _D, st.just("--ell"), _ELL,
+              st.sampled_from([(), ("--empirical", "500")])),
+    st.tuples(st.just("check"), st.just("--d"), _D, st.just("--ell"), _ELL,
+              st.just("--n"), st.just("20")),
+    st.tuples(st.just("supersingular"), st.just("--ell"), _ELL),
+    st.tuples(st.just("table2"), st.just("--ell"), _ELL,
+              st.just("--dmax"), st.sampled_from(["-1", "3", "20"]),
+              st.just("--D"), st.sampled_from(["1", "5"])),
+)
+
+
+def _flatten(parts):
+    return [w for part in parts
+            for w in (part if isinstance(part, tuple) else (part,))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ARGV, st.sampled_from(["text", "json", "csv"]))
+def test_well_formed_argv_answers_or_exits_2(parts, fmt):
+    # run() must return: an exception escaping it is a traceback at the shell
+    argv = _flatten(parts) + ["--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+
+
+def test_eigenbasis_capability_limit_exit_2(capsys):
+    # the fit needs T_2 on S_(l+1) to have distinct eigenvalues in F_l; for
+    # l = 23, 29 and every prime from 41 to 79 it does not, so there is no
+    # eigenbasis over F_l to fit against
+    code, out, err = invoke(capsys, "congruence", "--d", "4", "--ell", "41")
+    assert code == 2 and out == ""
+    assert "eigenbasis not defined over F_41" in err
+    assert "Traceback" not in err

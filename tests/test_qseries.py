@@ -22,6 +22,23 @@ def test_eisenstein_small():
     assert [e6.coeff(i) for i in range(3)] == [1, -504, -16632]
 
 
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 31, 37])
+def test_eisenstein_over_gf_is_the_reduced_rational_series(ell, monkeypatch):
+    from bpx import qseries
+    from bpx.arith import frac_mod
+    n = 30
+    for k in (ell - 1, 2 * (ell - 1), ell + 1):
+        want = [frac_mod(c, ell) for c in eisenstein(k, n, QQ).coeffs]
+        if k % (ell - 1) == 0:
+            assert want == [Mod(1, ell)] + [Mod(0, ell)] * n
+            # von Staudt-Clausen: l | 2k/B_k, so no Bernoulli number is needed
+            monkeypatch.setattr(qseries, "bernoulli", None)
+        got = eisenstein(k, n, GF(ell))
+        monkeypatch.undo()
+        assert got.lead == 0 and got.trunc == n
+        assert got.coeffs == want
+
+
 def test_eisenstein_12_is_rational():
     e12 = eisenstein(12, 3, QQ)
     assert e12.coeff(0) == 1

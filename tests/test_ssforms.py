@@ -54,7 +54,7 @@ def test_supersingular_certificates_above_100():
     # certificates instead of the l^4 brute force: the number of
     # supersingular j (Deuring/Eichler) and s_l | x^(l^2) - x, i.e. s_l is
     # squarefree with every root in F_(l^2)
-    for ell in (109, 113, 199):
+    for ell in (109, 113, 199, 1009):
         s = supersingular_poly(ell)
         ring = GF(ell)
         assert s.leading == ring.one
@@ -67,6 +67,19 @@ def test_supersingular_certificates_above_100():
             base = (base * base) % s
             e >>= 1
         assert power == x % s
+
+
+def test_supersingular_1009_needs_no_bernoulli_number(monkeypatch):
+    # E_1008 is 1 mod 1009 and 1008 = 12 * 84 leaves no E4 or E6 factor
+    # beside Delta^84, so no Bernoulli number is needed; bernoulli(1008)
+    # alone took 11 s
+    from bpx import qseries
+    asked = []
+    bernoulli = qseries.bernoulli
+    monkeypatch.setattr(qseries, "bernoulli",
+                        lambda m: asked.append(m) or bernoulli(m))
+    assert supersingular_poly(1009).degree == 84
+    assert asked == []
 
 
 def test_hecke_t2_on_delta():
