@@ -212,13 +212,14 @@ def supersingular_js_fq2(ell: int, nonres: int) -> list[int]:
         return (xu - yu) % ell * ell + (xv - yv) % ell
 
     one = ell  # the element 1 is encoded as u=1, v=0
-    # quadratic-character table: chi[z] = 1 for nonzero squares, else 0
-    chi = bytearray(n2)
+    # quadratic character: 1 on nonzero squares, -1 on nonsquares, 0 at 0
+    char = [-1] * n2
     for u in range(ell):
         for v in range(ell):
-            chi[(u * u + v * v * nonres) % ell * ell + (2 * u * v) % ell] = 1
-    chi[0] = 0
-    cube = [mul(mul(x, x), x) for x in range(n2)]
+            char[(u * u + v * v * nonres) % ell * ell + (2 * u * v) % ell] = 1
+    char[0] = 0
+    # (u, v) of every x and of x^3, shared by all j
+    rows = [divmod(x, ell) + divmod(mul(mul(x, x), x), ell) for x in range(n2)]
     out = []
     for ju in range(ell):
         for jv in range((ell + 1) // 2):
@@ -230,24 +231,13 @@ def supersingular_js_fq2(ell: int, nonres: int) -> list[int]:
             else:
                 k = mul(j, inv(sub(enc1728, j)))
                 a, b = mul(3 * ell, k), mul(2 * ell, k)
-            t = 0
-            if a == 0:
-                for x in range(n2):
-                    fx = cube[x]
-                    fu, fv = divmod(fx, ell)
-                    bu, bv = divmod(b, ell)
-                    fx = (fu + bu) % ell * ell + (fv + bv) % ell
-                    if fx:
-                        t += 1 if chi[fx] else -1
-            else:
-                for x in range(n2):
-                    ax = mul(a, x)
-                    cu, cv = divmod(cube[x], ell)
-                    au, av = divmod(ax, ell)
-                    bu, bv = divmod(b, ell)
-                    fx = (cu + au + bu) % ell * ell + (cv + av + bv) % ell
-                    if fx:
-                        t += 1 if chi[fx] else -1
-            if t % ell == 0:  # trace over F_(l^2) is -t
+            au, av = divmod(a, ell)
+            bu, bv = divmod(b, ell)
+            avn = av * nonres
+            # sum of chi(x^3 + a x + b): -(trace over F_(l^2))
+            t = sum([char[(cu + bu + au * xu + avn * xv) % ell * ell
+                          + (cv + bv + au * xv + av * xu) % ell]
+                     for xu, xv, cu, cv in rows])
+            if t % ell == 0:
                 out.append(j)
     return out

@@ -446,19 +446,6 @@ def _ring_inverse(x):
         raise InputError("no Dirichlet inverse: f(1) is not invertible") from None
 
 
-def dirichlet_convolve(f: Sequence, g: Sequence) -> list:
-    """(f*g)(n) = sum over d|n of f(d) g(n/d); inputs are f(1..N), g(1..N)."""
-    n_max = min(len(f), len(g))
-    out = [None] * n_max
-    for n in range(1, n_max + 1):
-        acc = None
-        for d in divisors(n):
-            term = f[d - 1] * g[n // d - 1]
-            acc = term if acc is None else acc + term
-        out[n - 1] = acc
-    return out
-
-
 def dirichlet_inverse(f: Sequence) -> list:
     """Convolution inverse nu of f(1..N): (f*nu)(1) = 1, (f*nu)(n>1) = 0.
 

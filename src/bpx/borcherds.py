@@ -17,10 +17,8 @@ whole series identity is re-verified to the requested order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arith import (Mod, QuadExt, dirichlet_inverse, divisors, kronecker,
-                    moebius, sigma)
+from .arith import Mod, QuadExt, dirichlet_inverse, divisors, moebius, sigma
 from .classpoly import eligibility, hilbert_class_poly
 from .errors import (IneligiblePairError, InputError,
                      InternalConsistencyError, TruncationError)
@@ -241,11 +239,6 @@ def nu(D: int, m: int) -> QuadExt:
         _NU_CACHE[D] = cached = dirichlet_inverse(
             [f2(D, r) for r in range(1, size + 1)])
     return cached[m - 1]
-
-
-def nu_closed_form(D: int, m: int) -> QuadExt:
-    """mu(m) (D/m) / sqrt(D) as an element of Q(sqrt(D))."""
-    return QuadExt(Fraction(0), Fraction(moebius(m) * kronecker(D, m), D), D)
 
 
 def twisted_forward(D: int, a_seq) -> list[QuadExt]:

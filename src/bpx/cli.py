@@ -52,7 +52,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None,
                        help="class polynomial cache directory")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--threads", type=_positive_int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="threads for curve traces (compiled kernel only)")
 
     p = sub.add_parser("exponents", help="exact exponents A(n^2, d)")
     common(p, d=True, n=10)

@@ -62,26 +62,6 @@ def charpoly_count(ell: int, a: int, b: int) -> CharpolyCount:
     return CharpolyCount(count.numerator, prop)
 
 
-def charpoly_table_bruteforce(ell: int) -> dict[tuple[int, int], int]:
-    """Literal enumeration of GL2(F_l): counts per (trace, det), small l only."""
-    if ell > 13:
-        raise InputError("brute-force enumeration is for l <= 13")
-    table: Counter = Counter()
-    for w in range(ell):
-        for x in range(ell):
-            for y in range(ell):
-                xy = x * y
-                for z in range(ell):
-                    det = (w * z - xy) % ell
-                    if det:
-                        table[((w + z) % ell, det)] += 1
-    return dict(table)
-
-
-def charpoly_count_bruteforce(ell: int, a: int, b: int) -> int:
-    return charpoly_table_bruteforce(ell).get((a % ell, b % ell), 0)
-
-
 # ---------------------------------------------------------------------------
 # elliptic curves
 
@@ -159,13 +139,18 @@ def ec_trace(E: EllCurve, p: int,
 
 def ec_traces(E: EllCurve, primes, naive_limit: int = kernel.NAIVE_LIMIT,
               threads: int = 1) -> list[int]:
-    """Traces at many good primes; parallel over blocks, deterministic merge."""
+    """Traces at many good primes, in prime order whatever the thread count.
+
+    With the compiled kernel, whose trace loop releases the GIL, blocks of
+    4096 primes run on ``threads`` threads.  The pure-Python kernel holds
+    the GIL, so there threads would only add overhead and are not used.
+    """
     primes = list(primes)
     small = [p for p in primes if p < 5]
     big = [p for p in primes if p >= 5]
     A, B = E.short_form
     out_small = [_trace_tiny(E, p) for p in small]
-    if threads <= 1 or len(big) < 4096:
+    if threads <= 1 or len(big) < 4096 or kernel.BACKEND != "compiled":
         out_big = kernel.ec_traces(A, B, big, naive_limit)
     else:
         blocks = [big[i:i + 4096] for i in range(0, len(big), 4096)]

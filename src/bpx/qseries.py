@@ -8,22 +8,24 @@ exponent it is valid to, and every operation propagates validity
 conservatively (no global precision state).
 
 Classical expansions live here too: Eisenstein series, the discriminant
-cusp form (via the pentagonal-number sparse product), the j-function,
-rewriting weight-0 series as polynomials in j, weight-k monomial bases in
-Delta/E4/E6, and the Gauss-sum coefficients of the twisted cyclotomic
-factor P_D.
+cusp form (via the pentagonal-number sparse product, or over F_l from
+E4 and E6), the j-function, rewriting weight-0 series as polynomials in
+j, weight-k monomial bases in Delta/E4/E6 and their expansions over F_l
+from one shared table of powers, and the Gauss-sum coefficients of the
+twisted cyclotomic factor P_D.
 """
 
 from __future__ import annotations
 
-import cmath
 import operator
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
 from .arith import (Mod, QuadExt, bernoulli, is_fundamental_discriminant,
-                    kronecker, sigma_prefix)
+                    is_prime, kronecker, sigma_prefix)
 from .errors import InputError, TruncationError
 
 # ---------------------------------------------------------------------------
@@ -138,17 +140,62 @@ def _invert_unit(x):
     return x.inverse()
 
 
+# array typecode of each machine word width in bytes, for packing slots
+_WORD_CODES = {array(c).itemsize: c for c in "BHILQ"}
+
+
+def _word_width(nb: int) -> int | None:
+    """The narrowest array word of at least nb bytes, or None past 8 bytes."""
+    return next((w for w in sorted(_WORD_CODES) if w >= nb), None)
+
+
+def _kron_pack(a: list[int], nb: int) -> int:
+    """sum a_i 2^(8 nb i) for 0 <= a_i < 2^(8 nb)."""
+    w = _word_width(nb)
+    if w is None:
+        return int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in a), "little")
+    words = array(_WORD_CODES[w], a)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    if w == nb:
+        return int.from_bytes(raw, "little")
+    buf = bytearray(nb * len(a))
+    for k in range(nb):  # keep the low nb bytes of each word
+        buf[k::nb] = raw[k::w]
+    return int.from_bytes(buf, "little")
+
+
+def _kron_unpack(x: int, nb: int, count: int) -> list[int]:
+    """The low count slots of nb bytes of x >= 0, as nonnegative ints."""
+    buf = x.to_bytes(max(nb * count, (x.bit_length() + 7) // 8), "little")
+    w = _word_width(nb)
+    if w is None:
+        return [int.from_bytes(buf[i:i + nb], "little")
+                for i in range(0, nb * count, nb)]
+    raw = bytearray(w * count)
+    for k in range(nb):
+        raw[k::w] = buf[k:nb * count:nb]
+    words = array(_WORD_CODES[w], raw)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tolist()
+
+
 def _kron_mul_gf(a: list[int], b: list[int], ell: int, n_out: int) -> list[int]:
-    """Convolution mod l by Kronecker substitution into one big integer."""
+    """Convolution mod l by Kronecker substitution into one big integer.
+
+    Values are ints in [0, l).  Slots are packed and unpacked through
+    machine-word arrays, so the big product is the only per-call cost that
+    grows faster than the length.
+    """
     bound = (ell - 1) ** 2 * min(len(a), len(b)) + 1
     nb = (bound.bit_length() + 7) // 8
-    A = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in a), "little")
-    B = int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in b), "little")
-    buf = (A * B).to_bytes(nb * (len(a) + len(b)), "little")
-    total = len(a) + len(b) - 1
-    out = [int.from_bytes(buf[i * nb:(i + 1) * nb], "little") % ell
-           for i in range(min(n_out, total))]
-    out.extend([0] * (n_out - len(out)))
+    A = _kron_pack(a, nb)
+    B = A if b is a else _kron_pack(b, nb)
+    total = min(n_out, len(a) + len(b) - 1)
+    out = [v % ell for v in _kron_unpack(A * B, nb, total)]
+    out.extend([0] * (n_out - total))
     return out
 
 
@@ -238,6 +285,12 @@ def _inverse_gf(u: list[int], ell: int) -> list[int]:
     return g
 
 
+@lru_cache(maxsize=16)
+def _residues(ell: int) -> tuple[Mod, ...]:
+    """The l elements of F_l, shared by the series boxed from int lists."""
+    return tuple(Mod(v, ell) for v in range(ell))
+
+
 def _solve_triangular(s: list, rhs: list, zero) -> list:
     """x with s x = rhs to len(rhs) terms, for power series s with unit s[0].
 
@@ -281,6 +334,16 @@ class QSeries:
     @classmethod
     def constant(cls, ring, c, trunc: int) -> "QSeries":
         return cls(ring, 0, [ring.coerce(c)] + [ring.zero] * trunc)
+
+    @classmethod
+    def from_residues(cls, ell: int, lead: int, values: list[int]) -> "QSeries":
+        """A series over GF(l) from ints in [0, l), boxed once in Mod.
+
+        A list at least l long shares one Mod per residue.
+        """
+        if ell <= len(values):
+            return cls(GF(ell), lead, list(map(_residues(ell).__getitem__, values)))
+        return cls(GF(ell), lead, [Mod(v, ell) for v in values])
 
     # -- structure ---------------------------------------------------------
 
@@ -368,7 +431,7 @@ class QSeries:
             raw = _kron_mul_gf([c.value for c in self.coeffs],
                                [c.value for c in other.coeffs],
                                self.ring.ell, n_out)
-            return QSeries(self.ring, lead, [Mod(v, self.ring.ell) for v in raw])
+            return QSeries.from_residues(self.ring.ell, lead, raw)
         if isinstance(self.ring, IntegerRing) and _kron_pays(self.coeffs, other.coeffs, n_out):
             return QSeries(self.ring, lead,
                            _kron_mul_zz(self.coeffs, other.coeffs, n_out))
@@ -413,8 +476,8 @@ class QSeries:
         u = self.coeffs[v - self.lead:]
         ring = self.ring
         if isinstance(ring, PrimeField):
-            inv = _inverse_gf([c.value for c in u], ring.ell)
-            return QSeries(ring, -v, [Mod(c, ring.ell) for c in inv])
+            return QSeries.from_residues(ring.ell, -v,
+                                         _inverse_gf([c.value for c in u], ring.ell))
         rhs = [ring.one] + [ring.zero] * (len(u) - 1)
         return QSeries(ring, -v, _solve_triangular(u, rhs, ring.zero))
 
@@ -698,10 +761,21 @@ def euler_product(n: int, ring=ZZ) -> QSeries:
     return QSeries(ring, 0, coeffs)
 
 
+def _has_gf_table(ring) -> bool:
+    """Is ring an F_l for which monomial_forms builds Delta (l >= 5)?"""
+    return isinstance(ring, PrimeField) and ring.ell >= 5
+
+
 def delta(n: int, ring=ZZ) -> QSeries:
-    """The discriminant cusp form q prod (1-q^m)^24 to order n."""
+    """The discriminant cusp form q prod (1-q^m)^24 to order n.
+
+    Over F_l (l >= 5) it comes from the table of monomial_forms; over any
+    other ring it is the pentagonal-number product to the 24th power.
+    """
     if n < 1:
         raise InputError("delta needs truncation order >= 1")
+    if _has_gf_table(ring):
+        return monomial_forms([(1, 0, 0)], n, ring.ell)[0]
     return (euler_product(n - 1, ring) ** 24).shift(1)
 
 
@@ -716,7 +790,11 @@ def jfunction(n: int, ring=ZZ) -> QSeries:
     cached = _J_CACHE.get(key)
     if cached is None or cached.trunc < n:
         m = max(n, 2)
-        cached = (eisenstein(4, m + 2, ring) ** 3) / delta(m + 2, ring)
+        if _has_gf_table(ring):
+            e4_cubed, disc = monomial_forms([(0, 3, 0), (1, 0, 0)], m + 2, ring.ell)
+        else:
+            e4_cubed, disc = eisenstein(4, m + 2, ring) ** 3, delta(m + 2, ring)
+        cached = e4_cubed / disc
         _J_CACHE[key] = cached
     return cached.truncate(n)
 
@@ -774,16 +852,60 @@ def monomial_basis(k: int, cusp_only: bool = False) -> list[tuple[int, int, int]
     return basis
 
 
+def monomial_forms(monos, n: int, ell: int) -> list[QSeries]:
+    """Delta^a E4^b E6^c over F_l to order n, for each (a, b, c) in monos.
+
+    E4 and E6 come from their divisor sums, and Delta from (E4^3 - E6^2)
+    / 1728, an identity over Z that holds mod every l >= 5.  Each power of
+    E4, E6 and Delta is formed once, by Kronecker products on int lists,
+    and shared by all the monomials; only the results are boxed in Mod.
+    Each series starts at q^a, its valuation.
+    """
+    if ell < 5 or not is_prime(ell):
+        raise InputError(f"need a prime l >= 5, got {ell}")
+
+    def mul(f, g):
+        return _kron_mul_gf(f, g, ell, n + 1)
+
+    def eisenstein_mod(k, factor):  # 1 + factor sum sigma_(k-1)(m) q^m
+        return [1] + [factor * s % ell for s in sigma_prefix(k - 1, n, ell)[1:]]
+
+    powers: dict[tuple[str, int], list[int]] = {}
+
+    def power(name, e):
+        key = (name, e)
+        if key not in powers:
+            if e % 2 == 0:
+                half = power(name, e // 2)
+                powers[key] = mul(half, half)
+            elif e > 1:
+                powers[key] = mul(power(name, e - 1), power(name, 1))
+            elif name == "E4":
+                powers[key] = eisenstein_mod(4, 240)
+            elif name == "E6":
+                powers[key] = eisenstein_mod(6, -504)
+            else:
+                inv = pow(1728, -1, ell)
+                powers[key] = [(x - y) * inv % ell
+                               for x, y in zip(power("E4", 3), power("E6", 2))]
+        return powers[key]
+
+    out = []
+    for mono in monos:
+        f = None
+        for name, e in zip(("Delta", "E4", "E6"), mono):
+            if e:
+                f = power(name, e) if f is None else mul(f, power(name, e))
+        a = mono[0]  # Delta^a starts at q^a
+        out.append(QSeries.from_residues(ell, a, (f or [1] + [0] * n)[a:]))
+    return out
+
+
 def monomial_form(a: int, b: int, c: int, n: int, ring) -> QSeries:
-    """Expansion of Delta^a E4^b E6^c to order n."""
-    f = QSeries.one(ring, n)
-    if a:
-        f = f * delta(n, ring) ** a
-    if b:
-        f = f * eisenstein(4, n, ring) ** b
-    if c:
-        f = f * eisenstein(6, n, ring) ** c
-    return f.truncate(n)
+    """Expansion of Delta^a E4^b E6^c over ring = GF(l), l >= 5, to order n."""
+    if not isinstance(ring, PrimeField):
+        raise InputError(f"monomial forms are built over GF(l), not {ring.name}")
+    return monomial_forms([(a, b, c)], n, ring.ell)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -802,13 +924,3 @@ def f2(D: int, r: int) -> QuadExt:
         raise InputError(f"index must be >= 1, got {r}")
     return QuadExt(Fraction(0), Fraction(kronecker(D, r)), D)
 
-
-def f2_numeric(D: int, r: int) -> complex:
-    """Direct floating-point Gauss sum, the validation oracle for f2."""
-    return sum(kronecker(D, k) * cmath.exp(2j * cmath.pi * k * r / D)
-               for k in range(1, D))
-
-
-def pd_log_coeffs(D: int, n: int) -> list[QuadExt]:
-    """Coefficients of -t d/dt log P_D(t) for t^1..t^n; entry r is f2(D, r)."""
-    return [f2(D, r) for r in range(1, n + 1)]

@@ -10,13 +10,14 @@ eigenforms the exponent congruences are expressed in.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import kernel
 from .arith import Mod, is_prime
 from .errors import InputError, InternalConsistencyError, TruncationError
 from .qseries import (GF, Poly, QSeries, as_j_polynomial, eisenstein,
-                      monomial_basis, monomial_form)
+                      monomial_basis, monomial_forms)
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,8 @@ def supersingular_poly(ell: int) -> Poly:
     # the quotient by Delta^m (valuation m) starts at q^-m and is known
     # only to q^(n - 2m)
     n = 2 * wd.m + 8
-    f = eisenstein(ell - 1, n, ring) / monomial_form(wd.m, wd.delta, wd.epsilon, n, ring)
+    divisor, = monomial_forms([(wd.m, wd.delta, wd.epsilon)], n, ell)
+    f = eisenstein(ell - 1, n, ring) / divisor
     try:
         etilde = as_j_polynomial(f)
     except InputError as exc:
@@ -193,13 +195,12 @@ def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
     if ell < 5 or not is_prime(ell):
         raise InputError(f"need a prime l >= 5, got {ell}")
     k = ell + 1
-    ring = GF(ell)
     monos = monomial_basis(k, cusp_only=True)
     r = len(monos)
     if r == 0:
         return EigenformBasis(ell, order, (), (), ())
     n = max(order, 2 * r + 2)
-    gens = [monomial_form(a, b, c, n, ring) for (a, b, c) in monos]
+    gens = monomial_forms(monos, n, ell)
     # matrix of T_2 in the monomial basis, solved from coefficients q^1..q^r
     basis_rows = [[gens[i].coeff(m) for i in range(r)] for m in range(1, r + 1)]
     t_cols = []
@@ -209,20 +210,18 @@ def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
                                         [tg.coeff(m) for m in range(1, r + 1)], ell))
     # t_cols[i][j]: coefficient of gens[j] in T_2 gens[i]
     eigs = _distinct_eigenvalues([[t_cols[i][j] for i in range(r)] for j in range(r)], ell)
+    # the combinations and their a(1) normalization run on plain ints
+    values = [[0] * g.lead + [c.value for c in g.coeffs] for g in gens]
     forms, combos = [], []
     for lam in eigs:
         vec = _eigenvector([[t_cols[i][j] for i in range(r)] for j in range(r)], lam, ell)
-        f = QSeries.zero(ring, n)
-        for coef, g in zip(vec, gens):
-            if coef:
-                f = f + g.scale(coef)
-        a1 = f.coeff(1)
+        a1 = sum(v * g.coeff(1) for v, g in zip(vec, gens))
         if not a1:
             raise InputError("eigenform cannot be normalized: a(1) = 0")
-        inv = a1.inverse()
-        f = f.scale(inv)
-        vec = [v * inv for v in vec]
-        forms.append(f)
+        vec = [v * a1.inverse() for v in vec]
+        cs = [v.value for v in vec]
+        forms.append(QSeries.from_residues(
+            ell, 0, [sum(map(operator.mul, cs, col)) % ell for col in zip(*values)]))
         combos.append(tuple((monos[i], v.value) for i, v in enumerate(vec) if v))
     return EigenformBasis(ell, n, tuple(forms), tuple(eigs), tuple(combos))
 

@@ -1,0 +1,113 @@
+"""Independent reference computations used only by the tests.
+
+Each one computes by a different or more literal route something the
+package computes fast, so the tests can compare the two.
+"""
+
+import cmath
+from collections import Counter
+from fractions import Fraction
+
+from bpx.arith import QuadExt, divisors, kronecker, moebius
+from bpx.qseries import QSeries, eisenstein, euler_product, f2
+
+
+def f2_numeric(D: int, r: int) -> complex:
+    """Direct floating-point Gauss sum sum_k (D/k) zeta_D^(kr), the oracle for f2."""
+    return sum(kronecker(D, k) * cmath.exp(2j * cmath.pi * k * r / D)
+               for k in range(1, D))
+
+
+def pd_log_coeffs(D: int, n: int) -> list[QuadExt]:
+    """Coefficients of -t d/dt log P_D(t) for t^1..t^n; entry r is f2(D, r)."""
+    return [f2(D, r) for r in range(1, n + 1)]
+
+
+def nu_closed_form(D: int, m: int) -> QuadExt:
+    """mu(m) (D/m) / sqrt(D) as an element of Q(sqrt(D))."""
+    return QuadExt(Fraction(0), Fraction(moebius(m) * kronecker(D, m), D), D)
+
+
+def dirichlet_convolve(f, g) -> list:
+    """(f*g)(n) = sum over d|n of f(d) g(n/d); inputs are f(1..N), g(1..N)."""
+    out = []
+    for n in range(1, min(len(f), len(g)) + 1):
+        terms = [f[d - 1] * g[n // d - 1] for d in divisors(n)]
+        out.append(sum(terms[1:], terms[0]))
+    return out
+
+
+def charpoly_table_bruteforce(ell: int) -> dict[tuple[int, int], int]:
+    """Literal enumeration of GL2(F_l): counts per (trace, det), small l only."""
+    table: Counter = Counter()
+    for w in range(ell):
+        for x in range(ell):
+            for y in range(ell):
+                for z in range(ell):
+                    det = (w * z - x * y) % ell
+                    if det:
+                        table[((w + z) % ell, det)] += 1
+    return dict(table)
+
+
+def monomial_form_by_euler_product(a: int, b: int, c: int, n: int, ring) -> QSeries:
+    """Delta^a E4^b E6^c to order n, each factor built on its own.
+
+    Delta is q prod (1 - q^m)^24 from the pentagonal-number series, and
+    every power is a separate chain of series products.
+    """
+    f = QSeries.one(ring, n)
+    if a:
+        f = f * (euler_product(n - 1, ring) ** 24).shift(1) ** a
+    if b:
+        f = f * eisenstein(4, n, ring) ** b
+    if c:
+        f = f * eisenstein(6, n, ring) ** c
+    return f.truncate(n)
+
+
+def supersingular_js_by_point_count(ell: int, nonres: int) -> list[int]:
+    """Supersingular j in F_(l^2), encoded u*l + v with v <= (l-1)/2.
+
+    Counts the points of y^2 = x^3 + c x + c, whose j-invariant is
+    6912 c / (4 c + 27), over F_(l^2) = F_l(w), w^2 = nonres, by tallying
+    the square of every y; j = 0 and 1728 take y^2 = x^3 + 1 and
+    y^2 = x^3 + x.  The curve is supersingular iff l divides its trace.
+    """
+    elems = [(u, v) for u in range(ell) for v in range(ell)]
+
+    def mul(x, y):
+        return ((x[0] * y[0] + nonres * x[1] * y[1]) % ell,
+                (x[0] * y[1] + x[1] * y[0]) % ell)
+
+    def add(x, y):
+        return (x[0] + y[0]) % ell, (x[1] + y[1]) % ell
+
+    def inv(x):
+        norm = pow((x[0] * x[0] - nonres * x[1] * x[1]) % ell, -1, ell)
+        return x[0] * norm % ell, -x[1] * norm % ell
+
+    roots = Counter(mul(y, y) for y in elems)
+
+    def trace(a, b):
+        points = 1 + sum(roots[add(add(mul(mul(x, x), x), mul(a, x)), b)]
+                         for x in elems)
+        return ell * ell + 1 - points
+
+    one, zero = (1, 0), (0, 0)
+    out = []
+    for j in elems:
+        if j[1] > (ell - 1) // 2:
+            continue
+        if j == zero:
+            a, b = zero, one
+        elif j == (1728 % ell, 0):
+            a, b = one, zero
+        else:
+            # 6912 c / (4 c + 27) = j  <=>  c = 27 j / (6912 - 4 j)
+            c = mul(mul((27 % ell, 0), j),
+                    inv(add((6912 % ell, 0), mul(((-4) % ell, 0), j))))
+            a, b = c, c
+        if trace(a, b) % ell == 0:
+            out.append(j[0] * ell + j[1])
+    return out

@@ -19,11 +19,11 @@ from bpx.borcherds import (exact_exponents, fit_congruence, formula_eval,
                            twisted_roundtrip, verify_congruence)
 from bpx.classpoly import eligibility
 from bpx.density import (X0_CURVES, asymptotic_table, charpoly_count,
-                         charpoly_table_bruteforce, ec_trace, ec_traces,
-                         empirical_table)
+                         ec_trace, ec_traces, empirical_table)
 from bpx.qseries import GF, QSeries, eisenstein
 from bpx.ssforms import (eigenbasis, supersingular_poly,
                          supersingular_poly_bruteforce)
+from oracles import charpoly_table_bruteforce
 
 
 def _report(num, ok, detail=""):

@@ -7,11 +7,12 @@ from bpx.arith import Mod, QuadExt
 from bpx.borcherds import (exact_exponents, fit_congruence,
                            formula_eval, formula_eval_prime,
                            log_derivative_exact, log_derivative_mod, nu,
-                           nu_closed_form, twisted_forward, twisted_roundtrip,
+                           twisted_forward, twisted_roundtrip,
                            verify_congruence)
 from bpx.classpoly import hilbert_class_poly, hurwitz_class_number
 from bpx.errors import IneligiblePairError, InputError
 from bpx.qseries import GF, delta, eisenstein, f2, jfunction, monomial_form
+from oracles import nu_closed_form
 
 
 # exact square-index exponents, frozen from the product identity

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from bpx import density, kernel
 from bpx.arith import kronecker, sieve
 from bpx.borcherds import fit_congruence
 from bpx.density import (X0_CURVES, EllCurve, asymptotic_table,
-                         charpoly_count, charpoly_table_bruteforce,
-                         ec_trace, ec_traces, empirical_table, gl2_order)
+                         charpoly_count, ec_trace, ec_traces, empirical_table,
+                         gl2_order)
 from bpx.errors import CapabilityError, InputError
 from bpx.qseries import GF, delta
 from bpx.ssforms import eigenbasis
+from oracles import charpoly_table_bruteforce
 
 
 def test_charpoly_count_examples():
@@ -191,6 +193,21 @@ def test_ec_traces_threads_deterministic():
     curve = X0_CURVES[11]
     primes = [p for p in sieve(40000).primes if p not in (2, 3, 11)]
     assert ec_traces(curve, primes, threads=1) == ec_traces(curve, primes, threads=4)
+
+
+def test_ec_traces_no_threads_on_the_pure_kernel(monkeypatch):
+    # the pure kernel holds the GIL: more threads would only add overhead
+    curve = X0_CURVES[11]
+    primes = [p for p in sieve(40000).primes if p not in (2, 3, 11)]
+    assert len(primes) > 4096  # enough for more than one block
+    want = ec_traces(curve, primes, threads=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool created on the pure-Python kernel")
+
+    monkeypatch.setattr(kernel, "BACKEND", "python")
+    monkeypatch.setattr(density, "ThreadPoolExecutor", no_pool)
+    assert ec_traces(curve, primes, threads=4) == want
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import bpx._eckernel_py as pure
 from bpx import density, kernel
+from oracles import supersingular_js_by_point_count
 
 try:
     import bpx._eckernel as compiled
@@ -85,6 +86,16 @@ def test_supersingular_scan_parity():
         ns = _nonresidue(ell)
         assert compiled.supersingular_js_fq2(ell, ns) == \
             pure.supersingular_js_fq2(ell, ns)
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 37])
+def test_supersingular_scan_matches_a_literal_point_count(ell):
+    # l = 5 and 11 have j = 0 supersingular, l = 7 and 11 j = 1728, and
+    # l = 37 a conjugate pair outside F_l
+    from bpx.ssforms import _nonresidue
+    ns = _nonresidue(ell)
+    assert pure.supersingular_js_fq2(ell, ns) == \
+        supersingular_js_by_point_count(ell, ns)
 
 
 def test_hasse_bound_pure_band():

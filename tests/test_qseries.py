@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from bpx.arith import Mod, QuadExt, is_fundamental_discriminant, kronecker
 from bpx.errors import InputError, TruncationError
-from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, QuadField, _kron_mul_zz,
-                         as_j_polynomial, delta, eisenstein, euler_product, f2,
-                         f2_numeric, jfunction, monomial_basis, monomial_form,
-                         pd_log_coeffs)
+from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, QuadField, _kron_mul_gf,
+                         _kron_mul_zz, as_j_polynomial, delta, eisenstein,
+                         euler_product, f2, jfunction, monomial_basis,
+                         monomial_form, monomial_forms)
+from oracles import f2_numeric, monomial_form_by_euler_product, pd_log_coeffs
 
 
 def test_eisenstein_small():
@@ -88,8 +89,52 @@ def test_emod_congruences_to_500_terms():
 
 
 def test_gf_multiplication_matches_exact_reduction():
-    for ell in (11, 31):
+    # over F_l, Delta = (E4^3 - E6^2)/1728; over ZZ, the Euler product
+    for ell in (5, 7, 11, 31):
         assert delta(400, GF(ell)) == delta(400, ZZ).reduce_mod(ell)
+        assert jfunction(100, GF(ell)) == jfunction(100, ZZ).reduce_mod(ell)
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 17, 19, 23, 31, 37])
+def test_monomial_forms_match_the_per_monomial_euler_route(ell):
+    # the whole weight l+1 basis, cusp and non-cusp, plus Delta and a mixed
+    # monomial: E4 = 1 mod 5 and E6 = 1 mod 7, so at l = 5 and 7 Delta
+    # comes from a degenerate E4^3 - E6^2
+    n, ring = 2000, GF(ell)
+    monos = monomial_basis(ell + 1) + [(1, 0, 0), (2, 1, 1)]
+    assert any(a == 0 for a, _, _ in monos)
+    got = monomial_forms(monos, n, ell)
+    for mono, form in zip(monos, got):
+        want = monomial_form_by_euler_product(*mono, n, ring)
+        assert form.lead == want.lead == mono[0] and form.trunc == want.trunc == n
+        assert form.coeffs == want.coeffs, mono
+        assert monomial_form(*mono, n, ring).coeffs == want.coeffs
+
+
+def test_monomial_forms_edge_cases():
+    one, e6_squared = monomial_forms([(0, 0, 0), (0, 0, 2)], 5, 11)
+    assert one.coeffs == [Mod(1, 11)] + [Mod(0, 11)] * 5
+    assert e6_squared == eisenstein(6, 5, ZZ).reduce_mod(11) ** 2
+    for ell in (2, 3, 9):
+        with pytest.raises(InputError):
+            monomial_forms([(1, 0, 0)], 5, ell)
+    with pytest.raises(InputError):
+        monomial_form(1, 0, 0, 5, ZZ)
+
+
+@given(st.sampled_from([5, 31, 257, 65537, 2 ** 31 - 1, 2 ** 61 - 1]),
+       st.lists(st.integers(0, 2 ** 64), min_size=1, max_size=40),
+       st.lists(st.integers(0, 2 ** 64), min_size=1, max_size=40),
+       st.integers(1, 90))
+@settings(max_examples=120, deadline=None)
+def test_gf_kronecker_product_every_slot_width(ell, a, b, n_out):
+    # slots of 1 to 16 bytes: whole machine words, bytes kept from wider
+    # words, and the byte-string path past 8 bytes
+    a = [v % ell for v in a]
+    b = [v % ell for v in b]
+    want = [v % ell for v in _conv_oracle(a, b, n_out - 1)]
+    assert _kron_mul_gf(a, b, ell, n_out) == want
+    assert _kron_mul_gf(a, a, ell, n_out) == [v % ell for v in _conv_oracle(a, a, n_out - 1)]
 
 
 def _conv_oracle(a, b, n):

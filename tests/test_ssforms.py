@@ -2,11 +2,12 @@ import pytest
 
 from bpx.arith import Mod
 from bpx.errors import InputError, TruncationError
-from bpx.qseries import GF, QQ, ZZ, Poly, delta, eisenstein
+from bpx.qseries import GF, QQ, ZZ, Poly, QSeries, delta, eisenstein
 from bpx.ssforms import (eigenbasis, eisenstein_cusp_split,
                          hecke_Tp, supersingular_j_invariants,
                          supersingular_poly, supersingular_poly_bruteforce,
                          weight_decomposition)
+from oracles import monomial_form_by_euler_product
 
 
 def test_weight_decomposition_examples():
@@ -126,6 +127,24 @@ def test_eigenbasis_31_is_an_actual_eigenbasis():
             ap = tf.coeff(1)
             assert tf == form.truncate(tf.trunc).scale(ap), (i, p)
         assert eb.t2_eigenvalues[i] == hecke_Tp(form, 2, 32).coeff(1)
+
+
+def test_eigenbasis_31_to_order_9999_matches_the_euler_route():
+    # each form, rebuilt from its monomial combination with every monomial
+    # expanded on its own (Delta as the Euler product to the 24th power)
+    n, ring = 9999, GF(31)
+    eb = eigenbasis(31, n)
+    small = eigenbasis(31, 60)
+    assert eb.order == n and eb.monomial_combos == small.monomial_combos
+    assert eb.t2_eigenvalues == small.t2_eigenvalues
+    monos = {mono: monomial_form_by_euler_product(*mono, n, ring)
+             for combo in eb.monomial_combos for mono, _ in combo}
+    for form, combo in zip(eb.forms, eb.monomial_combos):
+        want = QSeries.zero(ring, n)
+        for mono, coef in combo:
+            want = want + monos[mono].scale(coef)
+        assert form.lead == 0 and form.trunc == n
+        assert form.coeffs == want.coeffs
 
 
 def test_eigenforms_simultaneous_to_order_50():
