@@ -186,15 +186,24 @@ def formula_eval(F: CongruenceFormula, n: int) -> Mod:
     return total * pow(n % ell, ell - 2, ell)
 
 
-def formula_eval_prime(F: CongruenceFormula, p: int, a_values) -> Mod:
-    """Prime closed form -24 c0 + p^(-1) sum c_i (a_i(p) - 1), given the a_i(p)."""
+def formula_eval_primes(F: CongruenceFormula, primes, columns) -> list[int]:
+    """The congruence at primes: -24 c0 + p^(-1) sum c_i (a_i(p) - 1) mod l.
+
+    columns holds one list of plain-int a_i(p) per eigenform, aligned with
+    primes; the residues t come back in the same order.
+    """
     ell = F.ell
-    if p % ell == 0:
-        raise InputError(f"theorem hypothesis l does not divide n violated: {p}")
-    acc = Mod(0, ell)
-    for ci, ap in zip(F.c, a_values):
-        acc = acc + ci * (Mod(ap if isinstance(ap, int) else ap.value, ell) - 1)
-    return Mod(-24, ell) * F.c0 + acc * pow(p % ell, ell - 2, ell)
+    if len(columns) != F.rank or any(len(col) != len(primes) for col in columns):
+        raise InputError(f"need {F.rank} columns of {len(primes)} a_i(p) values")
+    base = (-24 * F.c0.value) % ell
+    cs = [c.value for c in F.c]
+    out = []
+    for k, p in enumerate(primes):
+        if p % ell == 0:
+            raise InputError(f"theorem hypothesis l does not divide n violated: {p}")
+        acc = sum(ci * (col[k] - 1) for ci, col in zip(cs, columns))
+        out.append((base + acc * pow(p, ell - 2, ell)) % ell)
+    return out
 
 
 def verify_congruence(d: int, ell: int, n_max: int,

@@ -20,8 +20,6 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from .arith import is_fundamental_discriminant, kronecker
 from .errors import (InputError, InternalConsistencyError,
                      NotADiscriminantError, PrecisionError)
@@ -107,6 +105,8 @@ def singular_modulus(Q: QuadForm, prec: int = 40) -> mpmath.mpc:
     digits to cover the magnitude of the leading q^-1 term, so the
     accuracy is absolute.
     """
+    import mpmath  # the compute path only: a warm cache never loads it
+
     if prec < 1:
         raise InputError("precision must be positive")
     d = -Q.discriminant
@@ -191,6 +191,8 @@ def _base_precision(d: int, forms: list[QuadForm]) -> int:
 
 def _expand_and_round(roots) -> tuple[list[int], float]:
     """Multiply out prod (x - r), round to integers, return max rounding error."""
+    import mpmath
+
     coeffs = [mpmath.mpc(1)]
     for r in roots:
         nxt = [mpmath.mpc(0)] * (len(coeffs) + 1)
@@ -252,6 +254,8 @@ def hilbert_class_poly(d: int, cache_dir: str | None = None) -> WeightedClassPol
 
 
 def _build_components(groups, prec) -> tuple[list[tuple[Poly, Fraction]], float]:
+    import mpmath
+
     comps = []
     worst = 0.0
     for w in sorted(groups):

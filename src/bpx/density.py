@@ -1,12 +1,12 @@
 """Characteristic-polynomial densities in GL2(F_l) and the delta tables.
 
-The asymptotic side is pure group theory: the proportion of GL2(F_l) with
-a given trace and determinant, summed over the classes a congruence
-formula maps to a given residue t (for rank 2 the two matrix factors are
-coupled through a common determinant).  The empirical side runs over all
-primes p < X, computing the curve trace at p for the level l = 11, 17, 19
-curves (or exact eigenform coefficients for other moduli), and tallies
-the formula value per residue class.
+The asymptotic side is pure group theory: the r eigenform representations
+are coupled only through their common determinant, so one sum over that
+determinant, of the convolved GL2 trace-class counts, gives the exact
+proportion of each residue t for any rank r.  The empirical side runs
+over all primes p < X, taking the curve trace at p for the level l = 11,
+17, 19 curves (or exact eigenform coefficients for other moduli) as
+columns of a_i(p), and tallies the congruence values at those primes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import kernel
 from .arith import is_prime, kronecker, sieve
-from .borcherds import CongruenceFormula
+from .borcherds import CongruenceFormula, formula_eval_primes
 from .errors import CapabilityError, InputError, InternalConsistencyError
 from .ssforms import eigenbasis
 
@@ -212,46 +212,32 @@ class DensityTable:
 def asymptotic_table(F: CongruenceFormula) -> DensityTable:
     """Chebotarev limit of the congruence-value distribution, exact rationals.
 
-    Rank 1 weights each (det b, trace a) by its GL2 proportion; rank 2
-    weights pairs of classes sharing a determinant by count1 * count2 over
-    the order of the determinant-coupled product group.
+    The r eigenform representations are coupled only through their common
+    determinant b, so for each b the value sum c_i (a_i - 1) is distributed
+    as the convolution over Z/l of the r trace distributions, weighted by
+    the GL2 class counts; t = base + s b^-1 then tallies integer masses
+    over N = (l-1) (|GL2(F_l)| / (l-1))^r elements in all, for any rank r.
     """
     ell = F.ell
-    r = F.rank
     base = (-24 * F.c0.value) % ell
-    acc: dict[int, Fraction] = {}
-    if r == 0:
-        acc[base] = Fraction(1)
-    elif r == 1:
-        c1 = F.c[0].value
-        for b in range(1, ell):
-            invb = pow(b, -1, ell)
-            for a in range(ell):
-                t = (base + c1 * (a - 1) * invb) % ell
-                w = charpoly_count(ell, a, b).proportion
-                acc[t] = acc.get(t, Fraction(0)) + w
-    elif r == 2:
-        c1, c2 = F.c[0].value, F.c[1].value
-        counts = [[0] * ell] + [[charpoly_count(ell, a, b).count
-                                 for a in range(ell)] for b in range(1, ell)]
-        group = Fraction(gl2_order(ell) ** 2, ell - 1)
-        for b in range(1, ell):
-            invb = pow(b, -1, ell)
-            for a1 in range(ell):
-                n1 = counts[b][a1]
-                if not n1:
-                    continue
-                for a2 in range(ell):
-                    n2 = counts[b][a2]
-                    if not n2:
-                        continue
-                    t = (base + (c1 * (a1 - 1) + c2 * (a2 - 1)) * invb) % ell
-                    acc[t] = acc.get(t, Fraction(0)) + Fraction(n1 * n2) / group
-    else:
-        raise CapabilityError(
-            f"asymptotic tables are implemented for rank <= 2, got {r}")
-    if sum(acc.values(), Fraction(0)) != 1:
+    cs = [c.value for c in F.c]
+    tally = [0] * ell
+    for b in range(1, ell):
+        counts = [charpoly_count(ell, a, b).count for a in range(ell)]
+        dist = [1] + [0] * (ell - 1)
+        for ci in cs:
+            factor = [0] * ell
+            for a, n in enumerate(counts):
+                factor[ci * (a - 1) % ell] += n
+            dist = [sum(dist[u] * factor[(s - u) % ell] for u in range(ell))
+                    for s in range(ell)]
+        invb = pow(b, -1, ell)
+        for s, mass in enumerate(dist):
+            tally[(base + s * invb) % ell] += mass
+    total = (ell - 1) * (gl2_order(ell) // (ell - 1)) ** len(cs)
+    if sum(tally) != total:
         raise InternalConsistencyError("asymptotic densities do not sum to 1")
+    acc = {t: Fraction(n, total) for t, n in enumerate(tally) if n}
     return DensityTable(F.d, ell, "asymptotic", acc)
 
 
@@ -272,30 +258,17 @@ def empirical_table(F: CongruenceFormula, x: int, threads: int = 1,
     primes = sieve(x).primes
     total = len(primes)
     eligible = [p for p in primes if p != ell]
-    base = (-24 * F.c0.value) % ell
-    counts: Counter = Counter()
-    if F.rank == 0:
-        counts[base] = len(eligible)
-    elif ell in X0_CURVES and F.rank == 1:
-        curve = X0_CURVES[ell]
-        c1 = F.c[0].value
-        traces = ec_traces(curve, eligible, naive_limit, threads)
-        for p, ap in zip(eligible, traces):
-            t = (base + c1 * (ap - 1) * pow(p, ell - 2, ell)) % ell
-            counts[t] += 1
-    else:
+    if ell in X0_CURVES and F.rank == 1:
+        columns = [ec_traces(X0_CURVES[ell], eligible, naive_limit, threads)]
+    elif F.rank:
         if x > EXPANSION_LIMIT:
             raise CapabilityError(
                 f"l={ell} is not curve-backed; eigenform-expansion mode "
                 f"supports x <= {EXPANSION_LIMIT}")
         basis = eigenbasis(ell, order=max(x - 1, 4))
-        cs = [c.value for c in F.c]
-        series = [[c.value for c in form.coeffs] for form in basis.forms]
-        lead = [form.lead for form in basis.forms]
-        for p in eligible:
-            acc = 0
-            for ci, coeffs, ld in zip(cs, series, lead):
-                acc += ci * (coeffs[p - ld] - 1)
-            t = (base + acc * pow(p, ell - 2, ell)) % ell
-            counts[t] += 1
+        columns = [[form.coeffs[p - form.lead].value for p in eligible]
+                   for form in basis.forms]
+    else:
+        columns = []
+    counts = Counter(formula_eval_primes(F, eligible, columns))
     return DensityTable(F.d, ell, "empirical", dict(counts), x=x, total=total)

@@ -1,8 +1,7 @@
 """Truncated Laurent q-series and dense polynomials over a declared ring.
 
-Rings are ZZ, QQ, GF(l), and their quadratic extensions QuadField(D) /
-QuadRing(l, D); coefficients are plain ints, Fractions, Mod or QuadExt
-values, and all series arithmetic is exact.  Truncation orders are
+Rings are ZZ, QQ and GF(l); coefficients are plain ints, Fractions or
+Mod values, and all series arithmetic is exact.  Truncation orders are
 explicit everywhere: a series knows its leading exponent and the last
 exponent it is valid to, and every operation propagates validity
 conservatively (no global precision state).
@@ -87,30 +86,6 @@ class PrimeField:
         return self.name
 
 
-class QuadExtRing:
-    """Q(sqrt(D)) over QQ, or F_l[sqrt(D)] over GF(l)."""
-
-    def __init__(self, base, D: int):
-        if not is_fundamental_discriminant(D) or D <= 1:
-            raise InputError(f"D must be a fundamental discriminant > 1, got {D}")
-        self.base = base
-        self.D = D
-        self.name = f"{base.name}[sqrt({D})]"
-        self.zero = QuadExt(base.zero, base.zero, D)
-        self.one = QuadExt(base.one, base.zero, D)
-
-    def coerce(self, x):
-        if isinstance(x, QuadExt):
-            if x.D != self.D:
-                raise InputError("mixed discriminants")
-            return x
-        s = self.base.coerce(x)
-        return QuadExt(s, self.base.zero, self.D)
-
-    def __repr__(self):
-        return self.name
-
-
 ZZ = IntegerRing()
 QQ = RationalRing()
 
@@ -118,16 +93,6 @@ QQ = RationalRing()
 @lru_cache(maxsize=None)
 def GF(ell: int) -> PrimeField:
     return PrimeField(ell)
-
-
-@lru_cache(maxsize=None)
-def QuadField(D: int) -> QuadExtRing:
-    return QuadExtRing(QQ, D)
-
-
-@lru_cache(maxsize=None)
-def QuadRing(ell: int, D: int) -> QuadExtRing:
-    return QuadExtRing(GF(ell), D)
 
 
 def _invert_unit(x):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import kernel
 from .arith import Mod, is_prime
@@ -42,11 +43,13 @@ def weight_decomposition(k: int) -> WeightDecomposition:
     raise InputError(f"weight {k} has no such decomposition")
 
 
+@lru_cache(maxsize=None)
 def supersingular_poly(ell: int) -> Poly:
     """Monic s_l(x) over F_l whose roots are the supersingular j-invariants.
 
     Built from E_{l-1} mod l: divide off Delta^m E4^d E6^e, rewrite the
     weight-0 quotient as a polynomial in j, and reattach x^d (x-1728)^e.
+    Computed once per l (Poly values are never mutated in place).
     """
     if ell < 5 or not is_prime(ell):
         raise InputError(f"need a prime l >= 5, got {ell}")

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from bpx.arith import Mod, QuadExt
+from bpx.arith import Mod, QuadExt, sieve
 from bpx.borcherds import (exact_exponents, fit_congruence,
-                           formula_eval, formula_eval_prime,
+                           formula_eval, formula_eval_primes,
                            log_derivative_exact, log_derivative_mod, nu,
                            twisted_forward, twisted_roundtrip,
                            verify_congruence)
@@ -166,10 +166,15 @@ def test_formula_eval_rejects_multiples_of_ell():
 
 
 def test_formula_eval_prime_matches_general():
-    F = fit_congruence(4, 11)
-    for p in (2, 3, 5, 7, 13, 17, 97, 101):
-        ap = F.basis.coefficient(0, p)
-        assert formula_eval_prime(F, p, [ap]) == formula_eval(F, p)
+    for d, ell in ((4, 11), (20, 31), (3, 5)):
+        F = fit_congruence(d, ell)
+        primes = [p for p in sieve(200).primes if p != ell]
+        columns = [[F.basis.coefficient(i, p).value for p in primes]
+                   for i in range(F.rank)]
+        got = formula_eval_primes(F, primes, columns)
+        assert got == [formula_eval(F, p).value for p in primes], (d, ell)
+    with pytest.raises(InputError):
+        formula_eval_primes(F, [ell], columns=[])
 
 
 def test_end_to_end_verification_small():

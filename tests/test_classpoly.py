@@ -11,6 +11,7 @@ from bpx.classpoly import (QuadForm, corollary_conditions,
                            singular_modulus)
 from bpx.errors import InputError, NotADiscriminantError
 from bpx.arith import is_fundamental_discriminant
+from bpx.ssforms import supersingular_poly
 
 
 def test_reduced_forms_examples():
@@ -143,6 +144,15 @@ def test_eligibility_squarefree_for_corollary_pairs():
                 e = eligibility(d, ell)
                 assert e.divides, (d, ell)
                 assert e.squarefree, (d, ell)
+
+
+def test_eligibility_scan_computes_s_ell_once():
+    # a table2-style scan asks for s_l once per d; it is built once
+    supersingular_poly.cache_clear()
+    for d in range(3, 60):
+        if d % 4 in (0, 3):
+            eligibility(d, 11)
+    assert supersingular_poly.cache_info().misses == 1
 
 
 def test_corollary_conditions_examples():

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bpx
 from bpx.cli import run
 
 
@@ -173,6 +175,27 @@ def test_cache_dir_flag(tmp_path, capsys):
                           "--cache-dir", cache)
     doc = json.loads(out)
     assert doc["cache"]["hits"] == 1 and doc["cache"]["misses"] == 0
+
+
+def test_warm_cache_run_never_imports_mpmath(tmp_path, capsys):
+    # mpmath serves only the class-polynomial compute path; importing the
+    # CLI, or answering from a warm cache, must not load it
+    cache = str(tmp_path / "cache")
+    code, _, _ = invoke(capsys, "classpoly", "--d", "23", "--cache-dir", cache)
+    assert code == 0
+    script = (
+        "import sys, bpx.cli\n"
+        "loaded = ['mpmath' in sys.modules]\n"
+        "code = bpx.cli.run(['classpoly', '--d', '23', '--cache-dir', sys.argv[1]])\n"
+        "loaded.append('mpmath' in sys.modules)\n"
+        "print(code, *loaded, file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(bpx.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, cache], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["0", "False", "False"]
 
 
 def test_congruence_text_golden(capsys):

@@ -1,11 +1,13 @@
 import json
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from bpx import density, kernel
-from bpx.arith import kronecker, sieve
-from bpx.borcherds import fit_congruence
+from bpx.arith import Mod, kronecker, sieve
+from bpx.borcherds import CongruenceFormula, fit_congruence
 from bpx.density import (X0_CURVES, EllCurve, asymptotic_table,
                          charpoly_count, ec_trace, ec_traces, empirical_table,
                          gl2_order)
@@ -85,42 +87,46 @@ def test_asymptotic_table_20_31_frozen_values():
         assert abs(float(tab.entries[t]) - 1 / 31) < 3e-6
 
 
-def test_rank2_model_matches_literal_pair_enumeration():
-    # independent oracle at l=5: enumerate all pairs (M, N) in GL2(F5)^2
-    # with det N = det M, tally the congruence value map
-    ell, base, c1, c2 = 5, 2, 3, 1
+def _synthetic_formula(ell, c0, cs):
+    """A formula with the given constants, for the density engine only."""
+    return CongruenceFormula(0, ell, Mod(c0, ell),
+                             tuple(Mod(c, ell) for c in cs), None, 0)
+
+
+def _literal_coupled_tally(ell, base, cs):
+    """Tally t over every r-tuple of GL2(F_l) matrices sharing a determinant."""
     bydet = {}
-    for w in range(ell):
-        for x in range(ell):
-            for y in range(ell):
-                for z in range(ell):
-                    det = (w * z - x * y) % ell
-                    if det:
-                        bydet.setdefault(det, []).append((w + z) % ell)
-    tally = {}
-    total = 0
+    for w, x, y, z in product(range(ell), repeat=4):
+        det = (w * z - x * y) % ell
+        if det:
+            bydet.setdefault(det, []).append((w + z) % ell)
+    tally = Counter()
     for det, traces in bydet.items():
         invb = pow(det, -1, ell)
-        for t1 in traces:
-            for t2 in traces:
-                t = (base + (c1 * (t1 - 1) + c2 * (t2 - 1)) * invb) % ell
-                tally[t] = tally.get(t, 0) + 1
-                total += 1
-    # same sum via the charpoly-count weights
-    counts = {b: [charpoly_count(ell, a, b).count for a in range(ell)]
-              for b in range(1, ell)}
-    group = Fraction(gl2_order(ell) ** 2, ell - 1)
-    acc = {}
-    for b in range(1, ell):
-        invb = pow(b, -1, ell)
-        for a1 in range(ell):
-            for a2 in range(ell):
-                t = (base + (c1 * (a1 - 1) + c2 * (a2 - 1)) * invb) % ell
-                acc[t] = acc.get(t, Fraction(0)) \
-                    + Fraction(counts[b][a1] * counts[b][a2]) / group
-    assert total == group
+        for tr in product(traces, repeat=len(cs)):
+            s = sum(c * (a - 1) for c, a in zip(cs, tr))
+            tally[(base + s * invb) % ell] += 1
+    return tally
+
+
+def _assert_engine_matches_literal(ell, c0, cs, total):
+    tally = _literal_coupled_tally(ell, -24 * c0 % ell, cs)
+    assert sum(tally.values()) == total
+    tab = asymptotic_table(_synthetic_formula(ell, c0, cs))
     for t in range(ell):
-        assert acc.get(t, Fraction(0)) == Fraction(tally.get(t, 0), total)
+        assert tab.entries.get(t, Fraction(0)) == Fraction(tally[t], total), t
+
+
+def test_rank2_model_matches_literal_pair_enumeration():
+    # independent oracle at l=5: enumerate all pairs (M, N) in GL2(F5)^2
+    # with det N = det M and tally the congruence value map (base 2)
+    _assert_engine_matches_literal(5, 2, (3, 1), 4 * 120 ** 2)
+
+
+def test_rank3_model_matches_literal_triple_enumeration():
+    # all 2 * 24^3 determinant-coupled triples in GL2(F3)^3 (base 0, as
+    # 24 = 0 mod 3): the only check that the convolution composes past two
+    _assert_engine_matches_literal(3, 1, (1, 2, 1), 2 * 24 ** 3)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bpx.arith import Mod, QuadExt, is_fundamental_discriminant, kronecker
 from bpx.errors import InputError, TruncationError
-from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, QuadField, _kron_mul_gf,
+from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, _kron_mul_gf,
                          _kron_mul_zz, as_j_polynomial, delta, eisenstein,
                          euler_product, f2, jfunction, monomial_basis,
                          monomial_form, monomial_forms)
@@ -393,28 +393,6 @@ def test_series_render():
     assert str(QSeries.zero(ZZ, 3)) == "0"
     d = delta(2, GF(11))
     assert str(d) == "1*q + 9*q^2"
-
-
-def test_quadfield_series():
-    ring = QuadField(5)
-    s = QSeries(ring, 0, [ring.one, ring.coerce(2), f2(5, 1)])
-    t = s * s
-    assert t.coeff(0) == ring.one
-    assert t.coeff(1) == ring.coerce(4)
-    assert t.coeff(2) == ring.coerce(4) + f2(5, 1) * 2
-
-
-def test_quad_ring_mod_ell():
-    from bpx.qseries import QuadRing
-    from bpx.arith import Mod, QuadExt
-    ring = QuadRing(11, 5)
-    x = ring.coerce(Fraction(1, 2))
-    assert x == QuadExt(Mod(6, 11), Mod(0, 11), 5)
-    y = QuadExt(Mod(2, 11), Mod(3, 11), 5)
-    s = QSeries(ring, 0, [ring.one, y])
-    t = s * s
-    assert t.coeff(1) == y + y
-    assert t.coeff(0) == ring.one
 
 
 def test_truncation_edge_cases():
