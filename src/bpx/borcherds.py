@@ -193,17 +193,15 @@ def formula_eval_primes(F: CongruenceFormula, primes, columns) -> list[int]:
     primes; the residues t come back in the same order.
     """
     ell = F.ell
-    if len(columns) != F.rank or any(len(col) != len(primes) for col in columns):
-        raise InputError(f"need {F.rank} columns of {len(primes)} a_i(p) values")
+    bad = next((p for p in primes if p % ell == 0), None)
+    if bad is not None:
+        raise InputError(f"theorem hypothesis l does not divide n violated: {bad}")
     base = (-24 * F.c0.value) % ell
     cs = [c.value for c in F.c]
-    out = []
-    for k, p in enumerate(primes):
-        if p % ell == 0:
-            raise InputError(f"theorem hypothesis l does not divide n violated: {p}")
-        acc = sum(ci * (col[k] - 1) for ci, col in zip(cs, columns))
-        out.append((base + acc * pow(p, ell - 2, ell)) % ell)
-    return out
+    if not cs:
+        return [base] * len(primes)
+    return [(base + sum(ci * (col[k] - 1) for ci, col in zip(cs, columns))
+             * pow(p, ell - 2, ell)) % ell for k, p in enumerate(primes)]
 
 
 def verify_congruence(d: int, ell: int, n_max: int,
