@@ -1,14734 +1,496 @@
-/* Generated by Cython 3.2.8 */
-
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O3"
-        ],
-        "name": "bpx._eckernel",
-        "sources": [
-            "src/bpx/_eckernel.pyx"
-        ]
-    },
-    "module_name": "bpx._eckernel"
-}
-END: Cython Metadata */
-
-#ifndef PY_SSIZE_T_CLEAN
-#define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
-#include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__bpx___eckernel
-#define __PYX_HAVE_API__bpx___eckernel
-/* Early includes */
-#include <stdint.h>
-#include <string.h>
-#include <stdlib.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/bpx/_eckernel.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* NoFastGil.proto */
-#define __Pyx_PyGILState_Ensure PyGILState_Ensure
-#define __Pyx_PyGILState_Release PyGILState_Release
-#define __Pyx_FastGIL_Remember()
-#define __Pyx_FastGIL_Forget()
-#define __Pyx_FastGilFuncInit()
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* ForceInitThreads.proto */
-#ifndef __PYX_FORCE_INIT_THREADS
-  #define __PYX_FORCE_INIT_THREADS 0
-#endif
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_t_3bpx_9_eckernel_Pt;
-
-/* "bpx/_eckernel.pyx":87
- * 
- * # point (x, y) with inf flag
- * cdef struct Pt:             # <<<<<<<<<<<<<<
- *     uint64_t x
- *     uint64_t y
-*/
-struct __pyx_t_3bpx_9_eckernel_Pt {
-  uint64_t x;
-  uint64_t y;
-  int inf;
-};
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
-#include <string.h>
-
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
-
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
-
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
-typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* PyMemoryError_Check.proto */
-#define __Pyx_PyExc_MemoryError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_MemoryError)
-
-/* PyObjectFormatSimple.proto */
-#if CYTHON_COMPILING_IN_PYPY
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        PyObject_Format(s, f))
-#elif CYTHON_USE_TYPE_SLOTS
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        likely(PyLong_CheckExact(s)) ? PyLong_Type.tp_repr(s) :\
-        likely(PyFloat_CheckExact(s)) ? PyFloat_Type.tp_repr(s) :\
-        PyObject_Format(s, f))
-#else
-    #define __Pyx_PyObject_FormatSimple(s, f) (\
-        likely(PyUnicode_CheckExact(s)) ? (Py_INCREF(s), s) :\
-        PyObject_Format(s, f))
-#endif
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* GetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* SwapException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSwap(type, value, tb)  __Pyx__ExceptionSwap(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* SaveResetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* PyOverflowError_Check.proto */
-#define __Pyx_PyExc_OverflowError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_OverflowError)
-
-/* PyValueError_Check.proto */
-#define __Pyx_PyExc_ValueError_Check(obj)  __Pyx_TypeCheck(obj, PyExc_ValueError)
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* SetItemInt.proto */
-#define __Pyx_SetItemInt(o, i, v, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_SetItemInt_Fast(o, (Py_ssize_t)i, v, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list assignment index out of range"), -1) :\
-               __Pyx_SetItemInt_Generic(o, to_py_func(i), v)))
-static int __Pyx_SetItemInt_Generic(PyObject *o, PyObject *j, PyObject *v);
-static CYTHON_INLINE int __Pyx_SetItemInt_Fast(PyObject *o, Py_ssize_t i, PyObject *v,
-                                               int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto (used by FetchCommonType) */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* CallTypeTraverse.proto (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* PyDictVersioning.proto (used by CLineInTraceback) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by CLineInTraceback) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_uint64_t(uint64_t value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE uint64_t __Pyx_PyLong_As_uint64_t(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int64_t(int64_t value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.stdint" */
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "bpx._eckernel" */
-static uint64_t __pyx_v_3bpx_9_eckernel_HASH_MULT;
-static uint64_t __pyx_v_3bpx_9_eckernel_SEED_ADD;
-static CYTHON_INLINE uint64_t __pyx_f_3bpx_9_eckernel_mulmod(uint64_t, uint64_t, uint64_t); /*proto*/
-static uint64_t __pyx_f_3bpx_9_eckernel_powmod(uint64_t, uint64_t, uint64_t); /*proto*/
-static uint64_t __pyx_f_3bpx_9_eckernel_invmod(uint64_t, uint64_t); /*proto*/
-static uint64_t __pyx_f_3bpx_9_eckernel_sqrtmod(uint64_t, uint64_t, int *); /*proto*/
-static struct __pyx_t_3bpx_9_eckernel_Pt __pyx_f_3bpx_9_eckernel_pt_add(struct __pyx_t_3bpx_9_eckernel_Pt, struct __pyx_t_3bpx_9_eckernel_Pt, uint64_t, uint64_t); /*proto*/
-static struct __pyx_t_3bpx_9_eckernel_Pt __pyx_f_3bpx_9_eckernel_pt_mul(uint64_t, struct __pyx_t_3bpx_9_eckernel_Pt, uint64_t, uint64_t); /*proto*/
-static uint64_t __pyx_f_3bpx_9_eckernel_isqrt_u64(uint64_t); /*proto*/
-static int64_t __pyx_f_3bpx_9_eckernel_trace_naive(uint64_t, uint64_t, uint64_t); /*proto*/
-static uint64_t __pyx_f_3bpx_9_eckernel_xorshift(uint64_t); /*proto*/
-static struct __pyx_t_3bpx_9_eckernel_Pt __pyx_f_3bpx_9_eckernel_next_point(uint64_t *, uint64_t, uint64_t, uint64_t); /*proto*/
-static int64_t __pyx_f_3bpx_9_eckernel_annihilator(struct __pyx_t_3bpx_9_eckernel_Pt, uint64_t, uint64_t, uint64_t); /*proto*/
-static uint64_t __pyx_f_3bpx_9_eckernel_exact_order(struct __pyx_t_3bpx_9_eckernel_Pt, uint64_t, uint64_t, uint64_t); /*proto*/
-static uint64_t __pyx_f_3bpx_9_eckernel_gcd_u64(uint64_t, uint64_t); /*proto*/
-static int64_t __pyx_f_3bpx_9_eckernel_trace_bsgs(uint64_t, uint64_t, uint64_t); /*proto*/
-static int64_t __pyx_f_3bpx_9_eckernel_trace_one(uint64_t, uint64_t, uint64_t, uint64_t); /*proto*/
-static CYTHON_INLINE uint64_t __pyx_f_3bpx_9_eckernel_fq2_mul(uint64_t, uint64_t, uint64_t, uint64_t); /*proto*/
-static CYTHON_INLINE uint64_t __pyx_f_3bpx_9_eckernel_fq2_sub(uint64_t, uint64_t, uint64_t); /*proto*/
-static uint64_t __pyx_f_3bpx_9_eckernel_fq2_inv(uint64_t, uint64_t, uint64_t); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "bpx._eckernel"
-extern int __pyx_module_is_main_bpx___eckernel;
-int __pyx_module_is_main_bpx___eckernel = 0;
-
-/* Implementation of "bpx._eckernel" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_kernels_prime_sieve_and[] = "Compiled kernels: prime sieve and elliptic-curve traces.\n\nC translation of bpx._eckernel_py (same API, same algorithms); the trace\nloop releases the GIL so prime blocks can run on real threads.  Primes are\nlimited to p < 2^31 so products fit in 64-bit words.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_3bpx_9_eckernel_primes_below(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_limit); /* proto */
-static PyObject *__pyx_pf_3bpx_9_eckernel_2ec_trace(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_a, PyObject *__pyx_v_b, PyObject *__pyx_v_p, PyObject *__pyx_v_naive_limit); /* proto */
-static PyObject *__pyx_pf_3bpx_9_eckernel_4supersingular_js_fq2(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_ell, PyObject *__pyx_v_nonres); /* proto */
-static PyObject *__pyx_pf_3bpx_9_eckernel_6ec_traces(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_a, PyObject *__pyx_v_b, PyObject *__pyx_v_primes, PyObject *__pyx_v_naive_limit); /* proto */
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[4];
-  PyObject *__pyx_string_tab[71];
-  PyObject *__pyx_number_tab[5];
-/* #### Code section: module_state_contents ### */
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_compiled_kernel_supports_p_2_31 __pyx_string_tab[1]
-#define __pyx_kp_u_sieve_of_size __pyx_string_tab[2]
-#define __pyx_kp_u_singular_curve_mod __pyx_string_tab[3]
-#define __pyx_kp_u_src_bpx__eckernel_pyx __pyx_string_tab[4]
-#define __pyx_kp_u_trace_kernel_allocation_failed __pyx_string_tab[5]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[6]
-#define __pyx_n_u_a __pyx_string_tab[7]
-#define __pyx_n_u_aa __pyx_string_tab[8]
-#define __pyx_n_u_aas __pyx_string_tab[9]
-#define __pyx_n_u_annotate __pyx_string_tab[10]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[11]
-#define __pyx_n_u_b __pyx_string_tab[12]
-#define __pyx_n_u_bb __pyx_string_tab[13]
-#define __pyx_n_u_bbs __pyx_string_tab[14]
-#define __pyx_n_u_bpx__eckernel __pyx_string_tab[15]
-#define __pyx_n_u_chi __pyx_string_tab[16]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[17]
-#define __pyx_n_u_cube __pyx_string_tab[18]
-#define __pyx_n_u_ec_trace __pyx_string_tab[19]
-#define __pyx_n_u_ec_traces __pyx_string_tab[20]
-#define __pyx_n_u_ell __pyx_string_tab[21]
-#define __pyx_n_u_enc1728 __pyx_string_tab[22]
-#define __pyx_n_u_flags __pyx_string_tab[23]
-#define __pyx_n_u_found __pyx_string_tab[24]
-#define __pyx_n_u_func __pyx_string_tab[25]
-#define __pyx_n_u_fx __pyx_string_tab[26]
-#define __pyx_n_u_i __pyx_string_tab[27]
-#define __pyx_n_u_idx __pyx_string_tab[28]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[29]
-#define __pyx_n_u_items __pyx_string_tab[30]
-#define __pyx_n_u_j __pyx_string_tab[31]
-#define __pyx_n_u_ju __pyx_string_tab[32]
-#define __pyx_n_u_jv __pyx_string_tab[33]
-#define __pyx_n_u_k __pyx_string_tab[34]
-#define __pyx_n_u_l __pyx_string_tab[35]
-#define __pyx_n_u_lim __pyx_string_tab[36]
-#define __pyx_n_u_limit __pyx_string_tab[37]
-#define __pyx_n_u_main __pyx_string_tab[38]
-#define __pyx_n_u_module __pyx_string_tab[39]
-#define __pyx_n_u_n __pyx_string_tab[40]
-#define __pyx_n_u_n2 __pyx_string_tab[41]
-#define __pyx_n_u_naive_limit __pyx_string_tab[42]
-#define __pyx_n_u_name __pyx_string_tab[43]
-#define __pyx_n_u_nfound __pyx_string_tab[44]
-#define __pyx_n_u_nl __pyx_string_tab[45]
-#define __pyx_n_u_nonres __pyx_string_tab[46]
-#define __pyx_n_u_ns __pyx_string_tab[47]
-#define __pyx_n_u_one __pyx_string_tab[48]
-#define __pyx_n_u_out __pyx_string_tab[49]
-#define __pyx_n_u_p __pyx_string_tab[50]
-#define __pyx_n_u_pop __pyx_string_tab[51]
-#define __pyx_n_u_pp __pyx_string_tab[52]
-#define __pyx_n_u_primes __pyx_string_tab[53]
-#define __pyx_n_u_primes_below __pyx_string_tab[54]
-#define __pyx_n_u_ps __pyx_string_tab[55]
-#define __pyx_n_u_qualname __pyx_string_tab[56]
-#define __pyx_n_u_set_name __pyx_string_tab[57]
-#define __pyx_n_u_setdefault __pyx_string_tab[58]
-#define __pyx_n_u_supersingular_js_fq2 __pyx_string_tab[59]
-#define __pyx_n_u_t __pyx_string_tab[60]
-#define __pyx_n_u_test __pyx_string_tab[61]
-#define __pyx_n_u_ts __pyx_string_tab[62]
-#define __pyx_n_u_u __pyx_string_tab[63]
-#define __pyx_n_u_v __pyx_string_tab[64]
-#define __pyx_n_u_values __pyx_string_tab[65]
-#define __pyx_n_u_x __pyx_string_tab[66]
-#define __pyx_kp_b_iso88591_A_1A_F_2Rq_V1Bb_V1Bb_2Q_s_U_T_E __pyx_string_tab[67]
-#define __pyx_kp_b_iso88591_a_r_q_m1A_2Ry_Bb_Cr_Bc_3b_2S_Rt __pyx_string_tab[68]
-#define __pyx_kp_b_iso88591_a_vS_q_Q_V1A_vS_k_1_U_1_Qe1_q_q __pyx_string_tab[69]
-#define __pyx_kp_b_iso88591_k_a_r_b_2Ya_6_a_fAS_vQc_1_1_t3e __pyx_string_tab[70]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_2 __pyx_number_tab[1]
-#define __pyx_int_10000 __pyx_number_tab[2]
-#define __pyx_int_2147483648 __pyx_number_tab[3]
-#define __pyx_int_549755813888 __pyx_number_tab[4]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<4; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<71; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<5; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<4; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<71; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<5; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "bpx/_eckernel.pyx":17
- * cdef uint64_t SEED_ADD = (<uint64_t> 0x243F6A88u << 32) | <uint64_t> 0x85A308D3u
- * 
- * cdef inline uint64_t mulmod(uint64_t a, uint64_t b, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return (a * b) % p
- * 
-*/
-
-static CYTHON_INLINE uint64_t __pyx_f_3bpx_9_eckernel_mulmod(uint64_t __pyx_v_a, uint64_t __pyx_v_b, uint64_t __pyx_v_p) {
-  uint64_t __pyx_r;
-
-  /* "bpx/_eckernel.pyx":18
- * 
- * cdef inline uint64_t mulmod(uint64_t a, uint64_t b, uint64_t p) noexcept nogil:
- *     return (a * b) % p             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((__pyx_v_a * __pyx_v_b) % __pyx_v_p);
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":17
- * cdef uint64_t SEED_ADD = (<uint64_t> 0x243F6A88u << 32) | <uint64_t> 0x85A308D3u
- * 
- * cdef inline uint64_t mulmod(uint64_t a, uint64_t b, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return (a * b) % p
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":21
- * 
- * 
- * cdef uint64_t powmod(uint64_t b, uint64_t e, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t r = 1
- *     b %= p
-*/
-
-static uint64_t __pyx_f_3bpx_9_eckernel_powmod(uint64_t __pyx_v_b, uint64_t __pyx_v_e, uint64_t __pyx_v_p) {
-  uint64_t __pyx_v_r;
-  uint64_t __pyx_r;
-  int __pyx_t_1;
-
-  /* "bpx/_eckernel.pyx":22
- * 
- * cdef uint64_t powmod(uint64_t b, uint64_t e, uint64_t p) noexcept nogil:
- *     cdef uint64_t r = 1             # <<<<<<<<<<<<<<
- *     b %= p
- *     while e:
-*/
-  __pyx_v_r = 1;
-
-  /* "bpx/_eckernel.pyx":23
- * cdef uint64_t powmod(uint64_t b, uint64_t e, uint64_t p) noexcept nogil:
- *     cdef uint64_t r = 1
- *     b %= p             # <<<<<<<<<<<<<<
- *     while e:
- *         if e & 1:
-*/
-  __pyx_v_b = (__pyx_v_b % __pyx_v_p);
-
-  /* "bpx/_eckernel.pyx":24
- *     cdef uint64_t r = 1
- *     b %= p
- *     while e:             # <<<<<<<<<<<<<<
- *         if e & 1:
- *             r = mulmod(r, b, p)
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_e != 0);
-    if (!__pyx_t_1) break;
-
-    /* "bpx/_eckernel.pyx":25
- *     b %= p
- *     while e:
- *         if e & 1:             # <<<<<<<<<<<<<<
- *             r = mulmod(r, b, p)
- *         b = mulmod(b, b, p)
-*/
-    __pyx_t_1 = ((__pyx_v_e & 1) != 0);
-    if (__pyx_t_1) {
-
-      /* "bpx/_eckernel.pyx":26
- *     while e:
- *         if e & 1:
- *             r = mulmod(r, b, p)             # <<<<<<<<<<<<<<
- *         b = mulmod(b, b, p)
- *         e >>= 1
-*/
-      __pyx_v_r = __pyx_f_3bpx_9_eckernel_mulmod(__pyx_v_r, __pyx_v_b, __pyx_v_p);
-
-      /* "bpx/_eckernel.pyx":25
- *     b %= p
- *     while e:
- *         if e & 1:             # <<<<<<<<<<<<<<
- *             r = mulmod(r, b, p)
- *         b = mulmod(b, b, p)
-*/
-    }
-
-    /* "bpx/_eckernel.pyx":27
- *         if e & 1:
- *             r = mulmod(r, b, p)
- *         b = mulmod(b, b, p)             # <<<<<<<<<<<<<<
- *         e >>= 1
- *     return r
-*/
-    __pyx_v_b = __pyx_f_3bpx_9_eckernel_mulmod(__pyx_v_b, __pyx_v_b, __pyx_v_p);
-
-    /* "bpx/_eckernel.pyx":28
- *             r = mulmod(r, b, p)
- *         b = mulmod(b, b, p)
- *         e >>= 1             # <<<<<<<<<<<<<<
- *     return r
- * 
-*/
-    __pyx_v_e = (__pyx_v_e >> 1);
-  }
-
-  /* "bpx/_eckernel.pyx":29
- *         b = mulmod(b, b, p)
- *         e >>= 1
- *     return r             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_r;
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":21
- * 
- * 
- * cdef uint64_t powmod(uint64_t b, uint64_t e, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t r = 1
- *     b %= p
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":32
- * 
- * 
- * cdef uint64_t invmod(uint64_t a, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int64_t t = 0, newt = 1, r = <int64_t> p, newr = <int64_t> a, q, tmp
- *     while newr != 0:
-*/
-
-static uint64_t __pyx_f_3bpx_9_eckernel_invmod(uint64_t __pyx_v_a, uint64_t __pyx_v_p) {
-  int64_t __pyx_v_t;
-  int64_t __pyx_v_newt;
-  int64_t __pyx_v_r;
-  int64_t __pyx_v_newr;
-  int64_t __pyx_v_q;
-  int64_t __pyx_v_tmp;
-  uint64_t __pyx_r;
-  int __pyx_t_1;
-
-  /* "bpx/_eckernel.pyx":33
- * 
- * cdef uint64_t invmod(uint64_t a, uint64_t p) noexcept nogil:
- *     cdef int64_t t = 0, newt = 1, r = <int64_t> p, newr = <int64_t> a, q, tmp             # <<<<<<<<<<<<<<
- *     while newr != 0:
- *         q = r / newr
-*/
-  __pyx_v_t = 0;
-  __pyx_v_newt = 1;
-  __pyx_v_r = ((int64_t)__pyx_v_p);
-  __pyx_v_newr = ((int64_t)__pyx_v_a);
-
-  /* "bpx/_eckernel.pyx":34
- * cdef uint64_t invmod(uint64_t a, uint64_t p) noexcept nogil:
- *     cdef int64_t t = 0, newt = 1, r = <int64_t> p, newr = <int64_t> a, q, tmp
- *     while newr != 0:             # <<<<<<<<<<<<<<
- *         q = r / newr
- *         tmp = t - q * newt
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_newr != 0);
-    if (!__pyx_t_1) break;
-
-    /* "bpx/_eckernel.pyx":35
- *     cdef int64_t t = 0, newt = 1, r = <int64_t> p, newr = <int64_t> a, q, tmp
- *     while newr != 0:
- *         q = r / newr             # <<<<<<<<<<<<<<
- *         tmp = t - q * newt
- *         t = newt
-*/
-    __pyx_v_q = (__pyx_v_r / __pyx_v_newr);
-
-    /* "bpx/_eckernel.pyx":36
- *     while newr != 0:
- *         q = r / newr
- *         tmp = t - q * newt             # <<<<<<<<<<<<<<
- *         t = newt
- *         newt = tmp
-*/
-    __pyx_v_tmp = (__pyx_v_t - (__pyx_v_q * __pyx_v_newt));
-
-    /* "bpx/_eckernel.pyx":37
- *         q = r / newr
- *         tmp = t - q * newt
- *         t = newt             # <<<<<<<<<<<<<<
- *         newt = tmp
- *         tmp = r - q * newr
-*/
-    __pyx_v_t = __pyx_v_newt;
-
-    /* "bpx/_eckernel.pyx":38
- *         tmp = t - q * newt
- *         t = newt
- *         newt = tmp             # <<<<<<<<<<<<<<
- *         tmp = r - q * newr
- *         r = newr
-*/
-    __pyx_v_newt = __pyx_v_tmp;
-
-    /* "bpx/_eckernel.pyx":39
- *         t = newt
- *         newt = tmp
- *         tmp = r - q * newr             # <<<<<<<<<<<<<<
- *         r = newr
- *         newr = tmp
-*/
-    __pyx_v_tmp = (__pyx_v_r - (__pyx_v_q * __pyx_v_newr));
-
-    /* "bpx/_eckernel.pyx":40
- *         newt = tmp
- *         tmp = r - q * newr
- *         r = newr             # <<<<<<<<<<<<<<
- *         newr = tmp
- *     if t < 0:
-*/
-    __pyx_v_r = __pyx_v_newr;
-
-    /* "bpx/_eckernel.pyx":41
- *         tmp = r - q * newr
- *         r = newr
- *         newr = tmp             # <<<<<<<<<<<<<<
- *     if t < 0:
- *         t += <int64_t> p
-*/
-    __pyx_v_newr = __pyx_v_tmp;
-  }
-
-  /* "bpx/_eckernel.pyx":42
- *         r = newr
- *         newr = tmp
- *     if t < 0:             # <<<<<<<<<<<<<<
- *         t += <int64_t> p
- *     return <uint64_t> t
-*/
-  __pyx_t_1 = (__pyx_v_t < 0);
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":43
- *         newr = tmp
- *     if t < 0:
- *         t += <int64_t> p             # <<<<<<<<<<<<<<
- *     return <uint64_t> t
- * 
-*/
-    __pyx_v_t = (__pyx_v_t + ((int64_t)__pyx_v_p));
-
-    /* "bpx/_eckernel.pyx":42
- *         r = newr
- *         newr = tmp
- *     if t < 0:             # <<<<<<<<<<<<<<
- *         t += <int64_t> p
- *     return <uint64_t> t
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":44
- *     if t < 0:
- *         t += <int64_t> p
- *     return <uint64_t> t             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((uint64_t)__pyx_v_t);
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":32
- * 
- * 
- * cdef uint64_t invmod(uint64_t a, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef int64_t t = 0, newt = 1, r = <int64_t> p, newr = <int64_t> a, q, tmp
- *     while newr != 0:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":47
- * 
- * 
- * cdef uint64_t sqrtmod(uint64_t n, uint64_t p, int* ok) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Square root mod p via Tonelli-Shanks; *ok = 0 for a nonresidue."""
- *     cdef uint64_t q, z, m, c, t, r, b, t2
-*/
-
-static uint64_t __pyx_f_3bpx_9_eckernel_sqrtmod(uint64_t __pyx_v_n, uint64_t __pyx_v_p, int *__pyx_v_ok) {
-  uint64_t __pyx_v_q;
-  uint64_t __pyx_v_z;
-  uint64_t __pyx_v_m;
-  uint64_t __pyx_v_c;
-  uint64_t __pyx_v_t;
-  uint64_t __pyx_v_r;
-  uint64_t __pyx_v_b;
-  uint64_t __pyx_v_t2;
-  uint64_t __pyx_v_s;
-  uint64_t __pyx_v_i;
-  uint64_t __pyx_r;
-  int __pyx_t_1;
-
-  /* "bpx/_eckernel.pyx":51
- *     cdef uint64_t q, z, m, c, t, r, b, t2
- *     cdef uint64_t s, i
- *     n %= p             # <<<<<<<<<<<<<<
- *     ok[0] = 1
- *     if n == 0:
-*/
-  __pyx_v_n = (__pyx_v_n % __pyx_v_p);
-
-  /* "bpx/_eckernel.pyx":52
- *     cdef uint64_t s, i
- *     n %= p
- *     ok[0] = 1             # <<<<<<<<<<<<<<
- *     if n == 0:
- *         return 0
-*/
-  (__pyx_v_ok[0]) = 1;
-
-  /* "bpx/_eckernel.pyx":53
- *     n %= p
- *     ok[0] = 1
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     if powmod(n, (p - 1) >> 1, p) != 1:
-*/
-  __pyx_t_1 = (__pyx_v_n == 0);
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":54
- *     ok[0] = 1
- *     if n == 0:
- *         return 0             # <<<<<<<<<<<<<<
- *     if powmod(n, (p - 1) >> 1, p) != 1:
- *         ok[0] = 0
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "bpx/_eckernel.pyx":53
- *     n %= p
- *     ok[0] = 1
- *     if n == 0:             # <<<<<<<<<<<<<<
- *         return 0
- *     if powmod(n, (p - 1) >> 1, p) != 1:
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":55
- *     if n == 0:
- *         return 0
- *     if powmod(n, (p - 1) >> 1, p) != 1:             # <<<<<<<<<<<<<<
- *         ok[0] = 0
- *         return 0
-*/
-  __pyx_t_1 = (__pyx_f_3bpx_9_eckernel_powmod(__pyx_v_n, ((__pyx_v_p - 1) >> 1), __pyx_v_p) != 1);
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":56
- *         return 0
- *     if powmod(n, (p - 1) >> 1, p) != 1:
- *         ok[0] = 0             # <<<<<<<<<<<<<<
- *         return 0
- *     if p & 3 == 3:
-*/
-    (__pyx_v_ok[0]) = 0;
-
-    /* "bpx/_eckernel.pyx":57
- *     if powmod(n, (p - 1) >> 1, p) != 1:
- *         ok[0] = 0
- *         return 0             # <<<<<<<<<<<<<<
- *     if p & 3 == 3:
- *         return powmod(n, (p + 1) >> 2, p)
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "bpx/_eckernel.pyx":55
- *     if n == 0:
- *         return 0
- *     if powmod(n, (p - 1) >> 1, p) != 1:             # <<<<<<<<<<<<<<
- *         ok[0] = 0
- *         return 0
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":58
- *         ok[0] = 0
- *         return 0
- *     if p & 3 == 3:             # <<<<<<<<<<<<<<
- *         return powmod(n, (p + 1) >> 2, p)
- *     q = p - 1
-*/
-  __pyx_t_1 = ((__pyx_v_p & 3) == 3);
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":59
- *         return 0
- *     if p & 3 == 3:
- *         return powmod(n, (p + 1) >> 2, p)             # <<<<<<<<<<<<<<
- *     q = p - 1
- *     s = 0
-*/
-    __pyx_r = __pyx_f_3bpx_9_eckernel_powmod(__pyx_v_n, ((__pyx_v_p + 1) >> 2), __pyx_v_p);
-    goto __pyx_L0;
-
-    /* "bpx/_eckernel.pyx":58
- *         ok[0] = 0
- *         return 0
- *     if p & 3 == 3:             # <<<<<<<<<<<<<<
- *         return powmod(n, (p + 1) >> 2, p)
- *     q = p - 1
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":60
- *     if p & 3 == 3:
- *         return powmod(n, (p + 1) >> 2, p)
- *     q = p - 1             # <<<<<<<<<<<<<<
- *     s = 0
- *     while q % 2 == 0:
-*/
-  __pyx_v_q = (__pyx_v_p - 1);
-
-  /* "bpx/_eckernel.pyx":61
- *         return powmod(n, (p + 1) >> 2, p)
- *     q = p - 1
- *     s = 0             # <<<<<<<<<<<<<<
- *     while q % 2 == 0:
- *         q >>= 1
-*/
-  __pyx_v_s = 0;
-
-  /* "bpx/_eckernel.pyx":62
- *     q = p - 1
- *     s = 0
- *     while q % 2 == 0:             # <<<<<<<<<<<<<<
- *         q >>= 1
- *         s += 1
-*/
-  while (1) {
-    __pyx_t_1 = ((__pyx_v_q % 2) == 0);
-    if (!__pyx_t_1) break;
-
-    /* "bpx/_eckernel.pyx":63
- *     s = 0
- *     while q % 2 == 0:
- *         q >>= 1             # <<<<<<<<<<<<<<
- *         s += 1
- *     z = 2
-*/
-    __pyx_v_q = (__pyx_v_q >> 1);
-
-    /* "bpx/_eckernel.pyx":64
- *     while q % 2 == 0:
- *         q >>= 1
- *         s += 1             # <<<<<<<<<<<<<<
- *     z = 2
- *     while powmod(z, (p - 1) >> 1, p) != p - 1:
-*/
-    __pyx_v_s = (__pyx_v_s + 1);
-  }
-
-  /* "bpx/_eckernel.pyx":65
- *         q >>= 1
- *         s += 1
- *     z = 2             # <<<<<<<<<<<<<<
- *     while powmod(z, (p - 1) >> 1, p) != p - 1:
- *         z += 1
-*/
-  __pyx_v_z = 2;
-
-  /* "bpx/_eckernel.pyx":66
- *         s += 1
- *     z = 2
- *     while powmod(z, (p - 1) >> 1, p) != p - 1:             # <<<<<<<<<<<<<<
- *         z += 1
- *     m = s
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_f_3bpx_9_eckernel_powmod(__pyx_v_z, ((__pyx_v_p - 1) >> 1), __pyx_v_p) != (__pyx_v_p - 1));
-    if (!__pyx_t_1) break;
-
-    /* "bpx/_eckernel.pyx":67
- *     z = 2
- *     while powmod(z, (p - 1) >> 1, p) != p - 1:
- *         z += 1             # <<<<<<<<<<<<<<
- *     m = s
- *     c = powmod(z, q, p)
-*/
-    __pyx_v_z = (__pyx_v_z + 1);
-  }
-
-  /* "bpx/_eckernel.pyx":68
- *     while powmod(z, (p - 1) >> 1, p) != p - 1:
- *         z += 1
- *     m = s             # <<<<<<<<<<<<<<
- *     c = powmod(z, q, p)
- *     t = powmod(n, q, p)
-*/
-  __pyx_v_m = __pyx_v_s;
-
-  /* "bpx/_eckernel.pyx":69
- *         z += 1
- *     m = s
- *     c = powmod(z, q, p)             # <<<<<<<<<<<<<<
- *     t = powmod(n, q, p)
- *     r = powmod(n, (q + 1) >> 1, p)
-*/
-  __pyx_v_c = __pyx_f_3bpx_9_eckernel_powmod(__pyx_v_z, __pyx_v_q, __pyx_v_p);
-
-  /* "bpx/_eckernel.pyx":70
- *     m = s
- *     c = powmod(z, q, p)
- *     t = powmod(n, q, p)             # <<<<<<<<<<<<<<
- *     r = powmod(n, (q + 1) >> 1, p)
- *     while t != 1:
-*/
-  __pyx_v_t = __pyx_f_3bpx_9_eckernel_powmod(__pyx_v_n, __pyx_v_q, __pyx_v_p);
-
-  /* "bpx/_eckernel.pyx":71
- *     c = powmod(z, q, p)
- *     t = powmod(n, q, p)
- *     r = powmod(n, (q + 1) >> 1, p)             # <<<<<<<<<<<<<<
- *     while t != 1:
- *         t2 = t
-*/
-  __pyx_v_r = __pyx_f_3bpx_9_eckernel_powmod(__pyx_v_n, ((__pyx_v_q + 1) >> 1), __pyx_v_p);
-
-  /* "bpx/_eckernel.pyx":72
- *     t = powmod(n, q, p)
- *     r = powmod(n, (q + 1) >> 1, p)
- *     while t != 1:             # <<<<<<<<<<<<<<
- *         t2 = t
- *         i = 0
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_t != 1);
-    if (!__pyx_t_1) break;
-
-    /* "bpx/_eckernel.pyx":73
- *     r = powmod(n, (q + 1) >> 1, p)
- *     while t != 1:
- *         t2 = t             # <<<<<<<<<<<<<<
- *         i = 0
- *         while t2 != 1:
-*/
-    __pyx_v_t2 = __pyx_v_t;
-
-    /* "bpx/_eckernel.pyx":74
- *     while t != 1:
- *         t2 = t
- *         i = 0             # <<<<<<<<<<<<<<
- *         while t2 != 1:
- *             t2 = mulmod(t2, t2, p)
-*/
-    __pyx_v_i = 0;
-
-    /* "bpx/_eckernel.pyx":75
- *         t2 = t
- *         i = 0
- *         while t2 != 1:             # <<<<<<<<<<<<<<
- *             t2 = mulmod(t2, t2, p)
- *             i += 1
-*/
-    while (1) {
-      __pyx_t_1 = (__pyx_v_t2 != 1);
-      if (!__pyx_t_1) break;
-
-      /* "bpx/_eckernel.pyx":76
- *         i = 0
- *         while t2 != 1:
- *             t2 = mulmod(t2, t2, p)             # <<<<<<<<<<<<<<
- *             i += 1
- *         b = powmod(c, 1 << (m - i - 1), p)
-*/
-      __pyx_v_t2 = __pyx_f_3bpx_9_eckernel_mulmod(__pyx_v_t2, __pyx_v_t2, __pyx_v_p);
-
-      /* "bpx/_eckernel.pyx":77
- *         while t2 != 1:
- *             t2 = mulmod(t2, t2, p)
- *             i += 1             # <<<<<<<<<<<<<<
- *         b = powmod(c, 1 << (m - i - 1), p)
- *         m = i
-*/
-      __pyx_v_i = (__pyx_v_i + 1);
-    }
-
-    /* "bpx/_eckernel.pyx":78
- *             t2 = mulmod(t2, t2, p)
- *             i += 1
- *         b = powmod(c, 1 << (m - i - 1), p)             # <<<<<<<<<<<<<<
- *         m = i
- *         c = mulmod(b, b, p)
-*/
-    __pyx_v_b = __pyx_f_3bpx_9_eckernel_powmod(__pyx_v_c, (1 << ((__pyx_v_m - __pyx_v_i) - 1)), __pyx_v_p);
-
-    /* "bpx/_eckernel.pyx":79
- *             i += 1
- *         b = powmod(c, 1 << (m - i - 1), p)
- *         m = i             # <<<<<<<<<<<<<<
- *         c = mulmod(b, b, p)
- *         t = mulmod(t, c, p)
-*/
-    __pyx_v_m = __pyx_v_i;
-
-    /* "bpx/_eckernel.pyx":80
- *         b = powmod(c, 1 << (m - i - 1), p)
- *         m = i
- *         c = mulmod(b, b, p)             # <<<<<<<<<<<<<<
- *         t = mulmod(t, c, p)
- *         r = mulmod(r, b, p)
-*/
-    __pyx_v_c = __pyx_f_3bpx_9_eckernel_mulmod(__pyx_v_b, __pyx_v_b, __pyx_v_p);
-
-    /* "bpx/_eckernel.pyx":81
- *         m = i
- *         c = mulmod(b, b, p)
- *         t = mulmod(t, c, p)             # <<<<<<<<<<<<<<
- *         r = mulmod(r, b, p)
- *     return r
-*/
-    __pyx_v_t = __pyx_f_3bpx_9_eckernel_mulmod(__pyx_v_t, __pyx_v_c, __pyx_v_p);
-
-    /* "bpx/_eckernel.pyx":82
- *         c = mulmod(b, b, p)
- *         t = mulmod(t, c, p)
- *         r = mulmod(r, b, p)             # <<<<<<<<<<<<<<
- *     return r
- * 
-*/
-    __pyx_v_r = __pyx_f_3bpx_9_eckernel_mulmod(__pyx_v_r, __pyx_v_b, __pyx_v_p);
-  }
-
-  /* "bpx/_eckernel.pyx":83
- *         t = mulmod(t, c, p)
- *         r = mulmod(r, b, p)
- *     return r             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_r;
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":47
- * 
- * 
- * cdef uint64_t sqrtmod(uint64_t n, uint64_t p, int* ok) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Square root mod p via Tonelli-Shanks; *ok = 0 for a nonresidue."""
- *     cdef uint64_t q, z, m, c, t, r, b, t2
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":93
- * 
- * 
- * cdef Pt pt_add(Pt P, Pt Q, uint64_t a, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef Pt R
- *     cdef uint64_t lam, x3
-*/
-
-static struct __pyx_t_3bpx_9_eckernel_Pt __pyx_f_3bpx_9_eckernel_pt_add(struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_P, struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_Q, uint64_t __pyx_v_a, uint64_t __pyx_v_p) {
-  struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_R;
-  uint64_t __pyx_v_lam;
-  uint64_t __pyx_v_x3;
-  struct __pyx_t_3bpx_9_eckernel_Pt __pyx_r;
-  int __pyx_t_1;
-
-  /* "bpx/_eckernel.pyx":96
- *     cdef Pt R
- *     cdef uint64_t lam, x3
- *     if P.inf:             # <<<<<<<<<<<<<<
- *         return Q
- *     if Q.inf:
-*/
-  __pyx_t_1 = (__pyx_v_P.inf != 0);
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":97
- *     cdef uint64_t lam, x3
- *     if P.inf:
- *         return Q             # <<<<<<<<<<<<<<
- *     if Q.inf:
- *         return P
-*/
-    __pyx_r = __pyx_v_Q;
-    goto __pyx_L0;
-
-    /* "bpx/_eckernel.pyx":96
- *     cdef Pt R
- *     cdef uint64_t lam, x3
- *     if P.inf:             # <<<<<<<<<<<<<<
- *         return Q
- *     if Q.inf:
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":98
- *     if P.inf:
- *         return Q
- *     if Q.inf:             # <<<<<<<<<<<<<<
- *         return P
- *     if P.x == Q.x:
-*/
-  __pyx_t_1 = (__pyx_v_Q.inf != 0);
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":99
- *         return Q
- *     if Q.inf:
- *         return P             # <<<<<<<<<<<<<<
- *     if P.x == Q.x:
- *         if (P.y + Q.y) % p == 0:
-*/
-    __pyx_r = __pyx_v_P;
-    goto __pyx_L0;
-
-    /* "bpx/_eckernel.pyx":98
- *     if P.inf:
- *         return Q
- *     if Q.inf:             # <<<<<<<<<<<<<<
- *         return P
- *     if P.x == Q.x:
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":100
- *     if Q.inf:
- *         return P
- *     if P.x == Q.x:             # <<<<<<<<<<<<<<
- *         if (P.y + Q.y) % p == 0:
- *             R.inf = 1
-*/
-  __pyx_t_1 = (__pyx_v_P.x == __pyx_v_Q.x);
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":101
- *         return P
- *     if P.x == Q.x:
- *         if (P.y + Q.y) % p == 0:             # <<<<<<<<<<<<<<
- *             R.inf = 1
- *             R.x = 0
-*/
-    __pyx_t_1 = (((__pyx_v_P.y + __pyx_v_Q.y) % __pyx_v_p) == 0);
-    if (__pyx_t_1) {
-
-      /* "bpx/_eckernel.pyx":102
- *     if P.x == Q.x:
- *         if (P.y + Q.y) % p == 0:
- *             R.inf = 1             # <<<<<<<<<<<<<<
- *             R.x = 0
- *             R.y = 0
-*/
-      __pyx_v_R.inf = 1;
-
-      /* "bpx/_eckernel.pyx":103
- *         if (P.y + Q.y) % p == 0:
- *             R.inf = 1
- *             R.x = 0             # <<<<<<<<<<<<<<
- *             R.y = 0
- *             return R
-*/
-      __pyx_v_R.x = 0;
-
-      /* "bpx/_eckernel.pyx":104
- *             R.inf = 1
- *             R.x = 0
- *             R.y = 0             # <<<<<<<<<<<<<<
- *             return R
- *         lam = mulmod((mulmod(mulmod(P.x, P.x, p), 3, p) + a) % p,
-*/
-      __pyx_v_R.y = 0;
-
-      /* "bpx/_eckernel.pyx":105
- *             R.x = 0
- *             R.y = 0
- *             return R             # <<<<<<<<<<<<<<
- *         lam = mulmod((mulmod(mulmod(P.x, P.x, p), 3, p) + a) % p,
- *                      invmod((2 * P.y) % p, p), p)
-*/
-      __pyx_r = __pyx_v_R;
-      goto __pyx_L0;
-
-      /* "bpx/_eckernel.pyx":101
- *         return P
- *     if P.x == Q.x:
- *         if (P.y + Q.y) % p == 0:             # <<<<<<<<<<<<<<
- *             R.inf = 1
- *             R.x = 0
-*/
-    }
-
-    /* "bpx/_eckernel.pyx":106
- *             R.y = 0
- *             return R
- *         lam = mulmod((mulmod(mulmod(P.x, P.x, p), 3, p) + a) % p,             # <<<<<<<<<<<<<<
- *                      invmod((2 * P.y) % p, p), p)
- *     else:
-*/
-    __pyx_v_lam = __pyx_f_3bpx_9_eckernel_mulmod(((__pyx_f_3bpx_9_eckernel_mulmod(__pyx_f_3bpx_9_eckernel_mulmod(__pyx_v_P.x, __pyx_v_P.x, __pyx_v_p), 3, __pyx_v_p) + __pyx_v_a) % __pyx_v_p), __pyx_f_3bpx_9_eckernel_invmod(((2 * __pyx_v_P.y) % __pyx_v_p), __pyx_v_p), __pyx_v_p);
-
-    /* "bpx/_eckernel.pyx":100
- *     if Q.inf:
- *         return P
- *     if P.x == Q.x:             # <<<<<<<<<<<<<<
- *         if (P.y + Q.y) % p == 0:
- *             R.inf = 1
-*/
-    goto __pyx_L5;
-  }
-
-  /* "bpx/_eckernel.pyx":109
- *                      invmod((2 * P.y) % p, p), p)
- *     else:
- *         lam = mulmod((Q.y + p - P.y) % p, invmod((Q.x + p - P.x) % p, p), p)             # <<<<<<<<<<<<<<
- *     x3 = (mulmod(lam, lam, p) + 2 * p - P.x - Q.x) % p
- *     R.x = x3
-*/
-  /*else*/ {
-    __pyx_v_lam = __pyx_f_3bpx_9_eckernel_mulmod((((__pyx_v_Q.y + __pyx_v_p) - __pyx_v_P.y) % __pyx_v_p), __pyx_f_3bpx_9_eckernel_invmod((((__pyx_v_Q.x + __pyx_v_p) - __pyx_v_P.x) % __pyx_v_p), __pyx_v_p), __pyx_v_p);
-  }
-  __pyx_L5:;
-
-  /* "bpx/_eckernel.pyx":110
- *     else:
- *         lam = mulmod((Q.y + p - P.y) % p, invmod((Q.x + p - P.x) % p, p), p)
- *     x3 = (mulmod(lam, lam, p) + 2 * p - P.x - Q.x) % p             # <<<<<<<<<<<<<<
- *     R.x = x3
- *     R.y = (mulmod(lam, (P.x + p - x3) % p, p) + p - P.y) % p
-*/
-  __pyx_v_x3 = ((((__pyx_f_3bpx_9_eckernel_mulmod(__pyx_v_lam, __pyx_v_lam, __pyx_v_p) + (2 * __pyx_v_p)) - __pyx_v_P.x) - __pyx_v_Q.x) % __pyx_v_p);
-
-  /* "bpx/_eckernel.pyx":111
- *         lam = mulmod((Q.y + p - P.y) % p, invmod((Q.x + p - P.x) % p, p), p)
- *     x3 = (mulmod(lam, lam, p) + 2 * p - P.x - Q.x) % p
- *     R.x = x3             # <<<<<<<<<<<<<<
- *     R.y = (mulmod(lam, (P.x + p - x3) % p, p) + p - P.y) % p
- *     R.inf = 0
-*/
-  __pyx_v_R.x = __pyx_v_x3;
-
-  /* "bpx/_eckernel.pyx":112
- *     x3 = (mulmod(lam, lam, p) + 2 * p - P.x - Q.x) % p
- *     R.x = x3
- *     R.y = (mulmod(lam, (P.x + p - x3) % p, p) + p - P.y) % p             # <<<<<<<<<<<<<<
- *     R.inf = 0
- *     return R
-*/
-  __pyx_v_R.y = (((__pyx_f_3bpx_9_eckernel_mulmod(__pyx_v_lam, (((__pyx_v_P.x + __pyx_v_p) - __pyx_v_x3) % __pyx_v_p), __pyx_v_p) + __pyx_v_p) - __pyx_v_P.y) % __pyx_v_p);
-
-  /* "bpx/_eckernel.pyx":113
- *     R.x = x3
- *     R.y = (mulmod(lam, (P.x + p - x3) % p, p) + p - P.y) % p
- *     R.inf = 0             # <<<<<<<<<<<<<<
- *     return R
- * 
-*/
-  __pyx_v_R.inf = 0;
-
-  /* "bpx/_eckernel.pyx":114
- *     R.y = (mulmod(lam, (P.x + p - x3) % p, p) + p - P.y) % p
- *     R.inf = 0
- *     return R             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_R;
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":93
- * 
- * 
- * cdef Pt pt_add(Pt P, Pt Q, uint64_t a, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef Pt R
- *     cdef uint64_t lam, x3
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":117
- * 
- * 
- * cdef Pt pt_mul(uint64_t k, Pt P, uint64_t a, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef Pt R
- *     R.inf = 1
-*/
-
-static struct __pyx_t_3bpx_9_eckernel_Pt __pyx_f_3bpx_9_eckernel_pt_mul(uint64_t __pyx_v_k, struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_P, uint64_t __pyx_v_a, uint64_t __pyx_v_p) {
-  struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_R;
-  struct __pyx_t_3bpx_9_eckernel_Pt __pyx_r;
-  int __pyx_t_1;
-
-  /* "bpx/_eckernel.pyx":119
- * cdef Pt pt_mul(uint64_t k, Pt P, uint64_t a, uint64_t p) noexcept nogil:
- *     cdef Pt R
- *     R.inf = 1             # <<<<<<<<<<<<<<
- *     R.x = 0
- *     R.y = 0
-*/
-  __pyx_v_R.inf = 1;
-
-  /* "bpx/_eckernel.pyx":120
- *     cdef Pt R
- *     R.inf = 1
- *     R.x = 0             # <<<<<<<<<<<<<<
- *     R.y = 0
- *     while k:
-*/
-  __pyx_v_R.x = 0;
-
-  /* "bpx/_eckernel.pyx":121
- *     R.inf = 1
- *     R.x = 0
- *     R.y = 0             # <<<<<<<<<<<<<<
- *     while k:
- *         if k & 1:
-*/
-  __pyx_v_R.y = 0;
-
-  /* "bpx/_eckernel.pyx":122
- *     R.x = 0
- *     R.y = 0
- *     while k:             # <<<<<<<<<<<<<<
- *         if k & 1:
- *             R = pt_add(R, P, a, p)
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_k != 0);
-    if (!__pyx_t_1) break;
-
-    /* "bpx/_eckernel.pyx":123
- *     R.y = 0
- *     while k:
- *         if k & 1:             # <<<<<<<<<<<<<<
- *             R = pt_add(R, P, a, p)
- *         k >>= 1
-*/
-    __pyx_t_1 = ((__pyx_v_k & 1) != 0);
-    if (__pyx_t_1) {
-
-      /* "bpx/_eckernel.pyx":124
- *     while k:
- *         if k & 1:
- *             R = pt_add(R, P, a, p)             # <<<<<<<<<<<<<<
- *         k >>= 1
- *         if k:
-*/
-      __pyx_v_R = __pyx_f_3bpx_9_eckernel_pt_add(__pyx_v_R, __pyx_v_P, __pyx_v_a, __pyx_v_p);
-
-      /* "bpx/_eckernel.pyx":123
- *     R.y = 0
- *     while k:
- *         if k & 1:             # <<<<<<<<<<<<<<
- *             R = pt_add(R, P, a, p)
- *         k >>= 1
-*/
-    }
-
-    /* "bpx/_eckernel.pyx":125
- *         if k & 1:
- *             R = pt_add(R, P, a, p)
- *         k >>= 1             # <<<<<<<<<<<<<<
- *         if k:
- *             P = pt_add(P, P, a, p)
-*/
-    __pyx_v_k = (__pyx_v_k >> 1);
-
-    /* "bpx/_eckernel.pyx":126
- *             R = pt_add(R, P, a, p)
- *         k >>= 1
- *         if k:             # <<<<<<<<<<<<<<
- *             P = pt_add(P, P, a, p)
- *     return R
-*/
-    __pyx_t_1 = (__pyx_v_k != 0);
-    if (__pyx_t_1) {
-
-      /* "bpx/_eckernel.pyx":127
- *         k >>= 1
- *         if k:
- *             P = pt_add(P, P, a, p)             # <<<<<<<<<<<<<<
- *     return R
- * 
-*/
-      __pyx_v_P = __pyx_f_3bpx_9_eckernel_pt_add(__pyx_v_P, __pyx_v_P, __pyx_v_a, __pyx_v_p);
-
-      /* "bpx/_eckernel.pyx":126
- *             R = pt_add(R, P, a, p)
- *         k >>= 1
- *         if k:             # <<<<<<<<<<<<<<
- *             P = pt_add(P, P, a, p)
- *     return R
-*/
-    }
-  }
-
-  /* "bpx/_eckernel.pyx":128
- *         if k:
- *             P = pt_add(P, P, a, p)
- *     return R             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_R;
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":117
- * 
- * 
- * cdef Pt pt_mul(uint64_t k, Pt P, uint64_t a, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef Pt R
- *     R.inf = 1
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":131
- * 
- * 
- * cdef uint64_t isqrt_u64(uint64_t n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t r = <uint64_t> 0, bit, t
- *     if n < 2:
-*/
-
-static uint64_t __pyx_f_3bpx_9_eckernel_isqrt_u64(uint64_t __pyx_v_n) {
-  uint64_t __pyx_v_r;
-  uint64_t __pyx_v_bit;
-  uint64_t __pyx_v_t;
-  uint64_t __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "bpx/_eckernel.pyx":132
- * 
- * cdef uint64_t isqrt_u64(uint64_t n) noexcept nogil:
- *     cdef uint64_t r = <uint64_t> 0, bit, t             # <<<<<<<<<<<<<<
- *     if n < 2:
- *         return n
-*/
-  __pyx_v_r = ((uint64_t)0);
-
-  /* "bpx/_eckernel.pyx":133
- * cdef uint64_t isqrt_u64(uint64_t n) noexcept nogil:
- *     cdef uint64_t r = <uint64_t> 0, bit, t
- *     if n < 2:             # <<<<<<<<<<<<<<
- *         return n
- *     bit = 1
-*/
-  __pyx_t_1 = (__pyx_v_n < 2);
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":134
- *     cdef uint64_t r = <uint64_t> 0, bit, t
- *     if n < 2:
- *         return n             # <<<<<<<<<<<<<<
- *     bit = 1
- *     while bit * bit <= n // 4 + 1 and bit < (<uint64_t> 1 << 31):
-*/
-    __pyx_r = __pyx_v_n;
-    goto __pyx_L0;
-
-    /* "bpx/_eckernel.pyx":133
- * cdef uint64_t isqrt_u64(uint64_t n) noexcept nogil:
- *     cdef uint64_t r = <uint64_t> 0, bit, t
- *     if n < 2:             # <<<<<<<<<<<<<<
- *         return n
- *     bit = 1
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":135
- *     if n < 2:
- *         return n
- *     bit = 1             # <<<<<<<<<<<<<<
- *     while bit * bit <= n // 4 + 1 and bit < (<uint64_t> 1 << 31):
- *         bit <<= 1
-*/
-  __pyx_v_bit = 1;
-
-  /* "bpx/_eckernel.pyx":136
- *         return n
- *     bit = 1
- *     while bit * bit <= n // 4 + 1 and bit < (<uint64_t> 1 << 31):             # <<<<<<<<<<<<<<
- *         bit <<= 1
- *     # Newton iteration seeded above the root
-*/
-  while (1) {
-    __pyx_t_2 = ((__pyx_v_bit * __pyx_v_bit) <= ((__pyx_v_n / 4) + 1));
-    if (__pyx_t_2) {
-    } else {
-      __pyx_t_1 = __pyx_t_2;
-      goto __pyx_L6_bool_binop_done;
-    }
-    __pyx_t_2 = (__pyx_v_bit < (((uint64_t)1) << 31));
-    __pyx_t_1 = __pyx_t_2;
-    __pyx_L6_bool_binop_done:;
-    if (!__pyx_t_1) break;
-
-    /* "bpx/_eckernel.pyx":137
- *     bit = 1
- *     while bit * bit <= n // 4 + 1 and bit < (<uint64_t> 1 << 31):
- *         bit <<= 1             # <<<<<<<<<<<<<<
- *     # Newton iteration seeded above the root
- *     r = bit * 2
-*/
-    __pyx_v_bit = (__pyx_v_bit << 1);
-  }
-
-  /* "bpx/_eckernel.pyx":139
- *         bit <<= 1
- *     # Newton iteration seeded above the root
- *     r = bit * 2             # <<<<<<<<<<<<<<
- *     t = (r + n / r) >> 1
- *     while t < r:
-*/
-  __pyx_v_r = (__pyx_v_bit * 2);
-
-  /* "bpx/_eckernel.pyx":140
- *     # Newton iteration seeded above the root
- *     r = bit * 2
- *     t = (r + n / r) >> 1             # <<<<<<<<<<<<<<
- *     while t < r:
- *         r = t
-*/
-  __pyx_v_t = ((__pyx_v_r + (__pyx_v_n / __pyx_v_r)) >> 1);
-
-  /* "bpx/_eckernel.pyx":141
- *     r = bit * 2
- *     t = (r + n / r) >> 1
- *     while t < r:             # <<<<<<<<<<<<<<
- *         r = t
- *         t = (r + n / r) >> 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_t < __pyx_v_r);
-    if (!__pyx_t_1) break;
-
-    /* "bpx/_eckernel.pyx":142
- *     t = (r + n / r) >> 1
- *     while t < r:
- *         r = t             # <<<<<<<<<<<<<<
- *         t = (r + n / r) >> 1
- *     return r
-*/
-    __pyx_v_r = __pyx_v_t;
-
-    /* "bpx/_eckernel.pyx":143
- *     while t < r:
- *         r = t
- *         t = (r + n / r) >> 1             # <<<<<<<<<<<<<<
- *     return r
- * 
-*/
-    __pyx_v_t = ((__pyx_v_r + (__pyx_v_n / __pyx_v_r)) >> 1);
-  }
-
-  /* "bpx/_eckernel.pyx":144
- *         r = t
- *         t = (r + n / r) >> 1
- *     return r             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_r;
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":131
- * 
- * 
- * cdef uint64_t isqrt_u64(uint64_t n) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t r = <uint64_t> 0, bit, t
- *     if n < 2:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":147
- * 
- * 
- * cdef int64_t trace_naive(uint64_t a, uint64_t b, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint32_t* counts = <uint32_t*> calloc(p, sizeof(uint32_t))
- *     cdef uint64_t x, y, npts = 1
-*/
-
-static int64_t __pyx_f_3bpx_9_eckernel_trace_naive(uint64_t __pyx_v_a, uint64_t __pyx_v_b, uint64_t __pyx_v_p) {
-  uint32_t *__pyx_v_counts;
-  uint64_t __pyx_v_x;
-  uint64_t __pyx_v_y;
-  uint64_t __pyx_v_npts;
-  int64_t __pyx_r;
-  int __pyx_t_1;
-  uint64_t __pyx_t_2;
-  uint64_t __pyx_t_3;
-  uint64_t __pyx_t_4;
-  uint64_t __pyx_t_5;
-
-  /* "bpx/_eckernel.pyx":148
- * 
- * cdef int64_t trace_naive(uint64_t a, uint64_t b, uint64_t p) noexcept nogil:
- *     cdef uint32_t* counts = <uint32_t*> calloc(p, sizeof(uint32_t))             # <<<<<<<<<<<<<<
- *     cdef uint64_t x, y, npts = 1
- *     if counts == NULL:
-*/
-  __pyx_v_counts = ((uint32_t *)calloc(__pyx_v_p, (sizeof(uint32_t))));
-
-  /* "bpx/_eckernel.pyx":149
- * cdef int64_t trace_naive(uint64_t a, uint64_t b, uint64_t p) noexcept nogil:
- *     cdef uint32_t* counts = <uint32_t*> calloc(p, sizeof(uint32_t))
- *     cdef uint64_t x, y, npts = 1             # <<<<<<<<<<<<<<
- *     if counts == NULL:
- *         return 1 << 40  # signal allocation failure; caught by caller
-*/
-  __pyx_v_npts = 1;
-
-  /* "bpx/_eckernel.pyx":150
- *     cdef uint32_t* counts = <uint32_t*> calloc(p, sizeof(uint32_t))
- *     cdef uint64_t x, y, npts = 1
- *     if counts == NULL:             # <<<<<<<<<<<<<<
- *         return 1 << 40  # signal allocation failure; caught by caller
- *     for y in range(p):
-*/
-  __pyx_t_1 = (__pyx_v_counts == NULL);
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":151
- *     cdef uint64_t x, y, npts = 1
- *     if counts == NULL:
- *         return 1 << 40  # signal allocation failure; caught by caller             # <<<<<<<<<<<<<<
- *     for y in range(p):
- *         counts[(y * y) % p] += 1
-*/
-    __pyx_r = 0x10000000000;
-    goto __pyx_L0;
-
-    /* "bpx/_eckernel.pyx":150
- *     cdef uint32_t* counts = <uint32_t*> calloc(p, sizeof(uint32_t))
- *     cdef uint64_t x, y, npts = 1
- *     if counts == NULL:             # <<<<<<<<<<<<<<
- *         return 1 << 40  # signal allocation failure; caught by caller
- *     for y in range(p):
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":152
- *     if counts == NULL:
- *         return 1 << 40  # signal allocation failure; caught by caller
- *     for y in range(p):             # <<<<<<<<<<<<<<
- *         counts[(y * y) % p] += 1
- *     for x in range(p):
-*/
-  __pyx_t_2 = __pyx_v_p;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_y = __pyx_t_4;
-
-    /* "bpx/_eckernel.pyx":153
- *         return 1 << 40  # signal allocation failure; caught by caller
- *     for y in range(p):
- *         counts[(y * y) % p] += 1             # <<<<<<<<<<<<<<
- *     for x in range(p):
- *         npts += counts[(mulmod(mulmod(x, x, p), x, p) + a * x + b) % p]
-*/
-    __pyx_t_5 = ((__pyx_v_y * __pyx_v_y) % __pyx_v_p);
-    (__pyx_v_counts[__pyx_t_5]) = ((__pyx_v_counts[__pyx_t_5]) + 1);
-  }
-
-  /* "bpx/_eckernel.pyx":154
- *     for y in range(p):
- *         counts[(y * y) % p] += 1
- *     for x in range(p):             # <<<<<<<<<<<<<<
- *         npts += counts[(mulmod(mulmod(x, x, p), x, p) + a * x + b) % p]
- *     free(counts)
-*/
-  __pyx_t_2 = __pyx_v_p;
-  __pyx_t_3 = __pyx_t_2;
-  for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-    __pyx_v_x = __pyx_t_4;
-
-    /* "bpx/_eckernel.pyx":155
- *         counts[(y * y) % p] += 1
- *     for x in range(p):
- *         npts += counts[(mulmod(mulmod(x, x, p), x, p) + a * x + b) % p]             # <<<<<<<<<<<<<<
- *     free(counts)
- *     return <int64_t> (p + 1) - <int64_t> npts
-*/
-    __pyx_v_npts = (__pyx_v_npts + (__pyx_v_counts[(((__pyx_f_3bpx_9_eckernel_mulmod(__pyx_f_3bpx_9_eckernel_mulmod(__pyx_v_x, __pyx_v_x, __pyx_v_p), __pyx_v_x, __pyx_v_p) + (__pyx_v_a * __pyx_v_x)) + __pyx_v_b) % __pyx_v_p)]));
-  }
-
-  /* "bpx/_eckernel.pyx":156
- *     for x in range(p):
- *         npts += counts[(mulmod(mulmod(x, x, p), x, p) + a * x + b) % p]
- *     free(counts)             # <<<<<<<<<<<<<<
- *     return <int64_t> (p + 1) - <int64_t> npts
- * 
-*/
-  free(__pyx_v_counts);
-
-  /* "bpx/_eckernel.pyx":157
- *         npts += counts[(mulmod(mulmod(x, x, p), x, p) + a * x + b) % p]
- *     free(counts)
- *     return <int64_t> (p + 1) - <int64_t> npts             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (((int64_t)(__pyx_v_p + 1)) - ((int64_t)__pyx_v_npts));
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":147
- * 
- * 
- * cdef int64_t trace_naive(uint64_t a, uint64_t b, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint32_t* counts = <uint32_t*> calloc(p, sizeof(uint32_t))
- *     cdef uint64_t x, y, npts = 1
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":160
- * 
- * 
- * cdef uint64_t xorshift(uint64_t s) noexcept nogil:             # <<<<<<<<<<<<<<
- *     s ^= s << 13
- *     s ^= s >> 7
-*/
-
-static uint64_t __pyx_f_3bpx_9_eckernel_xorshift(uint64_t __pyx_v_s) {
-  uint64_t __pyx_r;
-
-  /* "bpx/_eckernel.pyx":161
- * 
- * cdef uint64_t xorshift(uint64_t s) noexcept nogil:
- *     s ^= s << 13             # <<<<<<<<<<<<<<
- *     s ^= s >> 7
- *     s ^= s << 17
-*/
-  __pyx_v_s = (__pyx_v_s ^ (__pyx_v_s << 13));
-
-  /* "bpx/_eckernel.pyx":162
- * cdef uint64_t xorshift(uint64_t s) noexcept nogil:
- *     s ^= s << 13
- *     s ^= s >> 7             # <<<<<<<<<<<<<<
- *     s ^= s << 17
- *     return s
-*/
-  __pyx_v_s = (__pyx_v_s ^ (__pyx_v_s >> 7));
-
-  /* "bpx/_eckernel.pyx":163
- *     s ^= s << 13
- *     s ^= s >> 7
- *     s ^= s << 17             # <<<<<<<<<<<<<<
- *     return s
- * 
-*/
-  __pyx_v_s = (__pyx_v_s ^ (__pyx_v_s << 17));
-
-  /* "bpx/_eckernel.pyx":164
- *     s ^= s >> 7
- *     s ^= s << 17
- *     return s             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_s;
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":160
- * 
- * 
- * cdef uint64_t xorshift(uint64_t s) noexcept nogil:             # <<<<<<<<<<<<<<
- *     s ^= s << 13
- *     s ^= s >> 7
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":167
- * 
- * 
- * cdef Pt next_point(uint64_t* state, uint64_t a, uint64_t b, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef Pt P
- *     cdef uint64_t x, rhs, y
-*/
-
-static struct __pyx_t_3bpx_9_eckernel_Pt __pyx_f_3bpx_9_eckernel_next_point(uint64_t *__pyx_v_state, uint64_t __pyx_v_a, uint64_t __pyx_v_b, uint64_t __pyx_v_p) {
-  struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_P;
-  uint64_t __pyx_v_x;
-  uint64_t __pyx_v_rhs;
-  uint64_t __pyx_v_y;
-  int __pyx_v_ok;
-  struct __pyx_t_3bpx_9_eckernel_Pt __pyx_r;
-  int __pyx_t_1;
-
-  /* "bpx/_eckernel.pyx":171
- *     cdef uint64_t x, rhs, y
- *     cdef int ok
- *     while True:             # <<<<<<<<<<<<<<
- *         state[0] = xorshift(state[0])
- *         x = state[0] % p
-*/
-  while (1) {
-
-    /* "bpx/_eckernel.pyx":172
- *     cdef int ok
- *     while True:
- *         state[0] = xorshift(state[0])             # <<<<<<<<<<<<<<
- *         x = state[0] % p
- *         rhs = (mulmod(mulmod(x, x, p), x, p) + a * x + b) % p
-*/
-    (__pyx_v_state[0]) = __pyx_f_3bpx_9_eckernel_xorshift((__pyx_v_state[0]));
-
-    /* "bpx/_eckernel.pyx":173
- *     while True:
- *         state[0] = xorshift(state[0])
- *         x = state[0] % p             # <<<<<<<<<<<<<<
- *         rhs = (mulmod(mulmod(x, x, p), x, p) + a * x + b) % p
- *         y = sqrtmod(rhs, p, &ok)
-*/
-    __pyx_v_x = ((__pyx_v_state[0]) % __pyx_v_p);
-
-    /* "bpx/_eckernel.pyx":174
- *         state[0] = xorshift(state[0])
- *         x = state[0] % p
- *         rhs = (mulmod(mulmod(x, x, p), x, p) + a * x + b) % p             # <<<<<<<<<<<<<<
- *         y = sqrtmod(rhs, p, &ok)
- *         if ok:
-*/
-    __pyx_v_rhs = (((__pyx_f_3bpx_9_eckernel_mulmod(__pyx_f_3bpx_9_eckernel_mulmod(__pyx_v_x, __pyx_v_x, __pyx_v_p), __pyx_v_x, __pyx_v_p) + (__pyx_v_a * __pyx_v_x)) + __pyx_v_b) % __pyx_v_p);
-
-    /* "bpx/_eckernel.pyx":175
- *         x = state[0] % p
- *         rhs = (mulmod(mulmod(x, x, p), x, p) + a * x + b) % p
- *         y = sqrtmod(rhs, p, &ok)             # <<<<<<<<<<<<<<
- *         if ok:
- *             P.x = x
-*/
-    __pyx_v_y = __pyx_f_3bpx_9_eckernel_sqrtmod(__pyx_v_rhs, __pyx_v_p, (&__pyx_v_ok));
-
-    /* "bpx/_eckernel.pyx":176
- *         rhs = (mulmod(mulmod(x, x, p), x, p) + a * x + b) % p
- *         y = sqrtmod(rhs, p, &ok)
- *         if ok:             # <<<<<<<<<<<<<<
- *             P.x = x
- *             P.y = y
-*/
-    __pyx_t_1 = (__pyx_v_ok != 0);
-    if (__pyx_t_1) {
-
-      /* "bpx/_eckernel.pyx":177
- *         y = sqrtmod(rhs, p, &ok)
- *         if ok:
- *             P.x = x             # <<<<<<<<<<<<<<
- *             P.y = y
- *             P.inf = 0
-*/
-      __pyx_v_P.x = __pyx_v_x;
-
-      /* "bpx/_eckernel.pyx":178
- *         if ok:
- *             P.x = x
- *             P.y = y             # <<<<<<<<<<<<<<
- *             P.inf = 0
- *             return P
-*/
-      __pyx_v_P.y = __pyx_v_y;
-
-      /* "bpx/_eckernel.pyx":179
- *             P.x = x
- *             P.y = y
- *             P.inf = 0             # <<<<<<<<<<<<<<
- *             return P
- * 
-*/
-      __pyx_v_P.inf = 0;
-
-      /* "bpx/_eckernel.pyx":180
- *             P.y = y
- *             P.inf = 0
- *             return P             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      __pyx_r = __pyx_v_P;
-      goto __pyx_L0;
-
-      /* "bpx/_eckernel.pyx":176
- *         rhs = (mulmod(mulmod(x, x, p), x, p) + a * x + b) % p
- *         y = sqrtmod(rhs, p, &ok)
- *         if ok:             # <<<<<<<<<<<<<<
- *             P.x = x
- *             P.y = y
-*/
-    }
-  }
-
-  /* "bpx/_eckernel.pyx":167
- * 
- * 
- * cdef Pt next_point(uint64_t* state, uint64_t a, uint64_t b, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef Pt P
- *     cdef uint64_t x, rhs, y
-*/
-
-  /* function exit code */
-  __Pyx_pretend_to_initialize(&__pyx_r);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":183
- * 
- * 
- * cdef int64_t annihilator(Pt P, uint64_t a, uint64_t p, uint64_t w) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Some positive k with k*P = O, searched around p+1; -1 on failure."""
- *     cdef Pt Q, R, G, U
-*/
-
-static int64_t __pyx_f_3bpx_9_eckernel_annihilator(struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_P, uint64_t __pyx_v_a, uint64_t __pyx_v_p, uint64_t __pyx_v_w) {
-  struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_Q;
-  struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_R;
-  struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_G;
-  struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_U;
-  uint64_t __pyx_v_m;
-  uint64_t __pyx_v_j;
-  uint64_t __pyx_v_i;
-  uint64_t __pyx_v_imax;
-  uint64_t __pyx_v_mask;
-  uint64_t __pyx_v_h;
-  uint64_t __pyx_v_tsize;
-  uint64_t *__pyx_v_tab_x;
-  uint64_t *__pyx_v_tab_y;
-  uint32_t *__pyx_v_tab_j;
-  uint8_t *__pyx_v_tab_used;
-  int64_t __pyx_v_result;
-  int64_t __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  uint64_t __pyx_t_3;
-  uint64_t __pyx_t_4;
-  uint64_t __pyx_t_5;
-  uint64_t __pyx_t_6;
-
-  /* "bpx/_eckernel.pyx":191
- *     cdef uint32_t* tab_j
- *     cdef uint8_t* tab_used
- *     cdef int64_t result = -1             # <<<<<<<<<<<<<<
- *     Q = pt_mul(p + 1, P, a, p)
- *     if Q.inf:
-*/
-  __pyx_v_result = -1L;
-
-  /* "bpx/_eckernel.pyx":192
- *     cdef uint8_t* tab_used
- *     cdef int64_t result = -1
- *     Q = pt_mul(p + 1, P, a, p)             # <<<<<<<<<<<<<<
- *     if Q.inf:
- *         return <int64_t> (p + 1)
-*/
-  __pyx_v_Q = __pyx_f_3bpx_9_eckernel_pt_mul((__pyx_v_p + 1), __pyx_v_P, __pyx_v_a, __pyx_v_p);
-
-  /* "bpx/_eckernel.pyx":193
- *     cdef int64_t result = -1
- *     Q = pt_mul(p + 1, P, a, p)
- *     if Q.inf:             # <<<<<<<<<<<<<<
- *         return <int64_t> (p + 1)
- *     m = isqrt_u64(2 * w) + 1
-*/
-  __pyx_t_1 = (__pyx_v_Q.inf != 0);
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":194
- *     Q = pt_mul(p + 1, P, a, p)
- *     if Q.inf:
- *         return <int64_t> (p + 1)             # <<<<<<<<<<<<<<
- *     m = isqrt_u64(2 * w) + 1
- *     tsize = 4
-*/
-    __pyx_r = ((int64_t)(__pyx_v_p + 1));
-    goto __pyx_L0;
-
-    /* "bpx/_eckernel.pyx":193
- *     cdef int64_t result = -1
- *     Q = pt_mul(p + 1, P, a, p)
- *     if Q.inf:             # <<<<<<<<<<<<<<
- *         return <int64_t> (p + 1)
- *     m = isqrt_u64(2 * w) + 1
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":195
- *     if Q.inf:
- *         return <int64_t> (p + 1)
- *     m = isqrt_u64(2 * w) + 1             # <<<<<<<<<<<<<<
- *     tsize = 4
- *     while tsize < 4 * m:
-*/
-  __pyx_v_m = (__pyx_f_3bpx_9_eckernel_isqrt_u64((2 * __pyx_v_w)) + 1);
-
-  /* "bpx/_eckernel.pyx":196
- *         return <int64_t> (p + 1)
- *     m = isqrt_u64(2 * w) + 1
- *     tsize = 4             # <<<<<<<<<<<<<<
- *     while tsize < 4 * m:
- *         tsize <<= 1
-*/
-  __pyx_v_tsize = 4;
-
-  /* "bpx/_eckernel.pyx":197
- *     m = isqrt_u64(2 * w) + 1
- *     tsize = 4
- *     while tsize < 4 * m:             # <<<<<<<<<<<<<<
- *         tsize <<= 1
- *     mask = tsize - 1
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_tsize < (4 * __pyx_v_m));
-    if (!__pyx_t_1) break;
-
-    /* "bpx/_eckernel.pyx":198
- *     tsize = 4
- *     while tsize < 4 * m:
- *         tsize <<= 1             # <<<<<<<<<<<<<<
- *     mask = tsize - 1
- *     tab_x = <uint64_t*> malloc(tsize * sizeof(uint64_t))
-*/
-    __pyx_v_tsize = (__pyx_v_tsize << 1);
-  }
-
-  /* "bpx/_eckernel.pyx":199
- *     while tsize < 4 * m:
- *         tsize <<= 1
- *     mask = tsize - 1             # <<<<<<<<<<<<<<
- *     tab_x = <uint64_t*> malloc(tsize * sizeof(uint64_t))
- *     tab_y = <uint64_t*> malloc(tsize * sizeof(uint64_t))
-*/
-  __pyx_v_mask = (__pyx_v_tsize - 1);
-
-  /* "bpx/_eckernel.pyx":200
- *         tsize <<= 1
- *     mask = tsize - 1
- *     tab_x = <uint64_t*> malloc(tsize * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *     tab_y = <uint64_t*> malloc(tsize * sizeof(uint64_t))
- *     tab_j = <uint32_t*> malloc(tsize * sizeof(uint32_t))
-*/
-  __pyx_v_tab_x = ((uint64_t *)malloc((__pyx_v_tsize * (sizeof(uint64_t)))));
-
-  /* "bpx/_eckernel.pyx":201
- *     mask = tsize - 1
- *     tab_x = <uint64_t*> malloc(tsize * sizeof(uint64_t))
- *     tab_y = <uint64_t*> malloc(tsize * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *     tab_j = <uint32_t*> malloc(tsize * sizeof(uint32_t))
- *     tab_used = <uint8_t*> calloc(tsize, sizeof(uint8_t))
-*/
-  __pyx_v_tab_y = ((uint64_t *)malloc((__pyx_v_tsize * (sizeof(uint64_t)))));
-
-  /* "bpx/_eckernel.pyx":202
- *     tab_x = <uint64_t*> malloc(tsize * sizeof(uint64_t))
- *     tab_y = <uint64_t*> malloc(tsize * sizeof(uint64_t))
- *     tab_j = <uint32_t*> malloc(tsize * sizeof(uint32_t))             # <<<<<<<<<<<<<<
- *     tab_used = <uint8_t*> calloc(tsize, sizeof(uint8_t))
- *     if tab_x == NULL or tab_y == NULL or tab_j == NULL or tab_used == NULL:
-*/
-  __pyx_v_tab_j = ((uint32_t *)malloc((__pyx_v_tsize * (sizeof(uint32_t)))));
-
-  /* "bpx/_eckernel.pyx":203
- *     tab_y = <uint64_t*> malloc(tsize * sizeof(uint64_t))
- *     tab_j = <uint32_t*> malloc(tsize * sizeof(uint32_t))
- *     tab_used = <uint8_t*> calloc(tsize, sizeof(uint8_t))             # <<<<<<<<<<<<<<
- *     if tab_x == NULL or tab_y == NULL or tab_j == NULL or tab_used == NULL:
- *         result = -2
-*/
-  __pyx_v_tab_used = ((uint8_t *)calloc(__pyx_v_tsize, (sizeof(uint8_t))));
-
-  /* "bpx/_eckernel.pyx":204
- *     tab_j = <uint32_t*> malloc(tsize * sizeof(uint32_t))
- *     tab_used = <uint8_t*> calloc(tsize, sizeof(uint8_t))
- *     if tab_x == NULL or tab_y == NULL or tab_j == NULL or tab_used == NULL:             # <<<<<<<<<<<<<<
- *         result = -2
- *     else:
-*/
-  __pyx_t_2 = (__pyx_v_tab_x == NULL);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L7_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_tab_y == NULL);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L7_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_tab_j == NULL);
-  if (!__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L7_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_tab_used == NULL);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L7_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":205
- *     tab_used = <uint8_t*> calloc(tsize, sizeof(uint8_t))
- *     if tab_x == NULL or tab_y == NULL or tab_j == NULL or tab_used == NULL:
- *         result = -2             # <<<<<<<<<<<<<<
- *     else:
- *         # baby steps: R = Q + jP
-*/
-    __pyx_v_result = -2L;
-
-    /* "bpx/_eckernel.pyx":204
- *     tab_j = <uint32_t*> malloc(tsize * sizeof(uint32_t))
- *     tab_used = <uint8_t*> calloc(tsize, sizeof(uint8_t))
- *     if tab_x == NULL or tab_y == NULL or tab_j == NULL or tab_used == NULL:             # <<<<<<<<<<<<<<
- *         result = -2
- *     else:
-*/
-    goto __pyx_L6;
-  }
-
-  /* "bpx/_eckernel.pyx":208
- *     else:
- *         # baby steps: R = Q + jP
- *         R = Q             # <<<<<<<<<<<<<<
- *         for j in range(m):
- *             if R.inf:
-*/
-  /*else*/ {
-    __pyx_v_R = __pyx_v_Q;
-
-    /* "bpx/_eckernel.pyx":209
- *         # baby steps: R = Q + jP
- *         R = Q
- *         for j in range(m):             # <<<<<<<<<<<<<<
- *             if R.inf:
- *                 result = <int64_t> (p + 1 + j)
-*/
-    __pyx_t_3 = __pyx_v_m;
-    __pyx_t_4 = __pyx_t_3;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_j = __pyx_t_5;
-
-      /* "bpx/_eckernel.pyx":210
- *         R = Q
- *         for j in range(m):
- *             if R.inf:             # <<<<<<<<<<<<<<
- *                 result = <int64_t> (p + 1 + j)
- *                 break
-*/
-      __pyx_t_1 = (__pyx_v_R.inf != 0);
-      if (__pyx_t_1) {
-
-        /* "bpx/_eckernel.pyx":211
- *         for j in range(m):
- *             if R.inf:
- *                 result = <int64_t> (p + 1 + j)             # <<<<<<<<<<<<<<
- *                 break
- *             h = (R.x * HASH_MULT + R.y) & mask
-*/
-        __pyx_v_result = ((int64_t)((__pyx_v_p + 1) + __pyx_v_j));
-
-        /* "bpx/_eckernel.pyx":212
- *             if R.inf:
- *                 result = <int64_t> (p + 1 + j)
- *                 break             # <<<<<<<<<<<<<<
- *             h = (R.x * HASH_MULT + R.y) & mask
- *             while tab_used[h]:
-*/
-        goto __pyx_L12_break;
-
-        /* "bpx/_eckernel.pyx":210
- *         R = Q
- *         for j in range(m):
- *             if R.inf:             # <<<<<<<<<<<<<<
- *                 result = <int64_t> (p + 1 + j)
- *                 break
-*/
-      }
-
-      /* "bpx/_eckernel.pyx":213
- *                 result = <int64_t> (p + 1 + j)
- *                 break
- *             h = (R.x * HASH_MULT + R.y) & mask             # <<<<<<<<<<<<<<
- *             while tab_used[h]:
- *                 if tab_x[h] == R.x and tab_y[h] == R.y:
-*/
-      __pyx_v_h = (((__pyx_v_R.x * __pyx_v_3bpx_9_eckernel_HASH_MULT) + __pyx_v_R.y) & __pyx_v_mask);
-
-      /* "bpx/_eckernel.pyx":214
- *                 break
- *             h = (R.x * HASH_MULT + R.y) & mask
- *             while tab_used[h]:             # <<<<<<<<<<<<<<
- *                 if tab_x[h] == R.x and tab_y[h] == R.y:
- *                     break  # duplicate point; keep the first j
-*/
-      while (1) {
-        __pyx_t_1 = ((__pyx_v_tab_used[__pyx_v_h]) != 0);
-        if (!__pyx_t_1) break;
-
-        /* "bpx/_eckernel.pyx":215
- *             h = (R.x * HASH_MULT + R.y) & mask
- *             while tab_used[h]:
- *                 if tab_x[h] == R.x and tab_y[h] == R.y:             # <<<<<<<<<<<<<<
- *                     break  # duplicate point; keep the first j
- *                 h = (h + 1) & mask
-*/
-        __pyx_t_2 = ((__pyx_v_tab_x[__pyx_v_h]) == __pyx_v_R.x);
-        if (__pyx_t_2) {
-        } else {
-          __pyx_t_1 = __pyx_t_2;
-          goto __pyx_L17_bool_binop_done;
-        }
-        __pyx_t_2 = ((__pyx_v_tab_y[__pyx_v_h]) == __pyx_v_R.y);
-        __pyx_t_1 = __pyx_t_2;
-        __pyx_L17_bool_binop_done:;
-        if (__pyx_t_1) {
-
-          /* "bpx/_eckernel.pyx":216
- *             while tab_used[h]:
- *                 if tab_x[h] == R.x and tab_y[h] == R.y:
- *                     break  # duplicate point; keep the first j             # <<<<<<<<<<<<<<
- *                 h = (h + 1) & mask
- *             if not tab_used[h]:
-*/
-          goto __pyx_L15_break;
-
-          /* "bpx/_eckernel.pyx":215
- *             h = (R.x * HASH_MULT + R.y) & mask
- *             while tab_used[h]:
- *                 if tab_x[h] == R.x and tab_y[h] == R.y:             # <<<<<<<<<<<<<<
- *                     break  # duplicate point; keep the first j
- *                 h = (h + 1) & mask
-*/
-        }
-
-        /* "bpx/_eckernel.pyx":217
- *                 if tab_x[h] == R.x and tab_y[h] == R.y:
- *                     break  # duplicate point; keep the first j
- *                 h = (h + 1) & mask             # <<<<<<<<<<<<<<
- *             if not tab_used[h]:
- *                 tab_used[h] = 1
-*/
-        __pyx_v_h = ((__pyx_v_h + 1) & __pyx_v_mask);
-      }
-      __pyx_L15_break:;
-
-      /* "bpx/_eckernel.pyx":218
- *                     break  # duplicate point; keep the first j
- *                 h = (h + 1) & mask
- *             if not tab_used[h]:             # <<<<<<<<<<<<<<
- *                 tab_used[h] = 1
- *                 tab_x[h] = R.x
-*/
-      __pyx_t_1 = (!((__pyx_v_tab_used[__pyx_v_h]) != 0));
-      if (__pyx_t_1) {
-
-        /* "bpx/_eckernel.pyx":219
- *                 h = (h + 1) & mask
- *             if not tab_used[h]:
- *                 tab_used[h] = 1             # <<<<<<<<<<<<<<
- *                 tab_x[h] = R.x
- *                 tab_y[h] = R.y
-*/
-        (__pyx_v_tab_used[__pyx_v_h]) = 1;
-
-        /* "bpx/_eckernel.pyx":220
- *             if not tab_used[h]:
- *                 tab_used[h] = 1
- *                 tab_x[h] = R.x             # <<<<<<<<<<<<<<
- *                 tab_y[h] = R.y
- *                 tab_j[h] = <uint32_t> j
-*/
-        __pyx_t_6 = __pyx_v_R.x;
-        (__pyx_v_tab_x[__pyx_v_h]) = __pyx_t_6;
-
-        /* "bpx/_eckernel.pyx":221
- *                 tab_used[h] = 1
- *                 tab_x[h] = R.x
- *                 tab_y[h] = R.y             # <<<<<<<<<<<<<<
- *                 tab_j[h] = <uint32_t> j
- *             R = pt_add(R, P, a, p)
-*/
-        __pyx_t_6 = __pyx_v_R.y;
-        (__pyx_v_tab_y[__pyx_v_h]) = __pyx_t_6;
-
-        /* "bpx/_eckernel.pyx":222
- *                 tab_x[h] = R.x
- *                 tab_y[h] = R.y
- *                 tab_j[h] = <uint32_t> j             # <<<<<<<<<<<<<<
- *             R = pt_add(R, P, a, p)
- *         if result == -1:
-*/
-        (__pyx_v_tab_j[__pyx_v_h]) = ((uint32_t)__pyx_v_j);
-
-        /* "bpx/_eckernel.pyx":218
- *                     break  # duplicate point; keep the first j
- *                 h = (h + 1) & mask
- *             if not tab_used[h]:             # <<<<<<<<<<<<<<
- *                 tab_used[h] = 1
- *                 tab_x[h] = R.x
-*/
-      }
-
-      /* "bpx/_eckernel.pyx":223
- *                 tab_y[h] = R.y
- *                 tab_j[h] = <uint32_t> j
- *             R = pt_add(R, P, a, p)             # <<<<<<<<<<<<<<
- *         if result == -1:
- *             G = pt_mul(m, P, a, p)
-*/
-      __pyx_v_R = __pyx_f_3bpx_9_eckernel_pt_add(__pyx_v_R, __pyx_v_P, __pyx_v_a, __pyx_v_p);
-    }
-    __pyx_L12_break:;
-
-    /* "bpx/_eckernel.pyx":224
- *                 tab_j[h] = <uint32_t> j
- *             R = pt_add(R, P, a, p)
- *         if result == -1:             # <<<<<<<<<<<<<<
- *             G = pt_mul(m, P, a, p)
- *             U = G
-*/
-    __pyx_t_1 = (__pyx_v_result == -1L);
-    if (__pyx_t_1) {
-
-      /* "bpx/_eckernel.pyx":225
- *             R = pt_add(R, P, a, p)
- *         if result == -1:
- *             G = pt_mul(m, P, a, p)             # <<<<<<<<<<<<<<
- *             U = G
- *             imax = w / m + 3
-*/
-      __pyx_v_G = __pyx_f_3bpx_9_eckernel_pt_mul(__pyx_v_m, __pyx_v_P, __pyx_v_a, __pyx_v_p);
-
-      /* "bpx/_eckernel.pyx":226
- *         if result == -1:
- *             G = pt_mul(m, P, a, p)
- *             U = G             # <<<<<<<<<<<<<<
- *             imax = w / m + 3
- *             for i in range(1, imax):
-*/
-      __pyx_v_U = __pyx_v_G;
-
-      /* "bpx/_eckernel.pyx":227
- *             G = pt_mul(m, P, a, p)
- *             U = G
- *             imax = w / m + 3             # <<<<<<<<<<<<<<
- *             for i in range(1, imax):
- *                 if U.inf:
-*/
-      __pyx_v_imax = ((__pyx_v_w / __pyx_v_m) + 3);
-
-      /* "bpx/_eckernel.pyx":228
- *             U = G
- *             imax = w / m + 3
- *             for i in range(1, imax):             # <<<<<<<<<<<<<<
- *                 if U.inf:
- *                     result = <int64_t> (i * m)
-*/
-      __pyx_t_3 = __pyx_v_imax;
-      __pyx_t_4 = __pyx_t_3;
-      for (__pyx_t_5 = 1; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-        __pyx_v_i = __pyx_t_5;
-
-        /* "bpx/_eckernel.pyx":229
- *             imax = w / m + 3
- *             for i in range(1, imax):
- *                 if U.inf:             # <<<<<<<<<<<<<<
- *                     result = <int64_t> (i * m)
- *                     break
-*/
-        __pyx_t_1 = (__pyx_v_U.inf != 0);
-        if (__pyx_t_1) {
-
-          /* "bpx/_eckernel.pyx":230
- *             for i in range(1, imax):
- *                 if U.inf:
- *                     result = <int64_t> (i * m)             # <<<<<<<<<<<<<<
- *                     break
- *                 # Q + jP = -(im)P  ->  k = p+1 + im + j
-*/
-          __pyx_v_result = ((int64_t)(__pyx_v_i * __pyx_v_m));
-
-          /* "bpx/_eckernel.pyx":231
- *                 if U.inf:
- *                     result = <int64_t> (i * m)
- *                     break             # <<<<<<<<<<<<<<
- *                 # Q + jP = -(im)P  ->  k = p+1 + im + j
- *                 h = (U.x * HASH_MULT + (p - U.y) % p) & mask
-*/
-          goto __pyx_L22_break;
-
-          /* "bpx/_eckernel.pyx":229
- *             imax = w / m + 3
- *             for i in range(1, imax):
- *                 if U.inf:             # <<<<<<<<<<<<<<
- *                     result = <int64_t> (i * m)
- *                     break
-*/
-        }
-
-        /* "bpx/_eckernel.pyx":233
- *                     break
- *                 # Q + jP = -(im)P  ->  k = p+1 + im + j
- *                 h = (U.x * HASH_MULT + (p - U.y) % p) & mask             # <<<<<<<<<<<<<<
- *                 while tab_used[h]:
- *                     if tab_x[h] == U.x and tab_y[h] == (p - U.y) % p:
-*/
-        __pyx_v_h = (((__pyx_v_U.x * __pyx_v_3bpx_9_eckernel_HASH_MULT) + ((__pyx_v_p - __pyx_v_U.y) % __pyx_v_p)) & __pyx_v_mask);
-
-        /* "bpx/_eckernel.pyx":234
- *                 # Q + jP = -(im)P  ->  k = p+1 + im + j
- *                 h = (U.x * HASH_MULT + (p - U.y) % p) & mask
- *                 while tab_used[h]:             # <<<<<<<<<<<<<<
- *                     if tab_x[h] == U.x and tab_y[h] == (p - U.y) % p:
- *                         result = <int64_t> (p + 1 + i * m + tab_j[h])
-*/
-        while (1) {
-          __pyx_t_1 = ((__pyx_v_tab_used[__pyx_v_h]) != 0);
-          if (!__pyx_t_1) break;
-
-          /* "bpx/_eckernel.pyx":235
- *                 h = (U.x * HASH_MULT + (p - U.y) % p) & mask
- *                 while tab_used[h]:
- *                     if tab_x[h] == U.x and tab_y[h] == (p - U.y) % p:             # <<<<<<<<<<<<<<
- *                         result = <int64_t> (p + 1 + i * m + tab_j[h])
- *                         break
-*/
-          __pyx_t_2 = ((__pyx_v_tab_x[__pyx_v_h]) == __pyx_v_U.x);
-          if (__pyx_t_2) {
-          } else {
-            __pyx_t_1 = __pyx_t_2;
-            goto __pyx_L27_bool_binop_done;
-          }
-          __pyx_t_2 = ((__pyx_v_tab_y[__pyx_v_h]) == ((__pyx_v_p - __pyx_v_U.y) % __pyx_v_p));
-          __pyx_t_1 = __pyx_t_2;
-          __pyx_L27_bool_binop_done:;
-          if (__pyx_t_1) {
-
-            /* "bpx/_eckernel.pyx":236
- *                 while tab_used[h]:
- *                     if tab_x[h] == U.x and tab_y[h] == (p - U.y) % p:
- *                         result = <int64_t> (p + 1 + i * m + tab_j[h])             # <<<<<<<<<<<<<<
- *                         break
- *                     h = (h + 1) & mask
-*/
-            __pyx_v_result = ((int64_t)(((__pyx_v_p + 1) + (__pyx_v_i * __pyx_v_m)) + (__pyx_v_tab_j[__pyx_v_h])));
-
-            /* "bpx/_eckernel.pyx":237
- *                     if tab_x[h] == U.x and tab_y[h] == (p - U.y) % p:
- *                         result = <int64_t> (p + 1 + i * m + tab_j[h])
- *                         break             # <<<<<<<<<<<<<<
- *                     h = (h + 1) & mask
- *                 if result != -1:
-*/
-            goto __pyx_L25_break;
-
-            /* "bpx/_eckernel.pyx":235
- *                 h = (U.x * HASH_MULT + (p - U.y) % p) & mask
- *                 while tab_used[h]:
- *                     if tab_x[h] == U.x and tab_y[h] == (p - U.y) % p:             # <<<<<<<<<<<<<<
- *                         result = <int64_t> (p + 1 + i * m + tab_j[h])
- *                         break
-*/
-          }
-
-          /* "bpx/_eckernel.pyx":238
- *                         result = <int64_t> (p + 1 + i * m + tab_j[h])
- *                         break
- *                     h = (h + 1) & mask             # <<<<<<<<<<<<<<
- *                 if result != -1:
- *                     break
-*/
-          __pyx_v_h = ((__pyx_v_h + 1) & __pyx_v_mask);
-        }
-        __pyx_L25_break:;
-
-        /* "bpx/_eckernel.pyx":239
- *                         break
- *                     h = (h + 1) & mask
- *                 if result != -1:             # <<<<<<<<<<<<<<
- *                     break
- *                 # Q + jP = +(im)P  ->  k = p+1 - im + j
-*/
-        __pyx_t_1 = (__pyx_v_result != -1L);
-        if (__pyx_t_1) {
-
-          /* "bpx/_eckernel.pyx":240
- *                     h = (h + 1) & mask
- *                 if result != -1:
- *                     break             # <<<<<<<<<<<<<<
- *                 # Q + jP = +(im)P  ->  k = p+1 - im + j
- *                 h = (U.x * HASH_MULT + U.y) & mask
-*/
-          goto __pyx_L22_break;
-
-          /* "bpx/_eckernel.pyx":239
- *                         break
- *                     h = (h + 1) & mask
- *                 if result != -1:             # <<<<<<<<<<<<<<
- *                     break
- *                 # Q + jP = +(im)P  ->  k = p+1 - im + j
-*/
-        }
-
-        /* "bpx/_eckernel.pyx":242
- *                     break
- *                 # Q + jP = +(im)P  ->  k = p+1 - im + j
- *                 h = (U.x * HASH_MULT + U.y) & mask             # <<<<<<<<<<<<<<
- *                 while tab_used[h]:
- *                     if tab_x[h] == U.x and tab_y[h] == U.y:
-*/
-        __pyx_v_h = (((__pyx_v_U.x * __pyx_v_3bpx_9_eckernel_HASH_MULT) + __pyx_v_U.y) & __pyx_v_mask);
-
-        /* "bpx/_eckernel.pyx":243
- *                 # Q + jP = +(im)P  ->  k = p+1 - im + j
- *                 h = (U.x * HASH_MULT + U.y) & mask
- *                 while tab_used[h]:             # <<<<<<<<<<<<<<
- *                     if tab_x[h] == U.x and tab_y[h] == U.y:
- *                         result = <int64_t> (p + 1 - i * m + tab_j[h])
-*/
-        while (1) {
-          __pyx_t_1 = ((__pyx_v_tab_used[__pyx_v_h]) != 0);
-          if (!__pyx_t_1) break;
-
-          /* "bpx/_eckernel.pyx":244
- *                 h = (U.x * HASH_MULT + U.y) & mask
- *                 while tab_used[h]:
- *                     if tab_x[h] == U.x and tab_y[h] == U.y:             # <<<<<<<<<<<<<<
- *                         result = <int64_t> (p + 1 - i * m + tab_j[h])
- *                         break
-*/
-          __pyx_t_2 = ((__pyx_v_tab_x[__pyx_v_h]) == __pyx_v_U.x);
-          if (__pyx_t_2) {
-          } else {
-            __pyx_t_1 = __pyx_t_2;
-            goto __pyx_L33_bool_binop_done;
-          }
-          __pyx_t_2 = ((__pyx_v_tab_y[__pyx_v_h]) == __pyx_v_U.y);
-          __pyx_t_1 = __pyx_t_2;
-          __pyx_L33_bool_binop_done:;
-          if (__pyx_t_1) {
-
-            /* "bpx/_eckernel.pyx":245
- *                 while tab_used[h]:
- *                     if tab_x[h] == U.x and tab_y[h] == U.y:
- *                         result = <int64_t> (p + 1 - i * m + tab_j[h])             # <<<<<<<<<<<<<<
- *                         break
- *                     h = (h + 1) & mask
-*/
-            __pyx_v_result = ((int64_t)(((__pyx_v_p + 1) - (__pyx_v_i * __pyx_v_m)) + (__pyx_v_tab_j[__pyx_v_h])));
-
-            /* "bpx/_eckernel.pyx":246
- *                     if tab_x[h] == U.x and tab_y[h] == U.y:
- *                         result = <int64_t> (p + 1 - i * m + tab_j[h])
- *                         break             # <<<<<<<<<<<<<<
- *                     h = (h + 1) & mask
- *                 if result != -1:
-*/
-            goto __pyx_L31_break;
-
-            /* "bpx/_eckernel.pyx":244
- *                 h = (U.x * HASH_MULT + U.y) & mask
- *                 while tab_used[h]:
- *                     if tab_x[h] == U.x and tab_y[h] == U.y:             # <<<<<<<<<<<<<<
- *                         result = <int64_t> (p + 1 - i * m + tab_j[h])
- *                         break
-*/
-          }
-
-          /* "bpx/_eckernel.pyx":247
- *                         result = <int64_t> (p + 1 - i * m + tab_j[h])
- *                         break
- *                     h = (h + 1) & mask             # <<<<<<<<<<<<<<
- *                 if result != -1:
- *                     break
-*/
-          __pyx_v_h = ((__pyx_v_h + 1) & __pyx_v_mask);
-        }
-        __pyx_L31_break:;
-
-        /* "bpx/_eckernel.pyx":248
- *                         break
- *                     h = (h + 1) & mask
- *                 if result != -1:             # <<<<<<<<<<<<<<
- *                     break
- *                 U = pt_add(U, G, a, p)
-*/
-        __pyx_t_1 = (__pyx_v_result != -1L);
-        if (__pyx_t_1) {
-
-          /* "bpx/_eckernel.pyx":249
- *                     h = (h + 1) & mask
- *                 if result != -1:
- *                     break             # <<<<<<<<<<<<<<
- *                 U = pt_add(U, G, a, p)
- *     free(tab_x)
-*/
-          goto __pyx_L22_break;
-
-          /* "bpx/_eckernel.pyx":248
- *                         break
- *                     h = (h + 1) & mask
- *                 if result != -1:             # <<<<<<<<<<<<<<
- *                     break
- *                 U = pt_add(U, G, a, p)
-*/
-        }
-
-        /* "bpx/_eckernel.pyx":250
- *                 if result != -1:
- *                     break
- *                 U = pt_add(U, G, a, p)             # <<<<<<<<<<<<<<
- *     free(tab_x)
- *     free(tab_y)
-*/
-        __pyx_v_U = __pyx_f_3bpx_9_eckernel_pt_add(__pyx_v_U, __pyx_v_G, __pyx_v_a, __pyx_v_p);
-      }
-      __pyx_L22_break:;
-
-      /* "bpx/_eckernel.pyx":224
- *                 tab_j[h] = <uint32_t> j
- *             R = pt_add(R, P, a, p)
- *         if result == -1:             # <<<<<<<<<<<<<<
- *             G = pt_mul(m, P, a, p)
- *             U = G
-*/
-    }
-  }
-  __pyx_L6:;
-
-  /* "bpx/_eckernel.pyx":251
- *                     break
- *                 U = pt_add(U, G, a, p)
- *     free(tab_x)             # <<<<<<<<<<<<<<
- *     free(tab_y)
- *     free(tab_j)
-*/
-  free(__pyx_v_tab_x);
-
-  /* "bpx/_eckernel.pyx":252
- *                 U = pt_add(U, G, a, p)
- *     free(tab_x)
- *     free(tab_y)             # <<<<<<<<<<<<<<
- *     free(tab_j)
- *     free(tab_used)
-*/
-  free(__pyx_v_tab_y);
-
-  /* "bpx/_eckernel.pyx":253
- *     free(tab_x)
- *     free(tab_y)
- *     free(tab_j)             # <<<<<<<<<<<<<<
- *     free(tab_used)
- *     return result
-*/
-  free(__pyx_v_tab_j);
-
-  /* "bpx/_eckernel.pyx":254
- *     free(tab_y)
- *     free(tab_j)
- *     free(tab_used)             # <<<<<<<<<<<<<<
- *     return result
- * 
-*/
-  free(__pyx_v_tab_used);
-
-  /* "bpx/_eckernel.pyx":255
- *     free(tab_j)
- *     free(tab_used)
- *     return result             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_result;
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":183
- * 
- * 
- * cdef int64_t annihilator(Pt P, uint64_t a, uint64_t p, uint64_t w) noexcept nogil:             # <<<<<<<<<<<<<<
- *     """Some positive k with k*P = O, searched around p+1; -1 on failure."""
- *     cdef Pt Q, R, G, U
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":258
- * 
- * 
- * cdef uint64_t exact_order(Pt P, uint64_t k, uint64_t a, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t rem = k, q, f
- *     cdef uint64_t facs[16]
-*/
-
-static uint64_t __pyx_f_3bpx_9_eckernel_exact_order(struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_P, uint64_t __pyx_v_k, uint64_t __pyx_v_a, uint64_t __pyx_v_p) {
-  uint64_t __pyx_v_rem;
-  uint64_t __pyx_v_q;
-  uint64_t __pyx_v_f;
-  uint64_t __pyx_v_facs[16];
-  int __pyx_v_nfac;
-  int __pyx_v_idx;
-  uint64_t __pyx_r;
-  uint64_t __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-
-  /* "bpx/_eckernel.pyx":259
- * 
- * cdef uint64_t exact_order(Pt P, uint64_t k, uint64_t a, uint64_t p) noexcept nogil:
- *     cdef uint64_t rem = k, q, f             # <<<<<<<<<<<<<<
- *     cdef uint64_t facs[16]
- *     cdef int nfac = 0, idx
-*/
-  __pyx_v_rem = __pyx_v_k;
-
-  /* "bpx/_eckernel.pyx":261
- *     cdef uint64_t rem = k, q, f
- *     cdef uint64_t facs[16]
- *     cdef int nfac = 0, idx             # <<<<<<<<<<<<<<
- *     for q in range(2, 4):
- *         if rem % q == 0:
-*/
-  __pyx_v_nfac = 0;
-
-  /* "bpx/_eckernel.pyx":262
- *     cdef uint64_t facs[16]
- *     cdef int nfac = 0, idx
- *     for q in range(2, 4):             # <<<<<<<<<<<<<<
- *         if rem % q == 0:
- *             facs[nfac] = q
-*/
-  for (__pyx_t_1 = 2; __pyx_t_1 < 4; __pyx_t_1+=1) {
-    __pyx_v_q = __pyx_t_1;
-
-    /* "bpx/_eckernel.pyx":263
- *     cdef int nfac = 0, idx
- *     for q in range(2, 4):
- *         if rem % q == 0:             # <<<<<<<<<<<<<<
- *             facs[nfac] = q
- *             nfac += 1
-*/
-    __pyx_t_2 = ((__pyx_v_rem % __pyx_v_q) == 0);
-    if (__pyx_t_2) {
-
-      /* "bpx/_eckernel.pyx":264
- *     for q in range(2, 4):
- *         if rem % q == 0:
- *             facs[nfac] = q             # <<<<<<<<<<<<<<
- *             nfac += 1
- *             while rem % q == 0:
-*/
-      (__pyx_v_facs[__pyx_v_nfac]) = __pyx_v_q;
-
-      /* "bpx/_eckernel.pyx":265
- *         if rem % q == 0:
- *             facs[nfac] = q
- *             nfac += 1             # <<<<<<<<<<<<<<
- *             while rem % q == 0:
- *                 rem /= q
-*/
-      __pyx_v_nfac = (__pyx_v_nfac + 1);
-
-      /* "bpx/_eckernel.pyx":266
- *             facs[nfac] = q
- *             nfac += 1
- *             while rem % q == 0:             # <<<<<<<<<<<<<<
- *                 rem /= q
- *     f = 5
-*/
-      while (1) {
-        __pyx_t_2 = ((__pyx_v_rem % __pyx_v_q) == 0);
-        if (!__pyx_t_2) break;
-
-        /* "bpx/_eckernel.pyx":267
- *             nfac += 1
- *             while rem % q == 0:
- *                 rem /= q             # <<<<<<<<<<<<<<
- *     f = 5
- *     while f * f <= rem:
-*/
-        __pyx_v_rem = (__pyx_v_rem / __pyx_v_q);
-      }
-
-      /* "bpx/_eckernel.pyx":263
- *     cdef int nfac = 0, idx
- *     for q in range(2, 4):
- *         if rem % q == 0:             # <<<<<<<<<<<<<<
- *             facs[nfac] = q
- *             nfac += 1
-*/
-    }
-  }
-
-  /* "bpx/_eckernel.pyx":268
- *             while rem % q == 0:
- *                 rem /= q
- *     f = 5             # <<<<<<<<<<<<<<
- *     while f * f <= rem:
- *         if rem % f == 0:
-*/
-  __pyx_v_f = 5;
-
-  /* "bpx/_eckernel.pyx":269
- *                 rem /= q
- *     f = 5
- *     while f * f <= rem:             # <<<<<<<<<<<<<<
- *         if rem % f == 0:
- *             facs[nfac] = f
-*/
-  while (1) {
-    __pyx_t_2 = ((__pyx_v_f * __pyx_v_f) <= __pyx_v_rem);
-    if (!__pyx_t_2) break;
-
-    /* "bpx/_eckernel.pyx":270
- *     f = 5
- *     while f * f <= rem:
- *         if rem % f == 0:             # <<<<<<<<<<<<<<
- *             facs[nfac] = f
- *             nfac += 1
-*/
-    __pyx_t_2 = ((__pyx_v_rem % __pyx_v_f) == 0);
-    if (__pyx_t_2) {
-
-      /* "bpx/_eckernel.pyx":271
- *     while f * f <= rem:
- *         if rem % f == 0:
- *             facs[nfac] = f             # <<<<<<<<<<<<<<
- *             nfac += 1
- *             while rem % f == 0:
-*/
-      (__pyx_v_facs[__pyx_v_nfac]) = __pyx_v_f;
-
-      /* "bpx/_eckernel.pyx":272
- *         if rem % f == 0:
- *             facs[nfac] = f
- *             nfac += 1             # <<<<<<<<<<<<<<
- *             while rem % f == 0:
- *                 rem /= f
-*/
-      __pyx_v_nfac = (__pyx_v_nfac + 1);
-
-      /* "bpx/_eckernel.pyx":273
- *             facs[nfac] = f
- *             nfac += 1
- *             while rem % f == 0:             # <<<<<<<<<<<<<<
- *                 rem /= f
- *         f += 2 if f % 3 == 2 else 4
-*/
-      while (1) {
-        __pyx_t_2 = ((__pyx_v_rem % __pyx_v_f) == 0);
-        if (!__pyx_t_2) break;
-
-        /* "bpx/_eckernel.pyx":274
- *             nfac += 1
- *             while rem % f == 0:
- *                 rem /= f             # <<<<<<<<<<<<<<
- *         f += 2 if f % 3 == 2 else 4
- *     if rem > 1:
-*/
-        __pyx_v_rem = (__pyx_v_rem / __pyx_v_f);
-      }
-
-      /* "bpx/_eckernel.pyx":270
- *     f = 5
- *     while f * f <= rem:
- *         if rem % f == 0:             # <<<<<<<<<<<<<<
- *             facs[nfac] = f
- *             nfac += 1
-*/
-    }
-
-    /* "bpx/_eckernel.pyx":275
- *             while rem % f == 0:
- *                 rem /= f
- *         f += 2 if f % 3 == 2 else 4             # <<<<<<<<<<<<<<
- *     if rem > 1:
- *         facs[nfac] = rem
-*/
-    __pyx_t_2 = ((__pyx_v_f % 3) == 2);
-    if (__pyx_t_2) {
-      __pyx_t_1 = 2;
-    } else {
-      __pyx_t_1 = 4;
-    }
-    __pyx_v_f = (__pyx_v_f + __pyx_t_1);
-  }
-
-  /* "bpx/_eckernel.pyx":276
- *                 rem /= f
- *         f += 2 if f % 3 == 2 else 4
- *     if rem > 1:             # <<<<<<<<<<<<<<
- *         facs[nfac] = rem
- *         nfac += 1
-*/
-  __pyx_t_2 = (__pyx_v_rem > 1);
-  if (__pyx_t_2) {
-
-    /* "bpx/_eckernel.pyx":277
- *         f += 2 if f % 3 == 2 else 4
- *     if rem > 1:
- *         facs[nfac] = rem             # <<<<<<<<<<<<<<
- *         nfac += 1
- *     for idx in range(nfac):
-*/
-    (__pyx_v_facs[__pyx_v_nfac]) = __pyx_v_rem;
-
-    /* "bpx/_eckernel.pyx":278
- *     if rem > 1:
- *         facs[nfac] = rem
- *         nfac += 1             # <<<<<<<<<<<<<<
- *     for idx in range(nfac):
- *         q = facs[idx]
-*/
-    __pyx_v_nfac = (__pyx_v_nfac + 1);
-
-    /* "bpx/_eckernel.pyx":276
- *                 rem /= f
- *         f += 2 if f % 3 == 2 else 4
- *     if rem > 1:             # <<<<<<<<<<<<<<
- *         facs[nfac] = rem
- *         nfac += 1
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":279
- *         facs[nfac] = rem
- *         nfac += 1
- *     for idx in range(nfac):             # <<<<<<<<<<<<<<
- *         q = facs[idx]
- *         while k % q == 0 and pt_mul(k / q, P, a, p).inf:
-*/
-  __pyx_t_3 = __pyx_v_nfac;
-  __pyx_t_4 = __pyx_t_3;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_idx = __pyx_t_5;
-
-    /* "bpx/_eckernel.pyx":280
- *         nfac += 1
- *     for idx in range(nfac):
- *         q = facs[idx]             # <<<<<<<<<<<<<<
- *         while k % q == 0 and pt_mul(k / q, P, a, p).inf:
- *             k /= q
-*/
-    __pyx_v_q = (__pyx_v_facs[__pyx_v_idx]);
-
-    /* "bpx/_eckernel.pyx":281
- *     for idx in range(nfac):
- *         q = facs[idx]
- *         while k % q == 0 and pt_mul(k / q, P, a, p).inf:             # <<<<<<<<<<<<<<
- *             k /= q
- *     return k
-*/
-    while (1) {
-      __pyx_t_6 = ((__pyx_v_k % __pyx_v_q) == 0);
-      if (__pyx_t_6) {
-      } else {
-        __pyx_t_2 = __pyx_t_6;
-        goto __pyx_L18_bool_binop_done;
-      }
-      __pyx_t_6 = (__pyx_f_3bpx_9_eckernel_pt_mul((__pyx_v_k / __pyx_v_q), __pyx_v_P, __pyx_v_a, __pyx_v_p).inf != 0);
-      __pyx_t_2 = __pyx_t_6;
-      __pyx_L18_bool_binop_done:;
-      if (!__pyx_t_2) break;
-
-      /* "bpx/_eckernel.pyx":282
- *         q = facs[idx]
- *         while k % q == 0 and pt_mul(k / q, P, a, p).inf:
- *             k /= q             # <<<<<<<<<<<<<<
- *     return k
- * 
-*/
-      __pyx_v_k = (__pyx_v_k / __pyx_v_q);
-    }
-  }
-
-  /* "bpx/_eckernel.pyx":283
- *         while k % q == 0 and pt_mul(k / q, P, a, p).inf:
- *             k /= q
- *     return k             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_k;
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":258
- * 
- * 
- * cdef uint64_t exact_order(Pt P, uint64_t k, uint64_t a, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t rem = k, q, f
- *     cdef uint64_t facs[16]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":286
- * 
- * 
- * cdef uint64_t gcd_u64(uint64_t a, uint64_t b) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t t
- *     while b:
-*/
-
-static uint64_t __pyx_f_3bpx_9_eckernel_gcd_u64(uint64_t __pyx_v_a, uint64_t __pyx_v_b) {
-  uint64_t __pyx_v_t;
-  uint64_t __pyx_r;
-  int __pyx_t_1;
-
-  /* "bpx/_eckernel.pyx":288
- * cdef uint64_t gcd_u64(uint64_t a, uint64_t b) noexcept nogil:
- *     cdef uint64_t t
- *     while b:             # <<<<<<<<<<<<<<
- *         t = a % b
- *         a = b
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_b != 0);
-    if (!__pyx_t_1) break;
-
-    /* "bpx/_eckernel.pyx":289
- *     cdef uint64_t t
- *     while b:
- *         t = a % b             # <<<<<<<<<<<<<<
- *         a = b
- *         b = t
-*/
-    __pyx_v_t = (__pyx_v_a % __pyx_v_b);
-
-    /* "bpx/_eckernel.pyx":290
- *     while b:
- *         t = a % b
- *         a = b             # <<<<<<<<<<<<<<
- *         b = t
- *     return a
-*/
-    __pyx_v_a = __pyx_v_b;
-
-    /* "bpx/_eckernel.pyx":291
- *         t = a % b
- *         a = b
- *         b = t             # <<<<<<<<<<<<<<
- *     return a
- * 
-*/
-    __pyx_v_b = __pyx_v_t;
-  }
-
-  /* "bpx/_eckernel.pyx":292
- *         a = b
- *         b = t
- *     return a             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_a;
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":286
- * 
- * 
- * cdef uint64_t gcd_u64(uint64_t a, uint64_t b) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t t
- *     while b:
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":295
- * 
- * 
- * cdef int64_t trace_bsgs(uint64_t a, uint64_t b, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t w = isqrt_u64(4 * p)
- *     cdef uint64_t lo = p + 1 - w, hi = p + 1 + w
-*/
-
-static int64_t __pyx_f_3bpx_9_eckernel_trace_bsgs(uint64_t __pyx_v_a, uint64_t __pyx_v_b, uint64_t __pyx_v_p) {
-  uint64_t __pyx_v_w;
-  uint64_t __pyx_v_lo;
-  uint64_t __pyx_v_hi;
-  uint64_t __pyx_v_state;
-  uint64_t __pyx_v_L;
-  uint64_t __pyx_v_order;
-  uint64_t __pyx_v_first;
-  int64_t __pyx_v_k;
-  struct __pyx_t_3bpx_9_eckernel_Pt __pyx_v_P;
-  CYTHON_UNUSED int __pyx_v_trial;
-  int64_t __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-
-  /* "bpx/_eckernel.pyx":296
- * 
- * cdef int64_t trace_bsgs(uint64_t a, uint64_t b, uint64_t p) noexcept nogil:
- *     cdef uint64_t w = isqrt_u64(4 * p)             # <<<<<<<<<<<<<<
- *     cdef uint64_t lo = p + 1 - w, hi = p + 1 + w
- *     cdef uint64_t state, L = 1, order, first
-*/
-  __pyx_v_w = __pyx_f_3bpx_9_eckernel_isqrt_u64((4 * __pyx_v_p));
-
-  /* "bpx/_eckernel.pyx":297
- * cdef int64_t trace_bsgs(uint64_t a, uint64_t b, uint64_t p) noexcept nogil:
- *     cdef uint64_t w = isqrt_u64(4 * p)
- *     cdef uint64_t lo = p + 1 - w, hi = p + 1 + w             # <<<<<<<<<<<<<<
- *     cdef uint64_t state, L = 1, order, first
- *     cdef int64_t k
-*/
-  __pyx_v_lo = ((__pyx_v_p + 1) - __pyx_v_w);
-  __pyx_v_hi = ((__pyx_v_p + 1) + __pyx_v_w);
-
-  /* "bpx/_eckernel.pyx":298
- *     cdef uint64_t w = isqrt_u64(4 * p)
- *     cdef uint64_t lo = p + 1 - w, hi = p + 1 + w
- *     cdef uint64_t state, L = 1, order, first             # <<<<<<<<<<<<<<
- *     cdef int64_t k
- *     cdef Pt P
-*/
-  __pyx_v_L = 1;
-
-  /* "bpx/_eckernel.pyx":302
- *     cdef Pt P
- *     cdef int trial
- *     state = p * HASH_MULT + SEED_ADD             # <<<<<<<<<<<<<<
- *     if state == 0:
- *         state = 1
-*/
-  __pyx_v_state = ((__pyx_v_p * __pyx_v_3bpx_9_eckernel_HASH_MULT) + __pyx_v_3bpx_9_eckernel_SEED_ADD);
-
-  /* "bpx/_eckernel.pyx":303
- *     cdef int trial
- *     state = p * HASH_MULT + SEED_ADD
- *     if state == 0:             # <<<<<<<<<<<<<<
- *         state = 1
- *     for trial in range(20):
-*/
-  __pyx_t_1 = (__pyx_v_state == 0);
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":304
- *     state = p * HASH_MULT + SEED_ADD
- *     if state == 0:
- *         state = 1             # <<<<<<<<<<<<<<
- *     for trial in range(20):
- *         P = next_point(&state, a, b, p)
-*/
-    __pyx_v_state = 1;
-
-    /* "bpx/_eckernel.pyx":303
- *     cdef int trial
- *     state = p * HASH_MULT + SEED_ADD
- *     if state == 0:             # <<<<<<<<<<<<<<
- *         state = 1
- *     for trial in range(20):
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":305
- *     if state == 0:
- *         state = 1
- *     for trial in range(20):             # <<<<<<<<<<<<<<
- *         P = next_point(&state, a, b, p)
- *         k = annihilator(P, a, p, w)
-*/
-  for (__pyx_t_2 = 0; __pyx_t_2 < 20; __pyx_t_2+=1) {
-    __pyx_v_trial = __pyx_t_2;
-
-    /* "bpx/_eckernel.pyx":306
- *         state = 1
- *     for trial in range(20):
- *         P = next_point(&state, a, b, p)             # <<<<<<<<<<<<<<
- *         k = annihilator(P, a, p, w)
- *         if k < 0:
-*/
-    __pyx_v_P = __pyx_f_3bpx_9_eckernel_next_point((&__pyx_v_state), __pyx_v_a, __pyx_v_b, __pyx_v_p);
-
-    /* "bpx/_eckernel.pyx":307
- *     for trial in range(20):
- *         P = next_point(&state, a, b, p)
- *         k = annihilator(P, a, p, w)             # <<<<<<<<<<<<<<
- *         if k < 0:
- *             return 1 << 40
-*/
-    __pyx_v_k = __pyx_f_3bpx_9_eckernel_annihilator(__pyx_v_P, __pyx_v_a, __pyx_v_p, __pyx_v_w);
-
-    /* "bpx/_eckernel.pyx":308
- *         P = next_point(&state, a, b, p)
- *         k = annihilator(P, a, p, w)
- *         if k < 0:             # <<<<<<<<<<<<<<
- *             return 1 << 40
- *         order = exact_order(P, <uint64_t> k, a, p)
-*/
-    __pyx_t_1 = (__pyx_v_k < 0);
-    if (__pyx_t_1) {
-
-      /* "bpx/_eckernel.pyx":309
- *         k = annihilator(P, a, p, w)
- *         if k < 0:
- *             return 1 << 40             # <<<<<<<<<<<<<<
- *         order = exact_order(P, <uint64_t> k, a, p)
- *         L = L // gcd_u64(L, order) * order
-*/
-      __pyx_r = 0x10000000000;
-      goto __pyx_L0;
-
-      /* "bpx/_eckernel.pyx":308
- *         P = next_point(&state, a, b, p)
- *         k = annihilator(P, a, p, w)
- *         if k < 0:             # <<<<<<<<<<<<<<
- *             return 1 << 40
- *         order = exact_order(P, <uint64_t> k, a, p)
-*/
-    }
-
-    /* "bpx/_eckernel.pyx":310
- *         if k < 0:
- *             return 1 << 40
- *         order = exact_order(P, <uint64_t> k, a, p)             # <<<<<<<<<<<<<<
- *         L = L // gcd_u64(L, order) * order
- *         first = ((lo + L - 1) / L) * L
-*/
-    __pyx_v_order = __pyx_f_3bpx_9_eckernel_exact_order(__pyx_v_P, ((uint64_t)__pyx_v_k), __pyx_v_a, __pyx_v_p);
-
-    /* "bpx/_eckernel.pyx":311
- *             return 1 << 40
- *         order = exact_order(P, <uint64_t> k, a, p)
- *         L = L // gcd_u64(L, order) * order             # <<<<<<<<<<<<<<
- *         first = ((lo + L - 1) / L) * L
- *         if first > hi:
-*/
-    __pyx_v_L = ((__pyx_v_L / __pyx_f_3bpx_9_eckernel_gcd_u64(__pyx_v_L, __pyx_v_order)) * __pyx_v_order);
-
-    /* "bpx/_eckernel.pyx":312
- *         order = exact_order(P, <uint64_t> k, a, p)
- *         L = L // gcd_u64(L, order) * order
- *         first = ((lo + L - 1) / L) * L             # <<<<<<<<<<<<<<
- *         if first > hi:
- *             return 1 << 40
-*/
-    __pyx_v_first = ((((__pyx_v_lo + __pyx_v_L) - 1) / __pyx_v_L) * __pyx_v_L);
-
-    /* "bpx/_eckernel.pyx":313
- *         L = L // gcd_u64(L, order) * order
- *         first = ((lo + L - 1) / L) * L
- *         if first > hi:             # <<<<<<<<<<<<<<
- *             return 1 << 40
- *         if first + L > hi:
-*/
-    __pyx_t_1 = (__pyx_v_first > __pyx_v_hi);
-    if (__pyx_t_1) {
-
-      /* "bpx/_eckernel.pyx":314
- *         first = ((lo + L - 1) / L) * L
- *         if first > hi:
- *             return 1 << 40             # <<<<<<<<<<<<<<
- *         if first + L > hi:
- *             return <int64_t> (p + 1) - <int64_t> first
-*/
-      __pyx_r = 0x10000000000;
-      goto __pyx_L0;
-
-      /* "bpx/_eckernel.pyx":313
- *         L = L // gcd_u64(L, order) * order
- *         first = ((lo + L - 1) / L) * L
- *         if first > hi:             # <<<<<<<<<<<<<<
- *             return 1 << 40
- *         if first + L > hi:
-*/
-    }
-
-    /* "bpx/_eckernel.pyx":315
- *         if first > hi:
- *             return 1 << 40
- *         if first + L > hi:             # <<<<<<<<<<<<<<
- *             return <int64_t> (p + 1) - <int64_t> first
- *     return trace_naive(a, b, p)
-*/
-    __pyx_t_1 = ((__pyx_v_first + __pyx_v_L) > __pyx_v_hi);
-    if (__pyx_t_1) {
-
-      /* "bpx/_eckernel.pyx":316
- *             return 1 << 40
- *         if first + L > hi:
- *             return <int64_t> (p + 1) - <int64_t> first             # <<<<<<<<<<<<<<
- *     return trace_naive(a, b, p)
- * 
-*/
-      __pyx_r = (((int64_t)(__pyx_v_p + 1)) - ((int64_t)__pyx_v_first));
-      goto __pyx_L0;
-
-      /* "bpx/_eckernel.pyx":315
- *         if first > hi:
- *             return 1 << 40
- *         if first + L > hi:             # <<<<<<<<<<<<<<
- *             return <int64_t> (p + 1) - <int64_t> first
- *     return trace_naive(a, b, p)
-*/
-    }
-  }
-
-  /* "bpx/_eckernel.pyx":317
- *         if first + L > hi:
- *             return <int64_t> (p + 1) - <int64_t> first
- *     return trace_naive(a, b, p)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_f_3bpx_9_eckernel_trace_naive(__pyx_v_a, __pyx_v_b, __pyx_v_p);
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":295
- * 
- * 
- * cdef int64_t trace_bsgs(uint64_t a, uint64_t b, uint64_t p) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t w = isqrt_u64(4 * p)
- *     cdef uint64_t lo = p + 1 - w, hi = p + 1 + w
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":320
- * 
- * 
- * cdef int64_t trace_one(uint64_t a, uint64_t b, uint64_t p, uint64_t naive_limit) noexcept nogil:             # <<<<<<<<<<<<<<
- *     if p < naive_limit:
- *         return trace_naive(a, b, p)
-*/
-
-static int64_t __pyx_f_3bpx_9_eckernel_trace_one(uint64_t __pyx_v_a, uint64_t __pyx_v_b, uint64_t __pyx_v_p, uint64_t __pyx_v_naive_limit) {
-  int64_t __pyx_r;
-  int __pyx_t_1;
-
-  /* "bpx/_eckernel.pyx":321
- * 
- * cdef int64_t trace_one(uint64_t a, uint64_t b, uint64_t p, uint64_t naive_limit) noexcept nogil:
- *     if p < naive_limit:             # <<<<<<<<<<<<<<
- *         return trace_naive(a, b, p)
- *     return trace_bsgs(a, b, p)
-*/
-  __pyx_t_1 = (__pyx_v_p < __pyx_v_naive_limit);
-  if (__pyx_t_1) {
-
-    /* "bpx/_eckernel.pyx":322
- * cdef int64_t trace_one(uint64_t a, uint64_t b, uint64_t p, uint64_t naive_limit) noexcept nogil:
- *     if p < naive_limit:
- *         return trace_naive(a, b, p)             # <<<<<<<<<<<<<<
- *     return trace_bsgs(a, b, p)
- * 
-*/
-    __pyx_r = __pyx_f_3bpx_9_eckernel_trace_naive(__pyx_v_a, __pyx_v_b, __pyx_v_p);
-    goto __pyx_L0;
-
-    /* "bpx/_eckernel.pyx":321
- * 
- * cdef int64_t trace_one(uint64_t a, uint64_t b, uint64_t p, uint64_t naive_limit) noexcept nogil:
- *     if p < naive_limit:             # <<<<<<<<<<<<<<
- *         return trace_naive(a, b, p)
- *     return trace_bsgs(a, b, p)
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":323
- *     if p < naive_limit:
- *         return trace_naive(a, b, p)
- *     return trace_bsgs(a, b, p)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_f_3bpx_9_eckernel_trace_bsgs(__pyx_v_a, __pyx_v_b, __pyx_v_p);
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":320
- * 
- * 
- * cdef int64_t trace_one(uint64_t a, uint64_t b, uint64_t p, uint64_t naive_limit) noexcept nogil:             # <<<<<<<<<<<<<<
- *     if p < naive_limit:
- *         return trace_naive(a, b, p)
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":326
- * 
- * 
- * def primes_below(limit):             # <<<<<<<<<<<<<<
- *     """Ascending list of all primes p < limit."""
- *     cdef uint64_t n = 0, i, j, lim
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_3bpx_9_eckernel_1primes_below(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_3bpx_9_eckernel_primes_below, "Ascending list of all primes p < limit.");
-static PyMethodDef __pyx_mdef_3bpx_9_eckernel_1primes_below = {"primes_below", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_3bpx_9_eckernel_1primes_below, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_3bpx_9_eckernel_primes_below};
-static PyObject *__pyx_pw_3bpx_9_eckernel_1primes_below(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_limit = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[1] = {0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("primes_below (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_limit,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 326, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 326, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "primes_below", 0) < (0)) __PYX_ERR(0, 326, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 1; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("primes_below", 1, 1, 1, i); __PYX_ERR(0, 326, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 1)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 326, __pyx_L3_error)
-    }
-    __pyx_v_limit = values[0];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("primes_below", 1, 1, 1, __pyx_nargs); __PYX_ERR(0, 326, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bpx._eckernel.primes_below", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_3bpx_9_eckernel_primes_below(__pyx_self, __pyx_v_limit);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_3bpx_9_eckernel_primes_below(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_limit) {
-  CYTHON_UNUSED uint64_t __pyx_v_n;
-  uint64_t __pyx_v_i;
-  uint64_t __pyx_v_j;
-  uint64_t __pyx_v_lim;
-  uint8_t *__pyx_v_flags;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  uint64_t __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *__pyx_t_6 = NULL;
-  size_t __pyx_t_7;
-  uint64_t __pyx_t_8;
-  uint64_t __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  char const *__pyx_t_13;
-  PyObject *__pyx_t_14 = NULL;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("primes_below", 0);
-
-  /* "bpx/_eckernel.pyx":328
- * def primes_below(limit):
- *     """Ascending list of all primes p < limit."""
- *     cdef uint64_t n = 0, i, j, lim             # <<<<<<<<<<<<<<
- *     if limit <= 2:
- *         return []
-*/
-  __pyx_v_n = 0;
-
-  /* "bpx/_eckernel.pyx":329
- *     """Ascending list of all primes p < limit."""
- *     cdef uint64_t n = 0, i, j, lim
- *     if limit <= 2:             # <<<<<<<<<<<<<<
- *         return []
- *     lim = <uint64_t> limit
-*/
-  __pyx_t_1 = PyObject_RichCompare(__pyx_v_limit, __pyx_mstate_global->__pyx_int_2, Py_LE); __Pyx_XGOTREF(__pyx_t_1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 329, __pyx_L1_error)
-  __pyx_t_2 = __Pyx_PyObject_IsTrue(__pyx_t_1); if (unlikely((__pyx_t_2 < 0))) __PYX_ERR(0, 329, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  if (__pyx_t_2) {
-
-    /* "bpx/_eckernel.pyx":330
- *     cdef uint64_t n = 0, i, j, lim
- *     if limit <= 2:
- *         return []             # <<<<<<<<<<<<<<
- *     lim = <uint64_t> limit
- *     cdef uint8_t* flags = <uint8_t*> malloc(lim)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 330, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_r = __pyx_t_1;
-    __pyx_t_1 = 0;
-    goto __pyx_L0;
-
-    /* "bpx/_eckernel.pyx":329
- *     """Ascending list of all primes p < limit."""
- *     cdef uint64_t n = 0, i, j, lim
- *     if limit <= 2:             # <<<<<<<<<<<<<<
- *         return []
- *     lim = <uint64_t> limit
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":331
- *     if limit <= 2:
- *         return []
- *     lim = <uint64_t> limit             # <<<<<<<<<<<<<<
- *     cdef uint8_t* flags = <uint8_t*> malloc(lim)
- *     if flags == NULL:
-*/
-  __pyx_t_3 = __Pyx_PyLong_As_uint64_t(__pyx_v_limit); if (unlikely((__pyx_t_3 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 331, __pyx_L1_error)
-  __pyx_v_lim = ((uint64_t)__pyx_t_3);
-
-  /* "bpx/_eckernel.pyx":332
- *         return []
- *     lim = <uint64_t> limit
- *     cdef uint8_t* flags = <uint8_t*> malloc(lim)             # <<<<<<<<<<<<<<
- *     if flags == NULL:
- *         raise MemoryError(f"sieve of size {limit}")
-*/
-  __pyx_v_flags = ((uint8_t *)malloc(__pyx_v_lim));
-
-  /* "bpx/_eckernel.pyx":333
- *     lim = <uint64_t> limit
- *     cdef uint8_t* flags = <uint8_t*> malloc(lim)
- *     if flags == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError(f"sieve of size {limit}")
- *     out = []
-*/
-  __pyx_t_2 = (__pyx_v_flags == NULL);
-  if (unlikely(__pyx_t_2)) {
-
-    /* "bpx/_eckernel.pyx":334
- *     cdef uint8_t* flags = <uint8_t*> malloc(lim)
- *     if flags == NULL:
- *         raise MemoryError(f"sieve of size {limit}")             # <<<<<<<<<<<<<<
- *     out = []
- *     try:
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = __Pyx_PyObject_FormatSimple(__pyx_v_limit, __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 334, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_5);
-    __pyx_t_6 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_sieve_of_size, __pyx_t_5); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 334, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-    __pyx_t_7 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_6};
-      __pyx_t_1 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_MemoryError)), __pyx_callargs+__pyx_t_7, (2-__pyx_t_7) | (__pyx_t_7*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-      if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 334, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-    }
-    __Pyx_Raise(__pyx_t_1, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __PYX_ERR(0, 334, __pyx_L1_error)
-
-    /* "bpx/_eckernel.pyx":333
- *     lim = <uint64_t> limit
- *     cdef uint8_t* flags = <uint8_t*> malloc(lim)
- *     if flags == NULL:             # <<<<<<<<<<<<<<
- *         raise MemoryError(f"sieve of size {limit}")
- *     out = []
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":335
- *     if flags == NULL:
- *         raise MemoryError(f"sieve of size {limit}")
- *     out = []             # <<<<<<<<<<<<<<
- *     try:
- *         with nogil:
-*/
-  __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 335, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_v_out = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "bpx/_eckernel.pyx":336
- *         raise MemoryError(f"sieve of size {limit}")
- *     out = []
- *     try:             # <<<<<<<<<<<<<<
- *         with nogil:
- *             for i in range(lim):
-*/
-  /*try:*/ {
-
-    /* "bpx/_eckernel.pyx":337
- *     out = []
- *     try:
- *         with nogil:             # <<<<<<<<<<<<<<
- *             for i in range(lim):
- *                 flags[i] = 1
-*/
-    {
-        PyThreadState * _save;
-        _save = PyEval_SaveThread();
-        __Pyx_FastGIL_Remember();
-        /*try:*/ {
-
-          /* "bpx/_eckernel.pyx":338
- *     try:
- *         with nogil:
- *             for i in range(lim):             # <<<<<<<<<<<<<<
- *                 flags[i] = 1
- *             flags[0] = 0
-*/
-          __pyx_t_3 = __pyx_v_lim;
-          __pyx_t_8 = __pyx_t_3;
-          for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-            __pyx_v_i = __pyx_t_9;
-
-            /* "bpx/_eckernel.pyx":339
- *         with nogil:
- *             for i in range(lim):
- *                 flags[i] = 1             # <<<<<<<<<<<<<<
- *             flags[0] = 0
- *             flags[1] = 0
-*/
-            (__pyx_v_flags[__pyx_v_i]) = 1;
-          }
-
-          /* "bpx/_eckernel.pyx":340
- *             for i in range(lim):
- *                 flags[i] = 1
- *             flags[0] = 0             # <<<<<<<<<<<<<<
- *             flags[1] = 0
- *             i = 2
-*/
-          (__pyx_v_flags[0]) = 0;
-
-          /* "bpx/_eckernel.pyx":341
- *                 flags[i] = 1
- *             flags[0] = 0
- *             flags[1] = 0             # <<<<<<<<<<<<<<
- *             i = 2
- *             while i * i < lim:
-*/
-          (__pyx_v_flags[1]) = 0;
-
-          /* "bpx/_eckernel.pyx":342
- *             flags[0] = 0
- *             flags[1] = 0
- *             i = 2             # <<<<<<<<<<<<<<
- *             while i * i < lim:
- *                 if flags[i]:
-*/
-          __pyx_v_i = 2;
-
-          /* "bpx/_eckernel.pyx":343
- *             flags[1] = 0
- *             i = 2
- *             while i * i < lim:             # <<<<<<<<<<<<<<
- *                 if flags[i]:
- *                     j = i * i
-*/
-          while (1) {
-            __pyx_t_2 = ((__pyx_v_i * __pyx_v_i) < __pyx_v_lim);
-            if (!__pyx_t_2) break;
-
-            /* "bpx/_eckernel.pyx":344
- *             i = 2
- *             while i * i < lim:
- *                 if flags[i]:             # <<<<<<<<<<<<<<
- *                     j = i * i
- *                     while j < lim:
-*/
-            __pyx_t_2 = ((__pyx_v_flags[__pyx_v_i]) != 0);
-            if (__pyx_t_2) {
-
-              /* "bpx/_eckernel.pyx":345
- *             while i * i < lim:
- *                 if flags[i]:
- *                     j = i * i             # <<<<<<<<<<<<<<
- *                     while j < lim:
- *                         flags[j] = 0
-*/
-              __pyx_v_j = (__pyx_v_i * __pyx_v_i);
-
-              /* "bpx/_eckernel.pyx":346
- *                 if flags[i]:
- *                     j = i * i
- *                     while j < lim:             # <<<<<<<<<<<<<<
- *                         flags[j] = 0
- *                         j += i
-*/
-              while (1) {
-                __pyx_t_2 = (__pyx_v_j < __pyx_v_lim);
-                if (!__pyx_t_2) break;
-
-                /* "bpx/_eckernel.pyx":347
- *                     j = i * i
- *                     while j < lim:
- *                         flags[j] = 0             # <<<<<<<<<<<<<<
- *                         j += i
- *                 i += 1
-*/
-                (__pyx_v_flags[__pyx_v_j]) = 0;
-
-                /* "bpx/_eckernel.pyx":348
- *                     while j < lim:
- *                         flags[j] = 0
- *                         j += i             # <<<<<<<<<<<<<<
- *                 i += 1
- *         for i in range(lim):
-*/
-                __pyx_v_j = (__pyx_v_j + __pyx_v_i);
-              }
-
-              /* "bpx/_eckernel.pyx":344
- *             i = 2
- *             while i * i < lim:
- *                 if flags[i]:             # <<<<<<<<<<<<<<
- *                     j = i * i
- *                     while j < lim:
-*/
-            }
-
-            /* "bpx/_eckernel.pyx":349
- *                         flags[j] = 0
- *                         j += i
- *                 i += 1             # <<<<<<<<<<<<<<
- *         for i in range(lim):
- *             if flags[i]:
-*/
-            __pyx_v_i = (__pyx_v_i + 1);
-          }
-        }
-
-        /* "bpx/_eckernel.pyx":337
- *     out = []
- *     try:
- *         with nogil:             # <<<<<<<<<<<<<<
- *             for i in range(lim):
- *                 flags[i] = 1
-*/
-        /*finally:*/ {
-          /*normal exit:*/{
-            __Pyx_FastGIL_Forget();
-            PyEval_RestoreThread(_save);
-            goto __pyx_L10;
-          }
-          __pyx_L10:;
-        }
-    }
-
-    /* "bpx/_eckernel.pyx":350
- *                         j += i
- *                 i += 1
- *         for i in range(lim):             # <<<<<<<<<<<<<<
- *             if flags[i]:
- *                 out.append(i)
-*/
-    __pyx_t_3 = __pyx_v_lim;
-    __pyx_t_8 = __pyx_t_3;
-    for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-      __pyx_v_i = __pyx_t_9;
-
-      /* "bpx/_eckernel.pyx":351
- *                 i += 1
- *         for i in range(lim):
- *             if flags[i]:             # <<<<<<<<<<<<<<
- *                 out.append(i)
- *     finally:
-*/
-      __pyx_t_2 = ((__pyx_v_flags[__pyx_v_i]) != 0);
-      if (__pyx_t_2) {
-
-        /* "bpx/_eckernel.pyx":352
- *         for i in range(lim):
- *             if flags[i]:
- *                 out.append(i)             # <<<<<<<<<<<<<<
- *     finally:
- *         free(flags)
-*/
-        __pyx_t_1 = __Pyx_PyLong_From_uint64_t(__pyx_v_i); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 352, __pyx_L6_error)
-        __Pyx_GOTREF(__pyx_t_1);
-        __pyx_t_10 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_1); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 352, __pyx_L6_error)
-        __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-
-        /* "bpx/_eckernel.pyx":351
- *                 i += 1
- *         for i in range(lim):
- *             if flags[i]:             # <<<<<<<<<<<<<<
- *                 out.append(i)
- *     finally:
-*/
-      }
-    }
-  }
-
-  /* "bpx/_eckernel.pyx":354
- *                 out.append(i)
- *     finally:
- *         free(flags)             # <<<<<<<<<<<<<<
- *     return out
- * 
-*/
-  /*finally:*/ {
-    /*normal exit:*/{
-      free(__pyx_v_flags);
-      goto __pyx_L7;
-    }
-    __pyx_L6_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_14 = 0; __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0;
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_XDECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __Pyx_XDECREF(__pyx_t_6); __pyx_t_6 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_17, &__pyx_t_18, &__pyx_t_19);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_14, &__pyx_t_15, &__pyx_t_16) < 0)) __Pyx_ErrFetch(&__pyx_t_14, &__pyx_t_15, &__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_14);
-      __Pyx_XGOTREF(__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __pyx_t_11 = __pyx_lineno; __pyx_t_12 = __pyx_clineno; __pyx_t_13 = __pyx_filename;
-      {
-        free(__pyx_v_flags);
-      }
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_ExceptionReset(__pyx_t_17, __pyx_t_18, __pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_14);
-      __Pyx_XGIVEREF(__pyx_t_15);
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_ErrRestore(__pyx_t_14, __pyx_t_15, __pyx_t_16);
-      __pyx_t_14 = 0; __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0;
-      __pyx_lineno = __pyx_t_11; __pyx_clineno = __pyx_t_12; __pyx_filename = __pyx_t_13;
-      goto __pyx_L1_error;
-    }
-    __pyx_L7:;
-  }
-
-  /* "bpx/_eckernel.pyx":355
- *     finally:
- *         free(flags)
- *     return out             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __Pyx_INCREF(__pyx_v_out);
-  __pyx_r = __pyx_v_out;
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":326
- * 
- * 
- * def primes_below(limit):             # <<<<<<<<<<<<<<
- *     """Ascending list of all primes p < limit."""
- *     cdef uint64_t n = 0, i, j, lim
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_AddTraceback("bpx._eckernel.primes_below", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":358
- * 
- * 
- * def ec_trace(a, b, p, naive_limit=10000):             # <<<<<<<<<<<<<<
- *     """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime)."""
- *     cdef uint64_t pp = <uint64_t> p
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_3bpx_9_eckernel_3ec_trace(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_3bpx_9_eckernel_2ec_trace, "Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime).");
-static PyMethodDef __pyx_mdef_3bpx_9_eckernel_3ec_trace = {"ec_trace", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_3bpx_9_eckernel_3ec_trace, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_3bpx_9_eckernel_2ec_trace};
-static PyObject *__pyx_pw_3bpx_9_eckernel_3ec_trace(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_a = 0;
-  PyObject *__pyx_v_b = 0;
-  PyObject *__pyx_v_p = 0;
-  PyObject *__pyx_v_naive_limit = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[4] = {0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("ec_trace (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_a,&__pyx_mstate_global->__pyx_n_u_b,&__pyx_mstate_global->__pyx_n_u_p,&__pyx_mstate_global->__pyx_n_u_naive_limit,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 358, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 358, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 358, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 358, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 358, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "ec_trace", 0) < (0)) __PYX_ERR(0, 358, __pyx_L3_error)
-      if (!values[3]) values[3] = __Pyx_NewRef(((PyObject *)((PyObject*)__pyx_mstate_global->__pyx_int_10000)));
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("ec_trace", 0, 3, 4, i); __PYX_ERR(0, 358, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 358, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 358, __pyx_L3_error)
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 358, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 358, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[3]) values[3] = __Pyx_NewRef(((PyObject *)((PyObject*)__pyx_mstate_global->__pyx_int_10000)));
-    }
-    __pyx_v_a = values[0];
-    __pyx_v_b = values[1];
-    __pyx_v_p = values[2];
-    __pyx_v_naive_limit = values[3];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("ec_trace", 0, 3, 4, __pyx_nargs); __PYX_ERR(0, 358, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bpx._eckernel.ec_trace", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_3bpx_9_eckernel_2ec_trace(__pyx_self, __pyx_v_a, __pyx_v_b, __pyx_v_p, __pyx_v_naive_limit);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_3bpx_9_eckernel_2ec_trace(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_a, PyObject *__pyx_v_b, PyObject *__pyx_v_p, PyObject *__pyx_v_naive_limit) {
-  uint64_t __pyx_v_pp;
-  uint64_t __pyx_v_aa;
-  uint64_t __pyx_v_bb;
-  int64_t __pyx_v_t;
-  uint64_t __pyx_v_nl;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  uint64_t __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  size_t __pyx_t_5;
-  PyObject *__pyx_t_6 = NULL;
-  PyObject *__pyx_t_7 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("ec_trace", 0);
-
-  /* "bpx/_eckernel.pyx":360
- * def ec_trace(a, b, p, naive_limit=10000):
- *     """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime)."""
- *     cdef uint64_t pp = <uint64_t> p             # <<<<<<<<<<<<<<
- *     if p >= (1 << 31):
- *         raise OverflowError("compiled kernel supports p < 2**31")
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_uint64_t(__pyx_v_p); if (unlikely((__pyx_t_1 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 360, __pyx_L1_error)
-  __pyx_v_pp = ((uint64_t)__pyx_t_1);
-
-  /* "bpx/_eckernel.pyx":361
- *     """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime)."""
- *     cdef uint64_t pp = <uint64_t> p
- *     if p >= (1 << 31):             # <<<<<<<<<<<<<<
- *         raise OverflowError("compiled kernel supports p < 2**31")
- *     cdef uint64_t aa = <uint64_t> (a % p), bb = <uint64_t> (b % p)
-*/
-  __pyx_t_2 = PyObject_RichCompare(__pyx_v_p, __pyx_mstate_global->__pyx_int_2147483648, Py_GE); __Pyx_XGOTREF(__pyx_t_2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 361, __pyx_L1_error)
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_t_2); if (unlikely((__pyx_t_3 < 0))) __PYX_ERR(0, 361, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  if (unlikely(__pyx_t_3)) {
-
-    /* "bpx/_eckernel.pyx":362
- *     cdef uint64_t pp = <uint64_t> p
- *     if p >= (1 << 31):
- *         raise OverflowError("compiled kernel supports p < 2**31")             # <<<<<<<<<<<<<<
- *     cdef uint64_t aa = <uint64_t> (a % p), bb = <uint64_t> (b % p)
- *     if (4 * aa % pp * aa % pp * aa + 27 * bb * bb) % pp == 0:
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_mstate_global->__pyx_kp_u_compiled_kernel_supports_p_2_31};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_OverflowError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 362, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __PYX_ERR(0, 362, __pyx_L1_error)
-
-    /* "bpx/_eckernel.pyx":361
- *     """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime)."""
- *     cdef uint64_t pp = <uint64_t> p
- *     if p >= (1 << 31):             # <<<<<<<<<<<<<<
- *         raise OverflowError("compiled kernel supports p < 2**31")
- *     cdef uint64_t aa = <uint64_t> (a % p), bb = <uint64_t> (b % p)
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":363
- *     if p >= (1 << 31):
- *         raise OverflowError("compiled kernel supports p < 2**31")
- *     cdef uint64_t aa = <uint64_t> (a % p), bb = <uint64_t> (b % p)             # <<<<<<<<<<<<<<
- *     if (4 * aa % pp * aa % pp * aa + 27 * bb * bb) % pp == 0:
- *         raise ValueError(f"singular curve mod {p}")
-*/
-  __pyx_t_2 = PyNumber_Remainder(__pyx_v_a, __pyx_v_p); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 363, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_1 = __Pyx_PyLong_As_uint64_t(__pyx_t_2); if (unlikely((__pyx_t_1 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 363, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_aa = ((uint64_t)__pyx_t_1);
-  __pyx_t_2 = PyNumber_Remainder(__pyx_v_b, __pyx_v_p); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 363, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_1 = __Pyx_PyLong_As_uint64_t(__pyx_t_2); if (unlikely((__pyx_t_1 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 363, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_v_bb = ((uint64_t)__pyx_t_1);
-
-  /* "bpx/_eckernel.pyx":364
- *         raise OverflowError("compiled kernel supports p < 2**31")
- *     cdef uint64_t aa = <uint64_t> (a % p), bb = <uint64_t> (b % p)
- *     if (4 * aa % pp * aa % pp * aa + 27 * bb * bb) % pp == 0:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"singular curve mod {p}")
- *     cdef int64_t t
-*/
-  __pyx_t_3 = ((((((((4 * __pyx_v_aa) % __pyx_v_pp) * __pyx_v_aa) % __pyx_v_pp) * __pyx_v_aa) + ((27 * __pyx_v_bb) * __pyx_v_bb)) % __pyx_v_pp) == 0);
-  if (unlikely(__pyx_t_3)) {
-
-    /* "bpx/_eckernel.pyx":365
- *     cdef uint64_t aa = <uint64_t> (a % p), bb = <uint64_t> (b % p)
- *     if (4 * aa % pp * aa % pp * aa + 27 * bb * bb) % pp == 0:
- *         raise ValueError(f"singular curve mod {p}")             # <<<<<<<<<<<<<<
- *     cdef int64_t t
- *     cdef uint64_t nl = <uint64_t> naive_limit
-*/
-    __pyx_t_4 = NULL;
-    __pyx_t_6 = __Pyx_PyObject_FormatSimple(__pyx_v_p, __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_6)) __PYX_ERR(0, 365, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_6);
-    __pyx_t_7 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_singular_curve_mod, __pyx_t_6); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 365, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    __Pyx_DECREF(__pyx_t_6); __pyx_t_6 = 0;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_4, __pyx_t_7};
-      __pyx_t_2 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 365, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-    }
-    __Pyx_Raise(__pyx_t_2, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    __PYX_ERR(0, 365, __pyx_L1_error)
-
-    /* "bpx/_eckernel.pyx":364
- *         raise OverflowError("compiled kernel supports p < 2**31")
- *     cdef uint64_t aa = <uint64_t> (a % p), bb = <uint64_t> (b % p)
- *     if (4 * aa % pp * aa % pp * aa + 27 * bb * bb) % pp == 0:             # <<<<<<<<<<<<<<
- *         raise ValueError(f"singular curve mod {p}")
- *     cdef int64_t t
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":367
- *         raise ValueError(f"singular curve mod {p}")
- *     cdef int64_t t
- *     cdef uint64_t nl = <uint64_t> naive_limit             # <<<<<<<<<<<<<<
- *     with nogil:
- *         t = trace_one(aa, bb, pp, nl)
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_uint64_t(__pyx_v_naive_limit); if (unlikely((__pyx_t_1 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 367, __pyx_L1_error)
-  __pyx_v_nl = ((uint64_t)__pyx_t_1);
-
-  /* "bpx/_eckernel.pyx":368
- *     cdef int64_t t
- *     cdef uint64_t nl = <uint64_t> naive_limit
- *     with nogil:             # <<<<<<<<<<<<<<
- *         t = trace_one(aa, bb, pp, nl)
- *     if t >= (1 << 39):
-*/
-  {
-      PyThreadState * _save;
-      _save = PyEval_SaveThread();
-      __Pyx_FastGIL_Remember();
-      /*try:*/ {
-
-        /* "bpx/_eckernel.pyx":369
- *     cdef uint64_t nl = <uint64_t> naive_limit
- *     with nogil:
- *         t = trace_one(aa, bb, pp, nl)             # <<<<<<<<<<<<<<
- *     if t >= (1 << 39):
- *         raise MemoryError("trace kernel allocation failed")
-*/
-        __pyx_v_t = __pyx_f_3bpx_9_eckernel_trace_one(__pyx_v_aa, __pyx_v_bb, __pyx_v_pp, __pyx_v_nl);
-      }
-
-      /* "bpx/_eckernel.pyx":368
- *     cdef int64_t t
- *     cdef uint64_t nl = <uint64_t> naive_limit
- *     with nogil:             # <<<<<<<<<<<<<<
- *         t = trace_one(aa, bb, pp, nl)
- *     if t >= (1 << 39):
-*/
-      /*finally:*/ {
-        /*normal exit:*/{
-          __Pyx_FastGIL_Forget();
-          PyEval_RestoreThread(_save);
-          goto __pyx_L7;
-        }
-        __pyx_L7:;
-      }
-  }
-
-  /* "bpx/_eckernel.pyx":370
- *     with nogil:
- *         t = trace_one(aa, bb, pp, nl)
- *     if t >= (1 << 39):             # <<<<<<<<<<<<<<
- *         raise MemoryError("trace kernel allocation failed")
- *     return t
-*/
-  __pyx_t_2 = __Pyx_PyLong_From_int64_t(__pyx_v_t); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 370, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_7 = PyObject_RichCompare(__pyx_t_2, __pyx_mstate_global->__pyx_int_549755813888, Py_GE); __Pyx_XGOTREF(__pyx_t_7); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 370, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-  __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_t_7); if (unlikely((__pyx_t_3 < 0))) __PYX_ERR(0, 370, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-  if (unlikely(__pyx_t_3)) {
-
-    /* "bpx/_eckernel.pyx":371
- *         t = trace_one(aa, bb, pp, nl)
- *     if t >= (1 << 39):
- *         raise MemoryError("trace kernel allocation failed")             # <<<<<<<<<<<<<<
- *     return t
- * 
-*/
-    __pyx_t_2 = NULL;
-    __pyx_t_5 = 1;
-    {
-      PyObject *__pyx_callargs[2] = {__pyx_t_2, __pyx_mstate_global->__pyx_kp_u_trace_kernel_allocation_failed};
-      __pyx_t_7 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_MemoryError)), __pyx_callargs+__pyx_t_5, (2-__pyx_t_5) | (__pyx_t_5*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 371, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_7);
-    }
-    __Pyx_Raise(__pyx_t_7, 0, 0, 0);
-    __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-    __PYX_ERR(0, 371, __pyx_L1_error)
-
-    /* "bpx/_eckernel.pyx":370
- *     with nogil:
- *         t = trace_one(aa, bb, pp, nl)
- *     if t >= (1 << 39):             # <<<<<<<<<<<<<<
- *         raise MemoryError("trace kernel allocation failed")
- *     return t
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":372
- *     if t >= (1 << 39):
- *         raise MemoryError("trace kernel allocation failed")
- *     return t             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __Pyx_XDECREF(__pyx_r);
-  __pyx_t_7 = __Pyx_PyLong_From_int64_t(__pyx_v_t); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 372, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_7);
-  __pyx_r = __pyx_t_7;
-  __pyx_t_7 = 0;
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":358
- * 
- * 
- * def ec_trace(a, b, p, naive_limit=10000):             # <<<<<<<<<<<<<<
- *     """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime)."""
- *     cdef uint64_t pp = <uint64_t> p
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_6);
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_AddTraceback("bpx._eckernel.ec_trace", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":375
- * 
- * 
- * cdef inline uint64_t fq2_mul(uint64_t x, uint64_t y, uint64_t l, uint64_t ns) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t xu = x / l, xv = x % l, yu = y / l, yv = y % l
- *     return ((xu * yu + xv * yv % l * ns) % l) * l + (xu * yv + xv * yu) % l
-*/
-
-static CYTHON_INLINE uint64_t __pyx_f_3bpx_9_eckernel_fq2_mul(uint64_t __pyx_v_x, uint64_t __pyx_v_y, uint64_t __pyx_v_l, uint64_t __pyx_v_ns) {
-  uint64_t __pyx_v_xu;
-  uint64_t __pyx_v_xv;
-  uint64_t __pyx_v_yu;
-  uint64_t __pyx_v_yv;
-  uint64_t __pyx_r;
-
-  /* "bpx/_eckernel.pyx":376
- * 
- * cdef inline uint64_t fq2_mul(uint64_t x, uint64_t y, uint64_t l, uint64_t ns) noexcept nogil:
- *     cdef uint64_t xu = x / l, xv = x % l, yu = y / l, yv = y % l             # <<<<<<<<<<<<<<
- *     return ((xu * yu + xv * yv % l * ns) % l) * l + (xu * yv + xv * yu) % l
- * 
-*/
-  __pyx_v_xu = (__pyx_v_x / __pyx_v_l);
-  __pyx_v_xv = (__pyx_v_x % __pyx_v_l);
-  __pyx_v_yu = (__pyx_v_y / __pyx_v_l);
-  __pyx_v_yv = (__pyx_v_y % __pyx_v_l);
-
-  /* "bpx/_eckernel.pyx":377
- * cdef inline uint64_t fq2_mul(uint64_t x, uint64_t y, uint64_t l, uint64_t ns) noexcept nogil:
- *     cdef uint64_t xu = x / l, xv = x % l, yu = y / l, yv = y % l
- *     return ((xu * yu + xv * yv % l * ns) % l) * l + (xu * yv + xv * yu) % l             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = (((((__pyx_v_xu * __pyx_v_yu) + (((__pyx_v_xv * __pyx_v_yv) % __pyx_v_l) * __pyx_v_ns)) % __pyx_v_l) * __pyx_v_l) + (((__pyx_v_xu * __pyx_v_yv) + (__pyx_v_xv * __pyx_v_yu)) % __pyx_v_l));
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":375
- * 
- * 
- * cdef inline uint64_t fq2_mul(uint64_t x, uint64_t y, uint64_t l, uint64_t ns) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t xu = x / l, xv = x % l, yu = y / l, yv = y % l
- *     return ((xu * yu + xv * yv % l * ns) % l) * l + (xu * yv + xv * yu) % l
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":380
- * 
- * 
- * cdef inline uint64_t fq2_sub(uint64_t x, uint64_t y, uint64_t l) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return ((x / l + l - y / l) % l) * l + (x % l + l - y % l) % l
- * 
-*/
-
-static CYTHON_INLINE uint64_t __pyx_f_3bpx_9_eckernel_fq2_sub(uint64_t __pyx_v_x, uint64_t __pyx_v_y, uint64_t __pyx_v_l) {
-  uint64_t __pyx_r;
-
-  /* "bpx/_eckernel.pyx":381
- * 
- * cdef inline uint64_t fq2_sub(uint64_t x, uint64_t y, uint64_t l) noexcept nogil:
- *     return ((x / l + l - y / l) % l) * l + (x % l + l - y % l) % l             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((((((__pyx_v_x / __pyx_v_l) + __pyx_v_l) - (__pyx_v_y / __pyx_v_l)) % __pyx_v_l) * __pyx_v_l) + ((((__pyx_v_x % __pyx_v_l) + __pyx_v_l) - (__pyx_v_y % __pyx_v_l)) % __pyx_v_l));
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":380
- * 
- * 
- * cdef inline uint64_t fq2_sub(uint64_t x, uint64_t y, uint64_t l) noexcept nogil:             # <<<<<<<<<<<<<<
- *     return ((x / l + l - y / l) % l) * l + (x % l + l - y % l) % l
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":384
- * 
- * 
- * cdef uint64_t fq2_inv(uint64_t x, uint64_t l, uint64_t ns) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t xu = x / l, xv = x % l
- *     cdef uint64_t n = (xu * xu + (l - 1) * (xv * xv % l) % l * ns) % l
-*/
-
-static uint64_t __pyx_f_3bpx_9_eckernel_fq2_inv(uint64_t __pyx_v_x, uint64_t __pyx_v_l, uint64_t __pyx_v_ns) {
-  uint64_t __pyx_v_xu;
-  uint64_t __pyx_v_xv;
-  uint64_t __pyx_v_n;
-  uint64_t __pyx_v_ni;
-  uint64_t __pyx_r;
-
-  /* "bpx/_eckernel.pyx":385
- * 
- * cdef uint64_t fq2_inv(uint64_t x, uint64_t l, uint64_t ns) noexcept nogil:
- *     cdef uint64_t xu = x / l, xv = x % l             # <<<<<<<<<<<<<<
- *     cdef uint64_t n = (xu * xu + (l - 1) * (xv * xv % l) % l * ns) % l
- *     cdef uint64_t ni = invmod(n, l)
-*/
-  __pyx_v_xu = (__pyx_v_x / __pyx_v_l);
-  __pyx_v_xv = (__pyx_v_x % __pyx_v_l);
-
-  /* "bpx/_eckernel.pyx":386
- * cdef uint64_t fq2_inv(uint64_t x, uint64_t l, uint64_t ns) noexcept nogil:
- *     cdef uint64_t xu = x / l, xv = x % l
- *     cdef uint64_t n = (xu * xu + (l - 1) * (xv * xv % l) % l * ns) % l             # <<<<<<<<<<<<<<
- *     cdef uint64_t ni = invmod(n, l)
- *     return (xu * ni % l) * l + (l - xv) % l * ni % l
-*/
-  __pyx_v_n = (((__pyx_v_xu * __pyx_v_xu) + ((((__pyx_v_l - 1) * ((__pyx_v_xv * __pyx_v_xv) % __pyx_v_l)) % __pyx_v_l) * __pyx_v_ns)) % __pyx_v_l);
-
-  /* "bpx/_eckernel.pyx":387
- *     cdef uint64_t xu = x / l, xv = x % l
- *     cdef uint64_t n = (xu * xu + (l - 1) * (xv * xv % l) % l * ns) % l
- *     cdef uint64_t ni = invmod(n, l)             # <<<<<<<<<<<<<<
- *     return (xu * ni % l) * l + (l - xv) % l * ni % l
- * 
-*/
-  __pyx_v_ni = __pyx_f_3bpx_9_eckernel_invmod(__pyx_v_n, __pyx_v_l);
-
-  /* "bpx/_eckernel.pyx":388
- *     cdef uint64_t n = (xu * xu + (l - 1) * (xv * xv % l) % l * ns) % l
- *     cdef uint64_t ni = invmod(n, l)
- *     return (xu * ni % l) * l + (l - xv) % l * ni % l             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((((__pyx_v_xu * __pyx_v_ni) % __pyx_v_l) * __pyx_v_l) + ((((__pyx_v_l - __pyx_v_xv) % __pyx_v_l) * __pyx_v_ni) % __pyx_v_l));
-  goto __pyx_L0;
-
-  /* "bpx/_eckernel.pyx":384
- * 
- * 
- * cdef uint64_t fq2_inv(uint64_t x, uint64_t l, uint64_t ns) noexcept nogil:             # <<<<<<<<<<<<<<
- *     cdef uint64_t xu = x / l, xv = x % l
- *     cdef uint64_t n = (xu * xu + (l - 1) * (xv * xv % l) % l * ns) % l
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":391
- * 
- * 
- * def supersingular_js_fq2(ell, nonres):             # <<<<<<<<<<<<<<
- *     """Supersingular j-invariants in F_(l^2) by point counting; see the
- *     pure-Python twin for the encoding (u + v*w as u*l + v, v <= (l-1)/2)."""
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_3bpx_9_eckernel_5supersingular_js_fq2(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_3bpx_9_eckernel_4supersingular_js_fq2, "Supersingular j-invariants in F_(l^2) by point counting; see the\n    pure-Python twin for the encoding (u + v*w as u*l + v, v <= (l-1)/2).");
-static PyMethodDef __pyx_mdef_3bpx_9_eckernel_5supersingular_js_fq2 = {"supersingular_js_fq2", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_3bpx_9_eckernel_5supersingular_js_fq2, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_3bpx_9_eckernel_4supersingular_js_fq2};
-static PyObject *__pyx_pw_3bpx_9_eckernel_5supersingular_js_fq2(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_ell = 0;
-  PyObject *__pyx_v_nonres = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("supersingular_js_fq2 (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_ell,&__pyx_mstate_global->__pyx_n_u_nonres,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 391, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 391, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 391, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "supersingular_js_fq2", 0) < (0)) __PYX_ERR(0, 391, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("supersingular_js_fq2", 1, 2, 2, i); __PYX_ERR(0, 391, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 391, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 391, __pyx_L3_error)
-    }
-    __pyx_v_ell = values[0];
-    __pyx_v_nonres = values[1];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("supersingular_js_fq2", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 391, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bpx._eckernel.supersingular_js_fq2", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_3bpx_9_eckernel_4supersingular_js_fq2(__pyx_self, __pyx_v_ell, __pyx_v_nonres);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_3bpx_9_eckernel_4supersingular_js_fq2(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_ell, PyObject *__pyx_v_nonres) {
-  uint64_t __pyx_v_l;
-  uint64_t __pyx_v_ns;
-  uint64_t __pyx_v_n2;
-  uint64_t __pyx_v_enc1728;
-  uint64_t __pyx_v_one;
-  uint64_t __pyx_v_ju;
-  uint64_t __pyx_v_jv;
-  uint64_t __pyx_v_j;
-  uint64_t __pyx_v_a;
-  uint64_t __pyx_v_b;
-  uint64_t __pyx_v_x;
-  uint64_t __pyx_v_fx;
-  uint64_t __pyx_v_k;
-  uint64_t __pyx_v_u;
-  uint64_t __pyx_v_v;
-  int64_t __pyx_v_t;
-  uint8_t *__pyx_v_chi;
-  uint64_t *__pyx_v_cube;
-  uint64_t *__pyx_v_found;
-  uint64_t __pyx_v_nfound;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  uint64_t __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  uint64_t __pyx_t_5;
-  uint64_t __pyx_t_6;
-  uint64_t __pyx_t_7;
-  uint64_t __pyx_t_8;
-  uint64_t __pyx_t_9;
-  uint64_t __pyx_t_10;
-  uint64_t __pyx_t_11;
-  uint64_t __pyx_t_12;
-  int64_t __pyx_t_13;
-  int __pyx_t_14;
-  int __pyx_t_15;
-  int __pyx_t_16;
-  char const *__pyx_t_17;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  PyObject *__pyx_t_22 = NULL;
-  PyObject *__pyx_t_23 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("supersingular_js_fq2", 0);
-
-  /* "bpx/_eckernel.pyx":394
- *     """Supersingular j-invariants in F_(l^2) by point counting; see the
- *     pure-Python twin for the encoding (u + v*w as u*l + v, v <= (l-1)/2)."""
- *     cdef uint64_t l = <uint64_t> ell, ns = <uint64_t> nonres             # <<<<<<<<<<<<<<
- *     cdef uint64_t n2 = l * l, enc1728 = (1728 % l) * l, one = l
- *     cdef uint64_t ju, jv, j, a, b, x, fx, k, u, v
-*/
-  __pyx_t_1 = __Pyx_PyLong_As_uint64_t(__pyx_v_ell); if (unlikely((__pyx_t_1 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 394, __pyx_L1_error)
-  __pyx_v_l = ((uint64_t)__pyx_t_1);
-  __pyx_t_1 = __Pyx_PyLong_As_uint64_t(__pyx_v_nonres); if (unlikely((__pyx_t_1 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 394, __pyx_L1_error)
-  __pyx_v_ns = ((uint64_t)__pyx_t_1);
-
-  /* "bpx/_eckernel.pyx":395
- *     pure-Python twin for the encoding (u + v*w as u*l + v, v <= (l-1)/2)."""
- *     cdef uint64_t l = <uint64_t> ell, ns = <uint64_t> nonres
- *     cdef uint64_t n2 = l * l, enc1728 = (1728 % l) * l, one = l             # <<<<<<<<<<<<<<
- *     cdef uint64_t ju, jv, j, a, b, x, fx, k, u, v
- *     cdef int64_t t
-*/
-  __pyx_v_n2 = (__pyx_v_l * __pyx_v_l);
-  __pyx_v_enc1728 = ((0x6C0 % __pyx_v_l) * __pyx_v_l);
-  __pyx_v_one = __pyx_v_l;
-
-  /* "bpx/_eckernel.pyx":398
- *     cdef uint64_t ju, jv, j, a, b, x, fx, k, u, v
- *     cdef int64_t t
- *     cdef uint8_t* chi = <uint8_t*> calloc(n2, 1)             # <<<<<<<<<<<<<<
- *     cdef uint64_t* cube = <uint64_t*> malloc(n2 * sizeof(uint64_t))
- *     cdef uint64_t* found = <uint64_t*> malloc(n2 * sizeof(uint64_t))
-*/
-  __pyx_v_chi = ((uint8_t *)calloc(__pyx_v_n2, 1));
-
-  /* "bpx/_eckernel.pyx":399
- *     cdef int64_t t
- *     cdef uint8_t* chi = <uint8_t*> calloc(n2, 1)
- *     cdef uint64_t* cube = <uint64_t*> malloc(n2 * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *     cdef uint64_t* found = <uint64_t*> malloc(n2 * sizeof(uint64_t))
- *     cdef uint64_t nfound = 0
-*/
-  __pyx_v_cube = ((uint64_t *)malloc((__pyx_v_n2 * (sizeof(uint64_t)))));
-
-  /* "bpx/_eckernel.pyx":400
- *     cdef uint8_t* chi = <uint8_t*> calloc(n2, 1)
- *     cdef uint64_t* cube = <uint64_t*> malloc(n2 * sizeof(uint64_t))
- *     cdef uint64_t* found = <uint64_t*> malloc(n2 * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *     cdef uint64_t nfound = 0
- *     if chi == NULL or cube == NULL or found == NULL:
-*/
-  __pyx_v_found = ((uint64_t *)malloc((__pyx_v_n2 * (sizeof(uint64_t)))));
-
-  /* "bpx/_eckernel.pyx":401
- *     cdef uint64_t* cube = <uint64_t*> malloc(n2 * sizeof(uint64_t))
- *     cdef uint64_t* found = <uint64_t*> malloc(n2 * sizeof(uint64_t))
- *     cdef uint64_t nfound = 0             # <<<<<<<<<<<<<<
- *     if chi == NULL or cube == NULL or found == NULL:
- *         free(chi)
-*/
-  __pyx_v_nfound = 0;
-
-  /* "bpx/_eckernel.pyx":402
- *     cdef uint64_t* found = <uint64_t*> malloc(n2 * sizeof(uint64_t))
- *     cdef uint64_t nfound = 0
- *     if chi == NULL or cube == NULL or found == NULL:             # <<<<<<<<<<<<<<
- *         free(chi)
- *         free(cube)
-*/
-  __pyx_t_3 = (__pyx_v_chi == NULL);
-  if (!__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3 = (__pyx_v_cube == NULL);
-  if (!__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_3 = (__pyx_v_found == NULL);
-  __pyx_t_2 = __pyx_t_3;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_2)) {
-
-    /* "bpx/_eckernel.pyx":403
- *     cdef uint64_t nfound = 0
- *     if chi == NULL or cube == NULL or found == NULL:
- *         free(chi)             # <<<<<<<<<<<<<<
- *         free(cube)
- *         free(found)
-*/
-    free(__pyx_v_chi);
-
-    /* "bpx/_eckernel.pyx":404
- *     if chi == NULL or cube == NULL or found == NULL:
- *         free(chi)
- *         free(cube)             # <<<<<<<<<<<<<<
- *         free(found)
- *         raise MemoryError
-*/
-    free(__pyx_v_cube);
-
-    /* "bpx/_eckernel.pyx":405
- *         free(chi)
- *         free(cube)
- *         free(found)             # <<<<<<<<<<<<<<
- *         raise MemoryError
- *     out = []
-*/
-    free(__pyx_v_found);
-
-    /* "bpx/_eckernel.pyx":406
- *         free(cube)
- *         free(found)
- *         raise MemoryError             # <<<<<<<<<<<<<<
- *     out = []
- *     try:
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 406, __pyx_L1_error)
-
-    /* "bpx/_eckernel.pyx":402
- *     cdef uint64_t* found = <uint64_t*> malloc(n2 * sizeof(uint64_t))
- *     cdef uint64_t nfound = 0
- *     if chi == NULL or cube == NULL or found == NULL:             # <<<<<<<<<<<<<<
- *         free(chi)
- *         free(cube)
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":407
- *         free(found)
- *         raise MemoryError
- *     out = []             # <<<<<<<<<<<<<<
- *     try:
- *         with nogil:
-*/
-  __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 407, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __pyx_v_out = ((PyObject*)__pyx_t_4);
-  __pyx_t_4 = 0;
-
-  /* "bpx/_eckernel.pyx":408
- *         raise MemoryError
- *     out = []
- *     try:             # <<<<<<<<<<<<<<
- *         with nogil:
- *             for u in range(l):
-*/
-  /*try:*/ {
-
-    /* "bpx/_eckernel.pyx":409
- *     out = []
- *     try:
- *         with nogil:             # <<<<<<<<<<<<<<
- *             for u in range(l):
- *                 for v in range(l):
-*/
-    {
-        PyThreadState * _save;
-        _save = PyEval_SaveThread();
-        __Pyx_FastGIL_Remember();
-        /*try:*/ {
-
-          /* "bpx/_eckernel.pyx":410
- *     try:
- *         with nogil:
- *             for u in range(l):             # <<<<<<<<<<<<<<
- *                 for v in range(l):
- *                     chi[((u * u + v * v % l * ns) % l) * l + 2 * u * v % l] = 1
-*/
-          __pyx_t_1 = __pyx_v_l;
-          __pyx_t_5 = __pyx_t_1;
-          for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-            __pyx_v_u = __pyx_t_6;
-
-            /* "bpx/_eckernel.pyx":411
- *         with nogil:
- *             for u in range(l):
- *                 for v in range(l):             # <<<<<<<<<<<<<<
- *                     chi[((u * u + v * v % l * ns) % l) * l + 2 * u * v % l] = 1
- *             chi[0] = 0
-*/
-            __pyx_t_7 = __pyx_v_l;
-            __pyx_t_8 = __pyx_t_7;
-            for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-              __pyx_v_v = __pyx_t_9;
-
-              /* "bpx/_eckernel.pyx":412
- *             for u in range(l):
- *                 for v in range(l):
- *                     chi[((u * u + v * v % l * ns) % l) * l + 2 * u * v % l] = 1             # <<<<<<<<<<<<<<
- *             chi[0] = 0
- *             for x in range(n2):
-*/
-              (__pyx_v_chi[(((((__pyx_v_u * __pyx_v_u) + (((__pyx_v_v * __pyx_v_v) % __pyx_v_l) * __pyx_v_ns)) % __pyx_v_l) * __pyx_v_l) + (((2 * __pyx_v_u) * __pyx_v_v) % __pyx_v_l))]) = 1;
-            }
-          }
-
-          /* "bpx/_eckernel.pyx":413
- *                 for v in range(l):
- *                     chi[((u * u + v * v % l * ns) % l) * l + 2 * u * v % l] = 1
- *             chi[0] = 0             # <<<<<<<<<<<<<<
- *             for x in range(n2):
- *                 cube[x] = fq2_mul(fq2_mul(x, x, l, ns), x, l, ns)
-*/
-          (__pyx_v_chi[0]) = 0;
-
-          /* "bpx/_eckernel.pyx":414
- *                     chi[((u * u + v * v % l * ns) % l) * l + 2 * u * v % l] = 1
- *             chi[0] = 0
- *             for x in range(n2):             # <<<<<<<<<<<<<<
- *                 cube[x] = fq2_mul(fq2_mul(x, x, l, ns), x, l, ns)
- *             for ju in range(l):
-*/
-          __pyx_t_1 = __pyx_v_n2;
-          __pyx_t_5 = __pyx_t_1;
-          for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-            __pyx_v_x = __pyx_t_6;
-
-            /* "bpx/_eckernel.pyx":415
- *             chi[0] = 0
- *             for x in range(n2):
- *                 cube[x] = fq2_mul(fq2_mul(x, x, l, ns), x, l, ns)             # <<<<<<<<<<<<<<
- *             for ju in range(l):
- *                 for jv in range((l + 1) / 2):
-*/
-            (__pyx_v_cube[__pyx_v_x]) = __pyx_f_3bpx_9_eckernel_fq2_mul(__pyx_f_3bpx_9_eckernel_fq2_mul(__pyx_v_x, __pyx_v_x, __pyx_v_l, __pyx_v_ns), __pyx_v_x, __pyx_v_l, __pyx_v_ns);
-          }
-
-          /* "bpx/_eckernel.pyx":416
- *             for x in range(n2):
- *                 cube[x] = fq2_mul(fq2_mul(x, x, l, ns), x, l, ns)
- *             for ju in range(l):             # <<<<<<<<<<<<<<
- *                 for jv in range((l + 1) / 2):
- *                     j = ju * l + jv
-*/
-          __pyx_t_1 = __pyx_v_l;
-          __pyx_t_5 = __pyx_t_1;
-          for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-            __pyx_v_ju = __pyx_t_6;
-
-            /* "bpx/_eckernel.pyx":417
- *                 cube[x] = fq2_mul(fq2_mul(x, x, l, ns), x, l, ns)
- *             for ju in range(l):
- *                 for jv in range((l + 1) / 2):             # <<<<<<<<<<<<<<
- *                     j = ju * l + jv
- *                     if j == 0:
-*/
-            __pyx_t_7 = ((__pyx_v_l + 1) / 2);
-            __pyx_t_8 = __pyx_t_7;
-            for (__pyx_t_9 = 0; __pyx_t_9 < __pyx_t_8; __pyx_t_9+=1) {
-              __pyx_v_jv = __pyx_t_9;
-
-              /* "bpx/_eckernel.pyx":418
- *             for ju in range(l):
- *                 for jv in range((l + 1) / 2):
- *                     j = ju * l + jv             # <<<<<<<<<<<<<<
- *                     if j == 0:
- *                         a = 0
-*/
-              __pyx_v_j = ((__pyx_v_ju * __pyx_v_l) + __pyx_v_jv);
-
-              /* "bpx/_eckernel.pyx":419
- *                 for jv in range((l + 1) / 2):
- *                     j = ju * l + jv
- *                     if j == 0:             # <<<<<<<<<<<<<<
- *                         a = 0
- *                         b = one
-*/
-              __pyx_t_2 = (__pyx_v_j == 0);
-              if (__pyx_t_2) {
-
-                /* "bpx/_eckernel.pyx":420
- *                     j = ju * l + jv
- *                     if j == 0:
- *                         a = 0             # <<<<<<<<<<<<<<
- *                         b = one
- *                     elif j == enc1728:
-*/
-                __pyx_v_a = 0;
-
-                /* "bpx/_eckernel.pyx":421
- *                     if j == 0:
- *                         a = 0
- *                         b = one             # <<<<<<<<<<<<<<
- *                     elif j == enc1728:
- *                         a = one
-*/
-                __pyx_v_b = __pyx_v_one;
-
-                /* "bpx/_eckernel.pyx":419
- *                 for jv in range((l + 1) / 2):
- *                     j = ju * l + jv
- *                     if j == 0:             # <<<<<<<<<<<<<<
- *                         a = 0
- *                         b = one
-*/
-                goto __pyx_L23;
-              }
-
-              /* "bpx/_eckernel.pyx":422
- *                         a = 0
- *                         b = one
- *                     elif j == enc1728:             # <<<<<<<<<<<<<<
- *                         a = one
- *                         b = 0
-*/
-              __pyx_t_2 = (__pyx_v_j == __pyx_v_enc1728);
-              if (__pyx_t_2) {
-
-                /* "bpx/_eckernel.pyx":423
- *                         b = one
- *                     elif j == enc1728:
- *                         a = one             # <<<<<<<<<<<<<<
- *                         b = 0
- *                     else:
-*/
-                __pyx_v_a = __pyx_v_one;
-
-                /* "bpx/_eckernel.pyx":424
- *                     elif j == enc1728:
- *                         a = one
- *                         b = 0             # <<<<<<<<<<<<<<
- *                     else:
- *                         k = fq2_mul(j, fq2_inv(fq2_sub(enc1728, j, l), l, ns), l, ns)
-*/
-                __pyx_v_b = 0;
-
-                /* "bpx/_eckernel.pyx":422
- *                         a = 0
- *                         b = one
- *                     elif j == enc1728:             # <<<<<<<<<<<<<<
- *                         a = one
- *                         b = 0
-*/
-                goto __pyx_L23;
-              }
-
-              /* "bpx/_eckernel.pyx":426
- *                         b = 0
- *                     else:
- *                         k = fq2_mul(j, fq2_inv(fq2_sub(enc1728, j, l), l, ns), l, ns)             # <<<<<<<<<<<<<<
- *                         a = fq2_mul(3 * l, k, l, ns)
- *                         b = fq2_mul(2 * l, k, l, ns)
-*/
-              /*else*/ {
-                __pyx_v_k = __pyx_f_3bpx_9_eckernel_fq2_mul(__pyx_v_j, __pyx_f_3bpx_9_eckernel_fq2_inv(__pyx_f_3bpx_9_eckernel_fq2_sub(__pyx_v_enc1728, __pyx_v_j, __pyx_v_l), __pyx_v_l, __pyx_v_ns), __pyx_v_l, __pyx_v_ns);
-
-                /* "bpx/_eckernel.pyx":427
- *                     else:
- *                         k = fq2_mul(j, fq2_inv(fq2_sub(enc1728, j, l), l, ns), l, ns)
- *                         a = fq2_mul(3 * l, k, l, ns)             # <<<<<<<<<<<<<<
- *                         b = fq2_mul(2 * l, k, l, ns)
- *                     t = 0
-*/
-                __pyx_v_a = __pyx_f_3bpx_9_eckernel_fq2_mul((3 * __pyx_v_l), __pyx_v_k, __pyx_v_l, __pyx_v_ns);
-
-                /* "bpx/_eckernel.pyx":428
- *                         k = fq2_mul(j, fq2_inv(fq2_sub(enc1728, j, l), l, ns), l, ns)
- *                         a = fq2_mul(3 * l, k, l, ns)
- *                         b = fq2_mul(2 * l, k, l, ns)             # <<<<<<<<<<<<<<
- *                     t = 0
- *                     for x in range(n2):
-*/
-                __pyx_v_b = __pyx_f_3bpx_9_eckernel_fq2_mul((2 * __pyx_v_l), __pyx_v_k, __pyx_v_l, __pyx_v_ns);
-              }
-              __pyx_L23:;
-
-              /* "bpx/_eckernel.pyx":429
- *                         a = fq2_mul(3 * l, k, l, ns)
- *                         b = fq2_mul(2 * l, k, l, ns)
- *                     t = 0             # <<<<<<<<<<<<<<
- *                     for x in range(n2):
- *                         fx = fq2_mul(a, x, l, ns)
-*/
-              __pyx_v_t = 0;
-
-              /* "bpx/_eckernel.pyx":430
- *                         b = fq2_mul(2 * l, k, l, ns)
- *                     t = 0
- *                     for x in range(n2):             # <<<<<<<<<<<<<<
- *                         fx = fq2_mul(a, x, l, ns)
- *                         fx = ((cube[x] / l + fx / l + b / l) % l) * l \
-*/
-              __pyx_t_10 = __pyx_v_n2;
-              __pyx_t_11 = __pyx_t_10;
-              for (__pyx_t_12 = 0; __pyx_t_12 < __pyx_t_11; __pyx_t_12+=1) {
-                __pyx_v_x = __pyx_t_12;
-
-                /* "bpx/_eckernel.pyx":431
- *                     t = 0
- *                     for x in range(n2):
- *                         fx = fq2_mul(a, x, l, ns)             # <<<<<<<<<<<<<<
- *                         fx = ((cube[x] / l + fx / l + b / l) % l) * l \
- *                             + (cube[x] % l + fx % l + b % l) % l
-*/
-                __pyx_v_fx = __pyx_f_3bpx_9_eckernel_fq2_mul(__pyx_v_a, __pyx_v_x, __pyx_v_l, __pyx_v_ns);
-
-                /* "bpx/_eckernel.pyx":433
- *                         fx = fq2_mul(a, x, l, ns)
- *                         fx = ((cube[x] / l + fx / l + b / l) % l) * l \
- *                             + (cube[x] % l + fx % l + b % l) % l             # <<<<<<<<<<<<<<
- *                         if fx:
- *                             t += 1 if chi[fx] else -1
-*/
-                __pyx_v_fx = (((((((__pyx_v_cube[__pyx_v_x]) / __pyx_v_l) + (__pyx_v_fx / __pyx_v_l)) + (__pyx_v_b / __pyx_v_l)) % __pyx_v_l) * __pyx_v_l) + (((((__pyx_v_cube[__pyx_v_x]) % __pyx_v_l) + (__pyx_v_fx % __pyx_v_l)) + (__pyx_v_b % __pyx_v_l)) % __pyx_v_l));
-
-                /* "bpx/_eckernel.pyx":434
- *                         fx = ((cube[x] / l + fx / l + b / l) % l) * l \
- *                             + (cube[x] % l + fx % l + b % l) % l
- *                         if fx:             # <<<<<<<<<<<<<<
- *                             t += 1 if chi[fx] else -1
- *                     if t % <int64_t> l == 0:
-*/
-                __pyx_t_2 = (__pyx_v_fx != 0);
-                if (__pyx_t_2) {
-
-                  /* "bpx/_eckernel.pyx":435
- *                             + (cube[x] % l + fx % l + b % l) % l
- *                         if fx:
- *                             t += 1 if chi[fx] else -1             # <<<<<<<<<<<<<<
- *                     if t % <int64_t> l == 0:
- *                         found[nfound] = j
-*/
-                  __pyx_t_2 = ((__pyx_v_chi[__pyx_v_fx]) != 0);
-                  if (__pyx_t_2) {
-                    __pyx_t_13 = 1;
-                  } else {
-                    __pyx_t_13 = -1L;
-                  }
-                  __pyx_v_t = (__pyx_v_t + __pyx_t_13);
-
-                  /* "bpx/_eckernel.pyx":434
- *                         fx = ((cube[x] / l + fx / l + b / l) % l) * l \
- *                             + (cube[x] % l + fx % l + b % l) % l
- *                         if fx:             # <<<<<<<<<<<<<<
- *                             t += 1 if chi[fx] else -1
- *                     if t % <int64_t> l == 0:
-*/
-                }
-              }
-
-              /* "bpx/_eckernel.pyx":436
- *                         if fx:
- *                             t += 1 if chi[fx] else -1
- *                     if t % <int64_t> l == 0:             # <<<<<<<<<<<<<<
- *                         found[nfound] = j
- *                         nfound += 1
-*/
-              __pyx_t_2 = ((__pyx_v_t % ((int64_t)__pyx_v_l)) == 0);
-              if (__pyx_t_2) {
-
-                /* "bpx/_eckernel.pyx":437
- *                             t += 1 if chi[fx] else -1
- *                     if t % <int64_t> l == 0:
- *                         found[nfound] = j             # <<<<<<<<<<<<<<
- *                         nfound += 1
- *         for x in range(nfound):
-*/
-                (__pyx_v_found[__pyx_v_nfound]) = __pyx_v_j;
-
-                /* "bpx/_eckernel.pyx":438
- *                     if t % <int64_t> l == 0:
- *                         found[nfound] = j
- *                         nfound += 1             # <<<<<<<<<<<<<<
- *         for x in range(nfound):
- *             out.append(found[x])
-*/
-                __pyx_v_nfound = (__pyx_v_nfound + 1);
-
-                /* "bpx/_eckernel.pyx":436
- *                         if fx:
- *                             t += 1 if chi[fx] else -1
- *                     if t % <int64_t> l == 0:             # <<<<<<<<<<<<<<
- *                         found[nfound] = j
- *                         nfound += 1
-*/
-              }
-            }
-          }
-        }
-
-        /* "bpx/_eckernel.pyx":409
- *     out = []
- *     try:
- *         with nogil:             # <<<<<<<<<<<<<<
- *             for u in range(l):
- *                 for v in range(l):
-*/
-        /*finally:*/ {
-          /*normal exit:*/{
-            __Pyx_FastGIL_Forget();
-            PyEval_RestoreThread(_save);
-            goto __pyx_L12;
-          }
-          __pyx_L12:;
-        }
-    }
-
-    /* "bpx/_eckernel.pyx":439
- *                         found[nfound] = j
- *                         nfound += 1
- *         for x in range(nfound):             # <<<<<<<<<<<<<<
- *             out.append(found[x])
- *         return out
-*/
-    __pyx_t_1 = __pyx_v_nfound;
-    __pyx_t_5 = __pyx_t_1;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_x = __pyx_t_6;
-
-      /* "bpx/_eckernel.pyx":440
- *                         nfound += 1
- *         for x in range(nfound):
- *             out.append(found[x])             # <<<<<<<<<<<<<<
- *         return out
- *     finally:
-*/
-      __pyx_t_4 = __Pyx_PyLong_From_uint64_t((__pyx_v_found[__pyx_v_x])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 440, __pyx_L8_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_14 = __Pyx_PyList_Append(__pyx_v_out, __pyx_t_4); if (unlikely(__pyx_t_14 == ((int)-1))) __PYX_ERR(0, 440, __pyx_L8_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-
-    /* "bpx/_eckernel.pyx":441
- *         for x in range(nfound):
- *             out.append(found[x])
- *         return out             # <<<<<<<<<<<<<<
- *     finally:
- *         free(chi)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_v_out);
-    __pyx_r = __pyx_v_out;
-    goto __pyx_L7_return;
-  }
-
-  /* "bpx/_eckernel.pyx":443
- *         return out
- *     finally:
- *         free(chi)             # <<<<<<<<<<<<<<
- *         free(cube)
- *         free(found)
-*/
-  /*finally:*/ {
-    __pyx_L8_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_21, &__pyx_t_22, &__pyx_t_23);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_18, &__pyx_t_19, &__pyx_t_20) < 0)) __Pyx_ErrFetch(&__pyx_t_18, &__pyx_t_19, &__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __Pyx_XGOTREF(__pyx_t_22);
-      __Pyx_XGOTREF(__pyx_t_23);
-      __pyx_t_15 = __pyx_lineno; __pyx_t_16 = __pyx_clineno; __pyx_t_17 = __pyx_filename;
-      {
-        free(__pyx_v_chi);
-
-        /* "bpx/_eckernel.pyx":444
- *     finally:
- *         free(chi)
- *         free(cube)             # <<<<<<<<<<<<<<
- *         free(found)
- * 
-*/
-        free(__pyx_v_cube);
-
-        /* "bpx/_eckernel.pyx":445
- *         free(chi)
- *         free(cube)
- *         free(found)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_found);
-      }
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_XGIVEREF(__pyx_t_22);
-      __Pyx_XGIVEREF(__pyx_t_23);
-      __Pyx_ExceptionReset(__pyx_t_21, __pyx_t_22, __pyx_t_23);
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_ErrRestore(__pyx_t_18, __pyx_t_19, __pyx_t_20);
-      __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0; __pyx_t_22 = 0; __pyx_t_23 = 0;
-      __pyx_lineno = __pyx_t_15; __pyx_clineno = __pyx_t_16; __pyx_filename = __pyx_t_17;
-      goto __pyx_L1_error;
-    }
-    __pyx_L7_return: {
-      __pyx_t_23 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "bpx/_eckernel.pyx":443
- *         return out
- *     finally:
- *         free(chi)             # <<<<<<<<<<<<<<
- *         free(cube)
- *         free(found)
-*/
-      free(__pyx_v_chi);
-
-      /* "bpx/_eckernel.pyx":444
- *     finally:
- *         free(chi)
- *         free(cube)             # <<<<<<<<<<<<<<
- *         free(found)
- * 
-*/
-      free(__pyx_v_cube);
-
-      /* "bpx/_eckernel.pyx":445
- *         free(chi)
- *         free(cube)
- *         free(found)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      free(__pyx_v_found);
-      __pyx_r = __pyx_t_23;
-      __pyx_t_23 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "bpx/_eckernel.pyx":391
- * 
- * 
- * def supersingular_js_fq2(ell, nonres):             # <<<<<<<<<<<<<<
- *     """Supersingular j-invariants in F_(l^2) by point counting; see the
- *     pure-Python twin for the encoding (u + v*w as u*l + v, v <= (l-1)/2)."""
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_AddTraceback("bpx._eckernel.supersingular_js_fq2", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "bpx/_eckernel.pyx":448
- * 
- * 
- * def ec_traces(a, b, primes, naive_limit=10000):             # <<<<<<<<<<<<<<
- *     """Traces of the global curve y^2 = x^3 + a*x + b at each given prime."""
- *     cdef Py_ssize_t n = len(primes), idx
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_3bpx_9_eckernel_7ec_traces(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_3bpx_9_eckernel_6ec_traces, "Traces of the global curve y^2 = x^3 + a*x + b at each given prime.");
-static PyMethodDef __pyx_mdef_3bpx_9_eckernel_7ec_traces = {"ec_traces", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_3bpx_9_eckernel_7ec_traces, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_3bpx_9_eckernel_6ec_traces};
-static PyObject *__pyx_pw_3bpx_9_eckernel_7ec_traces(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_a = 0;
-  PyObject *__pyx_v_b = 0;
-  PyObject *__pyx_v_primes = 0;
-  PyObject *__pyx_v_naive_limit = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[4] = {0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("ec_traces (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_a,&__pyx_mstate_global->__pyx_n_u_b,&__pyx_mstate_global->__pyx_n_u_primes,&__pyx_mstate_global->__pyx_n_u_naive_limit,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 448, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 448, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 448, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 448, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 448, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "ec_traces", 0) < (0)) __PYX_ERR(0, 448, __pyx_L3_error)
-      if (!values[3]) values[3] = __Pyx_NewRef(((PyObject *)((PyObject*)__pyx_mstate_global->__pyx_int_10000)));
-      for (Py_ssize_t i = __pyx_nargs; i < 3; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("ec_traces", 0, 3, 4, i); __PYX_ERR(0, 448, __pyx_L3_error) }
-      }
-    } else {
-      switch (__pyx_nargs) {
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 448, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 448, __pyx_L3_error)
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 448, __pyx_L3_error)
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 448, __pyx_L3_error)
-        break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      if (!values[3]) values[3] = __Pyx_NewRef(((PyObject *)((PyObject*)__pyx_mstate_global->__pyx_int_10000)));
-    }
-    __pyx_v_a = values[0];
-    __pyx_v_b = values[1];
-    __pyx_v_primes = values[2];
-    __pyx_v_naive_limit = values[3];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("ec_traces", 0, 3, 4, __pyx_nargs); __PYX_ERR(0, 448, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("bpx._eckernel.ec_traces", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_3bpx_9_eckernel_6ec_traces(__pyx_self, __pyx_v_a, __pyx_v_b, __pyx_v_primes, __pyx_v_naive_limit);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_3bpx_9_eckernel_6ec_traces(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_a, PyObject *__pyx_v_b, PyObject *__pyx_v_primes, PyObject *__pyx_v_naive_limit) {
-  Py_ssize_t __pyx_v_n;
-  Py_ssize_t __pyx_v_idx;
-  uint64_t *__pyx_v_ps;
-  uint64_t *__pyx_v_aas;
-  uint64_t *__pyx_v_bbs;
-  int64_t *__pyx_v_ts;
-  uint64_t __pyx_v_nl;
-  uint64_t __pyx_v_aa;
-  uint64_t __pyx_v_bb;
-  uint64_t __pyx_v_pp;
-  PyObject *__pyx_v_p = NULL;
-  PyObject *__pyx_v_out = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  uint64_t __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  Py_ssize_t __pyx_t_5;
-  Py_ssize_t __pyx_t_6;
-  PyObject *__pyx_t_7 = NULL;
-  PyObject *__pyx_t_8 = NULL;
-  size_t __pyx_t_9;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11 = NULL;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  char const *__pyx_t_14;
-  PyObject *__pyx_t_15 = NULL;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("ec_traces", 0);
-
-  /* "bpx/_eckernel.pyx":450
- * def ec_traces(a, b, primes, naive_limit=10000):
- *     """Traces of the global curve y^2 = x^3 + a*x + b at each given prime."""
- *     cdef Py_ssize_t n = len(primes), idx             # <<<<<<<<<<<<<<
- *     cdef uint64_t* ps = <uint64_t*> malloc(n * sizeof(uint64_t))
- *     cdef uint64_t* aas = <uint64_t*> malloc(n * sizeof(uint64_t))
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_primes); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 450, __pyx_L1_error)
-  __pyx_v_n = __pyx_t_1;
-
-  /* "bpx/_eckernel.pyx":451
- *     """Traces of the global curve y^2 = x^3 + a*x + b at each given prime."""
- *     cdef Py_ssize_t n = len(primes), idx
- *     cdef uint64_t* ps = <uint64_t*> malloc(n * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *     cdef uint64_t* aas = <uint64_t*> malloc(n * sizeof(uint64_t))
- *     cdef uint64_t* bbs = <uint64_t*> malloc(n * sizeof(uint64_t))
-*/
-  __pyx_v_ps = ((uint64_t *)malloc((__pyx_v_n * (sizeof(uint64_t)))));
-
-  /* "bpx/_eckernel.pyx":452
- *     cdef Py_ssize_t n = len(primes), idx
- *     cdef uint64_t* ps = <uint64_t*> malloc(n * sizeof(uint64_t))
- *     cdef uint64_t* aas = <uint64_t*> malloc(n * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *     cdef uint64_t* bbs = <uint64_t*> malloc(n * sizeof(uint64_t))
- *     cdef int64_t* ts = <int64_t*> malloc(n * sizeof(int64_t))
-*/
-  __pyx_v_aas = ((uint64_t *)malloc((__pyx_v_n * (sizeof(uint64_t)))));
-
-  /* "bpx/_eckernel.pyx":453
- *     cdef uint64_t* ps = <uint64_t*> malloc(n * sizeof(uint64_t))
- *     cdef uint64_t* aas = <uint64_t*> malloc(n * sizeof(uint64_t))
- *     cdef uint64_t* bbs = <uint64_t*> malloc(n * sizeof(uint64_t))             # <<<<<<<<<<<<<<
- *     cdef int64_t* ts = <int64_t*> malloc(n * sizeof(int64_t))
- *     cdef uint64_t nl = <uint64_t> naive_limit
-*/
-  __pyx_v_bbs = ((uint64_t *)malloc((__pyx_v_n * (sizeof(uint64_t)))));
-
-  /* "bpx/_eckernel.pyx":454
- *     cdef uint64_t* aas = <uint64_t*> malloc(n * sizeof(uint64_t))
- *     cdef uint64_t* bbs = <uint64_t*> malloc(n * sizeof(uint64_t))
- *     cdef int64_t* ts = <int64_t*> malloc(n * sizeof(int64_t))             # <<<<<<<<<<<<<<
- *     cdef uint64_t nl = <uint64_t> naive_limit
- *     cdef uint64_t aa, bb, pp
-*/
-  __pyx_v_ts = ((int64_t *)malloc((__pyx_v_n * (sizeof(int64_t)))));
-
-  /* "bpx/_eckernel.pyx":455
- *     cdef uint64_t* bbs = <uint64_t*> malloc(n * sizeof(uint64_t))
- *     cdef int64_t* ts = <int64_t*> malloc(n * sizeof(int64_t))
- *     cdef uint64_t nl = <uint64_t> naive_limit             # <<<<<<<<<<<<<<
- *     cdef uint64_t aa, bb, pp
- *     if ps == NULL or aas == NULL or bbs == NULL or ts == NULL:
-*/
-  __pyx_t_2 = __Pyx_PyLong_As_uint64_t(__pyx_v_naive_limit); if (unlikely((__pyx_t_2 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 455, __pyx_L1_error)
-  __pyx_v_nl = ((uint64_t)__pyx_t_2);
-
-  /* "bpx/_eckernel.pyx":457
- *     cdef uint64_t nl = <uint64_t> naive_limit
- *     cdef uint64_t aa, bb, pp
- *     if ps == NULL or aas == NULL or bbs == NULL or ts == NULL:             # <<<<<<<<<<<<<<
- *         free(ps)
- *         free(aas)
-*/
-  __pyx_t_4 = (__pyx_v_ps == NULL);
-  if (!__pyx_t_4) {
-  } else {
-    __pyx_t_3 = __pyx_t_4;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_4 = (__pyx_v_aas == NULL);
-  if (!__pyx_t_4) {
-  } else {
-    __pyx_t_3 = __pyx_t_4;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_4 = (__pyx_v_bbs == NULL);
-  if (!__pyx_t_4) {
-  } else {
-    __pyx_t_3 = __pyx_t_4;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_4 = (__pyx_v_ts == NULL);
-  __pyx_t_3 = __pyx_t_4;
-  __pyx_L4_bool_binop_done:;
-  if (unlikely(__pyx_t_3)) {
-
-    /* "bpx/_eckernel.pyx":458
- *     cdef uint64_t aa, bb, pp
- *     if ps == NULL or aas == NULL or bbs == NULL or ts == NULL:
- *         free(ps)             # <<<<<<<<<<<<<<
- *         free(aas)
- *         free(bbs)
-*/
-    free(__pyx_v_ps);
-
-    /* "bpx/_eckernel.pyx":459
- *     if ps == NULL or aas == NULL or bbs == NULL or ts == NULL:
- *         free(ps)
- *         free(aas)             # <<<<<<<<<<<<<<
- *         free(bbs)
- *         free(ts)
-*/
-    free(__pyx_v_aas);
-
-    /* "bpx/_eckernel.pyx":460
- *         free(ps)
- *         free(aas)
- *         free(bbs)             # <<<<<<<<<<<<<<
- *         free(ts)
- *         raise MemoryError
-*/
-    free(__pyx_v_bbs);
-
-    /* "bpx/_eckernel.pyx":461
- *         free(aas)
- *         free(bbs)
- *         free(ts)             # <<<<<<<<<<<<<<
- *         raise MemoryError
- *     try:
-*/
-    free(__pyx_v_ts);
-
-    /* "bpx/_eckernel.pyx":462
- *         free(bbs)
- *         free(ts)
- *         raise MemoryError             # <<<<<<<<<<<<<<
- *     try:
- *         # per-prime reductions need Python-int arithmetic: do them up front
-*/
-    PyErr_NoMemory(); __PYX_ERR(0, 462, __pyx_L1_error)
-
-    /* "bpx/_eckernel.pyx":457
- *     cdef uint64_t nl = <uint64_t> naive_limit
- *     cdef uint64_t aa, bb, pp
- *     if ps == NULL or aas == NULL or bbs == NULL or ts == NULL:             # <<<<<<<<<<<<<<
- *         free(ps)
- *         free(aas)
-*/
-  }
-
-  /* "bpx/_eckernel.pyx":463
- *         free(ts)
- *         raise MemoryError
- *     try:             # <<<<<<<<<<<<<<
- *         # per-prime reductions need Python-int arithmetic: do them up front
- *         for idx in range(n):
-*/
-  /*try:*/ {
-
-    /* "bpx/_eckernel.pyx":465
- *     try:
- *         # per-prime reductions need Python-int arithmetic: do them up front
- *         for idx in range(n):             # <<<<<<<<<<<<<<
- *             p = primes[idx]
- *             if p >= (1 << 31):
-*/
-    __pyx_t_1 = __pyx_v_n;
-    __pyx_t_5 = __pyx_t_1;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_idx = __pyx_t_6;
-
-      /* "bpx/_eckernel.pyx":466
- *         # per-prime reductions need Python-int arithmetic: do them up front
- *         for idx in range(n):
- *             p = primes[idx]             # <<<<<<<<<<<<<<
- *             if p >= (1 << 31):
- *                 raise OverflowError("compiled kernel supports p < 2**31")
-*/
-      __pyx_t_7 = __Pyx_GetItemInt(__pyx_v_primes, __pyx_v_idx, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_FunctionArgument); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 466, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __Pyx_XDECREF_SET(__pyx_v_p, __pyx_t_7);
-      __pyx_t_7 = 0;
-
-      /* "bpx/_eckernel.pyx":467
- *         for idx in range(n):
- *             p = primes[idx]
- *             if p >= (1 << 31):             # <<<<<<<<<<<<<<
- *                 raise OverflowError("compiled kernel supports p < 2**31")
- *             pp = <uint64_t> p
-*/
-      __pyx_t_7 = PyObject_RichCompare(__pyx_v_p, __pyx_mstate_global->__pyx_int_2147483648, Py_GE); __Pyx_XGOTREF(__pyx_t_7); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 467, __pyx_L9_error)
-      __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_t_7); if (unlikely((__pyx_t_3 < 0))) __PYX_ERR(0, 467, __pyx_L9_error)
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      if (unlikely(__pyx_t_3)) {
-
-        /* "bpx/_eckernel.pyx":468
- *             p = primes[idx]
- *             if p >= (1 << 31):
- *                 raise OverflowError("compiled kernel supports p < 2**31")             # <<<<<<<<<<<<<<
- *             pp = <uint64_t> p
- *             aa = <uint64_t> (a % p)
-*/
-        __pyx_t_8 = NULL;
-        __pyx_t_9 = 1;
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_8, __pyx_mstate_global->__pyx_kp_u_compiled_kernel_supports_p_2_31};
-          __pyx_t_7 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_OverflowError)), __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-          if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 468, __pyx_L9_error)
-          __Pyx_GOTREF(__pyx_t_7);
-        }
-        __Pyx_Raise(__pyx_t_7, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-        __PYX_ERR(0, 468, __pyx_L9_error)
-
-        /* "bpx/_eckernel.pyx":467
- *         for idx in range(n):
- *             p = primes[idx]
- *             if p >= (1 << 31):             # <<<<<<<<<<<<<<
- *                 raise OverflowError("compiled kernel supports p < 2**31")
- *             pp = <uint64_t> p
-*/
-      }
-
-      /* "bpx/_eckernel.pyx":469
- *             if p >= (1 << 31):
- *                 raise OverflowError("compiled kernel supports p < 2**31")
- *             pp = <uint64_t> p             # <<<<<<<<<<<<<<
- *             aa = <uint64_t> (a % p)
- *             bb = <uint64_t> (b % p)
-*/
-      __pyx_t_2 = __Pyx_PyLong_As_uint64_t(__pyx_v_p); if (unlikely((__pyx_t_2 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 469, __pyx_L9_error)
-      __pyx_v_pp = ((uint64_t)__pyx_t_2);
-
-      /* "bpx/_eckernel.pyx":470
- *                 raise OverflowError("compiled kernel supports p < 2**31")
- *             pp = <uint64_t> p
- *             aa = <uint64_t> (a % p)             # <<<<<<<<<<<<<<
- *             bb = <uint64_t> (b % p)
- *             if (4 * aa % pp * aa % pp * aa + 27 * bb * bb) % pp == 0:
-*/
-      __pyx_t_7 = PyNumber_Remainder(__pyx_v_a, __pyx_v_p); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 470, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_2 = __Pyx_PyLong_As_uint64_t(__pyx_t_7); if (unlikely((__pyx_t_2 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 470, __pyx_L9_error)
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __pyx_v_aa = ((uint64_t)__pyx_t_2);
-
-      /* "bpx/_eckernel.pyx":471
- *             pp = <uint64_t> p
- *             aa = <uint64_t> (a % p)
- *             bb = <uint64_t> (b % p)             # <<<<<<<<<<<<<<
- *             if (4 * aa % pp * aa % pp * aa + 27 * bb * bb) % pp == 0:
- *                 raise ValueError(f"singular curve mod {p}")
-*/
-      __pyx_t_7 = PyNumber_Remainder(__pyx_v_b, __pyx_v_p); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 471, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_2 = __Pyx_PyLong_As_uint64_t(__pyx_t_7); if (unlikely((__pyx_t_2 == ((uint64_t)-1)) && PyErr_Occurred())) __PYX_ERR(0, 471, __pyx_L9_error)
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __pyx_v_bb = ((uint64_t)__pyx_t_2);
-
-      /* "bpx/_eckernel.pyx":472
- *             aa = <uint64_t> (a % p)
- *             bb = <uint64_t> (b % p)
- *             if (4 * aa % pp * aa % pp * aa + 27 * bb * bb) % pp == 0:             # <<<<<<<<<<<<<<
- *                 raise ValueError(f"singular curve mod {p}")
- *             ps[idx] = pp
-*/
-      __pyx_t_3 = ((((((((4 * __pyx_v_aa) % __pyx_v_pp) * __pyx_v_aa) % __pyx_v_pp) * __pyx_v_aa) + ((27 * __pyx_v_bb) * __pyx_v_bb)) % __pyx_v_pp) == 0);
-      if (unlikely(__pyx_t_3)) {
-
-        /* "bpx/_eckernel.pyx":473
- *             bb = <uint64_t> (b % p)
- *             if (4 * aa % pp * aa % pp * aa + 27 * bb * bb) % pp == 0:
- *                 raise ValueError(f"singular curve mod {p}")             # <<<<<<<<<<<<<<
- *             ps[idx] = pp
- *             aas[idx] = aa
-*/
-        __pyx_t_8 = NULL;
-        __pyx_t_10 = __Pyx_PyObject_FormatSimple(__pyx_v_p, __pyx_mstate_global->__pyx_empty_unicode); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 473, __pyx_L9_error)
-        __Pyx_GOTREF(__pyx_t_10);
-        __pyx_t_11 = __Pyx_PyUnicode_Concat(__pyx_mstate_global->__pyx_kp_u_singular_curve_mod, __pyx_t_10); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 473, __pyx_L9_error)
-        __Pyx_GOTREF(__pyx_t_11);
-        __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-        __pyx_t_9 = 1;
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_8, __pyx_t_11};
-          __pyx_t_7 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_ValueError)), __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-          __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-          if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 473, __pyx_L9_error)
-          __Pyx_GOTREF(__pyx_t_7);
-        }
-        __Pyx_Raise(__pyx_t_7, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-        __PYX_ERR(0, 473, __pyx_L9_error)
-
-        /* "bpx/_eckernel.pyx":472
- *             aa = <uint64_t> (a % p)
- *             bb = <uint64_t> (b % p)
- *             if (4 * aa % pp * aa % pp * aa + 27 * bb * bb) % pp == 0:             # <<<<<<<<<<<<<<
- *                 raise ValueError(f"singular curve mod {p}")
- *             ps[idx] = pp
-*/
-      }
-
-      /* "bpx/_eckernel.pyx":474
- *             if (4 * aa % pp * aa % pp * aa + 27 * bb * bb) % pp == 0:
- *                 raise ValueError(f"singular curve mod {p}")
- *             ps[idx] = pp             # <<<<<<<<<<<<<<
- *             aas[idx] = aa
- *             bbs[idx] = bb
-*/
-      (__pyx_v_ps[__pyx_v_idx]) = __pyx_v_pp;
-
-      /* "bpx/_eckernel.pyx":475
- *                 raise ValueError(f"singular curve mod {p}")
- *             ps[idx] = pp
- *             aas[idx] = aa             # <<<<<<<<<<<<<<
- *             bbs[idx] = bb
- *         with nogil:
-*/
-      (__pyx_v_aas[__pyx_v_idx]) = __pyx_v_aa;
-
-      /* "bpx/_eckernel.pyx":476
- *             ps[idx] = pp
- *             aas[idx] = aa
- *             bbs[idx] = bb             # <<<<<<<<<<<<<<
- *         with nogil:
- *             for idx in range(n):
-*/
-      (__pyx_v_bbs[__pyx_v_idx]) = __pyx_v_bb;
-    }
-
-    /* "bpx/_eckernel.pyx":477
- *             aas[idx] = aa
- *             bbs[idx] = bb
- *         with nogil:             # <<<<<<<<<<<<<<
- *             for idx in range(n):
- *                 ts[idx] = trace_one(aas[idx], bbs[idx], ps[idx], nl)
-*/
-    {
-        PyThreadState * _save;
-        _save = PyEval_SaveThread();
-        __Pyx_FastGIL_Remember();
-        /*try:*/ {
-
-          /* "bpx/_eckernel.pyx":478
- *             bbs[idx] = bb
- *         with nogil:
- *             for idx in range(n):             # <<<<<<<<<<<<<<
- *                 ts[idx] = trace_one(aas[idx], bbs[idx], ps[idx], nl)
- *         out = [0] * n
-*/
-          __pyx_t_1 = __pyx_v_n;
-          __pyx_t_5 = __pyx_t_1;
-          for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-            __pyx_v_idx = __pyx_t_6;
-
-            /* "bpx/_eckernel.pyx":479
- *         with nogil:
- *             for idx in range(n):
- *                 ts[idx] = trace_one(aas[idx], bbs[idx], ps[idx], nl)             # <<<<<<<<<<<<<<
- *         out = [0] * n
- *         for idx in range(n):
-*/
-            (__pyx_v_ts[__pyx_v_idx]) = __pyx_f_3bpx_9_eckernel_trace_one((__pyx_v_aas[__pyx_v_idx]), (__pyx_v_bbs[__pyx_v_idx]), (__pyx_v_ps[__pyx_v_idx]), __pyx_v_nl);
-          }
-        }
-
-        /* "bpx/_eckernel.pyx":477
- *             aas[idx] = aa
- *             bbs[idx] = bb
- *         with nogil:             # <<<<<<<<<<<<<<
- *             for idx in range(n):
- *                 ts[idx] = trace_one(aas[idx], bbs[idx], ps[idx], nl)
-*/
-        /*finally:*/ {
-          /*normal exit:*/{
-            __Pyx_FastGIL_Forget();
-            PyEval_RestoreThread(_save);
-            goto __pyx_L17;
-          }
-          __pyx_L17:;
-        }
-    }
-
-    /* "bpx/_eckernel.pyx":480
- *             for idx in range(n):
- *                 ts[idx] = trace_one(aas[idx], bbs[idx], ps[idx], nl)
- *         out = [0] * n             # <<<<<<<<<<<<<<
- *         for idx in range(n):
- *             if ts[idx] >= (1 << 39):
-*/
-    __pyx_t_7 = PyList_New(1 * ((__pyx_v_n<0) ? 0:__pyx_v_n)); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 480, __pyx_L9_error)
-    __Pyx_GOTREF(__pyx_t_7);
-    { Py_ssize_t __pyx_temp;
-      for (__pyx_temp=0; __pyx_temp < __pyx_v_n; __pyx_temp++) {
-        __Pyx_INCREF(__pyx_mstate_global->__pyx_int_0);
-        __Pyx_GIVEREF(__pyx_mstate_global->__pyx_int_0);
-        if (__Pyx_PyList_SET_ITEM(__pyx_t_7, __pyx_temp, __pyx_mstate_global->__pyx_int_0) != (0)) __PYX_ERR(0, 480, __pyx_L9_error);
-      }
-    }
-    __pyx_v_out = ((PyObject*)__pyx_t_7);
-    __pyx_t_7 = 0;
-
-    /* "bpx/_eckernel.pyx":481
- *                 ts[idx] = trace_one(aas[idx], bbs[idx], ps[idx], nl)
- *         out = [0] * n
- *         for idx in range(n):             # <<<<<<<<<<<<<<
- *             if ts[idx] >= (1 << 39):
- *                 raise MemoryError("trace kernel allocation failed")
-*/
-    __pyx_t_1 = __pyx_v_n;
-    __pyx_t_5 = __pyx_t_1;
-    for (__pyx_t_6 = 0; __pyx_t_6 < __pyx_t_5; __pyx_t_6+=1) {
-      __pyx_v_idx = __pyx_t_6;
-
-      /* "bpx/_eckernel.pyx":482
- *         out = [0] * n
- *         for idx in range(n):
- *             if ts[idx] >= (1 << 39):             # <<<<<<<<<<<<<<
- *                 raise MemoryError("trace kernel allocation failed")
- *             out[idx] = ts[idx]
-*/
-      __pyx_t_7 = __Pyx_PyLong_From_int64_t((__pyx_v_ts[__pyx_v_idx])); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 482, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_7);
-      __pyx_t_11 = PyObject_RichCompare(__pyx_t_7, __pyx_mstate_global->__pyx_int_549755813888, Py_GE); __Pyx_XGOTREF(__pyx_t_11); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 482, __pyx_L9_error)
-      __Pyx_DECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __pyx_t_3 = __Pyx_PyObject_IsTrue(__pyx_t_11); if (unlikely((__pyx_t_3 < 0))) __PYX_ERR(0, 482, __pyx_L9_error)
-      __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-      if (unlikely(__pyx_t_3)) {
-
-        /* "bpx/_eckernel.pyx":483
- *         for idx in range(n):
- *             if ts[idx] >= (1 << 39):
- *                 raise MemoryError("trace kernel allocation failed")             # <<<<<<<<<<<<<<
- *             out[idx] = ts[idx]
- *         return out
-*/
-        __pyx_t_7 = NULL;
-        __pyx_t_9 = 1;
-        {
-          PyObject *__pyx_callargs[2] = {__pyx_t_7, __pyx_mstate_global->__pyx_kp_u_trace_kernel_allocation_failed};
-          __pyx_t_11 = __Pyx_PyObject_FastCall((PyObject*)(((PyTypeObject*)PyExc_MemoryError)), __pyx_callargs+__pyx_t_9, (2-__pyx_t_9) | (__pyx_t_9*__Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET));
-          __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-          if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 483, __pyx_L9_error)
-          __Pyx_GOTREF(__pyx_t_11);
-        }
-        __Pyx_Raise(__pyx_t_11, 0, 0, 0);
-        __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-        __PYX_ERR(0, 483, __pyx_L9_error)
-
-        /* "bpx/_eckernel.pyx":482
- *         out = [0] * n
- *         for idx in range(n):
- *             if ts[idx] >= (1 << 39):             # <<<<<<<<<<<<<<
- *                 raise MemoryError("trace kernel allocation failed")
- *             out[idx] = ts[idx]
-*/
-      }
-
-      /* "bpx/_eckernel.pyx":484
- *             if ts[idx] >= (1 << 39):
- *                 raise MemoryError("trace kernel allocation failed")
- *             out[idx] = ts[idx]             # <<<<<<<<<<<<<<
- *         return out
- *     finally:
-*/
-      __pyx_t_11 = __Pyx_PyLong_From_int64_t((__pyx_v_ts[__pyx_v_idx])); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 484, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_11);
-      if (unlikely((__Pyx_SetItemInt(__pyx_v_out, __pyx_v_idx, __pyx_t_11, Py_ssize_t, 1, PyLong_FromSsize_t, 1, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference) < 0))) __PYX_ERR(0, 484, __pyx_L9_error)
-      __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-    }
-
-    /* "bpx/_eckernel.pyx":485
- *                 raise MemoryError("trace kernel allocation failed")
- *             out[idx] = ts[idx]
- *         return out             # <<<<<<<<<<<<<<
- *     finally:
- *         free(ps)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_v_out);
-    __pyx_r = __pyx_v_out;
-    goto __pyx_L8_return;
-  }
-
-  /* "bpx/_eckernel.pyx":487
- *         return out
- *     finally:
- *         free(ps)             # <<<<<<<<<<<<<<
- *         free(aas)
- *         free(bbs)
-*/
-  /*finally:*/ {
-    __pyx_L9_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0;
-      __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-      __Pyx_XDECREF(__pyx_t_11); __pyx_t_11 = 0;
-      __Pyx_XDECREF(__pyx_t_7); __pyx_t_7 = 0;
-      __Pyx_XDECREF(__pyx_t_8); __pyx_t_8 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_18, &__pyx_t_19, &__pyx_t_20);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_15, &__pyx_t_16, &__pyx_t_17) < 0)) __Pyx_ErrFetch(&__pyx_t_15, &__pyx_t_16, &__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_15);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __pyx_t_12 = __pyx_lineno; __pyx_t_13 = __pyx_clineno; __pyx_t_14 = __pyx_filename;
-      {
-        free(__pyx_v_ps);
-
-        /* "bpx/_eckernel.pyx":488
- *     finally:
- *         free(ps)
- *         free(aas)             # <<<<<<<<<<<<<<
- *         free(bbs)
- *         free(ts)
-*/
-        free(__pyx_v_aas);
-
-        /* "bpx/_eckernel.pyx":489
- *         free(ps)
- *         free(aas)
- *         free(bbs)             # <<<<<<<<<<<<<<
- *         free(ts)
-*/
-        free(__pyx_v_bbs);
-
-        /* "bpx/_eckernel.pyx":490
- *         free(aas)
- *         free(bbs)
- *         free(ts)             # <<<<<<<<<<<<<<
-*/
-        free(__pyx_v_ts);
-      }
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_ExceptionReset(__pyx_t_18, __pyx_t_19, __pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_15);
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_ErrRestore(__pyx_t_15, __pyx_t_16, __pyx_t_17);
-      __pyx_t_15 = 0; __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0;
-      __pyx_lineno = __pyx_t_12; __pyx_clineno = __pyx_t_13; __pyx_filename = __pyx_t_14;
-      goto __pyx_L1_error;
-    }
-    __pyx_L8_return: {
-      __pyx_t_20 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "bpx/_eckernel.pyx":487
- *         return out
- *     finally:
- *         free(ps)             # <<<<<<<<<<<<<<
- *         free(aas)
- *         free(bbs)
-*/
-      free(__pyx_v_ps);
-
-      /* "bpx/_eckernel.pyx":488
- *     finally:
- *         free(ps)
- *         free(aas)             # <<<<<<<<<<<<<<
- *         free(bbs)
- *         free(ts)
-*/
-      free(__pyx_v_aas);
-
-      /* "bpx/_eckernel.pyx":489
- *         free(ps)
- *         free(aas)
- *         free(bbs)             # <<<<<<<<<<<<<<
- *         free(ts)
-*/
-      free(__pyx_v_bbs);
-
-      /* "bpx/_eckernel.pyx":490
- *         free(aas)
- *         free(bbs)
- *         free(ts)             # <<<<<<<<<<<<<<
-*/
-      free(__pyx_v_ts);
-      __pyx_r = __pyx_t_20;
-      __pyx_t_20 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "bpx/_eckernel.pyx":448
- * 
- * 
- * def ec_traces(a, b, primes, naive_limit=10000):             # <<<<<<<<<<<<<<
- *     """Traces of the global curve y^2 = x^3 + a*x + b at each given prime."""
- *     cdef Py_ssize_t n = len(primes), idx
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_7);
-  __Pyx_XDECREF(__pyx_t_8);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_AddTraceback("bpx._eckernel.ec_traces", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_p);
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__eckernel(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__eckernel},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_eckernel",
-      __pyx_k_Compiled_kernels_prime_sieve_and, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__eckernel(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__eckernel(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-{
-  return PyModuleDef_Init(&__pyx_moduledef);
-}
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
-    }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
-}
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
-        return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
-        return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
-    }
-    return 0;
-}
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
-{
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
-        }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
-    }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
-}
-
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__eckernel(PyObject *__pyx_pyinit_module)
-#endif
-{
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_eckernel' has already been imported. Re-initialisation is not supported.");
-    return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_eckernel" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__eckernel", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_bpx___eckernel) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "bpx._eckernel")) {
-      if (unlikely((PyDict_SetItemString(modules, "bpx._eckernel", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "bpx/_eckernel.pyx":14
- * 
- * 
- * cdef uint64_t HASH_MULT = (<uint64_t> 0x9E3779B9u << 32) | <uint64_t> 0x7F4A7C15u             # <<<<<<<<<<<<<<
- * cdef uint64_t SEED_ADD = (<uint64_t> 0x243F6A88u << 32) | <uint64_t> 0x85A308D3u
- * 
-*/
-  __pyx_v_3bpx_9_eckernel_HASH_MULT = ((((uint64_t)0x9E3779B9U) << 32) | ((uint64_t)0x7F4A7C15U));
-
-  /* "bpx/_eckernel.pyx":15
- * 
- * cdef uint64_t HASH_MULT = (<uint64_t> 0x9E3779B9u << 32) | <uint64_t> 0x7F4A7C15u
- * cdef uint64_t SEED_ADD = (<uint64_t> 0x243F6A88u << 32) | <uint64_t> 0x85A308D3u             # <<<<<<<<<<<<<<
- * 
- * cdef inline uint64_t mulmod(uint64_t a, uint64_t b, uint64_t p) noexcept nogil:
-*/
-  __pyx_v_3bpx_9_eckernel_SEED_ADD = ((((uint64_t)0x243F6A88U) << 32) | ((uint64_t)0x85A308D3U));
-
-  /* "bpx/_eckernel.pyx":326
- * 
- * 
- * def primes_below(limit):             # <<<<<<<<<<<<<<
- *     """Ascending list of all primes p < limit."""
- *     cdef uint64_t n = 0, i, j, lim
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_3bpx_9_eckernel_1primes_below, 0, __pyx_mstate_global->__pyx_n_u_primes_below, NULL, __pyx_mstate_global->__pyx_n_u_bpx__eckernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 326, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_primes_below, __pyx_t_2) < (0)) __PYX_ERR(0, 326, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bpx/_eckernel.pyx":358
- * 
- * 
- * def ec_trace(a, b, p, naive_limit=10000):             # <<<<<<<<<<<<<<
- *     """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime)."""
- *     cdef uint64_t pp = <uint64_t> p
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_3bpx_9_eckernel_3ec_trace, 0, __pyx_mstate_global->__pyx_n_u_ec_trace, NULL, __pyx_mstate_global->__pyx_n_u_bpx__eckernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 358, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[0]);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_ec_trace, __pyx_t_2) < (0)) __PYX_ERR(0, 358, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bpx/_eckernel.pyx":391
- * 
- * 
- * def supersingular_js_fq2(ell, nonres):             # <<<<<<<<<<<<<<
- *     """Supersingular j-invariants in F_(l^2) by point counting; see the
- *     pure-Python twin for the encoding (u + v*w as u*l + v, v <= (l-1)/2)."""
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_3bpx_9_eckernel_5supersingular_js_fq2, 0, __pyx_mstate_global->__pyx_n_u_supersingular_js_fq2, NULL, __pyx_mstate_global->__pyx_n_u_bpx__eckernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 391, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_supersingular_js_fq2, __pyx_t_2) < (0)) __PYX_ERR(0, 391, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bpx/_eckernel.pyx":448
- * 
- * 
- * def ec_traces(a, b, primes, naive_limit=10000):             # <<<<<<<<<<<<<<
- *     """Traces of the global curve y^2 = x^3 + a*x + b at each given prime."""
- *     cdef Py_ssize_t n = len(primes), idx
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_3bpx_9_eckernel_7ec_traces, 0, __pyx_mstate_global->__pyx_n_u_ec_traces, NULL, __pyx_mstate_global->__pyx_n_u_bpx__eckernel, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 448, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  __Pyx_CyFunction_SetDefaultsTuple(__pyx_t_2, __pyx_mstate_global->__pyx_tuple[0]);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_ec_traces, __pyx_t_2) < (0)) __PYX_ERR(0, 448, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "bpx/_eckernel.pyx":1
- * # cython: boundscheck=False, wraparound=False, cdivision=True             # <<<<<<<<<<<<<<
- * """Compiled kernels: prime sieve and elliptic-curve traces.
- * 
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init bpx._eckernel", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init bpx._eckernel");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
-}
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
-
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "bpx/_eckernel.pyx":358
- * 
- * 
- * def ec_trace(a, b, p, naive_limit=10000):             # <<<<<<<<<<<<<<
- *     """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime)."""
- *     cdef uint64_t pp = <uint64_t> p
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(1, ((PyObject*)__pyx_mstate_global->__pyx_int_10000)); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 358, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 10; } index[] = {{1},{34},{14},{19},{21},{30},{20},{1},{2},{3},{12},{18},{1},{2},{3},{13},{3},{18},{4},{8},{9},{3},{7},{5},{5},{8},{2},{1},{3},{13},{5},{1},{2},{2},{1},{1},{3},{5},{8},{10},{1},{2},{11},{8},{6},{2},{6},{2},{3},{3},{1},{3},{2},{6},{12},{2},{12},{12},{10},{20},{1},{8},{2},{1},{1},{6},{1},{436},{156},{216},{617}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1208 bytes) */
-const char* const cstring = "BZh91AY&SY\354\020\010\223\000\001\016\377\377\377\377\377\376\377\275\277\335\277\241\177\240\277\377\377\374@@@@@@@@@@@@@\000@\000P\004>:Ap\005\300\316\006\232D\251\352\031\001\223C5\006\3153S\005!\246M==P\007\250z \304m2\236\247\244\014\020\365\033\022z\006\246\204h&4\014\246&\215F\247\205\r\000\032\014\2004\000\000\003@\000\003OD\032\000H\224z\231\r\006 \000\000\032h\032\0004\000\321\240\000\000\320\320\000\340\0004\000\003 \000\000\014\206\215\000\000\000\000\000\000\000\022(I\211=(=!\352y4@4\310\006\t\240\000\000i\210\000\003!\243&\236\231@\254~\315\017{\321\322\331W\235\354\027\313\352Sm\027\345\"y\225`\300\244JH\222\221A\374G\365\240m\2156\226\344\244)\335\257\361\022\274E\000\254\023\2616\233\006\320E\333 \2562\211$\211\002!TTqXc(\004\023\010\2444+\024\014\"\362\245\303\205\034\3142\036\306\224\230I<\314\212\222\233\000\030\203\006j\377Y6\326hTb\343\314\306\214$\260\330\242E\216\027&\211\t@\251\361\270\360\246\202K\t\204M\271\000\345>\3766\267\347_WU\233/\353\032\330v,\005\2136\314KdI\256\302\014s\020\224\344\305\212\317\005\2212\301\250R\261&EB\241\346\3642\352\347\037\257\266&J\374GbD\226\002+\022\036\223L\240b8A\314\356c\350\263\225\210XX[\026\375M\025\n*\252\202f~|v\240cZ\260\240\365\340\"(\n.\200\201U\005\346C\001\206\006LNN/\230p\035\377j\341\344\325B\221\360\310\330(\225\006\250\001\032\231\231\214\237\302\024\210\026\270\257\260rr\016\376\353\240\300\251#\213\305\332\264-\201\214m\226\314\333\036B\2064\020\024gg\"\207\247\036\021'h\257I\014\365\305\2343\370Q\332\242\355\374\021U\347\035USh\264\033\313\205\242.\031(\261\300\224\"Z\0102X\317}O\212\300\200\327\204,\234D3\337\002\224\235#\371\262\274\010\332\262Ye\224\ta\220\243\254\221\013\357\275]\203E\260\025\005\013\216\336\023\007Ei\272\347\214,r\025&\22081\"\n\320\253`\024}na\230\033Ee\262\374\2145\203\n\004\333_%\275\221\2170_1\357\035\201B\023\245\241jt'\375}\255l,\004-p8!6W\201\312p\271\"<\016\330\260\327\022\372TF|\302=[\025$\210\205CR\364!\353\333\322\016\206\200\371\335!q\344~\027Z\244\316%""\235.*\244\202=\" \270\034~HPj\220x\257h\322\031b\231\240\\Y\001\014\265\2000\347q\301P\224\010\333-\255\002pEGH@h\314#\001ak\324\223b8\255\306t\222\351\321\302\267\021aSI\005\021\310\3651\214\246\2128\031\264\3302[\025\245\033\214\264 \237A\251\306y\260\214X\270\253V+FH\364\346\023\207\216c\327X\3173\031\023(\n\262\030\001\350\3063M,H_\350\211\327\232\270\2141\216\3007N\201\331<5C@\342w\222^\266\217\272J\351\355\323:\354<\210\364\215k\276\033\035\343H\311hhl\214\221x\025K]C\225\201\251K\204\\\032\222|\262\303J\213\367w\315\256\305\025E\272\321^\211<#]\343\333h\373\027v\223t+\013R\221y\2171\007\361<6\365H\026\217\272\231\366\247\221\200`\206\200}-\324\020\017\235_\036\n\024\036\037\r\3117L\210\245\2133J\231E`\303,\333h\024(T\336\021\203\340`\367\314\331\242\224\023\301+\014w\022>\001\024B\257\355\300Uwe\352O\342\314..*\376\220\275\345\013\006?\034.-\363\342w@\204w\243\014)\027\212!\014\004:\373+$?\245[\360\327q$\217\307\252,1O \377\336\323\216r#LH\350\t\020\240\236\315D\201t\337\036\312\212\213\275bzp\010,0k\247&]s\226\350d\000\266\017\344\306\005\246\345\026\034\032\266\233O\001\257\3242\325\267Hm\014a\365\032\030\326fa\247\246\223\343\341\323I\024\273\223\314e\256\306\2574k*\242\203qJ\273\241w\277}\244N\264m\220\336g\271\327n\004]\007\022\r\325\242\024\002k\"\316{DQ\234\310Z\006\220\200\033g\204ti\263\235f\207\253\034\21043e\2240\362\314v0\372\305\212\t0\025\225\245\335\005\225\337\376.\344\212p\241!\330 \021&";
-    PyObject *data = __Pyx_DecompressString(cstring, 1208, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1166 bytes) */
-const char* const cstring = "x\332}T;s\333F\020\026_\222l3\016I\275\037\231\220\224eO\344\214<$#)\223x\222\001e\331\223&\023RQ2\2510G\360\350\200\002\001\022\007PT\222\302%\312+\257\274\362J\224(Y\252d\211\222?!?!{\000\351H\211e\014y\267\367\300~\373}\273\213\3575\253\327\327\r\334.^b\333\304F\221\270\375\276e;\244\330/\276,V\017\016j\025\242\343!.Z\235\"\321\377\3000\230o]\003\331E\315\265a\273g\265\213\304\326^\264\372\243\027*\326b'\207\375\353\221c#\r\317\235\"\303\2604\344\350\226Y\354 \211\246\252?]\217\340\377J\327\034\365G<r\232\270\203\344CT\025\231\246\345 \007\203E\256MM\267\0165\313\266\\G71i\311\207\000\330\341{0\355w]3\340L\325M5\002m!\355Rs[\030k\361z>\023l\030\330\324*'\325\257;\006zK:\226kB \035\327\324`\034\351z{\244\352D}\017\246;\270G\272]\267;\2744\014\275\007?\335Q\325\036\002\034x\200\270k@\214\246Y5\221>\304\352\354\334D=\271\03397\r\3232mLLb\231\030\234\202\262}xl\275\207I<\252-lXW}`=p\221\021\277\253\252\004;3?`\265A\031\327p /\330\236\213\257v\211\332\031T\001\316\301D\216\304\035\016\221\341b2\232,\3542e\232\336d)VaJ\010F\226\277\026%Q\025M1\010\323[l\227\377\"*\242.Z~\342\177\313\r\372'\177*\022\242\000\327\033\361\2624M/\275#\336\236wA\367\350\317l\205\235\361\025\376J\244\304\221\237\362k\276\026\344\303\345\254\247x\215{\246\007a:3\205\305\033z\304\022,\037fst\221\":\010\263\237z6]\007#\267N{\274\302\2250\233\247;,\232vY\223\331<\177\307\314\321$-\323SjC\014u\246\361\002\257\361\026\304Q\025\347~\322\337\363\233\276\023T\203\363qj\\\221.\273<1)\035\373\310\007\244\307\036\362\256(\222\220\003\272\024c\307\306'\217\245\343%\3522\2055\302\\\201\226\350\t\373\002\2429\345\003\261(4?\357?\r\222A)8\036\003O\351\207@\020Jx\233\220\344\221\247\373t(=\254\323K\236\347\2459\202\315\362\254\024.\303b\372\021\225&\013\353\024Mc\271C\220\333\366\326\275\201\204\353\3059\334\240\177\361*o\362k?\033\324\203\326\0302\265\354%\275\262w\n\320+\264N5V`5\326\342)\270v.\222b\017\222\355\370U\377<H\005\025\351\250\313\022\223\255C\201\304`\016\363\340\241\004\377\2016h\233=a\355\377""\000_Fq\247\037y\225w\211i\032\242\223\247C\357\234&\"2a\372\241\367\234B\205l\263\347Q\375(\267\316\243\267'\333\007Pt\025y\021\374dfBg\350\005+1\310\317\032\340b0 \301R\272\301-#\007>\262\005P\271N[,\tQ\344VfJ\257n\302\272\014\202\254n\303Tg(\334\374\2145\030\346\225\310\210\274JRgtm^a.U`\017<\234H\334y\016b^\177/.d6 ]\333\342[\037I\221mP\361;\261\006\255\220\002\355~\013\220\274\261\305\036\361c\221\027O\004\222t\277\344\035\241D\025\007\264v\330K>\024\r(\223\202_\221\313\212\224\301\361j\036\2465\340W\203\330j\360\302)t\336\275\335\361a\201V\351\031[c\210\r\302\325\rJ\"\272-\236\344e^\207\242O\2122tl\333/\373\247\276\035\024\240\354\233\201=.\214\253\343\346\330\276Y\273\231Uz\006\250\337\365\251\200\371\014\352\363\031\020\332\003\026)\377\010*\244\026\240\270-qTnp\3575\333\207\246+\314\252\251$\225O\261\352\254\023W7\242\036T\302\315\335\371\260\265\003\\\321\277\033S\030\336D]t\0055w\005]x\r}\371\325\230\334\354\337\220I\363<\234\235\327\243\016\256\311>\373\320\026\300&\344\220a\027\274\024g\371W\256@L\362\002\300}\316\234\010\304\216>X2)e\277\356\267\240a\367@\0212.\217\225p\367\343\227\006\341\246L\333n\211\257q\rT9\360\225\230`\201}\003\035G\200|Td]\221\0107\313\320%w\353\013\276*\263o\307\275=\376\017>j\354\235";
-    PyObject *data = __Pyx_DecompressString(cstring, 1166, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (1890 bytes) */
-const char* const bytes = "?compiled kernel supports p < 2**31sieve of size singular curve mod src/bpx/_eckernel.pyxtrace kernel allocation failed__Pyx_PyDict_NextRefaaaaas__annotate__asyncio.coroutinesbbbbbsbpx._eckernelchicline_in_tracebackcubeec_traceec_tracesellenc1728flagsfound__func__fxiidx_is_coroutineitemsjjujvkllimlimit__main____module__nn2naive_limit__name__nfoundnlnonresnsoneoutppopppprimesprimes_belowps__qualname____set_name__setdefaultsupersingular_js_fq2t__test__tsuvvaluesx\320\000\034\230A\340\004\030\230\003\2301\230A\330\004\030\230\014\240F\250!\2502\250R\250q\330\004\031\230\034\240V\2501\250B\250b\260\001\330\004\031\230\034\240V\2501\250B\250b\260\001\330\004\027\220{\240&\250\001\250\022\2502\250Q\330\004\027\220{\240!\340\004\007\200s\210#\210U\220#\220T\230\023\230E\240\023\240D\250\003\2505\260\003\2603\260c\270\021\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\t\330\004\005\340\010\014\210G\2205\230\001\230\021\330\014\020\220\006\220a\220q\330\014\017\210r\220\026\220q\330\020\026\220m\2401\240A\330\014\021\220\033\230A\330\014\021\220\034\230R\230r\240\021\330\014\021\220\034\230R\230r\240\021\330\014\020\220\002\220\"\220C\220r\230\023\230B\230c\240\022\2403\240b\250\003\2502\250S\260\002\260#\260R\260t\2702\270S\300\003\3001\330\020\026\220j\240\001\320!6\260a\260q\330\014\016\210a\210w\220a\330\014\017\210q\220\007\220q\330\014\017\210q\220\007\220q\330\r\016\330\014\020\220\007\220u\230A\230Q\330\020\022\220!\2207\230)\2401\240C\240q\250\006\250c\260\021\260&\270\002\270!\2706\300\021\330\010\016\210a\210s\220\"\220A\330\010\014\210G\2205\230\001\230\021\330\014\017\210r\220\021\220%\220v\230Q\330\020\026\220k\240\021\240!\330\014\017\210q\220\007\220r\230\021\230!\330\010\017\210q\340\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\320\000\026\220a\340\004\027\220{\240!\330\004\007\200r\210\026\210q\330\010\016\210m\2301\230A\330\004\027\220|\2402\240R\240y\260\014\270B\270b""\300\001\330\004\010\210\002\210\"\210C\210r\220\023\220B\220c\230\022\2303\230b\240\003\2402\240S\250\002\250#\250R\250t\2602\260S\270\003\2701\330\010\016\210j\230\001\320\031.\250a\250q\340\004\027\220{\240!\330\t\n\330\010\014\210I\220Q\220d\230$\230d\240!\330\004\007\200r\210\026\210q\330\010\016\210k\230\021\230!\330\004\013\2101\200\001\340\004\026\220a\330\004\007\200v\210S\220\001\330\010\017\210q\330\004\n\210+\220Q\330\004\032\230+\240V\2501\250A\330\004\007\200v\210S\220\001\330\010\016\210k\230\021\320\032*\250!\2501\330\004\n\210!\330\004\005\330\r\016\330\014\020\220\005\220U\230!\2301\330\020\025\220Q\220e\2301\330\014\021\220\021\220%\220q\330\014\021\220\021\220%\220q\330\014\020\220\001\330\014\022\220\"\220B\220b\230\002\230!\330\020\023\2205\230\001\230\021\330\024\030\230\002\230\"\230A\330\024\032\230\"\230B\230a\330\030\035\230Q\230e\2401\330\030\035\230Q\330\020\025\220Q\330\010\014\210E\220\025\220a\220q\330\014\017\210u\220A\220Q\330\020\023\2207\230!\2301\340\010\014\210A\210Q\330\004\013\2101\200\001\360\006\000\005\027\220k\240\032\250;\260a\330\004\027\220r\230\022\230>\250\025\250b\260\003\2602\260Y\270a\360\006\000\005\031\230\013\2406\250\021\250$\250a\330\004\032\230,\240f\250A\250S\260\002\260!\330\004\033\230<\240v\250Q\250c\260\022\2601\330\004\033\2301\330\004\007\200t\2103\210e\2203\220e\2303\230e\2403\240f\250C\250q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q\330\010\t\330\004\n\210!\330\004\005\330\r\016\330\014\020\220\005\220U\230!\2301\330\020\024\220E\230\025\230a\230q\330\024\027\220s\230\"\230B\230b\240\002\240\"\240B\240b\250\002\250\"\250B\250d\260\"\260C\260r\270\022\2702\270R\270r\300\022\3002\300R\300r\310\025\310a\330\014\017\210q\220\005\220Q\330\014\020\220\005\220U\230!\2301\330\020\024\220A\220U\230'\240\021\240'\250\021\250#\250S\260\003\2605\270\003\2703\270a\330\014\020\220\006\220e\2301\230A\330\020\024\220F\230%\230r\240\022\2402\240S\250\002\250!\330\024\030\230\003\2302\230R\230r""\240\021\330\024\027\220r\230\023\230A\330\030\034\230A\330\030\034\230A\330\031\033\2303\230a\330\030\034\230A\330\030\034\230A\340\030\034\230G\2401\240C\240w\250a\250w\260a\260y\300\003\3004\300s\310%\310s\320RS\330\030\034\230G\2401\240B\240b\250\003\2503\250c\260\021\330\030\034\230G\2401\240B\240b\250\003\2503\250c\260\021\330\024\030\230\001\330\024\030\230\005\230U\240!\2401\330\030\035\230W\240A\240S\250\003\2503\250a\330\030\037\230t\2401\240C\240r\250\022\2502\250S\260\002\260\"\260B\260b\270\002\270#\270R\270s\300\"\300A\330\034\037\230t\2401\240C\240r\250\022\2502\250S\260\002\260\"\260B\260b\270\002\270#\270R\270q\330\030\033\2301\330\034!\240\025\240c\250\021\250*\260A\330\024\027\220r\230\022\230:\240R\240s\250!\330\030\035\230Q\230j\250\001\330\030\"\240!\330\010\014\210E\220\025\220a\220q\330\014\017\210w\220a\220u\230A\230Q\330\010\017\210q\340\010\014\210A\210Q\330\010\014\210A\210Q\330\010\014\210A\210Q";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 67; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 6) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 67; i < 71; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 71; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 67;
-      for (Py_ssize_t i=0; i<4; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0,2};
-    int16_t const cint_constants_2[] = {10000};
-    int64_t const cint_constants_8[] = {2147483648LL,549755813888LL};
-    for (int i = 0; i < 5; i++) {
-      numbertab[i] = PyLong_FromLongLong((i < 2 ? cint_constants_1[i - 0] : (i < 3 ? cint_constants_2[i - 2] : cint_constants_8[i - 3])));
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<5; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 3;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 5;
-    unsigned int flags : 10;
-    unsigned int first_line : 9;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {1, 0, 0, 7, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 326};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_limit, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_lim, __pyx_mstate->__pyx_n_u_flags, __pyx_mstate->__pyx_n_u_out};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bpx__eckernel_pyx, __pyx_mstate->__pyx_n_u_primes_below, __pyx_mstate->__pyx_kp_b_iso88591_a_vS_q_Q_V1A_vS_k_1_U_1_Qe1_q_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 9, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 358};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_naive_limit, __pyx_mstate->__pyx_n_u_pp, __pyx_mstate->__pyx_n_u_aa, __pyx_mstate->__pyx_n_u_bb, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_nl};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bpx__eckernel_pyx, __pyx_mstate->__pyx_n_u_ec_trace, __pyx_mstate->__pyx_kp_b_iso88591_a_r_q_m1A_2Ry_Bb_Cr_Bc_3b_2S_Rt, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 23, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 391};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_ell, __pyx_mstate->__pyx_n_u_nonres, __pyx_mstate->__pyx_n_u_l, __pyx_mstate->__pyx_n_u_ns, __pyx_mstate->__pyx_n_u_n2, __pyx_mstate->__pyx_n_u_enc1728, __pyx_mstate->__pyx_n_u_one, __pyx_mstate->__pyx_n_u_ju, __pyx_mstate->__pyx_n_u_jv, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_fx, __pyx_mstate->__pyx_n_u_k, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_t, __pyx_mstate->__pyx_n_u_chi, __pyx_mstate->__pyx_n_u_cube, __pyx_mstate->__pyx_n_u_found, __pyx_mstate->__pyx_n_u_nfound, __pyx_mstate->__pyx_n_u_out};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bpx__eckernel_pyx, __pyx_mstate->__pyx_n_u_supersingular_js_fq2, __pyx_mstate->__pyx_kp_b_iso88591_k_a_r_b_2Ya_6_a_fAS_vQc_1_1_t3e, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {4, 0, 0, 16, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 448};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_a, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_primes, __pyx_mstate->__pyx_n_u_naive_limit, __pyx_mstate->__pyx_n_u_n, __pyx_mstate->__pyx_n_u_idx, __pyx_mstate->__pyx_n_u_ps, __pyx_mstate->__pyx_n_u_aas, __pyx_mstate->__pyx_n_u_bbs, __pyx_mstate->__pyx_n_u_ts, __pyx_mstate->__pyx_n_u_nl, __pyx_mstate->__pyx_n_u_aa, __pyx_mstate->__pyx_n_u_bb, __pyx_mstate->__pyx_n_u_pp, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_out};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_bpx__eckernel_pyx, __pyx_mstate->__pyx_n_u_ec_traces, __pyx_mstate->__pyx_kp_b_iso88591_A_1A_F_2Rq_V1Bb_V1Bb_2Q_s_U_T_E, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
+/* Compiled kernels: prime sieve and elliptic-curve traces.
+ *
+ * C twin of bpx._eckernel_py: the same API, algorithms and results, bit for
+ * bit.  Traces are counted below NAIVE_LIMIT and found above it by the
+ * Shanks-Mestre candidate filter (Cohen, GTM 138, 7.4.3) over the pure
+ * kernel's seeded xorshift point walk.  The trace loop and the supersingular
+ * scan release the GIL.  Primes are limited to p < 2^31, so every product
+ * of two residues fits in 64 bits; the seed and hash products wrap mod 2^64
+ * on purpose.
  */
-#pragma warning( disable : 4127 )
-#endif
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
-    }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
-    }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
-            }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
-    return 0;
-}
-
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
-}
-
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
-}
-
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
-        return 0;
-    }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
-    return 0;
-}
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
-
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
-{
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
-}
-
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
-        }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
-    }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
-        else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
-    }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* PyErrFetchRestore (used by RaiseException) */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* RaiseException */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* GetException */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
-{
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
-    }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* SwapException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_value = exc_info->exc_value;
-    exc_info->exc_value = *value;
-    if (tmp_value == NULL || tmp_value == Py_None) {
-        Py_XDECREF(tmp_value);
-        tmp_value = NULL;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-    } else {
-        tmp_type = (PyObject*) Py_TYPE(tmp_value);
-        Py_INCREF(tmp_type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        tmp_tb = ((PyBaseExceptionObject*) tmp_value)->traceback;
-        Py_XINCREF(tmp_tb);
-        #else
-        tmp_tb = PyException_GetTraceback(tmp_value);
-        #endif
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = *type;
-    exc_info->exc_value = *value;
-    exc_info->exc_traceback = *tb;
-  #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = *type;
-    tstate->exc_value = *value;
-    tstate->exc_traceback = *tb;
-  #endif
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    PyErr_GetExcInfo(&tmp_type, &tmp_value, &tmp_tb);
-    PyErr_SetExcInfo(*type, *value, *tb);
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#endif
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
-{
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
-}
-#endif
-
-/* SaveResetException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* SetItemInt */
-static int __Pyx_SetItemInt_Generic(PyObject *o, PyObject *j, PyObject *v) {
-    int r;
-    if (unlikely(!j)) return -1;
-    r = PyObject_SetItem(o, j, v);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE int __Pyx_SetItemInt_Fast(PyObject *o, Py_ssize_t i, PyObject *v, int is_list,
-                                               int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE && !CYTHON_AVOID_BORROWED_REFS
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = (!wraparound) ? i : ((likely(i >= 0)) ? i : i + PyList_GET_SIZE(o));
-        if ((CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared))) {
-            Py_INCREF(v);
-            return PyList_SetItem(o, n, v);
-        } else if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o)))) {
-            PyObject* old;
-            Py_INCREF(v);
-            old = PyList_GET_ITEM(o, n);
-            PyList_SET_ITEM(o, n, v);
-            Py_DECREF(old);
-            return 0;
-        }
-    } else
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_ass_subscript) {
-            int r;
-            PyObject *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return -1;
-            r = mm->mp_ass_subscript(o, key, v);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_ass_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return -1;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_ass_item(o, i, v);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_SetItem(o, i, v);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_SetItemInt_Generic(o, PyLong_FromSsize_t(i), v);
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType (used by FetchCommonType) */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
-        }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
-    }
-done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
-}
-
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* CallTypeTraverse (used by CythonFunctionShared) */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* PyDictVersioning (used by CLineInTraceback) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by CLineInTraceback) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_uint64_t(uint64_t value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const uint64_t neg_one = (uint64_t) -1, const_zero = (uint64_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(uint64_t) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(uint64_t) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(uint64_t) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(uint64_t) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(uint64_t) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(uint64_t),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(uint64_t));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE uint64_t __Pyx_PyLong_As_uint64_t(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const uint64_t neg_one = (uint64_t) -1, const_zero = (uint64_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        uint64_t val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (uint64_t) -1;
-        val = __Pyx_PyLong_As_uint64_t(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(uint64_t, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(uint64_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) >= 2 * PyLong_SHIFT)) {
-                            return (uint64_t) (((((uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(uint64_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) >= 3 * PyLong_SHIFT)) {
-                            return (uint64_t) (((((((uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(uint64_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) >= 4 * PyLong_SHIFT)) {
-                            return (uint64_t) (((((((((uint64_t)digits[3]) << PyLong_SHIFT) | (uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (uint64_t) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(uint64_t) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(uint64_t, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(uint64_t) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(uint64_t, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(uint64_t, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(uint64_t) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (uint64_t) (((uint64_t)-1)*(((((uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(uint64_t) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 2 * PyLong_SHIFT)) {
-                            return (uint64_t) ((((((uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(uint64_t) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (uint64_t) (((uint64_t)-1)*(((((((uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(uint64_t) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 3 * PyLong_SHIFT)) {
-                            return (uint64_t) ((((((((uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(uint64_t) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (uint64_t) (((uint64_t)-1)*(((((((((uint64_t)digits[3]) << PyLong_SHIFT) | (uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(uint64_t) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(uint64_t, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(uint64_t) - 1 > 4 * PyLong_SHIFT)) {
-                            return (uint64_t) ((((((((((uint64_t)digits[3]) << PyLong_SHIFT) | (uint64_t)digits[2]) << PyLong_SHIFT) | (uint64_t)digits[1]) << PyLong_SHIFT) | (uint64_t)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(uint64_t) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(uint64_t, long, PyLong_AsLong(x))
-        } else if ((sizeof(uint64_t) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(uint64_t, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        uint64_t val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (uint64_t) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (uint64_t) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (uint64_t) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (uint64_t) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(uint64_t) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((uint64_t) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(uint64_t) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((uint64_t) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((uint64_t) 1) << (sizeof(uint64_t) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (uint64_t) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to uint64_t");
-    return (uint64_t) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to uint64_t");
-    return (uint64_t) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int64_t(int64_t value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int64_t neg_one = (int64_t) -1, const_zero = (int64_t) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int64_t) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int64_t) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int64_t) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int64_t) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int64_t) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int64_t),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int64_t));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
-        goto done;
-    }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
-    }
-    goto done;
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
-done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
-}
-
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
-
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
+
+/* Below this prime counting beats the search (benchmarks/bench_kernels.py). */
+#define NAIVE_LIMIT 2000
+#define MAX_PRIME (1ULL << 31)
+/* p < 2^31 keeps the Hasse window below 2^18 points, so its root m <= 430 */
+#define MAX_M 512
+#define HASH_MULT 0x9E3779B97F4A7C15ULL
+#define SEED_ADD 0x243F6A8885A308D3ULL
+
+typedef uint64_t u64;
+typedef int64_t i64;
+enum { TRACE_OK, TRACE_NOMEM, TRACE_NOCAND };  /* status of a trace run without the GIL */
+
+static u64 powmod(u64 b, u64 e, u64 p)
+{
+    u64 r = 1;
+    for (b %= p; e; e >>= 1) {
+        if (e & 1)
+            r = r * b % p;
+        b = b * b % p;
+    }
+    return r;
+}
+
+static u64 invmod(u64 a, u64 p)
+{
+    i64 t = 0, newt = 1, r = (i64)p, newr = (i64)a, q, tmp;
+    while (newr) {
+        q = r / newr;
+        tmp = t - q * newt; t = newt; newt = tmp;
+        tmp = r - q * newr; r = newr; newr = tmp;
+    }
+    return (u64)(t < 0 ? t + (i64)p : t);
+}
+
+/* A square root of n mod p in *root (Tonelli-Shanks); 0 for a nonresidue. */
+static int sqrtmod(u64 n, u64 p, u64 *root)
+{
+    u64 q, s = 0, z = 2, m, c, t, r, b, t2, i;
+    if ((n %= p) == 0 || p % 4 == 3) {
+        *root = powmod(n, (p + 1) / 4, p);
+        return n == 0 || *root * *root % p == n;
+    }
+    if (powmod(n, (p - 1) / 2, p) != 1)
+        return 0;
+    for (q = p - 1; q % 2 == 0; q /= 2)
+        s++;
+    while (powmod(z, (p - 1) / 2, p) != p - 1)
+        z++;
+    m = s; c = powmod(z, q, p); t = powmod(n, q, p); r = powmod(n, (q + 1) / 2, p);
+    while (t != 1) {
+        for (t2 = t, i = 0; t2 != 1; i++)
+            t2 = t2 * t2 % p;
+        b = powmod(c, 1ULL << (m - i - 1), p);
+        m = i; c = b * b % p; t = t * c % p; r = r * b % p;
+    }
+    *root = r;
+    return 1;
+}
+
+/* floor(sqrt(n)), exact from the correctly rounded double for n < 2^50 */
+static u64 isqrt(u64 n)
+{
+    return (u64)sqrt((double)n);
+}
+
+/* ------------------------------------------------------------------------
+ * curve arithmetic on y^2 = x^3 + a*x + b over F_p, affine coordinates */
+
+typedef struct { u64 x, y; int inf; } Pt;
+
+static const Pt INF = {0, 0, 1};
+
+static Pt pt_add(Pt P, Pt Q, u64 a, u64 p)
+{
+    u64 lam, x3;
+    if (P.inf)
+        return Q;
+    if (Q.inf)
+        return P;
+    if (P.x == Q.x && (P.y + Q.y) % p == 0)
+        return INF;
+    if (P.x == Q.x)
+        lam = (3 * (P.x * P.x % p) + a) % p * invmod(2 * P.y % p, p) % p;
+    else
+        lam = (Q.y + p - P.y) % p * invmod((Q.x + p - P.x) % p, p) % p;
+    x3 = (lam * lam % p + 2 * p - P.x - Q.x) % p;
+    return (Pt){x3, (lam * ((P.x + p - x3) % p) % p + p - P.y) % p, 0};
+}
+
+static Pt pt_mul(u64 k, Pt P, u64 a, u64 p)
+{
+    Pt R = INF;
+    for (; k; k >>= 1) {
+        if (k & 1)
+            R = pt_add(R, P, a, p);
+        if (k > 1)
+            P = pt_add(P, P, a, p);
+    }
+    return R;
+}
+
+/* Trace by counting: y^2 and x^3 + a x + b advance by finite differences. */
+static int trace_naive(u64 a, u64 b, u64 p, i64 *trace)
+{
+    unsigned char *roots = calloc(p, 1);  /* number of square roots of each residue */
+    u64 x, y, sq = 0, dsq = 1 % p, f = b, d1 = (1 + a) % p, d2 = 6 % p;
+    u64 npts = 1, six = 6 % p, two = 2 % p;
+    if (roots == NULL)
+        return TRACE_NOMEM;
+    for (y = 0; y < p; y++) {
+        roots[sq]++;
+        if ((sq += dsq) >= p) sq -= p;          /* (y+1)^2 - y^2 = 2y + 1 */
+        if ((dsq += two) >= p) dsq -= p;
+    }
+    for (x = 0; x < p; x++) {
+        npts += roots[f];
+        if ((f += d1) >= p) f -= p;             /* f(x+1) - f(x) = 3x^2 + 3x + 1 + a */
+        if ((d1 += d2) >= p) d1 -= p;           /* its difference: 6x + 6 */
+        if ((d2 += six) >= p) d2 -= p;
+    }
+    free(roots);
+    *trace = (i64)(p + 1) - (i64)npts;
+    return TRACE_OK;
+}
+
+/* Deterministic next affine point, xorshift64 walk over x. */
+static Pt next_point(u64 *state, u64 a, u64 b, u64 p)
+{
+    Pt P = {0, 0, 0};  /* y is set by sqrtmod */
+    do {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        P.x = *state % p;
+    } while (!sqrtmod((P.x * P.x % p * P.x + a * P.x + b) % p, p, &P.y));
+    return P;
+}
+
+typedef struct { u64 x, y, j1; } Slot;  /* j1 = j + 1; 0 marks a free slot */
+
+/* Slot of point P in a table of 2^bits slots: where its linear probe starts. */
+static u64 slot_of(Pt P, int bits)
+{
+    return (P.x * HASH_MULT + P.y) * HASH_MULT >> (64 - bits);
+}
+
+/* Every N in [lo, hi] with N*P = O, written to found; returns their count,
+ * or -1 when P has tiny order.
+ *
+ * Baby steps (lo + j)P for 0 <= j < m meet giant steps -(i*m)P at
+ * N = lo + i*m + j, with m = isqrt(hi - lo + 1).  A giant step on O means
+ * the order of P divides i*m: P hardly narrows the window, and an order
+ * below m (repeated baby steps) always shows this way, since i runs to at
+ * least m - 1.  At most (hi - lo) / m + 1 <= m + 3 values are found, one per i. */
+static i64 annihilators(Pt P, u64 a, u64 p, u64 lo, u64 hi, u64 *found)
+{
+    Slot tab[2 * MAX_M];
+    u64 m = isqrt(hi - lo + 1), i, j, h, mask, n = 0;
+    int bits = 2;
+    i64 inf_j = -1;  /* first j with (lo + j)P = O */
+    Pt R = pt_mul(lo, P, a, p), U = INF, G = pt_mul(m, (Pt){P.x, (p - P.y) % p, 0}, a, p);
+    while ((1ULL << bits) < 2 * m)
+        bits++;
+    mask = (1ULL << bits) - 1;
+    memset(tab, 0, (mask + 1) * sizeof(Slot));
+    for (j = 0; j < m; j++, R = pt_add(R, P, a, p)) {
+        if (R.inf) {
+            if (inf_j < 0)
+                inf_j = (i64)j;
+            continue;
+        }
+        for (h = slot_of(R, bits); tab[h].j1; h = (h + 1) & mask)
+            if (tab[h].x == R.x && tab[h].y == R.y)
+                break;  /* keep the first j */
+        if (!tab[h].j1)
+            tab[h] = (Slot){R.x, R.y, j + 1};
+    }
+    for (i = 0; i <= (hi - lo) / m; i++, U = pt_add(U, G, a, p)) {
+        i64 hit = -1;
+        if (U.inf && i)
+            return -1;
+        if (U.inf)
+            hit = inf_j;
+        else
+            for (h = slot_of(U, bits); tab[h].j1 && hit < 0; h = (h + 1) & mask)
+                if (tab[h].x == U.x && tab[h].y == U.y)
+                    hit = (i64)tab[h].j1 - 1;
+        if (hit >= 0 && lo + i * m + (u64)hit <= hi)
+            found[n++] = lo + i * m + (u64)hit;
+    }
+    return (i64)n;
+}
+
+/* Group order by Shanks-Mestre: the one N in the Hasse window that
+ * annihilates every point tried (#E is always among the candidates). */
+static int trace_bsgs(u64 a, u64 b, u64 p, i64 *trace)
+{
+    u64 w = isqrt(4 * p), lo = p + 1 - w, hi = p + 1 + w;
+    u64 state = p * HASH_MULT + SEED_ADD, cands[MAX_M];
+    i64 n = -1, k, kept;
+    int trial;
+    if (state == 0)
+        state = 1;
+    for (trial = 0; trial < 20; trial++) {
+        Pt P = next_point(&state, a, b, p);
+        if (n < 0) {
+            if ((n = annihilators(P, a, p, lo, hi, cands)) < 0)
+                continue;
+        } else {
+            for (k = kept = 0; k < n; k++)
+                if (pt_mul(cands[k], P, a, p).inf)
+                    cands[kept++] = cands[k];
+            n = kept;
+        }
+        if (n == 0)
+            return TRACE_NOCAND;
+        if (n == 1) {
+            *trace = (i64)(p + 1) - (i64)cands[0];
+            return TRACE_OK;
+        }
+    }
+    return trace_naive(a, b, p, trace);  /* ambiguity persists (tiny group exponent) */
+}
+
+/* ------------------------------------------------------------------------
+ * Python entry points */
+
+typedef struct { u64 a, b, p; i64 trace; } Job;
+
+/* Reduce a, b mod p into job; raise on p outside [2, 2^31) or a singular curve. */
+static int job_init(Job *job, PyObject *a, PyObject *b, PyObject *pobj)
+{
+    int overflow;
+    long long p = PyLong_AsLongLongAndOverflow(pobj, &overflow);
+    PyObject *ra = NULL, *rb = NULL;
+    if (p == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow > 0 || p >= (long long)MAX_PRIME) {
+        PyErr_SetString(PyExc_OverflowError, "compiled kernel supports p < 2**31");
         return -1;
     }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
+    if (overflow < 0 || p < 2) {
+        PyErr_Format(PyExc_ValueError, "%lld is not a prime", p);
+        return -1;
     }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
+    if ((ra = PyNumber_Remainder(a, pobj)) && (rb = PyNumber_Remainder(b, pobj))) {
+        job->a = PyLong_AsUnsignedLongLong(ra);
+        job->b = PyLong_AsUnsignedLongLong(rb);
     }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
+    Py_XDECREF(ra);
+    Py_XDECREF(rb);
+    if (rb == NULL || PyErr_Occurred())
+        return -1;
+    job->p = (u64)p;
+    if ((4 * job->a % job->p * job->a % job->p * job->a
+         + 27 * job->b % job->p * job->b) % job->p == 0) {
+        PyErr_Format(PyExc_ValueError, "singular curve mod %lld", p);
+        return -1;
     }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
-
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
-}
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
     return 0;
 }
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
+
+/* Trace every job with the GIL released; raise and return -1 on failure. */
+static int run_jobs(Job *jobs, Py_ssize_t n, long long naive_limit)
+{
+    u64 limit = naive_limit < 0 ? 0 : (u64)naive_limit;
+    int status = TRACE_OK;
+    Py_ssize_t i;
+    Py_BEGIN_ALLOW_THREADS
+    for (i = 0; i < n && status == TRACE_OK; i++)
+        status = (jobs[i].p < limit ? trace_naive : trace_bsgs)(
+            jobs[i].a, jobs[i].b, jobs[i].p, &jobs[i].trace);
+    Py_END_ALLOW_THREADS
+    if (status == TRACE_NOMEM)
+        PyErr_NoMemory();
+    else if (status == TRACE_NOCAND)
+        PyErr_SetString(PyExc_AssertionError, "no group-order candidate in the Hasse window");
+    return status == TRACE_OK ? 0 : -1;
 }
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
+
+static PyObject *ec_trace(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"a", "b", "p", "naive_limit", NULL};
+    PyObject *a, *b, *p;
+    long long naive_limit = NAIVE_LIMIT;
+    Job job;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|L:ec_trace", kwlist,
+                                     &a, &b, &p, &naive_limit)
+        || job_init(&job, a, b, p) < 0 || run_jobs(&job, 1, naive_limit) < 0)
+        return NULL;
+    return PyLong_FromLongLong(job.trace);
 }
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
+
+static PyObject *ec_traces(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"a", "b", "primes", "naive_limit", NULL};
+    PyObject *a, *b, *primes, *seq, *t, *out = NULL;
+    long long naive_limit = NAIVE_LIMIT;
+    Py_ssize_t n, i;
+    Job *jobs;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|L:ec_traces", kwlist,
+                                     &a, &b, &primes, &naive_limit)
+        || (seq = PySequence_Tuple(primes)) == NULL)  /* a copy no callback can change */
+        return NULL;
+    n = PyTuple_GET_SIZE(seq);
+    if ((jobs = PyMem_RawMalloc((n + 1) * sizeof(Job))) == NULL) {
+        PyErr_NoMemory();
         goto done;
     }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
+    /* the reductions need Python-int arithmetic: do them up front */
+    for (i = 0; i < n; i++)
+        if (job_init(&jobs[i], a, b, PyTuple_GET_ITEM(seq, i)) < 0)
+            goto done;
+    if (run_jobs(jobs, n, naive_limit) < 0 || (out = PyList_New(n)) == NULL)
+        goto done;
+    for (i = 0; out && i < n; i++)
+        if ((t = PyLong_FromLongLong(jobs[i].trace)) == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, t);
+done:
+    PyMem_RawFree(jobs);
+    Py_DECREF(seq);
+    return out;
 }
-#endif
 
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
+/* Ascending list of the count indices whose flag is set. */
+static PyObject *flagged_list(const unsigned char *flags, u64 size, u64 count)
+{
+    PyObject *out = PyList_New((Py_ssize_t)count), *v;
+    u64 i, k = 0;
+    for (i = 0; out && i < size; i++)
+        if (flags[i] && (v = PyLong_FromUnsignedLongLong(i)) == NULL)
+            Py_CLEAR(out);
+        else if (flags[i])
+            PyList_SET_ITEM(out, (Py_ssize_t)k++, v);
+    return out;
+}
 
+static PyObject *primes_below(PyObject *Py_UNUSED(self), PyObject *arg)
+{
+    int overflow;
+    long long limit = PyLong_AsLongLongAndOverflow(arg, &overflow);
+    unsigned char *flags;
+    u64 n, i, j, count = 0;
+    PyObject *out;
+    if (limit == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow > 0)
+        return PyErr_NoMemory();
+    if (overflow < 0 || limit <= 2)
+        return PyList_New(0);
+    if ((flags = PyMem_RawMalloc(n = (u64)limit)) == NULL)
+        return PyErr_NoMemory();
+    Py_BEGIN_ALLOW_THREADS
+    memset(flags, 1, n);
+    flags[0] = flags[1] = 0;
+    for (j = 4; j < n; j += 2)
+        flags[j] = 0;
+    for (i = 3; i * i < n; i += 2)
+        if (flags[i])
+            for (j = i * i; j < n; j += 2 * i)
+                flags[j] = 0;
+    for (i = 0; i < n; i++)
+        count += flags[i];
+    Py_END_ALLOW_THREADS
+    out = flagged_list(flags, n, count);
+    PyMem_RawFree(flags);
+    return out;
+}
 
+/* ------------------------------------------------------------------------
+ * supersingular scan over F_(l^2) = F_l(w), w^2 = nonres */
 
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */
+typedef struct { u64 u, v; } F2;
+
+static F2 f2_mul(F2 x, F2 y, u64 l, u64 ns)
+{
+    return (F2){(x.u * y.u + x.v * y.v % l * ns) % l, (x.u * y.v + x.v * y.u) % l};
+}
+
+static F2 f2_inv(F2 x, u64 l, u64 ns)
+{
+    u64 ni = invmod((x.u * x.u + (l - x.v * x.v % l * ns % l)) % l, l);
+    return (F2){x.u * ni % l, (l - x.v) % l * ni % l};
+}
+
+/* Supersingular j = u + v*w in F_(l^2), encoded u*l + v with v <= (l-1)/2:
+ * a curve with invariant j is supersingular iff l divides its trace over
+ * F_(l^2), minus the sum over x of the quadratic character of x^3 + a x + b. */
+static PyObject *supersingular_js_fq2(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    long long ell, nonres, t;
+    u64 l, ns, n2, xu, xv, ju, jv, nfound = 0;
+    F2 *cube, one = {1, 0}, zero = {0, 0};
+    signed char *chi;
+    unsigned char *hit;
+    PyObject *out;
+    if (!PyArg_ParseTuple(args, "LL:supersingular_js_fq2", &ell, &nonres))
+        return NULL;
+    if (ell < 3 || ell >= (1LL << 20))
+        return PyErr_Format(PyExc_ValueError, "l = %lld is outside 3 <= l < 2**20", ell);
+    l = (u64)ell;
+    ns = (u64)(nonres % ell + ell) % l;
+    n2 = l * l;
+    if ((cube = PyMem_RawCalloc(n2, sizeof(F2) + 2)) == NULL)
+        return PyErr_NoMemory();
+    chi = (signed char *)(cube + n2);
+    hit = (unsigned char *)(chi + n2);
+    Py_BEGIN_ALLOW_THREADS
+    /* quadratic character: 1 on nonzero squares, -1 on nonsquares, 0 at 0 */
+    memset(chi, -1, n2);
+    for (xu = 0; xu < l; xu++)
+        for (xv = 0; xv < l; xv++) {
+            F2 x = {xu, xv}, sq = f2_mul(x, x, l, ns);
+            chi[sq.u * l + sq.v] = 1;
+            cube[xu * l + xv] = f2_mul(sq, x, l, ns);
+        }
+    chi[0] = 0;
+    for (ju = 0; ju < l; ju++)
+        for (jv = 0; jv < (l + 1) / 2; jv++) {
+            F2 ca = zero, cb = one, k;                  /* j = 0: y^2 = x^3 + 1 */
+            if (ju == 1728 % l && jv == 0 && ju) {
+                ca = one;                               /* j = 1728: y^2 = x^3 + x */
+                cb = zero;
+            } else if (ju || jv) {                      /* a = 3k, b = 2k, k = j/(1728 - j) */
+                k = f2_mul((F2){ju, jv}, f2_inv((F2){(1728 % l + l - ju) % l, (l - jv) % l},
+                                                l, ns), l, ns);
+                ca = f2_mul((F2){3 % l, 0}, k, l, ns);
+                cb = f2_mul((F2){2 % l, 0}, k, l, ns);
+            }
+            for (t = 0, xu = 0; xu < l; xu++) {
+                const F2 *c = cube + xu * l;
+                u64 fu = cb.u + ca.u * xu, fv = cb.v + ca.v * xu, avn = ca.v * ns;
+                for (xv = 0; xv < l; xv++)
+                    t += chi[(c[xv].u + fu + avn * xv) % l * l + (c[xv].v + fv + ca.u * xv) % l];
+            }
+            if (t % ell == 0) {
+                hit[ju * l + jv] = 1;
+                nfound++;
+            }
+        }
+    Py_END_ALLOW_THREADS
+    out = flagged_list(hit, n2, nfound);
+    PyMem_RawFree(cube);
+    return out;
+}
+
+static PyMethodDef methods[] = {
+    {"primes_below", primes_below, METH_O,
+     "primes_below(limit)\n--\n\nAscending list of all primes p < limit."},
+    {"ec_trace", (PyCFunction)(void (*)(void))ec_trace, METH_VARARGS | METH_KEYWORDS,
+     "ec_trace(a, b, p, naive_limit=NAIVE_LIMIT)\n--\n\n"
+     "Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime)."},
+    {"ec_traces", (PyCFunction)(void (*)(void))ec_traces, METH_VARARGS | METH_KEYWORDS,
+     "ec_traces(a, b, primes, naive_limit=NAIVE_LIMIT)\n--\n\n"
+     "Traces of the global curve y^2 = x^3 + a*x + b at each given prime."},
+    {"supersingular_js_fq2", supersingular_js_fq2, METH_VARARGS,
+     "supersingular_js_fq2(ell, nonres)\n--\n\n"
+     "Supersingular j-invariants in F_(l^2) by point counting, encoded\n"
+     "u*l + v for u + v*w (w^2 = nonres), one of each conjugate pair."},
+    {NULL, NULL, 0, NULL}
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, .m_name = "bpx._eckernel", .m_size = -1, .m_methods = methods,
+    .m_doc = "Compiled kernels: prime sieve and elliptic-curve traces (C twin of\n"
+             "bpx._eckernel_py; primes p < 2**31).",
+};
+
+PyMODINIT_FUNC PyInit__eckernel(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    if (m && PyModule_AddIntConstant(m, "NAIVE_LIMIT", NAIVE_LIMIT) < 0)
+        Py_CLEAR(m);
+    return m;
+}

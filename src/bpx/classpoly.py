@@ -159,12 +159,33 @@ class WeightedClassPoly:
 
     @classmethod
     def from_document(cls, doc: dict) -> "WeightedClassPoly":
-        comps = [(Poly.from_ints(ZZ, [int(c) for c in item["coeffs"]]),
-                  Fraction(item["weight"]))
-                 for item in doc["components"]]
+        """Rebuild a ``to_document`` document; ValueError if it is malformed.
+
+        Each component must be a monic polynomial of positive degree with
+        decimal-string coefficients and a positive "num/den" weight.
+        """
+        try:
+            comps = [(Poly.from_ints(ZZ, [int(_text(c)) for c in item["coeffs"]]),
+                      Fraction(_text(item["weight"])))
+                     for item in doc["components"]]
+            d = doc["d"]
+            prec = doc.get("precision_used", 0)
+            resid = doc.get("residual_bound", 0.0)
+        except (TypeError, KeyError, AttributeError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed class polynomial document: {exc}") from exc
+        if not (type(d) is int and type(prec) is int
+                and type(resid) in (int, float) and comps
+                and all(p.degree >= 1 and p.leading == 1 and w > 0
+                        for p, w in comps)):
+            raise ValueError("malformed class polynomial document")
         h = sum((w * p.degree for p, w in comps), Fraction(0))
-        return cls(doc["d"], comps, h, doc.get("precision_used", 0),
-                   doc.get("residual_bound", 0.0), cached=True)
+        return cls(d, comps, h, prec, resid, cached=True)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def default_cache_dir() -> str:
@@ -220,11 +241,15 @@ def hilbert_class_poly(d: int, cache_dir: str | None = None) -> WeightedClassPol
     if os.path.exists(path):
         try:
             with open(path) as fh:
-                doc = WeightedClassPoly.from_document(json.load(fh))
+                cached = WeightedClassPoly.from_document(json.load(fh))
+        except ValueError:
+            cached = None
+        # a malformed document, one for another d, or one whose degrees and
+        # weights miss h(d) is corrupt: recompute it and overwrite it
+        if (cached is not None and cached.d == d
+                and cached.h == hurwitz_class_number(d)):
             _CACHE_STATS["hits"] += 1
-            return doc
-        except (ValueError, KeyError):
-            pass  # corrupt cache entry: recompute and overwrite
+            return cached
     _CACHE_STATS["misses"] += 1
     forms = reduced_forms(d)
     groups: dict[int, list[QuadForm]] = {}

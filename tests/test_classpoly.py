@@ -5,12 +5,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from bpx.classpoly import (QuadForm, corollary_conditions,
+from bpx.borcherds import exact_exponents
+from bpx.classpoly import (QuadForm, WeightedClassPoly, corollary_conditions,
                            eligibility, hilbert_class_poly,
                            hurwitz_class_number, reduced_forms,
                            singular_modulus)
 from bpx.errors import InputError, NotADiscriminantError
 from bpx.arith import is_fundamental_discriminant
+from bpx.qseries import ZZ, Poly
 from bpx.ssforms import supersingular_poly
 
 
@@ -122,6 +124,57 @@ def test_corrupt_cache_recomputed(tmp_path):
         fh.write("{not json")
     w = hilbert_class_poly(7, cache_dir=cache)
     assert [(str(p), wt) for p, wt in w.components] == [("x + 3375", Fraction(1))]
+
+
+def _recomputed_from(cache, d, doc):
+    """hilbert_class_poly(d) after `doc` was stored as its cache document."""
+    path = os.path.join(cache, f"hd_{d}.json")
+    os.makedirs(cache, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    w = hilbert_class_poly(d, cache_dir=cache)
+    assert not w.cached
+    with open(path) as fh:  # overwritten with the recomputed document
+        assert json.load(fh) == w.to_document()
+    return w
+
+
+D4 = {"d": 4, "components": [{"coeffs": ["-1728", "1"], "weight": "1/2"}],
+      "precision_used": 30, "residual_bound": 0.0}
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"d": 4},
+    {"d": 4, "components": 5},
+    {"d": 4, "components": [], "precision_used": 30},
+    {"d": 4, "components": [{"coeffs": [-1728, 1], "weight": "1/2"}]},
+    {"d": 4, "components": [{"coeffs": ["-1728", "2"], "weight": "1/2"}]},
+    {"d": 4, "components": [{"coeffs": ["-1728", "1"], "weight": "1/0"}]},
+    {"d": "4", "components": D4["components"]},
+    dict(D4, precision_used="30"),
+], ids=["list", "no-components", "components-not-a-list", "no-components-listed",
+        "int-coefficients", "not-monic", "zero-denominator", "d-a-string",
+        "precision-a-string"])
+def test_cache_document_of_wrong_shape_recomputed(tmp_path, doc):
+    w = _recomputed_from(str(tmp_path), 4, doc)
+    assert w.components == WeightedClassPoly.from_document(D4).components
+
+
+def test_cache_document_with_wrong_weight_recomputed(tmp_path):
+    # weight 1 instead of 1/2: sum of degree * weight is 1, not h(4) = 1/2,
+    # which would double every exponent (A(1,4) = 984 instead of 492)
+    doc = {**D4, "components": [{"coeffs": ["-1728", "1"], "weight": "1"}]}
+    w = _recomputed_from(str(tmp_path), 4, doc)
+    assert w.components == [(Poly.from_ints(ZZ, [-1728, 1]), Fraction(1, 2))]
+    assert exact_exponents(4, 2, cache_dir=str(tmp_path)).values == (492, 143376)
+
+
+def test_cache_document_for_another_d_recomputed(tmp_path):
+    cache = str(tmp_path)
+    doc7 = hilbert_class_poly(7, cache_dir=cache).to_document()
+    w = _recomputed_from(cache, 4, doc7)
+    assert (w.d, w.h) == (4, Fraction(1, 2))
 
 
 def test_eligibility_examples():

@@ -177,6 +177,17 @@ def test_cache_dir_flag(tmp_path, capsys):
     assert doc["cache"]["hits"] == 1 and doc["cache"]["misses"] == 0
 
 
+def test_corrupt_cache_document_recomputed(tmp_path, capsys):
+    # a cache document of the wrong shape is recomputed, not a traceback
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "hd_4.json").write_text("[]")
+    code, out, err = invoke(capsys, "exponents", "--d", "4", "--n", "5",
+                            "--cache-dir", str(cache))
+    assert (code, err) == (0, "")
+    assert "492" in out and "8806299845100" in out
+
+
 def test_warm_cache_run_never_imports_mpmath(tmp_path, capsys):
     # mpmath serves only the class-polynomial compute path; importing the
     # CLI, or answering from a warm cache, must not load it

@@ -1,4 +1,5 @@
 import json
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -199,6 +200,26 @@ def test_ec_traces_threads_deterministic():
     curve = X0_CURVES[11]
     primes = [p for p in sieve(40000).primes if p not in (2, 3, 11)]
     assert ec_traces(curve, primes, threads=1) == ec_traces(curve, primes, threads=4)
+
+
+def test_ec_traces_threads_on_the_compiled_kernel(monkeypatch, compiled):
+    # blocks of 4096 primes run on a thread pool, each block with the GIL
+    # released; the merged traces must equal one single-threaded call
+    curve = X0_CURVES[11]
+    primes = [p for p in sieve(40000).primes if p not in (2, 3, 11)]
+    assert len(primes) > 4096  # enough for more than one block
+    callers = set()
+
+    def traced(*args):
+        callers.add(threading.get_ident())
+        return compiled.ec_traces(*args)
+
+    monkeypatch.setattr(kernel, "BACKEND", "compiled")
+    monkeypatch.setattr(kernel, "ec_traces", traced)
+    want = ec_traces(curve, primes, threads=1)
+    assert callers == {threading.get_ident()}
+    assert ec_traces(curve, primes, threads=2) == want
+    assert len(callers) > 1  # the blocks ran on pool threads
 
 
 def test_ec_traces_no_threads_on_the_pure_kernel(monkeypatch):

@@ -1,5 +1,8 @@
 """Backend parity: the compiled kernel and the pure-Python fallback must
-agree bit for bit on every exposed operation."""
+agree bit for bit on every exposed operation.  The compiled module comes
+from the ``compiled`` fixture (tests/conftest.py), which builds it."""
+
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +11,6 @@ from hypothesis import strategies as st
 import bpx._eckernel_py as pure
 from bpx import density, kernel
 from oracles import supersingular_js_by_point_count
-
-try:
-    import bpx._eckernel as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None,
-                                    reason="compiled kernel not built")
 
 A11, B11 = -27 * 496, -54 * 20008  # short form of the level 11 curve
 
@@ -30,8 +25,7 @@ def test_pure_primes_below():
     assert len(pure.primes_below(10 ** 4)) == 1229
 
 
-@needs_compiled
-def test_primes_below_parity():
+def test_primes_below_parity(compiled):
     for limit in (2, 3, 10, 97, 10 ** 4, 123456):
         assert compiled.primes_below(limit) == pure.primes_below(limit)
 
@@ -41,8 +35,7 @@ def test_pure_trace_small():
     assert pure.ec_trace(A11, B11, 7) == -2
 
 
-@needs_compiled
-def test_trace_parity_naive_and_bsgs():
+def test_trace_parity_naive_and_bsgs(compiled):
     primes = [p for p in pure.primes_below(2000) if p >= 5 and p != 11][:80]
     big = [p for p in pure.primes_below(120000) if p > 100000][:40]
     for p in primes + big:
@@ -62,25 +55,27 @@ def test_pure_bsgs_vs_naive():
 def test_singular_curve_rejected():
     with pytest.raises(ValueError):
         pure.ec_trace(0, 0, 7)
-    if compiled is not None:
-        with pytest.raises(ValueError):
-            compiled.ec_trace(0, 0, 7)
 
 
-@needs_compiled
-def test_compiled_prime_size_limit():
+def test_compiled_singular_curve_rejected(compiled):
+    with pytest.raises(ValueError, match="singular curve mod 7"):
+        compiled.ec_trace(0, 0, 7)
+    # 4 + 27 * 4 = 2^4 * 7: bad reduction at 7 only
+    with pytest.raises(ValueError, match="singular curve mod 7"):
+        compiled.ec_traces(1, 2, [5, 7])
+
+
+def test_compiled_prime_size_limit(compiled):
     with pytest.raises(OverflowError):
         compiled.ec_trace(1, 1, 2 ** 31 + 11)
 
 
-@needs_compiled
-def test_ec_traces_block_parity():
+def test_ec_traces_block_parity(compiled):
     primes = [p for p in pure.primes_below(50000) if p >= 5 and p != 11][:300]
     assert compiled.ec_traces(A11, B11, primes) == pure.ec_traces(A11, B11, primes)
 
 
-@needs_compiled
-def test_supersingular_scan_parity():
+def test_supersingular_scan_parity(compiled):
     from bpx.ssforms import _nonresidue
     for ell in (5, 7, 11, 13, 37, 47):
         ns = _nonresidue(ell)
@@ -162,10 +157,16 @@ def test_bsgs_skips_a_point_of_tiny_order(monkeypatch):
     assert log[0] is None and len(log[1]) == 1 and "naive" not in log
 
 
+def test_each_backend_owns_its_measured_crossover(compiled):
+    # benchmarks/bench_kernels.py measures both: counting costs about p,
+    # the search about p^(1/4) point operations, at very different constants
+    assert (pure.NAIVE_LIMIT, compiled.NAIVE_LIMIT) == (500, 2000)
+
+
 def test_pure_crossover_is_the_default_below_10000(monkeypatch):
     assert pure.NAIVE_LIMIT < 10 ** 4
-    assert kernel.NAIVE_LIMITS == {"compiled": 10 ** 4, "python": pure.NAIVE_LIMIT}
-    assert kernel.NAIVE_LIMIT == kernel.NAIVE_LIMITS[kernel.backend()]
+    active = {"compiled": "bpx._eckernel", "python": "bpx._eckernel_py"}
+    assert kernel.NAIVE_LIMIT == sys.modules[active[kernel.backend()]].NAIVE_LIMIT
     seen = []
 
     def spy(a, b, primes, naive_limit):
