@@ -1,0 +1,93 @@
+"""Check that two checkouts give the same documents for every benchmark command.
+
+Run:  python benchmarks/same_documents.py PARENT_DIR CHANGE_DIR
+
+Reads the commands of both workloads (main ops, every pool entry, and the
+probes) from each tree's ``bpxbench/run.py`` and runs each one in both
+trees as ``python -m bpx.cli ... --format json``, with the tree's ``src``
+on PYTHONPATH and one fresh cache directory per tree.  The two sides of a
+command run at the same time.  A document is compared as written, less
+its ``meta`` and ``cache`` keys, which describe the run rather than the
+result; the exit status and standard error must match too.  Prints one
+line per command and exits 1 if any document differs.
+"""
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUN_KEYS = ("meta", "cache")  # run descriptions, not results
+
+
+def benchmark_commands(tree: Path) -> list[str]:
+    """Every command of every workload in tree/bpxbench/run.py, in order."""
+    spec = importlib.util.spec_from_file_location(
+        "bpxbench_run", tree / "bpxbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    out = []
+    for workload in run.WORKLOADS.values():
+        for op in workload["pass"] + workload["probes"]:
+            if op is None:  # the PROBES marker
+                continue
+            pool = op[1]
+            out += [pool] if isinstance(pool, str) else pool
+    return out
+
+
+def start(tree: Path, command: str, cache: str) -> subprocess.Popen:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tree / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    argv = [sys.executable, "-m", "bpx.cli", *command.split(),
+            "--format", "json", "--cache-dir", cache]
+    return subprocess.Popen(argv, cwd=tree, env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def result(proc: subprocess.Popen) -> tuple[int, str, str]:
+    """(exit status, document less its run keys, standard error)."""
+    stdout, stderr = proc.communicate()
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        return proc.returncode, stdout, stderr
+    for key in RUN_KEYS:
+        doc.pop(key, None)
+    return proc.returncode, json.dumps(doc, indent=2, sort_keys=True), stderr
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    args = ap.parse_args(argv)
+    trees = (args.parent.resolve(), args.change.resolve())
+    commands = list(dict.fromkeys(benchmark_commands(trees[0])
+                                  + benchmark_commands(trees[1])))
+    differ = 0
+    with tempfile.TemporaryDirectory() as c0, tempfile.TemporaryDirectory() as c1:
+        for command in commands:
+            procs = [start(tree, command, cache) for tree, cache in zip(trees, (c0, c1))]
+            old, new = (result(p) for p in procs)
+            if old == new:
+                print(f"same     {command}")
+                continue
+            differ += 1
+            print(f"DIFFERS  {command}")
+            for name, (before, after) in zip(("exit status", "document", "stderr"),
+                                             zip(old, new)):
+                if before != after:
+                    print(f"         {name}: parent {str(before)[:200]!r}")
+                    print(f"         {' ' * len(name)}  change {str(after)[:200]!r}")
+    print(f"{len(commands) - differ} of {len(commands)} documents identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

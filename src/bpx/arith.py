@@ -1,9 +1,11 @@
 """Exact arithmetic substrate.
 
 Integers are Python ints, rationals are ``fractions.Fraction`` (always
-normalized, positive denominator, structural equality), prime fields are
-``Mod``, and real quadratic extensions a + b*sqrt(D) are ``QuadExt`` over
-either the rationals or a prime field.  On top of those live the classical
+normalized, positive denominator, structural equality), an element of a
+prime field F_l is a plain int in [0, l) (``frac_mod`` reduces a rational
+into one), and real quadratic extensions a + b*sqrt(D) are ``QuadExt``
+over either the rationals or a prime field, whose scalars are then ``Mod``
+(an element of F_l boxed with its modulus).  On top of those live the classical
 number-theoretic functions (Kronecker symbol, Bernoulli numbers, divisor
 sums, Moebius) and Dirichlet convolution inverses.
 """
@@ -214,7 +216,7 @@ class Mod:
         if isinstance(other, int):
             return Mod(other, self.modulus)
         if isinstance(other, Fraction):
-            return frac_mod(other, self.modulus)
+            return Mod(frac_mod(other, self.modulus), self.modulus)
         return NotImplemented
 
     def __add__(self, other):
@@ -289,13 +291,14 @@ class Mod:
         return f"Mod({self.value}, {self.modulus})"
 
 
-def frac_mod(x: Fraction | int, ell: int) -> Mod:
-    """Reduce a rational with denominator coprime to l into F_l."""
+def frac_mod(x: Fraction | int, ell: int) -> int:
+    """Reduce a rational with denominator coprime to l into F_l, as an int in [0, l)."""
+    _check_odd_prime(ell)
     if isinstance(x, int):
-        return Mod(x, ell)
+        return x % ell
     if x.denominator % ell == 0:
         raise InputError(f"denominator of {x} is divisible by {ell}")
-    return Mod(x.numerator * pow(x.denominator, -1, ell), ell)
+    return x.numerator * pow(x.denominator, -1, ell) % ell
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +407,7 @@ class QuadExt:
         """View a + b*sqrt(D) in F_l by substituting a concrete root of D."""
         if sqrtD * sqrtD != self.D % sqrtD.modulus:
             raise InputError(f"{sqrtD!r} is not a square root of {self.D}")
-        ell = sqrtD.modulus
-        a = self.a if isinstance(self.a, Mod) else frac_mod(self.a, ell)
-        b = self.b if isinstance(self.b, Mod) else frac_mod(self.b, ell)
-        return a + b * sqrtD
+        return self.a + self.b * sqrtD
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Mod)):

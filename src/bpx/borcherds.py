@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Mod, QuadExt, dirichlet_inverse, divisors, moebius, sigma
+from .arith import QuadExt, dirichlet_inverse, divisors, moebius, sigma
 from .classpoly import eligibility, hilbert_class_poly
 from .errors import (IneligiblePairError, InputError,
                      InternalConsistencyError, TruncationError)
@@ -67,7 +67,7 @@ def _log_derivative(d: int, n: int, ring, cache_dir: str | None) -> QSeries:
         if ring is not ZZ:
             poly = poly.reduce_mod(ring.ell)
         li = poly.evaluate_series(j).log_derivative().truncate(n)
-        total = total - li.map_coefficients(lambda c: c * w, out_ring)
+        total = total - QSeries(out_ring, li.lead, li.coeffs).scale(w)
     if total.coeff(0) != out_ring.coerce(wcp.h):
         raise InternalConsistencyError(
             f"constant term {total.coeff(0)} != h({d}) = {wcp.h} over {out_ring.name}")
@@ -111,8 +111,8 @@ class CongruenceFormula:
 
     d: int
     ell: int
-    c0: Mod
-    c: tuple[Mod, ...]
+    c0: int
+    c: tuple[int, ...]
     basis: EigenformBasis
     verified_to: int
 
@@ -124,24 +124,32 @@ class CongruenceFormula:
         return {
             "d": self.d,
             "ell": self.ell,
-            "c0": self.c0.value,
-            "c": [v.value for v in self.c],
+            "c0": self.c0,
+            "c": list(self.c),
             "basis": [self.basis.describe(i) for i in range(self.basis.dim)],
-            "t2_eigenvalues": [v.value for v in self.basis.t2_eigenvalues],
+            "t2_eigenvalues": list(self.basis.t2_eigenvalues),
             "verified_to": self.verified_to,
         }
 
 
 def fit_congruence(d: int, ell: int, verify_to: int | None = None,
                    cache_dir: str | None = None) -> CongruenceFormula:
-    """Fit c0, c_1..c_r and verify the full series identity to the stated order."""
+    """Fit c0, c_1..c_r and verify the full series identity to the stated order.
+
+    The fit solves for the coefficients of q^0..q^r, so verify_to must be at
+    least r + 1 for the verification to test anything.
+    """
     r = len(monomial_basis(ell + 1, cusp_only=True))
+    if verify_to is not None and verify_to <= r:
+        raise InputError(
+            f"verify_to must be at least r + 1 = {r + 1} for l={ell}: the fit "
+            f"solves for q^0..q^{r}, so a lower order verifies nothing")
     n = verify_to if verify_to is not None else max(200, 3 * r)
     basis = eigenbasis(ell, order=n)
     lbar = log_derivative_mod(d, ell, n, cache_dir=cache_dir)
     c0, cusp = eisenstein_cusp_split(lbar, ell)
     if r == 0:
-        cvec: list[Mod] = []
+        cvec: list[int] = []
         residual = cusp
     else:
         rows = [[basis.coefficient(i, m) for i in range(r)] for m in range(1, r + 1)]
@@ -164,7 +172,7 @@ def fit_congruence(d: int, ell: int, verify_to: int | None = None,
     return CongruenceFormula(d, ell, c0, tuple(cvec), basis, n)
 
 
-def formula_eval(F: CongruenceFormula, n: int) -> Mod:
+def formula_eval(F: CongruenceFormula, n: int) -> int:
     """Evaluate the fitted congruence at n coprime to l (D = 1, nu = mu)."""
     ell = F.ell
     if n % ell == 0:
@@ -172,18 +180,14 @@ def formula_eval(F: CongruenceFormula, n: int) -> Mod:
     if F.basis.dim and F.basis.order < n:
         raise TruncationError(
             f"eigenform expansions only reach order {F.basis.order} < {n}")
-    m24c0 = Mod(-24, ell) * F.c0
-    total = Mod(0, ell)
+    total = 0
     for m in divisors(n):
         mu = moebius(n // m)
-        if mu == 0:
-            continue
-        term = m24c0 * sigma(1, m)
-        for ci, form in zip(F.c, F.basis.forms):
-            term = term + ci * form.coeff(m)
-        total = total + (term if mu == 1 else -term)
+        if mu:
+            total += mu * (-24 * F.c0 * sigma(1, m)
+                           + sum(ci * form.coeff(m) for ci, form in zip(F.c, F.basis.forms)))
     # division by n via the Fermat inverse n^(l-2)
-    return total * pow(n % ell, ell - 2, ell)
+    return total * pow(n, ell - 2, ell) % ell
 
 
 def formula_eval_primes(F: CongruenceFormula, primes, columns) -> list[int]:
@@ -196,11 +200,10 @@ def formula_eval_primes(F: CongruenceFormula, primes, columns) -> list[int]:
     bad = next((p for p in primes if p % ell == 0), None)
     if bad is not None:
         raise InputError(f"theorem hypothesis l does not divide n violated: {bad}")
-    base = (-24 * F.c0.value) % ell
-    cs = [c.value for c in F.c]
-    if not cs:
+    base = (-24 * F.c0) % ell
+    if not F.c:
         return [base] * len(primes)
-    return [(base + sum(ci * (col[k] - 1) for ci, col in zip(cs, columns))
+    return [(base + sum(ci * (col[k] - 1) for ci, col in zip(F.c, columns))
              * pow(p, ell - 2, ell)) % ell for k, p in enumerate(primes)]
 
 
@@ -218,7 +221,7 @@ def verify_congruence(d: int, ell: int, n_max: int,
         if n % ell == 0:
             skipped += 1
             continue
-        if Mod(table[n], ell) != formula_eval(F, n):
+        if table[n] % ell != formula_eval(F, n):
             raise InternalConsistencyError(
                 f"exact A({n}^2,{d}) = {table[n]} != formula value mod {ell}")
         verified += 1

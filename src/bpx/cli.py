@@ -164,7 +164,7 @@ def _cmd_check(args) -> dict:
 def _cmd_supersingular(args) -> dict:
     s = supersingular_poly(args.ell)
     doc = {"ell": args.ell, "s": str(s), "degree": s.degree,
-           "coeffs": [c.value for c in s.coeffs]}
+           "coeffs": s.coeffs}
     if args.ell <= BRUTEFORCE_MAX_ELL:
         brute = supersingular_poly_bruteforce(args.ell)
         doc["bruteforce_match"] = brute == s

@@ -219,13 +219,12 @@ def asymptotic_table(F: CongruenceFormula) -> DensityTable:
     over N = (l-1) (|GL2(F_l)| / (l-1))^r elements in all, for any rank r.
     """
     ell = F.ell
-    base = (-24 * F.c0.value) % ell
-    cs = [c.value for c in F.c]
+    base = (-24 * F.c0) % ell
     tally = [0] * ell
     for b in range(1, ell):
         counts = [charpoly_count(ell, a, b).count for a in range(ell)]
         dist = [1] + [0] * (ell - 1)
-        for ci in cs:
+        for ci in F.c:
             factor = [0] * ell
             for a, n in enumerate(counts):
                 factor[ci * (a - 1) % ell] += n
@@ -234,7 +233,7 @@ def asymptotic_table(F: CongruenceFormula) -> DensityTable:
         invb = pow(b, -1, ell)
         for s, mass in enumerate(dist):
             tally[(base + s * invb) % ell] += mass
-    total = (ell - 1) * (gl2_order(ell) // (ell - 1)) ** len(cs)
+    total = (ell - 1) * (gl2_order(ell) // (ell - 1)) ** F.rank
     if sum(tally) != total:
         raise InternalConsistencyError("asymptotic densities do not sum to 1")
     acc = {t: Fraction(n, total) for t, n in enumerate(tally) if n}
@@ -266,7 +265,7 @@ def empirical_table(F: CongruenceFormula, x: int, threads: int = 1,
                 f"l={ell} is not curve-backed; eigenform-expansion mode "
                 f"supports x <= {EXPANSION_LIMIT}")
         basis = eigenbasis(ell, order=max(x - 1, 4))
-        columns = [[form.coeffs[p - form.lead].value for p in eligible]
+        columns = [[form.coeffs[p - form.lead] for p in eligible]
                    for form in basis.forms]
     else:
         columns = []

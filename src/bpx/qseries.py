@@ -1,10 +1,15 @@
 """Truncated Laurent q-series and dense polynomials over a declared ring.
 
-Rings are ZZ, QQ and GF(l); coefficients are plain ints, Fractions or
-Mod values, and all series arithmetic is exact.  Truncation orders are
-explicit everywhere: a series knows its leading exponent and the last
-exponent it is valid to, and every operation propagates validity
-conservatively (no global precision state).
+Rings are ZZ, QQ and GF(l); coefficients are plain ints, Fractions, and
+plain ints in [0, l) respectively, and all series arithmetic is exact.
+Each ring owns the arithmetic of its elements: ``coerce`` brings a scalar
+in, ``inverse`` inverts a unit, and ``normalize`` puts a coefficient list
+in canonical form (the identity over ZZ and QQ, ``% l`` over GF(l)).
+Series and polynomials normalize when they are built, so their arithmetic
+is written once for every ring.  Truncation orders are explicit
+everywhere: a series knows its leading exponent and the last exponent it
+is valid to, and every operation propagates validity conservatively (no
+global precision state).
 
 Classical expansions live here too: Eisenstein series, the discriminant
 cusp form (via the pentagonal-number sparse product, or over F_l from
@@ -23,8 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .arith import (Mod, QuadExt, bernoulli, is_fundamental_discriminant,
-                    is_prime, kronecker, sigma_prefix)
+from .arith import (QuadExt, _check_odd_prime, bernoulli, frac_mod,
+                    is_fundamental_discriminant, is_prime, kronecker,
+                    sigma_prefix)
 from .errors import InputError, TruncationError
 
 # ---------------------------------------------------------------------------
@@ -45,6 +51,14 @@ class IntegerRing:
             return x.numerator
         raise InputError(f"cannot coerce {x!r} into ZZ")
 
+    def inverse(self, x):
+        if x in (1, -1):
+            return x
+        raise InputError(f"{x} is not a unit in ZZ")
+
+    def normalize(self, coeffs: list) -> list:
+        return coeffs
+
     def __repr__(self):
         return self.name
 
@@ -59,28 +73,40 @@ class RationalRing:
             return Fraction(x)
         raise InputError(f"cannot coerce {x!r} into QQ")
 
+    def inverse(self, x):
+        return self.one / x
+
+    def normalize(self, coeffs: list) -> list:
+        return coeffs
+
     def __repr__(self):
         return self.name
 
 
 class PrimeField:
+    """F_l, whose elements are plain ints in [0, l)."""
+
+    zero = 0
+    one = 1
+
     def __init__(self, ell: int):
+        _check_odd_prime(ell)
         self.ell = ell
         self.name = f"GF({ell})"
-        self.zero = Mod(0, ell)
-        self.one = Mod(1, ell)
 
     def coerce(self, x):
-        if isinstance(x, Mod):
-            if x.modulus != self.ell:
-                raise InputError("mixed moduli")
-            return x
-        if isinstance(x, int):
-            return Mod(x, self.ell)
-        if isinstance(x, Fraction):
-            from .arith import frac_mod
+        if isinstance(x, (int, Fraction)):
             return frac_mod(x, self.ell)
         raise InputError(f"cannot coerce {x!r} into {self.name}")
+
+    def inverse(self, x):
+        if not x % self.ell:
+            raise ZeroDivisionError(f"0 is not invertible mod {self.ell}")
+        return pow(x, -1, self.ell)
+
+    def normalize(self, coeffs: list) -> list:
+        ell = self.ell
+        return [c % ell for c in coeffs]
 
     def __repr__(self):
         return self.name
@@ -93,16 +119,6 @@ QQ = RationalRing()
 @lru_cache(maxsize=None)
 def GF(ell: int) -> PrimeField:
     return PrimeField(ell)
-
-
-def _invert_unit(x):
-    if isinstance(x, int):
-        if x in (1, -1):
-            return x
-        raise InputError(f"{x} is not a unit in ZZ")
-    if isinstance(x, Fraction):
-        return 1 / x
-    return x.inverse()
 
 
 # array typecode of each machine word width in bytes, for packing slots
@@ -250,25 +266,26 @@ def _inverse_gf(u: list[int], ell: int) -> list[int]:
     return g
 
 
-@lru_cache(maxsize=16)
-def _residues(ell: int) -> tuple[Mod, ...]:
-    """The l elements of F_l, shared by the series boxed from int lists."""
-    return tuple(Mod(v, ell) for v in range(ell))
+def _reduction_ring(ring, ell: int) -> PrimeField:
+    """GF(l), for reducing elements of ZZ, QQ or GF(l) itself mod l."""
+    if isinstance(ring, PrimeField) and ring.ell != ell:
+        raise InputError(f"mixed moduli: {ring.name} elements have no reduction mod {ell}")
+    return GF(ell)
 
 
-def _solve_triangular(s: list, rhs: list, zero) -> list:
+def _solve_triangular(s: list, rhs: list, ring) -> list:
     """x with s x = rhs to len(rhs) terms, for power series s with unit s[0].
 
     x_k = (rhs_k - sum_{i=1..k} s_i x_{k-i}) / s_0: one inner product per
     term.  Trailing zeros of s are dropped first, so a polynomial s costs
     only its degree per term.
     """
-    s0i = _invert_unit(s[0])
+    s0i = ring.inverse(s[0])
     top = max(i for i, c in enumerate(s) if c)
     tail = s[1:top + 1]
     x = []
     for k, r in enumerate(rhs):
-        x.append((r - sum(map(operator.mul, tail, reversed(x)), zero)) * s0i)
+        x.append((r - sum(map(operator.mul, tail, reversed(x)), ring.zero)) * s0i)
     return x
 
 
@@ -277,14 +294,17 @@ def _solve_triangular(s: list, rhs: list, zero) -> list:
 
 
 class QSeries:
-    """Laurent series sum c_e q^e, dense from exponent ``lead`` to ``trunc``."""
+    """Laurent series sum c_e q^e, dense from exponent ``lead`` to ``trunc``.
+
+    The coefficients are put in the ring's canonical form on construction.
+    """
 
     __slots__ = ("ring", "lead", "coeffs")
 
     def __init__(self, ring, lead: int, coeffs: list):
         self.ring = ring
         self.lead = lead
-        self.coeffs = coeffs
+        self.coeffs = ring.normalize(coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -299,16 +319,6 @@ class QSeries:
     @classmethod
     def constant(cls, ring, c, trunc: int) -> "QSeries":
         return cls(ring, 0, [ring.coerce(c)] + [ring.zero] * trunc)
-
-    @classmethod
-    def from_residues(cls, ell: int, lead: int, values: list[int]) -> "QSeries":
-        """A series over GF(l) from ints in [0, l), boxed once in Mod.
-
-        A list at least l long shares one Mod per residue.
-        """
-        if ell <= len(values):
-            return cls(GF(ell), lead, list(map(_residues(ell).__getitem__, values)))
-        return cls(GF(ell), lead, [Mod(v, ell) for v in values])
 
     # -- structure ---------------------------------------------------------
 
@@ -393,10 +403,8 @@ class QSeries:
         if n_out <= 0:
             return QSeries(self.ring, lead, [self.ring.zero])
         if isinstance(self.ring, PrimeField):
-            raw = _kron_mul_gf([c.value for c in self.coeffs],
-                               [c.value for c in other.coeffs],
-                               self.ring.ell, n_out)
-            return QSeries.from_residues(self.ring.ell, lead, raw)
+            return QSeries(self.ring, lead, _kron_mul_gf(self.coeffs, other.coeffs,
+                                                         self.ring.ell, n_out))
         if isinstance(self.ring, IntegerRing) and _kron_pays(self.coeffs, other.coeffs, n_out):
             return QSeries(self.ring, lead,
                            _kron_mul_zz(self.coeffs, other.coeffs, n_out))
@@ -441,14 +449,13 @@ class QSeries:
         u = self.coeffs[v - self.lead:]
         ring = self.ring
         if isinstance(ring, PrimeField):
-            return QSeries.from_residues(ring.ell, -v,
-                                         _inverse_gf([c.value for c in u], ring.ell))
+            return QSeries(ring, -v, _inverse_gf(u, ring.ell))
         rhs = [ring.one] + [ring.zero] * (len(u) - 1)
-        return QSeries(ring, -v, _solve_triangular(u, rhs, ring.zero))
+        return QSeries(ring, -v, _solve_triangular(u, rhs, ring))
 
     def __truediv__(self, other):
         if not isinstance(other, QSeries):
-            return self.scale(_invert_unit(self.ring.coerce(other)))
+            return self.scale(self.ring.inverse(self.ring.coerce(other)))
         return self * other.inverse()
 
     def q_derivative(self) -> "QSeries":
@@ -472,17 +479,11 @@ class QSeries:
             f = QSeries(self.ring, v, s)
             return f.q_derivative() * f.inverse()
         rhs = [(v + k) * c for k, c in enumerate(s)]
-        return QSeries(self.ring, 0, _solve_triangular(s, rhs, self.ring.zero))
-
-    def map_coefficients(self, fn, ring) -> "QSeries":
-        return QSeries(ring, self.lead, [fn(c) for c in self.coeffs])
+        return QSeries(self.ring, 0, _solve_triangular(s, rhs, self.ring))
 
     def reduce_mod(self, ell: int) -> "QSeries":
-        from .arith import frac_mod
-        ring = GF(ell)
-        return self.map_coefficients(lambda c: frac_mod(c, ell)
-                                     if isinstance(c, (int, Fraction))
-                                     else ring.coerce(c), ring)
+        ring = _reduction_ring(self.ring, ell)
+        return QSeries(ring, self.lead, [ring.coerce(c) for c in self.coeffs])
 
     # -- comparison / rendering --------------------------------------------
 
@@ -506,7 +507,7 @@ class QSeries:
             if not c:
                 continue
             e = self.lead + i
-            cs = str(c.value) if isinstance(c, Mod) else str(c)
+            cs = str(c)
             if e == 0:
                 terms.append(cs)
             elif e == 1:
@@ -524,11 +525,15 @@ class QSeries:
 
 
 class Poly:
-    """Dense polynomial over a ring; coefficients ascending from x^0."""
+    """Dense polynomial over a ring; coefficients ascending from x^0.
+
+    The coefficients are put in the ring's canonical form on construction.
+    """
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs: list):
+        coeffs = ring.normalize(coeffs)
         while len(coeffs) > 1 and not coeffs[-1]:
             coeffs = coeffs[:-1]
         self.ring = ring
@@ -594,19 +599,21 @@ class Poly:
         """Division with remainder; divisor leading coefficient must be a unit."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        inv = _invert_unit(other.leading)
+        ring = self.ring
+        inv = ring.inverse(other.leading)
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return Poly(self.ring, [self.ring.zero]), Poly(self.ring, rem)
-        quo = [self.ring.zero] * (dq + 1)
+            return Poly(ring, [ring.zero]), Poly(ring, rem)
+        quo = [ring.zero] * (dq + 1)
+        top = other.degree
         for i in range(dq, -1, -1):
-            c = rem[i + other.degree] * inv
+            c = rem[i + top] * inv
             quo[i] = c
-            if c:
-                for k, b in enumerate(other.coeffs):
-                    rem[i + k] = rem[i + k] - c * b
-        return Poly(self.ring, quo), Poly(self.ring, rem[: max(other.degree, 1)])
+            if c:  # normalized at each step, so entries over GF(l) stay small
+                rem[i:i + top + 1] = ring.normalize(
+                    [r - c * b for r, b in zip(rem[i:i + top + 1], other.coeffs)])
+        return Poly(ring, quo), Poly(ring, rem[: max(top, 1)])
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -625,7 +632,7 @@ class Poly:
         return a.monic() if not a.is_zero() else a
 
     def monic(self) -> "Poly":
-        inv = _invert_unit(self.leading)
+        inv = self.ring.inverse(self.leading)
         return Poly(self.ring, [c * inv for c in self.coeffs])
 
     def derivative(self) -> "Poly":
@@ -636,12 +643,6 @@ class Poly:
     def is_squarefree(self) -> bool:
         return self.gcd(self.derivative()).degree == 0
 
-    def evaluate(self, x):
-        acc = self.ring.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def evaluate_series(self, s: QSeries) -> QSeries:
         """Horner evaluation at a q-series argument."""
         acc = QSeries.constant(s.ring, self.coeffs[-1], max(s.trunc, 0))
@@ -650,8 +651,8 @@ class Poly:
         return acc
 
     def reduce_mod(self, ell: int) -> "Poly":
-        from .arith import frac_mod
-        return Poly(GF(ell), [frac_mod(c, ell) for c in self.coeffs])
+        ring = _reduction_ring(self.ring, ell)
+        return Poly(ring, [ring.coerce(c) for c in self.coeffs])
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.ring.name == other.ring.name
@@ -666,7 +667,7 @@ class Poly:
             c = self.coeffs[i]
             if not c:
                 continue
-            cs = str(c.value) if isinstance(c, Mod) else str(c)
+            cs = str(c)
             if i == 0:
                 terms.append(cs)
             else:
@@ -697,13 +698,10 @@ def eisenstein(k: int, n: int, ring=QQ) -> QSeries:
     factor = Fraction(-2 * k) / bernoulli(k)
     coeffs = [ring.one]
     if n >= 1:
-        if isinstance(ring, PrimeField):
-            c = ring.coerce(factor)
-            sig = sigma_prefix(k - 1, n, ring.ell)
-            coeffs += [c * sig[m] for m in range(1, n + 1)]
-        else:
-            sig = sigma_prefix(k - 1, n)
-            coeffs += [ring.coerce(factor * sig[m]) for m in range(1, n + 1)]
+        c = ring.coerce(factor)
+        # over F_l the divisor sums are reduced as they are summed
+        modulus = ring.ell if isinstance(ring, PrimeField) else None
+        coeffs += [c * s for s in sigma_prefix(k - 1, n, modulus)[1:]]
     return QSeries(ring, 0, coeffs)
 
 
@@ -823,8 +821,8 @@ def monomial_forms(monos, n: int, ell: int) -> list[QSeries]:
     E4 and E6 come from their divisor sums, and Delta from (E4^3 - E6^2)
     / 1728, an identity over Z that holds mod every l >= 5.  Each power of
     E4, E6 and Delta is formed once, by Kronecker products on int lists,
-    and shared by all the monomials; only the results are boxed in Mod.
-    Each series starts at q^a, its valuation.
+    and shared by all the monomials.  Each series starts at q^a, its
+    valuation.
     """
     if ell < 5 or not is_prime(ell):
         raise InputError(f"need a prime l >= 5, got {ell}")
@@ -862,15 +860,8 @@ def monomial_forms(monos, n: int, ell: int) -> list[QSeries]:
             if e:
                 f = power(name, e) if f is None else mul(f, power(name, e))
         a = mono[0]  # Delta^a starts at q^a
-        out.append(QSeries.from_residues(ell, a, (f or [1] + [0] * n)[a:]))
+        out.append(QSeries(GF(ell), a, (f or [1] + [0] * n)[a:]))
     return out
-
-
-def monomial_form(a: int, b: int, c: int, n: int, ring) -> QSeries:
-    """Expansion of Delta^a E4^b E6^c over ring = GF(l), l >= 5, to order n."""
-    if not isinstance(ring, PrimeField):
-        raise InputError(f"monomial forms are built over GF(l), not {ring.name}")
-    return monomial_forms([(a, b, c)], n, ring.ell)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernel
-from .arith import Mod, is_prime
+from .arith import is_prime
 from .errors import InputError, InternalConsistencyError, TruncationError
 from .qseries import (GF, Poly, QSeries, as_j_polynomial, eisenstein,
                       monomial_basis, monomial_forms)
@@ -66,7 +66,7 @@ def supersingular_poly(ell: int) -> Poly:
         raise InternalConsistencyError(
             f"E_(l-1) factorization failed for l={ell}: {exc}") from exc
     x = Poly(ring, [ring.zero, ring.one])
-    s = (x ** wd.delta) * ((x - Poly(ring, [ring.coerce(1728)])) ** wd.epsilon) * etilde
+    s = (x ** wd.delta) * (Poly.x_minus(ring, 1728) ** wd.epsilon) * etilde
     return s.monic()
 
 
@@ -88,12 +88,6 @@ def _ss_encoded(ell: int) -> tuple[int, list[int]]:
                          f"5 <= l <= {BRUTEFORCE_MAX_ELL}")
     ns = _nonresidue(ell)
     return ns, kernel.supersingular_js_fq2(ell, ns)
-
-
-def supersingular_j_invariants(ell: int) -> list[int]:
-    """The supersingular j-invariants lying in F_l, by point counting."""
-    _, js = _ss_encoded(ell)
-    return sorted(j // ell for j in js if j % ell == 0)
 
 
 def supersingular_poly_bruteforce(ell: int) -> Poly:
@@ -134,7 +128,7 @@ def hecke_Tp(f: QSeries, p: int, k: int, out_order: int | None = None) -> QSerie
         raise TruncationError(
             f"T_{p} to order {n_out} needs input order {p * n_out}, have {f.trunc}")
     ring = f.ring
-    pk = ring.coerce(p) ** (k - 1)
+    pk = ring.coerce(p ** (k - 1))
     out = []
     for n in range(n_out + 1):
         c = f.coeff(p * n)
@@ -151,14 +145,14 @@ class EigenformBasis:
     ell: int
     order: int
     forms: tuple[QSeries, ...]
-    t2_eigenvalues: tuple[Mod, ...]
+    t2_eigenvalues: tuple[int, ...]
     monomial_combos: tuple[tuple[tuple[int, tuple[int, int, int]], ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.forms)
 
-    def coefficient(self, i: int, n: int) -> Mod:
+    def coefficient(self, i: int, n: int) -> int:
         return self.forms[i].coeff(n)
 
     def describe(self, i: int) -> str:
@@ -171,22 +165,39 @@ class EigenformBasis:
         return " + ".join(parts)
 
 
-def _solve_linear_mod(rows: list[list[Mod]], rhs: list[Mod], ell: int) -> list[Mod]:
-    """Gaussian elimination over F_l; raises on a singular system."""
-    n = len(rows)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
+def _row_reduce(rows: list[list[int]], ell: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan over F_l: the reduced row echelon form and its pivot columns."""
+    a = [[v % ell for v in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(a[0]) if a else 0):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(a)) if a[i][col]), None)
         if piv is None:
-            raise InputError("singular linear system over F_l")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        inv = pow(a[top][col], -1, ell)
+        a[top] = [v * inv % ell for v in a[top]]
+        for i, row in enumerate(a):
+            f = row[col]
+            if i != top and f:
+                a[i] = [(u - f * v) % ell for u, v in zip(row, a[top])]
+        pivots.append(col)
+    return a, pivots
+
+
+def _solve_linear_mod(rows: list[list[int]], rhs: list[int], ell: int) -> list[int]:
+    """x with rows x = rhs over F_l; raises on a singular system."""
+    n = len(rows)
+    reduced, pivots = _row_reduce([row + [b] for row, b in zip(rows, rhs)], ell)
+    if pivots != list(range(n)):
+        raise InputError("singular linear system over F_l")
+    return [row[n] for row in reduced]
+
+
+def _minus_scalar(mat: list[list[int]], t: int) -> list[list[int]]:
+    """M - t I."""
+    return [[v - t if i == j else v for j, v in enumerate(row)]
+            for i, row in enumerate(mat)]
 
 
 def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
@@ -206,100 +217,58 @@ def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
     gens = monomial_forms(monos, n, ell)
     # matrix of T_2 in the monomial basis, solved from coefficients q^1..q^r
     basis_rows = [[gens[i].coeff(m) for i in range(r)] for m in range(1, r + 1)]
-    t_cols = []
-    for g in gens:
-        tg = hecke_Tp(g, 2, k, out_order=r)
-        t_cols.append(_solve_linear_mod([row[:] for row in basis_rows],
-                                        [tg.coeff(m) for m in range(1, r + 1)], ell))
+    t_cols = [_solve_linear_mod(basis_rows, hecke_Tp(g, 2, k, out_order=r).coeffs[1:], ell)
+              for g in gens]
     # t_cols[i][j]: coefficient of gens[j] in T_2 gens[i]
-    eigs = _distinct_eigenvalues([[t_cols[i][j] for i in range(r)] for j in range(r)], ell)
-    # the combinations and their a(1) normalization run on plain ints
-    values = [[0] * g.lead + [c.value for c in g.coeffs] for g in gens]
+    mat = [list(row) for row in zip(*t_cols)]
+    eigs = _distinct_eigenvalues(mat, ell)
+    values = [[0] * g.lead + g.coeffs for g in gens]
     forms, combos = [], []
     for lam in eigs:
-        vec = _eigenvector([[t_cols[i][j] for i in range(r)] for j in range(r)], lam, ell)
-        a1 = sum(v * g.coeff(1) for v, g in zip(vec, gens))
+        vec = _eigenvector(mat, lam, ell)
+        a1 = sum(v * g.coeff(1) for v, g in zip(vec, gens)) % ell
         if not a1:
             raise InputError("eigenform cannot be normalized: a(1) = 0")
-        vec = [v * a1.inverse() for v in vec]
-        cs = [v.value for v in vec]
-        forms.append(QSeries.from_residues(
-            ell, 0, [sum(map(operator.mul, cs, col)) % ell for col in zip(*values)]))
-        combos.append(tuple((monos[i], v.value) for i, v in enumerate(vec) if v))
+        inv = pow(a1, -1, ell)
+        vec = [v * inv % ell for v in vec]
+        forms.append(QSeries(GF(ell), 0, [sum(map(operator.mul, vec, col))
+                                          for col in zip(*values)]))
+        combos.append(tuple((monos[i], v) for i, v in enumerate(vec) if v))
     return EigenformBasis(ell, n, tuple(forms), tuple(eigs), tuple(combos))
 
 
-def _distinct_eigenvalues(mat: list[list[Mod]], ell: int) -> list[Mod]:
+def _distinct_eigenvalues(mat: list[list[int]], ell: int) -> list[int]:
     """Eigenvalues of a small matrix over F_l, largest representative first.
 
-    Scans all of F_l against the characteristic polynomial; repeated or
-    missing roots are rejected (the eigenbasis is then not defined over F_l).
+    They are the t in F_l at which M - t I loses rank; unless there are
+    as many as rows, some eigenvalue is repeated or lies outside F_l, and
+    the eigenbasis is not defined over F_l.
     """
     r = len(mat)
-    ring = GF(ell)
-    # char poly by Faddeev-LeVerrier is overkill at r <= 3; expand directly
-    charpoly = _charpoly(mat, ring)
-    roots = [Mod(t, ell) for t in range(ell) if not charpoly.evaluate(Mod(t, ell))]
+    roots = [t for t in range(ell - 1, -1, -1)
+             if len(_row_reduce(_minus_scalar(mat, t), ell)[1]) < r]
     if len(roots) != r:
         raise InputError(
             f"eigenbasis not defined over F_{ell}: T_2 eigenvalues are not "
             f"distinct elements of F_{ell}")
-    return sorted(roots, key=lambda v: -v.value)
+    return roots
 
 
-def _charpoly(mat: list[list[Mod]], ring) -> Poly:
-    """det(x I - M) by cofactor expansion over Poly(F_l); fine for small r."""
-    r = len(mat)
-    x = Poly(ring, [ring.zero, ring.one])
-    entries = [[x - Poly(ring, [mat[i][j]]) if i == j
-                else Poly(ring, [-mat[i][j]]) for j in range(r)] for i in range(r)]
-    return _det_poly(entries, ring)
-
-
-def _det_poly(m: list[list[Poly]], ring) -> Poly:
-    if len(m) == 1:
-        return m[0][0]
-    out = Poly(ring, [ring.zero])
-    for col in range(len(m)):
-        minor = [row[:col] + row[col + 1:] for row in m[1:]]
-        term = m[0][col] * _det_poly(minor, ring)
-        out = out + (term if col % 2 == 0 else -term)
-    return out
-
-
-def _eigenvector(mat: list[list[Mod]], lam: Mod, ell: int) -> list[Mod]:
+def _eigenvector(mat: list[list[int]], lam: int, ell: int) -> list[int]:
     """A nonzero kernel vector of (M - lam I) over F_l."""
     r = len(mat)
-    ring = GF(ell)
-    a = [[mat[i][j] - (lam if i == j else ring.zero) for j in range(r)]
-         for i in range(r)]
-    # row reduce
-    pivots = []
-    row = 0
-    for col in range(r):
-        piv = next((i for i in range(row, r) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col].inverse()
-        a[row] = [v * inv for v in a[row]]
-        for i in range(r):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [u - f * v for u, v in zip(a[i], a[row])]
-        pivots.append(col)
-        row += 1
+    reduced, pivots = _row_reduce(_minus_scalar(mat, lam), ell)
     free = next((c for c in range(r) if c not in pivots), None)
     if free is None:
-        raise InputError(f"{lam!r} is not an eigenvalue")
-    vec = [ring.zero] * r
-    vec[free] = ring.one
-    for i, col in enumerate(pivots):
-        vec[col] = -a[i][free]
+        raise InputError(f"{lam} is not an eigenvalue")
+    vec = [0] * r
+    vec[free] = 1
+    for row, col in zip(reduced, pivots):
+        vec[col] = -row[free] % ell
     return vec
 
 
-def eisenstein_cusp_split(f: QSeries, ell: int) -> tuple[Mod, QSeries]:
+def eisenstein_cusp_split(f: QSeries, ell: int) -> tuple[int, QSeries]:
     """Split a weight l+1 form mod l as c0 * E_{l+1} plus a cusp expansion."""
     ring = GF(ell)
     if f.ring.name != ring.name:

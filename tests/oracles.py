@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 from bpx.arith import QuadExt, divisors, kronecker, moebius
-from bpx.qseries import QSeries, eisenstein, euler_product, f2
+from bpx.qseries import GF, Poly, QSeries, eisenstein, euler_product, f2
 
 
 def f2_numeric(D: int, r: int) -> complex:
@@ -64,6 +64,41 @@ def monomial_form_by_euler_product(a: int, b: int, c: int, n: int, ring) -> QSer
     if c:
         f = f * eisenstein(6, n, ring) ** c
     return f.truncate(n)
+
+
+def charpoly(mat: list[list[int]], ell: int) -> Poly:
+    """det(x I - M) over F_l by cofactor expansion over Poly; fine for small M."""
+    ring = GF(ell)
+    x = Poly(ring, [0, 1])
+    entries = [[x - Poly(ring, [v]) if i == j else Poly(ring, [-v])
+                for j, v in enumerate(row)] for i, row in enumerate(mat)]
+    return _det_poly(entries)
+
+
+def _det_poly(m: list[list[Poly]]) -> Poly:
+    if len(m) == 1:
+        return m[0][0]
+    out = None
+    for col in range(len(m)):
+        minor = [row[:col] + row[col + 1:] for row in m[1:]]
+        term = m[0][col] * _det_poly(minor)
+        term = term if col % 2 == 0 else -term
+        out = term if out is None else out + term
+    return out
+
+
+def charpoly_roots(mat: list[list[int]], ell: int) -> list[int]:
+    """The distinct roots in F_l of det(x I - M), largest first, by a full scan."""
+    coeffs = charpoly(mat, ell).coeffs
+    return [t for t in range(ell - 1, -1, -1)
+            if not sum(c * t ** i for i, c in enumerate(coeffs)) % ell]
+
+
+def supersingular_j_invariants(ell: int) -> list[int]:
+    """The supersingular j-invariants lying in F_l, by the literal point count."""
+    nonres = next(n for n in range(2, ell) if kronecker(n, ell) == -1)
+    return sorted(j // ell for j in supersingular_js_by_point_count(ell, nonres)
+                  if j % ell == 0)
 
 
 def supersingular_js_by_point_count(ell: int, nonres: int) -> list[int]:

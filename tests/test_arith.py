@@ -133,8 +133,9 @@ def test_mod_basics():
 
 
 def test_frac_mod():
-    assert frac_mod(Fraction(1, 2), 11) == Mod(6, 11)
-    assert frac_mod(Fraction(-24, 1), 11) == Mod(9, 11)
+    assert frac_mod(Fraction(1, 2), 11) == 6
+    assert frac_mod(Fraction(-24, 1), 11) == 9
+    assert frac_mod(-24, 11) == 9
     with pytest.raises(InputError):
         frac_mod(Fraction(1, 11), 11)
 

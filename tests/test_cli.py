@@ -263,6 +263,24 @@ def test_counts_below_1_exit_2(argv, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", ["1", "2"])
+def test_verify_to_within_the_fitted_terms_exit_2(order, capsys):
+    # rank 2 at l = 31: the fit solves for q^0..q^2, so orders 1 and 2
+    # would verify nothing
+    code, out, err = invoke(capsys, "congruence", "--d", "20", "--ell", "31",
+                            "--verify-to", order)
+    assert code == 2 and out == ""
+    assert "verify_to must be at least r + 1 = 3" in err
+
+
+def test_verify_to_one_past_the_fitted_terms(capsys):
+    code, out, _ = invoke(capsys, "congruence", "--d", "20", "--ell", "31",
+                          "--verify-to", "3", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["c0"], doc["c"], doc["verified_to"]) == (2, [22, 1], 3)
+
+
 def test_csv_without_rows_exit_2(capsys):
     code, out, err = invoke(capsys, "congruence", "--d", "4", "--ell", "11",
                             "--format", "csv")

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from bpx import density, kernel
-from bpx.arith import Mod, kronecker, sieve
+from bpx.arith import kronecker, sieve
 from bpx.borcherds import CongruenceFormula, fit_congruence
 from bpx.density import (X0_CURVES, EllCurve, asymptotic_table,
                          charpoly_count, ec_trace, ec_traces, empirical_table,
@@ -90,8 +90,7 @@ def test_asymptotic_table_20_31_frozen_values():
 
 def _synthetic_formula(ell, c0, cs):
     """A formula with the given constants, for the density engine only."""
-    return CongruenceFormula(0, ell, Mod(c0, ell),
-                             tuple(Mod(c, ell) for c in cs), None, 0)
+    return CongruenceFormula(0, ell, c0 % ell, tuple(c % ell for c in cs), None, 0)
 
 
 def _literal_coupled_tally(ell, base, cs):
@@ -173,7 +172,7 @@ def test_trace_congruent_to_delta_coefficients_mod_11():
     for p in sieve(1000).primes:
         if p == 11:
             continue
-        assert dl.coeff(p).value == ec_trace(X0_CURVES[11], p) % 11, p
+        assert dl.coeff(p) == ec_trace(X0_CURVES[11], p) % 11, p
 
 
 def test_eigenform_curve_correspondence_all_three_levels():
@@ -183,7 +182,7 @@ def test_eigenform_curve_correspondence_all_three_levels():
         for p in sieve(1000).primes:
             if p == ell:
                 continue
-            assert eb.coefficient(0, p).value == ec_trace(curve, p) % ell, (ell, p)
+            assert eb.coefficient(0, p) == ec_trace(curve, p) % ell, (ell, p)
 
 
 def test_hasse_bound_and_method_agreement_band():
@@ -264,7 +263,7 @@ def test_empirical_expansion_mode_small():
     assert sum(tab.entries.values()) == tab.total - 1  # p = 31 excluded
     # spot check one prime by hand: p = 2
     eb = F.basis
-    a1, a2 = eb.coefficient(0, 2).value, eb.coefficient(1, 2).value
+    a1, a2 = eb.coefficient(0, 2), eb.coefficient(1, 2)
     t2 = (14 + (22 * (a1 - 1) + 1 * (a2 - 1)) * pow(2, 29, 31)) % 31
     assert tab.entries[t2] >= 1
 
@@ -315,8 +314,8 @@ def test_rank2_table_31_against_formula_free_enumeration():
                         key = (tr, det)
                         counts[key] = counts.get(key, 0) + 1
     F = fit_congruence(20, 31)
-    base = (-24 * F.c0.value) % ell
-    c1, c2 = F.c[0].value, F.c[1].value
+    base = (-24 * F.c0) % ell
+    c1, c2 = F.c
     group = Fraction(gl2_order(ell) ** 2, ell - 1)
     acc = {}
     for b in range(1, ell):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpx.arith import Mod, QuadExt, is_fundamental_discriminant, kronecker
+from bpx.arith import (QuadExt, frac_mod, is_fundamental_discriminant,
+                       kronecker)
 from bpx.errors import InputError, TruncationError
 from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, _kron_mul_gf,
                          _kron_mul_zz, as_j_polynomial, delta, eisenstein,
                          euler_product, f2, jfunction, monomial_basis,
-                         monomial_form, monomial_forms)
+                         monomial_forms)
 from oracles import f2_numeric, monomial_form_by_euler_product, pd_log_coeffs
 
 
@@ -26,12 +27,11 @@ def test_eisenstein_small():
 @pytest.mark.parametrize("ell", [5, 7, 11, 13, 31, 37])
 def test_eisenstein_over_gf_is_the_reduced_rational_series(ell, monkeypatch):
     from bpx import qseries
-    from bpx.arith import frac_mod
     n = 30
     for k in (ell - 1, 2 * (ell - 1), ell + 1):
         want = [frac_mod(c, ell) for c in eisenstein(k, n, QQ).coeffs]
         if k % (ell - 1) == 0:
-            assert want == [Mod(1, ell)] + [Mod(0, ell)] * n
+            assert want == [1] + [0] * n
             # von Staudt-Clausen: l | 2k/B_k, so no Bernoulli number is needed
             monkeypatch.setattr(qseries, "bernoulli", None)
         got = eisenstein(k, n, GF(ell))
@@ -93,6 +93,12 @@ def test_gf_multiplication_matches_exact_reduction():
     for ell in (5, 7, 11, 31):
         assert delta(400, GF(ell)) == delta(400, ZZ).reduce_mod(ell)
         assert jfunction(100, GF(ell)) == jfunction(100, ZZ).reduce_mod(ell)
+        assert delta(20, GF(ell)).reduce_mod(ell) == delta(20, GF(ell))
+    # F_11 residues are no elements of F_13
+    with pytest.raises(InputError, match="mixed moduli"):
+        delta(20, GF(11)).reduce_mod(13)
+    with pytest.raises(InputError, match="mixed moduli"):
+        Poly(GF(11), [3, 1]).reduce_mod(13)
 
 
 @pytest.mark.parametrize("ell", [5, 7, 11, 13, 17, 19, 23, 31, 37])
@@ -108,18 +114,15 @@ def test_monomial_forms_match_the_per_monomial_euler_route(ell):
         want = monomial_form_by_euler_product(*mono, n, ring)
         assert form.lead == want.lead == mono[0] and form.trunc == want.trunc == n
         assert form.coeffs == want.coeffs, mono
-        assert monomial_form(*mono, n, ring).coeffs == want.coeffs
 
 
 def test_monomial_forms_edge_cases():
     one, e6_squared = monomial_forms([(0, 0, 0), (0, 0, 2)], 5, 11)
-    assert one.coeffs == [Mod(1, 11)] + [Mod(0, 11)] * 5
+    assert one.coeffs == [1] + [0] * 5
     assert e6_squared == eisenstein(6, 5, ZZ).reduce_mod(11) ** 2
     for ell in (2, 3, 9):
         with pytest.raises(InputError):
             monomial_forms([(1, 0, 0)], 5, ell)
-    with pytest.raises(InputError):
-        monomial_form(1, 0, 0, 5, ZZ)
 
 
 @given(st.sampled_from([5, 31, 257, 65537, 2 ** 31 - 1, 2 ** 61 - 1]),
@@ -164,11 +167,11 @@ def test_series_product_matches_schoolbook(a, b):
 def test_gf_product_matches_schoolbook(a, b):
     ell = 11
     n = min(len(a), len(b)) - 1
-    fa = QSeries(GF(ell), 0, [Mod(v, ell) for v in a])
-    fb = QSeries(GF(ell), 0, [Mod(v, ell) for v in b])
+    fa = QSeries(GF(ell), 0, list(a))
+    fb = QSeries(GF(ell), 0, list(b))
     got = fa * fb
     want = [v % ell for v in _conv_oracle(a, b, n)]
-    assert [got.coeff(i).value for i in range(n + 1)] == want
+    assert [got.coeff(i) for i in range(n + 1)] == want
 
 
 _SIGNED = st.one_of(st.just(0), st.integers(-9, 9),
@@ -201,7 +204,7 @@ def test_signed_kronecker_product_edge_cases():
 
 
 def _inverse_oracle(u):
-    """Schoolbook inverse: the first len(u) terms of 1/u (Fraction or Mod values)."""
+    """Schoolbook inverse over Q: the first len(u) terms of 1/u (Fraction values)."""
     inv = [1 / u[0]]
     for n in range(1, len(u)):
         acc = sum((u[k] * inv[n - k] for k in range(1, n + 1)), 0 * u[0])
@@ -214,11 +217,12 @@ def _inverse_oracle(u):
 @settings(max_examples=80, deadline=None)
 def test_gf_newton_inverse_matches_schoolbook(ell, lead, zeros, head, tail):
     ring = GF(ell)
-    unit = [Mod(head % (ell - 1) + 1, ell)] + [Mod(v, ell) for v in tail]
+    unit = [head % (ell - 1) + 1] + [v % ell for v in tail]
     s = QSeries(ring, lead, [ring.zero] * zeros + unit)
     inv = s.inverse()
     assert inv.lead == -(lead + zeros) and inv.trunc == s.trunc - 2 * (lead + zeros)
-    assert inv.coeffs == _inverse_oracle(unit)
+    # the inverse over Q has denominators prime to l, so it reduces mod l
+    assert inv.coeffs == [frac_mod(c, ell) for c in _inverse_oracle(list(map(Fraction, unit)))]
     assert s * inv == QSeries.one(ring, inv.trunc + lead + zeros)
 
 
@@ -234,12 +238,94 @@ def test_log_derivative_recurrence_matches_inverse_product(name, v, zeros, vals)
     f = QSeries(ring, v - zeros, [ring.zero] * zeros + unit)
     got = f.log_derivative()
     # oracle: q f' times the schoolbook inverse of the unit part
-    as_field = unit if name == "GF(11)" else [Fraction(c) for c in unit]
+    as_field = [Fraction(c) for c in unit]
     inv = _inverse_oracle(as_field)
     want = [sum((v + i) * as_field[i] * inv[k - i] for i in range(k + 1))
             for k in range(len(unit))]
+    if name == "GF(11)":  # over Q the denominators are prime to 11
+        want = [frac_mod(c, 11) for c in want]
     assert got.lead == 0 and got.trunc == f.trunc - v
     assert got.coeffs == want
+
+
+# ---------------------------------------------------------------------------
+# F_l elements are plain ints in [0, l), and F_l arithmetic is reduction's
+
+
+_ELL = st.sampled_from([5, 7, 11, 31])
+_COEFFS = st.lists(st.integers(-40, 40), min_size=1, max_size=12)
+
+
+def _plain_residues(coeffs, ell) -> bool:
+    return all(type(c) is int and 0 <= c < ell for c in coeffs)
+
+
+@given(_ELL, st.integers(-2, 2), _COEFFS, st.integers(-2, 2), _COEFFS,
+       st.integers(-50, 50), st.integers(-9, 9), st.integers(1, 9),
+       st.integers(0, 11), st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_gf_series_hold_residues_and_agree_with_reduction(ell, la, a, lb, b, k,
+                                                          num, den, cut, sh):
+    if den % ell == 0:
+        den += 1
+    frac = Fraction(num, den)
+    ring = GF(ell)
+    A, B = QSeries(ZZ, la, list(a)), QSeries(ZZ, lb, list(b))
+    fa, fb = QSeries(ring, la, list(a)), QSeries(ring, lb, list(b))
+    # a unit for inverse and log_derivative: constant term prime to l
+    unit = [a[0] % (ell - 1) + 1] + a[1:]
+    U = QSeries(QQ, la, [Fraction(c) for c in unit])
+    fu = QSeries(ring, la, list(unit))
+    t = A.trunc - cut % len(a)
+    cases = {
+        "+": (fa + fb, A + B), "-": (fa - fb, A - B), "neg": (-fa, -A),
+        "scale int": (fa.scale(k), A.scale(k)),
+        "scale Fraction": (fa.scale(frac), QSeries(QQ, la, list(a)).scale(frac)),
+        "*": (fa * fb, A * B), "inverse": (fu.inverse(), U.inverse()),
+        "q_derivative": (fa.q_derivative(), A.q_derivative()),
+        "log_derivative": (fu.log_derivative(), U.log_derivative()),
+        "truncate": (fa.truncate(t), A.truncate(t)), "shift": (fa.shift(sh), A.shift(sh)),
+    }
+    for op, (got, exact) in cases.items():
+        want = exact.reduce_mod(ell)
+        assert got.ring is ring and _plain_residues(got.coeffs, ell), op
+        assert (got.lead, got.coeffs) == (want.lead, want.coeffs), op
+
+
+def _euclid_reduces(f: Poly, g: Poly, ell: int) -> bool:
+    """Does every divisor of Euclid's algorithm over Q keep a leading
+    coefficient prime to l?  Then each step, and the gcd, reduce mod l."""
+    while not g.is_zero():
+        if not (g.leading.numerator % ell and g.leading.denominator % ell):
+            return False
+        f, g = g, f % g
+    return True
+
+
+@given(_ELL, _COEFFS, _COEFFS, st.integers(1, 40),
+       st.lists(st.integers(-9, 9), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_gf_polys_hold_residues_and_agree_with_reduction(ell, p, q, top, c):
+    # q keeps its degree mod l, so division by it commutes with reduction
+    q = q + [top % (ell - 1) + 1]
+    ring = GF(ell)
+    P, Q = Poly.from_ints(QQ, p), Poly.from_ints(QQ, q)
+    fp, fq = Poly(ring, list(p)), Poly(ring, list(q))
+    quo, rem = fp.divmod(fq)
+    want_quo, want_rem = P.divmod(Q)
+    # gcd inputs with a common monic factor, so the gcd is seldom 1
+    C, fc = Poly.from_ints(QQ, c + [1]), Poly(ring, c + [1])
+    good = _euclid_reduces(P * C, Q * C, ell)
+    cases = {
+        "+": (fp + fq, P + Q), "*": (fp * fq, P * Q),
+        "divmod quotient": (quo, want_quo), "divmod remainder": (rem, want_rem),
+        "monic": (fq.monic(), Q.monic()), "derivative": (fp.derivative(), P.derivative()),
+        "gcd": ((fp * fc).gcd(fq * fc), (P * C).gcd(Q * C) if good else None),
+    }
+    for op, (got, exact) in cases.items():
+        assert got.ring is ring and _plain_residues(got.coeffs, ell), op
+        if exact is not None:
+            assert got == exact.reduce_mod(ell), op
 
 
 def test_laurent_truncation_bookkeeping():
@@ -311,7 +397,7 @@ def test_monomial_basis_counts_match_dimensions():
 
 def test_monomial_form_weights():
     # Delta^2 E4^2 has valuation 2 and weight 32
-    f = monomial_form(2, 2, 0, 6, GF(31))
+    f, = monomial_forms([(2, 2, 0)], 6, 31)
     assert f.valuation() == 2
     assert f.coeff(2) == 1
 
@@ -327,7 +413,7 @@ def test_poly_divmod_gcd():
     q, r = s.divmod(x)
     assert r.is_zero() and str(q) == "x + 10"
     assert x.divides(s)
-    assert not (x - Poly(ring, [Mod(5, 11)])).divides(s)
+    assert not (x - Poly(ring, [5])).divides(s)
     g = s.gcd(x)
     assert str(g) == "x"
 

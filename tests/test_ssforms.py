@@ -1,13 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bpx.arith import Mod
 from bpx.errors import InputError, TruncationError
 from bpx.qseries import GF, QQ, ZZ, Poly, QSeries, delta, eisenstein
-from bpx.ssforms import (eigenbasis, eisenstein_cusp_split,
-                         hecke_Tp, supersingular_j_invariants,
-                         supersingular_poly, supersingular_poly_bruteforce,
+from bpx.ssforms import (_distinct_eigenvalues, _eigenvector,
+                         _solve_linear_mod, eigenbasis, eisenstein_cusp_split,
+                         hecke_Tp, supersingular_poly, supersingular_poly_bruteforce,
                          weight_decomposition)
-from oracles import monomial_form_by_euler_product
+from oracles import (charpoly_roots, monomial_form_by_euler_product,
+                     supersingular_j_invariants)
 
 
 def test_weight_decomposition_examples():
@@ -103,7 +105,7 @@ def test_eigenbasis_level_11():
     eb = eigenbasis(11, 30)
     assert eb.dim == 1
     assert eb.describe(0) == "Delta"
-    assert eb.t2_eigenvalues == (Mod(-24, 11),)
+    assert eb.t2_eigenvalues == (-24 % 11,)
     assert eb.forms[0] == delta(30, GF(11))
 
 
@@ -120,7 +122,7 @@ def test_eigenbasis_31_is_an_actual_eigenbasis():
     # other combination fails the T_p eigenvector check below.
     combos = {dict(eb.monomial_combos[i])[(2, 2, 0)] for i in range(2)}
     assert combos == {13, 7}
-    assert tuple(v.value for v in eb.t2_eigenvalues) == (19, 13)
+    assert eb.t2_eigenvalues == (19, 13)
     for i, form in enumerate(eb.forms):
         assert form.coeff(1) == 1
         for p in (2, 3, 5, 7):
@@ -163,7 +165,7 @@ def test_t2_matrix_eigenvalues_match_exact_characteristic_data():
     # over Q the T_2 matrix on the weight 32 cusp monomials has
     # trace 39960 and determinant -2235350016; check mod 31 roots
     eb = eigenbasis(31, 20)
-    evs = [v.value for v in eb.t2_eigenvalues]
+    evs = eb.t2_eigenvalues
     assert (evs[0] + evs[1]) % 31 == 39960 % 31
     assert (evs[0] * evs[1]) % 31 == (-2235350016) % 31
 
@@ -204,6 +206,51 @@ def test_eigenbasis_17_19():
     assert eb17.dim == 1 and eb17.describe(0) == "Delta*E6"
     eb19 = eigenbasis(19, 20)
     assert eb19.dim == 1 and eb19.describe(0) == "Delta*E4^2"
+
+
+@st.composite
+def _matrices(draw):
+    ell = draw(st.sampled_from([5, 7, 11, 31]))
+    r = draw(st.integers(1, 3))
+    entry = st.integers(0, ell - 1)
+    return ell, [[draw(entry) for _ in range(r)] for _ in range(r)]
+
+
+@given(_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rank_scan_eigenvalues_are_the_charpoly_roots(case):
+    ell, mat = case
+    r = len(mat)
+    roots = charpoly_roots(mat, ell)
+    if len(roots) < r:  # a repeated root, or one outside F_l
+        with pytest.raises(InputError, match="not defined over"):
+            _distinct_eigenvalues(mat, ell)
+        return
+    assert _distinct_eigenvalues(mat, ell) == roots
+    for lam in roots:
+        vec = _eigenvector(mat, lam, ell)
+        assert any(vec)
+        assert [sum(a * v for a, v in zip(row, vec)) % ell for row in mat] \
+            == [lam * v % ell for v in vec]
+
+
+def test_rank_scan_rejects_repeated_and_irreducible():
+    cases = [(5, [[2, 1], [0, 2]]),            # Jordan block: one eigenvalue
+             (7, [[3, 0], [0, 3]]),            # scalar: one eigenvalue, twice
+             (5, [[0, 2], [1, 0]]),            # x^2 - 2, 2 a nonresidue mod 5
+             (11, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])]  # x^3 - 1: one root mod 11
+    for ell, mat in cases:
+        assert len(charpoly_roots(mat, ell)) < len(mat)
+        with pytest.raises(InputError, match="not defined over"):
+            _distinct_eigenvalues(mat, ell)
+    assert _distinct_eigenvalues([[1, 1], [0, 3]], 5) == [3, 1]
+
+
+def test_solve_linear_mod():
+    assert _solve_linear_mod([[2, 1], [1, 3]], [3, 4], 7) == [1, 1]
+    assert _solve_linear_mod([[0, 1], [1, 0]], [5, 6], 7) == [6, 5]
+    with pytest.raises(InputError, match="singular"):
+        _solve_linear_mod([[1, 2], [2, 4]], [1, 2], 7)
 
 
 def test_eisenstein_cusp_split():
