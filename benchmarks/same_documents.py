@@ -8,7 +8,10 @@ trees as ``python -m bpx.cli ... --format json``, with the tree's ``src``
 on PYTHONPATH and one fresh cache directory per tree.  The two sides of a
 command run at the same time.  A document is compared as written, less
 its ``meta`` and ``cache`` keys, which describe the run rather than the
-result; the exit status and standard error must match too.  Prints one
+result, and a class polynomial's ``precision_used`` and ``residual_bound``,
+which describe how it was verified rather than what it is (as the gate
+``FIELDS`` of bpxbench/run.py does); every mathematical field is
+compared.  The exit status and standard error must match too.  Prints one
 line per command and exits 1 if any document differs.
 """
 
@@ -21,7 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-RUN_KEYS = ("meta", "cache")  # run descriptions, not results
+# run descriptions and the precision strategy, not results
+RUN_KEYS = ("meta", "cache", "precision_used", "residual_bound")
 
 
 def benchmark_commands(tree: Path) -> list[str]:

@@ -145,8 +145,10 @@ def fit_congruence(d: int, ell: int, verify_to: int | None = None,
             f"verify_to must be at least r + 1 = {r + 1} for l={ell}: the fit "
             f"solves for q^0..q^{r}, so a lower order verifies nothing")
     n = verify_to if verify_to is not None else max(200, 3 * r)
-    basis = eigenbasis(ell, order=n)
+    # eligibility before the costlier eigenbasis, so an ineligible pair
+    # is reported as such
     lbar = log_derivative_mod(d, ell, n, cache_dir=cache_dir)
+    basis = eigenbasis(ell, order=n)
     c0, cusp = eisenstein_cusp_split(lbar, ell)
     if r == 0:
         cvec: list[int] = []

@@ -4,8 +4,11 @@ Class polynomials are computed analytically: evaluate the exact integer
 q-expansion of j at each CM point to a proven tail bound, multiply out
 the factors, round, and verify the rounding twice (coefficient distance
 to the nearest integer, and residuals of the rounded polynomial at the
-roots recomputed with 20 extra digits).  Failures retry at doubled
-precision.  Results are cached on disk as decimal-coefficient documents.
+roots recomputed with 20 extra digits, relative to the size of the
+terms).  The precision is chosen once, from a bound on the coefficient
+size (Enge, Math. Comp. 2009), so there are no retries: a verification
+failure at that precision is a bug.  Results are cached on disk as
+decimal-coefficient documents.
 
 The Hurwitz convention is used throughout: imprimitive forms are counted,
 with weights 2 and 3 for the scalings of x^2+y^2 and x^2+xy+y^2.
@@ -203,10 +206,19 @@ def cache_stats() -> dict[str, int]:
     return dict(_CACHE_STATS)
 
 
-def _base_precision(d: int, forms: list[QuadForm]) -> int:
-    # coefficient sizes are governed by exp(pi sqrt(d) sum 1/a); 20 guard
-    # digits on top, floored at 30
-    size = math.pi * math.sqrt(d) * sum(1 / f.a for f in forms) / math.log(10)
+def _precision_bound(d: int, groups: dict[int, list[QuadForm]]) -> int:
+    """Digits that make every class polynomial coefficient round correctly.
+
+    Enge's bound: a coefficient of prod (x - j_i) is at most
+    C(h, h/2) prod max(1, |j_i|), and |j(alpha_Q)| is about
+    e^(pi sqrt(d) / a).  So the size in digits is pi sqrt(d) sum 1/a / ln 10
+    plus log10 C(h_w, h_w/2) for the largest weight group, and 20 guard
+    digits go on top, floored at 30.
+    """
+    inv_a = sum(1 / f.a for qs in groups.values() for f in qs)
+    size = math.pi * math.sqrt(d) * inv_a / math.log(10)
+    h_w = max(len(qs) for qs in groups.values())
+    size += math.log10(math.comb(h_w, h_w // 2))
     return max(int(size) + 20, 30)
 
 
@@ -232,8 +244,9 @@ def _expand_and_round(roots) -> tuple[list[int], float]:
 def hilbert_class_poly(d: int, cache_dir: str | None = None) -> WeightedClassPoly:
     """Weighted class polynomial of discriminant -d, verified and cached.
 
-    Raises PrecisionError only if verification still fails after three
-    precision doublings (which would indicate a bug, not bad input).
+    Computed once, at the precision of ``_precision_bound``.  Raises
+    PrecisionError if verification fails at that precision, which would
+    indicate a bug, not bad input.
     """
     _check_discriminant(d)
     cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
@@ -251,23 +264,11 @@ def hilbert_class_poly(d: int, cache_dir: str | None = None) -> WeightedClassPol
             _CACHE_STATS["hits"] += 1
             return cached
     _CACHE_STATS["misses"] += 1
-    forms = reduced_forms(d)
     groups: dict[int, list[QuadForm]] = {}
-    for f in forms:
+    for f in reduced_forms(d):
         groups.setdefault(f.weight, []).append(f)
-    base = _base_precision(d, forms)
-    last_exc: Exception | None = None
-    for attempt in range(4):
-        prec = base * (2 ** attempt)
-        try:
-            comps, residual = _build_components(groups, prec)
-            break
-        except PrecisionError as exc:
-            last_exc = exc
-    else:
-        raise PrecisionError(
-            f"class polynomial for d={d} failed verification at "
-            f"{base * 8} digits") from last_exc
+    prec = _precision_bound(d, groups)
+    comps, residual = _build_components(groups, prec)
     h = hurwitz_class_number(d)
     got = sum((w * p.degree for p, w in comps), Fraction(0))
     if got != h:
@@ -279,6 +280,12 @@ def hilbert_class_poly(d: int, cache_dir: str | None = None) -> WeightedClassPol
 
 
 def _build_components(groups, prec) -> tuple[list[tuple[Poly, Fraction]], float]:
+    """Round each weight group's polynomial and verify it at ``prec`` digits.
+
+    The residual at each root is taken relative to max(1, sum |c_k| |r|^k),
+    the size of the terms it sums (the 1 keeps the root j = 0 well
+    defined), and must stay below 10^-(prec/2).
+    """
     import mpmath
 
     comps = []
@@ -293,16 +300,18 @@ def _build_components(groups, prec) -> tuple[list[tuple[Poly, Fraction]], float]
         poly = Poly.from_ints(ZZ, ints)
         # verify at higher precision: residuals of the rounded polynomial
         with mpmath.workdps(prec + 30):
+            tol = mpmath.mpf(10) ** (-prec / 2)
             for Q in qs:
                 r = singular_modulus(Q, prec + 20)
-                val = mpmath.mpc(0)
+                val, size = mpmath.mpc(0), mpmath.mpf(0)
                 for c in reversed(poly.coeffs):
                     val = val * r + c
-                resid = float(abs(val))
-                if resid > 1e-3:
+                    size = size * abs(r) + abs(c)
+                resid = abs(val) / max(1, size)
+                if resid > tol:
                     raise PrecisionError(
-                        f"residual {resid:.2e} at {prec} digits")
-                worst = max(worst, resid)
+                        f"relative residual {float(resid):.2e} at {prec} digits")
+                worst = max(worst, float(resid))
         comps.append((poly, Fraction(1, w)))
     return comps, worst
 

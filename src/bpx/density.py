@@ -124,8 +124,7 @@ def _trace_tiny(E: EllCurve, p: int) -> int:
     return p + 1 - npts
 
 
-def ec_trace(E: EllCurve, p: int,
-             naive_limit: int = kernel.NAIVE_LIMIT) -> int:
+def ec_trace(E: EllCurve, p: int) -> int:
     """Trace of Frobenius a(p) = p + 1 - #E(F_p) at a good-reduction prime."""
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -134,7 +133,7 @@ def ec_trace(E: EllCurve, p: int,
     if p < 5:
         return _trace_tiny(E, p)
     A, B = E.short_form
-    return kernel.ec_trace(A, B, p, naive_limit)
+    return kernel.ec_trace(A, B, p)
 
 
 def ec_traces(E: EllCurve, primes, naive_limit: int = kernel.NAIVE_LIMIT,
@@ -243,8 +242,7 @@ def asymptotic_table(F: CongruenceFormula) -> DensityTable:
 EXPANSION_LIMIT = 100_000
 
 
-def empirical_table(F: CongruenceFormula, x: int, threads: int = 1,
-                    naive_limit: int = kernel.NAIVE_LIMIT) -> DensityTable:
+def empirical_table(F: CongruenceFormula, x: int, threads: int = 1) -> DensityTable:
     """Tally of the congruence values over primes p < x.
 
     Traces come from the level l modular curve for l in {11, 17, 19}
@@ -258,7 +256,7 @@ def empirical_table(F: CongruenceFormula, x: int, threads: int = 1,
     total = len(primes)
     eligible = [p for p in primes if p != ell]
     if ell in X0_CURVES and F.rank == 1:
-        columns = [ec_traces(X0_CURVES[ell], eligible, naive_limit, threads)]
+        columns = [ec_traces(X0_CURVES[ell], eligible, threads=threads)]
     elif F.rank:
         if x > EXPANSION_LIMIT:
             raise CapabilityError(

@@ -39,4 +39,4 @@ class InternalConsistencyError(BpxError):
 
 
 class PrecisionError(InternalConsistencyError):
-    """Floating-point verification failed even after precision retries."""
+    """Floating-point verification failed at the precision chosen from the bound."""

@@ -21,28 +21,6 @@ from .qseries import (GF, Poly, QSeries, as_j_polynomial, eisenstein,
                       monomial_basis, monomial_forms)
 
 
-@dataclass(frozen=True)
-class WeightDecomposition:
-    """k = 12m + 4*delta + 6*epsilon with delta in {0,1,2}, epsilon in {0,1}."""
-
-    k: int
-    m: int
-    delta: int
-    epsilon: int
-
-
-def weight_decomposition(k: int) -> WeightDecomposition:
-    if k < 0 or k % 2:
-        raise InputError(f"weight must be even and nonnegative, got {k}")
-    for de, ep in ((0, 0), (2, 1), (1, 0), (0, 1), (2, 0), (1, 1)):
-        r = k - 4 * de - 6 * ep
-        if r % 12 == 0:
-            if r < 0:
-                raise InputError(f"weight {k} has no such decomposition")
-            return WeightDecomposition(k, r // 12, de, ep)
-    raise InputError(f"weight {k} has no such decomposition")
-
-
 @lru_cache(maxsize=None)
 def supersingular_poly(ell: int) -> Poly:
     """Monic s_l(x) over F_l whose roots are the supersingular j-invariants.
@@ -53,12 +31,13 @@ def supersingular_poly(ell: int) -> Poly:
     """
     if ell < 5 or not is_prime(ell):
         raise InputError(f"need a prime l >= 5, got {ell}")
-    wd = weight_decomposition(ell - 1)
+    # the first basis monomial is the one with a = m: l - 1 = 12m + 4d + 6e
+    m, de, ep = monomial_basis(ell - 1)[0]
     ring = GF(ell)
     # the quotient by Delta^m (valuation m) starts at q^-m and is known
     # only to q^(n - 2m)
-    n = 2 * wd.m + 8
-    divisor, = monomial_forms([(wd.m, wd.delta, wd.epsilon)], n, ell)
+    n = 2 * m + 8
+    divisor, = monomial_forms([(m, de, ep)], n, ell)
     f = eisenstein(ell - 1, n, ring) / divisor
     try:
         etilde = as_j_polynomial(f)
@@ -66,7 +45,7 @@ def supersingular_poly(ell: int) -> Poly:
         raise InternalConsistencyError(
             f"E_(l-1) factorization failed for l={ell}: {exc}") from exc
     x = Poly(ring, [ring.zero, ring.one])
-    s = (x ** wd.delta) * (Poly.x_minus(ring, 1728) ** wd.epsilon) * etilde
+    s = (x ** de) * (Poly.x_minus(ring, 1728) ** ep) * etilde
     return s.monic()
 
 

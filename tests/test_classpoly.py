@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -6,11 +7,12 @@ import mpmath
 import pytest
 
 from bpx.borcherds import exact_exponents
-from bpx.classpoly import (QuadForm, WeightedClassPoly, corollary_conditions,
-                           eligibility, hilbert_class_poly,
+from bpx import classpoly
+from bpx.classpoly import (QuadForm, WeightedClassPoly, _precision_bound,
+                           corollary_conditions, eligibility, hilbert_class_poly,
                            hurwitz_class_number, reduced_forms,
                            singular_modulus)
-from bpx.errors import InputError, NotADiscriminantError
+from bpx.errors import InputError, NotADiscriminantError, PrecisionError
 from bpx.arith import is_fundamental_discriminant
 from bpx.qseries import ZZ, Poly
 from bpx.ssforms import supersingular_poly
@@ -78,6 +80,13 @@ def test_hilbert_class_poly_small(tmp_path):
     assert [(str(p), w) for p, w in w7.components] == [("x + 3375", Fraction(1))]
     w3 = hilbert_class_poly(3, cache_dir=cache)
     assert [(str(p), w) for p, w in w3.components] == [("x", Fraction(1, 3))]
+    # the root j = 0 beside another root: the relative residual is well defined
+    w12 = hilbert_class_poly(12, cache_dir=cache)
+    assert [(p.coeffs, w) for p, w in w12.components] == \
+        [([-54000, 1], 1), ([0, 1], Fraction(1, 3))]
+    w27 = hilbert_class_poly(27, cache_dir=cache)
+    assert [(p.coeffs, w) for p, w in w27.components] == \
+        [([12288000, 1], 1), ([0, 1], Fraction(1, 3))]
 
 
 def test_hilbert_class_poly_20_golden(tmp_path):
@@ -87,6 +96,61 @@ def test_hilbert_class_poly_20_golden(tmp_path):
     assert wt == 1
     assert poly.coeffs == [-681472000, -1264000, 1]
     assert w.h == 2
+
+
+def _bound(d):
+    """The precision hilbert_class_poly chooses for d, from the bound."""
+    groups = {}
+    for f in reduced_forms(d):
+        groups.setdefault(f.weight, []).append(f)
+    return _precision_bound(d, groups)
+
+
+def _precisions_seen(monkeypatch, d, cache):
+    """hilbert_class_poly(d) and the precisions singular_modulus ran at."""
+    seen = set()
+
+    def spy(Q, prec=40):
+        seen.add(prec)
+        return singular_modulus(Q, prec)
+
+    monkeypatch.setattr(classpoly, "singular_modulus", spy)
+    return hilbert_class_poly(d, cache_dir=cache), seen
+
+
+@pytest.mark.parametrize("d", [239, 719])
+def test_singular_moduli_match_kleinj_at_the_bound(d):
+    # independent route: mpmath's Klein j at the CM point, with the digits
+    # of |j| ~ e^(pi sqrt(d)/a) added so both sides are absolute
+    prec = _bound(d)
+    for Q in reduced_forms(d):
+        size = int(math.pi * math.sqrt(d) / Q.a / math.log(10)) + 1
+        with mpmath.workdps(prec + size + 10):
+            tau = mpmath.mpc(-Q.b, mpmath.sqrt(d)) / (2 * Q.a)
+            diff = abs(singular_modulus(Q, prec) - 1728 * mpmath.kleinj(tau))
+        assert diff < mpmath.mpf(10) ** (-prec), (d, Q)
+
+
+@pytest.mark.parametrize("d", [3, 12, 27, 719, 1151, 2351, 2624])
+def test_one_precision_attempt_at_the_bound(tmp_path, monkeypatch, d):
+    # roots at the bound and once more at bound + 20 for the residuals:
+    # no doubling.  2351 passed only at 8x its old base, 2624 not at all;
+    # 3, 12 and 27 have the root j = 0
+    w, seen = _precisions_seen(monkeypatch, d, str(tmp_path))
+    prec = _bound(d)
+    assert w.precision_used == prec
+    assert seen == {prec, prec + 20}
+    assert sum((wt * p.degree for p, wt in w.components), Fraction(0)) \
+        == hurwitz_class_number(d)
+    assert w.residual_bound < 10.0 ** (-prec / 2)
+
+
+def test_verification_failure_raises_without_retry(tmp_path, monkeypatch):
+    # below the bound the rounding check fails; that is an invariant
+    # failure at the one precision, not a cue to try again
+    monkeypatch.setattr(classpoly, "_precision_bound", lambda d, groups: 30)
+    with pytest.raises(PrecisionError, match="at 30 digits"):
+        _precisions_seen(monkeypatch, 719, str(tmp_path))
 
 
 def test_class_poly_components_squarefree_over_q():

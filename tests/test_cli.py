@@ -332,7 +332,16 @@ def test_eigenbasis_capability_limit_exit_2(capsys):
     # the fit needs T_2 on S_(l+1) to have distinct eigenvalues in F_l; for
     # l = 23, 29 and every prime from 41 to 79 it does not, so there is no
     # eigenbasis over F_l to fit against
-    code, out, err = invoke(capsys, "congruence", "--d", "4", "--ell", "41")
+    code, out, err = invoke(capsys, "congruence", "--d", "3", "--ell", "41")
     assert code == 2 and out == ""
     assert "eigenbasis not defined over F_41" in err
     assert "Traceback" not in err
+
+
+def test_ineligible_pair_reported_before_eigenbasis(capsys):
+    # 41 = 1 mod 4, so j = 1728 is ordinary mod 41 and H_4 does not divide
+    # s_41; that is the reason given, though there is no eigenbasis either
+    code, out, err = invoke(capsys, "congruence", "--d", "4", "--ell", "41")
+    assert code == 2 and out == ""
+    assert "does not divide" in err
+    assert "eigenbasis" not in err

@@ -3,33 +3,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpx.errors import InputError, TruncationError
-from bpx.qseries import GF, QQ, ZZ, Poly, QSeries, delta, eisenstein
+from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, delta, eisenstein,
+                         monomial_basis)
 from bpx.ssforms import (_distinct_eigenvalues, _eigenvector,
                          _solve_linear_mod, eigenbasis, eisenstein_cusp_split,
-                         hecke_Tp, supersingular_poly, supersingular_poly_bruteforce,
-                         weight_decomposition)
+                         hecke_Tp, supersingular_poly, supersingular_poly_bruteforce)
 from oracles import (charpoly_roots, monomial_form_by_euler_product,
                      supersingular_j_invariants)
 
 
 def test_weight_decomposition_examples():
-    wd = weight_decomposition(10)
-    assert (wd.m, wd.delta, wd.epsilon) == (0, 1, 1)
-    wd = weight_decomposition(30)
-    assert (wd.m, wd.delta, wd.epsilon) == (2, 0, 1)
-    wd = weight_decomposition(12)
-    assert (wd.m, wd.delta, wd.epsilon) == (1, 0, 0)
+    # supersingular_poly reads k = 12m + 4 delta + 6 epsilon off the first
+    # basis monomial
+    assert monomial_basis(10)[0] == (0, 1, 1)
+    assert monomial_basis(30)[0] == (2, 0, 1)
+    assert monomial_basis(12)[0] == (1, 0, 0)
 
 
 def test_weight_decomposition_reconstructs_and_errors():
     for k in range(4, 120, 2):
-        wd = weight_decomposition(k)
-        assert 12 * wd.m + 4 * wd.delta + 6 * wd.epsilon == k
-        assert wd.delta in (0, 1, 2) and wd.epsilon in (0, 1) and wd.m >= 0
-    with pytest.raises(InputError):
-        weight_decomposition(2)
-    with pytest.raises(InputError):
-        weight_decomposition(7)
+        m, de, ep = monomial_basis(k)[0]
+        assert 12 * m + 4 * de + 6 * ep == k
+        assert de in (0, 1, 2) and ep in (0, 1) and m >= 0
+    assert monomial_basis(2) == []
+    assert monomial_basis(7) == []
 
 
 def test_supersingular_examples():
@@ -48,8 +45,8 @@ def test_supersingular_matches_bruteforce_to_50():
 def test_supersingular_degree_formula_to_100():
     for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
                 67, 71, 73, 79, 83, 89, 97):
-        wd = weight_decomposition(ell - 1)
-        assert supersingular_poly(ell).degree == wd.m + wd.delta + wd.epsilon
+        m, de, ep = monomial_basis(ell - 1)[0]
+        assert supersingular_poly(ell).degree == m + de + ep
 
 
 def test_supersingular_certificates_above_100():
