@@ -4,15 +4,17 @@ Run:  python benchmarks/same_documents.py PARENT_DIR CHANGE_DIR
 
 Reads the commands of both workloads (main ops, every pool entry, and the
 probes) from each tree's ``bpxbench/run.py`` and runs each one in both
-trees as ``python -m bpx.cli ... --format json``, with the tree's ``src``
-on PYTHONPATH and one fresh cache directory per tree.  The two sides of a
-command run at the same time.  A document is compared as written, less
-its ``meta`` and ``cache`` keys, which describe the run rather than the
-result, and a class polynomial's ``precision_used`` and ``residual_bound``,
-which describe how it was verified rather than what it is (as the gate
-``FIELDS`` of bpxbench/run.py does); every mathematical field is
-compared.  The exit status and standard error must match too.  Prints one
-line per command and exits 1 if any document differs.
+trees as ``python -m bpx.cli ... --format FORMAT``, once as json and once
+as text, with the tree's ``src`` on PYTHONPATH and one fresh cache
+directory per tree.  The two sides of a run go at the same time.  A json
+document is compared as written, less its ``meta`` and ``cache`` keys,
+which describe the run rather than the result, and a class polynomial's
+``precision_used`` and ``residual_bound``, which describe how it was
+verified rather than what it is (as the gate ``FIELDS`` of
+bpxbench/run.py does); every mathematical field is compared.  A text
+document holds no run description, so it is compared byte for byte.  The
+exit status and standard error must match too.  Prints one line per
+document and exits 1 if any differs.
 """
 
 import argparse
@@ -26,6 +28,7 @@ from pathlib import Path
 
 # run descriptions and the precision strategy, not results
 RUN_KEYS = ("meta", "cache", "precision_used", "residual_bound")
+FORMATS = ("json", "text")
 
 
 def benchmark_commands(tree: Path) -> list[str]:
@@ -44,19 +47,21 @@ def benchmark_commands(tree: Path) -> list[str]:
     return out
 
 
-def start(tree: Path, command: str, cache: str) -> subprocess.Popen:
+def start(tree: Path, command: str, fmt: str, cache: str) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(tree / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     argv = [sys.executable, "-m", "bpx.cli", *command.split(),
-            "--format", "json", "--cache-dir", cache]
+            "--format", fmt, "--cache-dir", cache]
     return subprocess.Popen(argv, cwd=tree, env=env, text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
-def result(proc: subprocess.Popen) -> tuple[int, str, str]:
-    """(exit status, document less its run keys, standard error)."""
+def result(proc: subprocess.Popen, fmt: str) -> tuple[int, str, str]:
+    """(exit status, document less any run keys, standard error)."""
     stdout, stderr = proc.communicate()
+    if fmt == "text":
+        return proc.returncode, stdout, stderr
     try:
         doc = json.loads(stdout)
     except ValueError:
@@ -74,22 +79,24 @@ def main(argv=None) -> int:
     trees = (args.parent.resolve(), args.change.resolve())
     commands = list(dict.fromkeys(benchmark_commands(trees[0])
                                   + benchmark_commands(trees[1])))
+    runs = [(command, fmt) for command in commands for fmt in FORMATS]
     differ = 0
     with tempfile.TemporaryDirectory() as c0, tempfile.TemporaryDirectory() as c1:
-        for command in commands:
-            procs = [start(tree, command, cache) for tree, cache in zip(trees, (c0, c1))]
-            old, new = (result(p) for p in procs)
+        for command, fmt in runs:
+            procs = [start(tree, command, fmt, cache)
+                     for tree, cache in zip(trees, (c0, c1))]
+            old, new = (result(p, fmt) for p in procs)
             if old == new:
-                print(f"same     {command}")
+                print(f"same     {fmt:<5} {command}")
                 continue
             differ += 1
-            print(f"DIFFERS  {command}")
+            print(f"DIFFERS  {fmt:<5} {command}")
             for name, (before, after) in zip(("exit status", "document", "stderr"),
                                              zip(old, new)):
                 if before != after:
                     print(f"         {name}: parent {str(before)[:200]!r}")
                     print(f"         {' ' * len(name)}  change {str(after)[:200]!r}")
-    print(f"{len(commands) - differ} of {len(commands)} documents identical")
+    print(f"{len(runs) - differ} of {len(runs)} documents identical")
     return 1 if differ else 0
 
 

@@ -4,10 +4,9 @@ Integers are Python ints, rationals are ``fractions.Fraction`` (always
 normalized, positive denominator, structural equality), an element of a
 prime field F_l is a plain int in [0, l) (``frac_mod`` reduces a rational
 into one), and real quadratic extensions a + b*sqrt(D) are ``QuadExt``
-over either the rationals or a prime field, whose scalars are then ``Mod``
-(an element of F_l boxed with its modulus).  On top of those live the classical
-number-theoretic functions (Kronecker symbol, Bernoulli numbers, divisor
-sums, Moebius) and Dirichlet convolution inverses.
+with Fraction scalars.  On top of those live the classical number-theoretic
+functions (Kronecker symbol, Bernoulli numbers, divisor sums, Moebius) and
+Dirichlet convolution inverses.
 """
 
 from __future__ import annotations
@@ -198,99 +197,6 @@ def _check_odd_prime(ell: int) -> None:
 _PRIME_OK: set[int] = set()
 
 
-class Mod:
-    """Element of F_l, canonical representative in [0, l)."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        _check_odd_prime(modulus)
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def _lift(self, other) -> "Mod":
-        if isinstance(other, Mod):
-            if other.modulus != self.modulus:
-                raise InputError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return Mod(other, self.modulus)
-        if isinstance(other, Fraction):
-            return Mod(frac_mod(other, self.modulus), self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return Mod(self.value + o.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return Mod(self.value - o.value, self.modulus)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return Mod(o.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return Mod(self.value * o.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Mod(-self.value, self.modulus)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return o * self.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return Mod(pow(self.value, e, self.modulus), self.modulus)
-
-    def inverse(self) -> "Mod":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 is not invertible mod {self.modulus}")
-        return Mod(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return (isinstance(other, Mod) and self.modulus == other.modulus
-                and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"Mod({self.value}, {self.modulus})"
-
-
 def frac_mod(x: Fraction | int, ell: int) -> int:
     """Reduce a rational with denominator coprime to l into F_l, as an int in [0, l)."""
     _check_odd_prime(ell)
@@ -305,12 +211,10 @@ def frac_mod(x: Fraction | int, ell: int) -> int:
 # quadratic extension a + b*sqrt(D)
 
 class QuadExt:
-    """Element a + b*sqrt(D) of Q(sqrt(D)) or F_l[sqrt(D)], D > 0 fundamental.
+    """Element a + b*sqrt(D) of Q(sqrt(D)), D > 0 fundamental.
 
-    The scalars a, b live in a common base ring (Fraction or Mod); sqrt(D)
-    is kept symbolic even when D happens to be a square mod l, so the
-    twisted pipeline is uniform.  ``reduce_to_prime_field`` substitutes a
-    concrete square root when one is wanted.
+    The scalars a, b are Fractions (ints are converted), and sqrt(D) is
+    kept symbolic.
     """
 
     __slots__ = ("a", "b", "D")
@@ -335,9 +239,8 @@ class QuadExt:
             if other.D != self.D:
                 raise InputError("mixed discriminants")
             return other
-        if isinstance(other, (int, Fraction, Mod)):
-            zero = self.a - self.a
-            return QuadExt(zero + other, zero, self.D)
+        if isinstance(other, (int, Fraction)):
+            return QuadExt(other, 0, self.D)
         return NotImplemented
 
     def __add__(self, other):
@@ -403,14 +306,8 @@ class QuadExt:
             e >>= 1
         return out
 
-    def reduce_to_prime_field(self, sqrtD: Mod) -> Mod:
-        """View a + b*sqrt(D) in F_l by substituting a concrete root of D."""
-        if sqrtD * sqrtD != self.D % sqrtD.modulus:
-            raise InputError(f"{sqrtD!r} is not a square root of {self.D}")
-        return self.a + self.b * sqrtD
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Mod)):
+        if isinstance(other, (int, Fraction)):
             return not self.b and self.a == other
         return (isinstance(other, QuadExt) and self.D == other.D
                 and self.a == other.a and self.b == other.b)
@@ -422,8 +319,6 @@ class QuadExt:
         return bool(self.a) or bool(self.b)
 
     def __float__(self):
-        if not self.is_rational and not isinstance(self.a, Fraction):
-            raise InputError("no real embedding for a mod-l element")
         return float(self.a) + float(self.b) * math.sqrt(self.D)
 
     def __repr__(self):
@@ -439,7 +334,7 @@ def _ring_inverse(x):
             return x
         raise InputError("no Dirichlet inverse: f(1) is not invertible")
     try:
-        if isinstance(x, (Mod, QuadExt)):
+        if isinstance(x, QuadExt):
             return x.inverse()
         return 1 / x
     except ZeroDivisionError:

@@ -47,7 +47,7 @@ class QuadForm:
 def _check_discriminant(d: int) -> None:
     if d <= 0 or d % 4 not in (0, 3):
         raise NotADiscriminantError(
-            f"-{d} is not a negative discriminant (need d > 0, d = 0, 3 mod 4)")
+            f"d = {d}: -d is not a negative discriminant (need d > 0, d = 0, 3 mod 4)")
 
 
 def reduced_forms(d: int) -> list[QuadForm]:

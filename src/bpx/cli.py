@@ -238,7 +238,7 @@ def run(argv=None) -> int:
         after = cache_stats()
         doc["cache"] = {k: after[k] - before[k] for k in after}
         _emit(doc, args, text)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

@@ -443,20 +443,32 @@ class QSeries:
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse of a series with invertible leading coefficient."""
-        v = self.valuation()
-        if v is None:
-            raise ZeroDivisionError("zero series has no inverse")
-        u = self.coeffs[v - self.lead:]
-        ring = self.ring
-        if isinstance(ring, PrimeField):
-            return QSeries(ring, -v, _inverse_gf(u, ring.ell))
-        rhs = [ring.one] + [ring.zero] * (len(u) - 1)
-        return QSeries(ring, -v, _solve_triangular(u, rhs, ring))
+        return 1 / self
 
     def __truediv__(self, other):
+        """f / g for g with invertible leading coefficient, the one series quotient.
+
+        For g = q^v (u_0 + u_1 q + ...) the quotient has lead f.lead - v and
+        min(len(f), len(u)) terms.  Over F_l it is f times the Newton
+        inverse of u.  Over any other ring it solves u x = f term by term,
+        with no inverse series and no product.
+        """
         if not isinstance(other, QSeries):
             return self.scale(self.ring.inverse(self.ring.coerce(other)))
-        return self * other.inverse()
+        self._check_ring(other)
+        v = other.valuation()
+        if v is None:
+            raise ZeroDivisionError("division by the zero series")
+        u = other.coeffs[v - other.lead:]
+        ring = self.ring
+        if isinstance(ring, PrimeField):
+            return self * QSeries(ring, -v, _inverse_gf(u, ring.ell))
+        n = min(len(self.coeffs), len(u))
+        return QSeries(ring, self.lead - v, _solve_triangular(u, self.coeffs[:n], ring))
+
+    def __rtruediv__(self, other):
+        """c / g for a scalar c."""
+        return QSeries.constant(self.ring, other, len(self.coeffs) - 1) / self
 
     def q_derivative(self) -> "QSeries":
         """q d/dq: sends c q^e to e c q^e."""
@@ -466,20 +478,15 @@ class QSeries:
     def log_derivative(self) -> "QSeries":
         """q f'/f for f with invertible leading coefficient, from q^0.
 
-        Over F_l this is q f' times the Newton inverse of f.  Over any other
-        ring it solves f L = q f' term by term, with no inverse series: for
-        f = q^v (s_0 + s_1 q + ...), L_k = ((v + k) s_k - sum_{i=1..k} s_i
-        L_{k-i}) / s_0.
+        The quotient of q f' by f, both from f's valuation v: over ZZ and QQ
+        the terms are L_k = ((v + k) s_k - sum_{i=1..k} s_i L_{k-i}) / s_0
+        for f = q^v (s_0 + s_1 q + ...).
         """
         v = self.valuation()
         if v is None:
             raise ZeroDivisionError("zero series has no log derivative")
-        s = self.coeffs[v - self.lead:]
-        if isinstance(self.ring, PrimeField):
-            f = QSeries(self.ring, v, s)
-            return f.q_derivative() * f.inverse()
-        rhs = [(v + k) * c for k, c in enumerate(s)]
-        return QSeries(self.ring, 0, _solve_triangular(s, rhs, self.ring))
+        f = QSeries(self.ring, v, self.coeffs[v - self.lead:])
+        return f.q_derivative() / f
 
     def reduce_mod(self, ell: int) -> "QSeries":
         ring = _reduction_ring(self.ring, ell)

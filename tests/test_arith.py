@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpx import arith
-from bpx.arith import (Mod, PrimeStream, QuadExt, bernoulli, dirichlet_inverse,
+from bpx.arith import (PrimeStream, QuadExt, bernoulli, dirichlet_inverse,
                        divisors, factorize, frac_mod, is_fundamental_discriminant,
                        kronecker, moebius, sieve, sigma)
 from bpx.errors import InputError, ResourceLimitError
@@ -116,20 +116,7 @@ def test_fundamental_discriminants():
 
 
 # ---------------------------------------------------------------------------
-# Mod
-
-
-def test_mod_basics():
-    x = Mod(7, 11)
-    assert x + 5 == 1
-    assert x * x == 5
-    assert (x / 3) * 3 == x
-    assert x ** -1 * x == 1
-    assert int(-x) == 4
-    with pytest.raises(InputError):
-        Mod(1, 10)
-    with pytest.raises(ZeroDivisionError):
-        Mod(0, 11).inverse()
+# F_l elements
 
 
 def test_frac_mod():
@@ -166,23 +153,6 @@ def test_quadext_inverse(x, y):
     if e.norm() == 0:
         return
     assert e * e.inverse() == 1
-
-
-def test_quadext_reduce_to_prime_field():
-    # 5 is a square mod 11: 4^2 = 16 = 5
-    e = quad(2, 3, 5)
-    got = e.reduce_to_prime_field(Mod(4, 11))
-    assert got == Mod(2 + 3 * 4, 11)
-    with pytest.raises(InputError):
-        e.reduce_to_prime_field(Mod(3, 11))
-
-
-def test_quadext_mod_ell_scalars():
-    e = QuadExt(Mod(2, 7), Mod(3, 7), 5)
-    assert e + e == QuadExt(Mod(4, 7), Mod(6, 7), 5)
-    assert (e * e.inverse()) == QuadExt(Mod(1, 7), Mod(0, 7), 5)
-    assert not e.is_rational
-    assert QuadExt(Mod(2, 7), Mod(0, 7), 5).is_rational
 
 
 def test_quadext_rejects_bad_discriminant():

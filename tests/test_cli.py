@@ -250,6 +250,34 @@ def test_out_into_missing_directory_exit_2(tmp_path, capsys):
     assert "does not exist" in err and not os.path.exists(path)
 
 
+def test_out_onto_a_directory_exit_2(tmp_path, capsys):
+    code, out, err = invoke(capsys, "exponents", "--d", "4", "--n", "3",
+                            "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cache_dir_under_a_regular_file_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory\n")
+    code, out, err = invoke(capsys, "classpoly", "--d", "23",
+                            "--cache-dir", str(blocker / "sub"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["exponents", "--d", "0"], "d = 0:"),
+    (["classpoly", "--d", "-3"], "d = -3:"),
+], ids=["zero", "negative"])
+def test_discriminant_message_shows_d_as_given(argv, shown, capsys):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert shown in err and "is not a negative discriminant" in err
+    assert "--3" not in err and "-0 " not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["exponents", "--d", "4", "--threads", "0"],
     ["exponents", "--d", "4", "--n", "0"],

@@ -248,6 +248,65 @@ def test_log_derivative_recurrence_matches_inverse_product(name, v, zeros, vals)
     assert got.coeffs == want
 
 
+_QUOTIENT_RINGS = {"ZZ": ZZ, "QQ": QQ, "GF(11)": GF(11)}
+
+
+_VALS = st.lists(st.integers(-50, 50), min_size=1, max_size=25)
+
+
+@given(st.sampled_from(sorted(_QUOTIENT_RINGS)),
+       st.integers(-3, 3), st.integers(0, 2), _VALS,
+       st.integers(-3, 3), st.integers(0, 2), _VALS)
+@settings(max_examples=120, deadline=None)
+def test_quotient_matches_product_with_schoolbook_inverse(name, lf, zf, fvals,
+                                                          v, zg, gvals):
+    ring = _QUOTIENT_RINGS[name]
+    scalar = {"ZZ": int, "QQ": lambda c: Fraction(c, 3), "GF(11)": int}[name]
+    gvals[0] = {"ZZ": 1 if gvals[0] >= 0 else -1,
+                "QQ": gvals[0] or 1, "GF(11)": gvals[0] % 10 + 1}[name]
+    unit = [ring.coerce(scalar(c)) for c in gvals]
+    f = QSeries(ring, lf, [ring.zero] * zf + [ring.coerce(scalar(c)) for c in fvals])
+    g = QSeries(ring, v - zg, [ring.zero] * zg + unit)
+    got = f / g
+    # the lead and truncation that f * g.inverse() gives
+    n = min(len(f.coeffs), len(unit))
+    assert got.ring is ring and got.lead == f.lead - v and got.trunc == got.lead + n - 1
+    inv = _inverse_oracle([Fraction(c) for c in unit])
+    want = _conv_oracle([Fraction(c) for c in f.coeffs], inv, n - 1)
+    if name == "GF(11)":  # over Q the denominators are prime to 11
+        want = [frac_mod(c, 11) for c in want]
+    assert got.coeffs == want
+    if name == "ZZ":
+        assert all(type(c) is int for c in got.coeffs)
+
+
+def test_zz_quotient_takes_no_inverse_and_no_product_of_the_divisor(monkeypatch):
+    from bpx import qseries
+    divisors, inverted, multiplied = [], [], []
+    div, inverse, mul = QSeries.__truediv__, QSeries.inverse, QSeries.__mul__
+
+    def spy_div(self, other):
+        divisors.append(other)
+        return div(self, other)
+
+    def spy_inverse(self):
+        inverted.append(self)
+        return inverse(self)
+
+    def spy_mul(self, other):
+        multiplied.extend((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(QSeries, "__truediv__", spy_div)
+    monkeypatch.setattr(QSeries, "inverse", spy_inverse)
+    monkeypatch.setattr(QSeries, "__mul__", spy_mul)
+    monkeypatch.setattr(qseries, "_J_CACHE", {})
+    q = eisenstein(4, 40, ZZ) ** 3 / delta(40, ZZ)
+    j = jfunction(60, ZZ)
+    assert len(divisors) == 2 and q.coeffs == j.coeffs[:q.trunc + 2]
+    assert not any(d is x for d in divisors for x in inverted + multiplied)
+
+
 # ---------------------------------------------------------------------------
 # F_l elements are plain ints in [0, l), and F_l arithmetic is reduction's
 
