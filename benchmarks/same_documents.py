@@ -4,15 +4,16 @@ Run:  python benchmarks/same_documents.py PARENT_DIR CHANGE_DIR
 
 Reads the commands of both workloads (main ops, every pool entry, and the
 probes) from each tree's ``bpxbench/run.py`` and runs each one in both
-trees as ``python -m bpx.cli ... --format FORMAT``, once as json and once
-as text, with the tree's ``src`` on PYTHONPATH and one fresh cache
+trees as ``python -m bpx.cli ... --format FORMAT``, once each as json,
+text and csv, with the tree's ``src`` on PYTHONPATH and one fresh cache
 directory per tree.  The two sides of a run go at the same time.  A json
 document is compared as written, less its ``meta`` and ``cache`` keys,
 which describe the run rather than the result, and a class polynomial's
 ``precision_used`` and ``residual_bound``, which describe how it was
 verified rather than what it is (as the gate ``FIELDS`` of
-bpxbench/run.py does); every mathematical field is compared.  A text
-document holds no run description, so it is compared byte for byte.  The
+bpxbench/run.py does); every mathematical field is compared.  A text or
+csv document holds no run description, so it is compared byte for byte
+(a command with no CSV form must then fail alike in both trees).  The
 exit status and standard error must match too.  Prints one line per
 document and exits 1 if any differs.
 """
@@ -28,7 +29,7 @@ from pathlib import Path
 
 # run descriptions and the precision strategy, not results
 RUN_KEYS = ("meta", "cache", "precision_used", "residual_bound")
-FORMATS = ("json", "text")
+FORMATS = ("json", "text", "csv")
 
 
 def benchmark_commands(tree: Path) -> list[str]:
@@ -60,7 +61,7 @@ def start(tree: Path, command: str, fmt: str, cache: str) -> subprocess.Popen:
 def result(proc: subprocess.Popen, fmt: str) -> tuple[int, str, str]:
     """(exit status, document less any run keys, standard error)."""
     stdout, stderr = proc.communicate()
-    if fmt == "text":
+    if fmt != "json":
         return proc.returncode, stdout, stderr
     try:
         doc = json.loads(stdout)

@@ -44,9 +44,6 @@ class ExponentTable:
         return {"d": self.d, "n_max": self.n_max, "values": list(self.values)}
 
 
-_LOGDER_CACHE: dict[tuple[int, str], QSeries] = {}
-
-
 def _log_derivative(d: int, n: int, ring, cache_dir: str | None) -> QSeries:
     """-q d/dq log of the weighted class polynomial at j, to order n.
 
@@ -55,10 +52,6 @@ def _log_derivative(d: int, n: int, ring, cache_dir: str | None) -> QSeries:
     l).  Per component S = P(j) has unit leading coefficient, so S'/S needs
     no denominators; the weighted sum has constant term h(d) (checked).
     """
-    key = (d, ring.name)
-    cached = _LOGDER_CACHE.get(key)
-    if cached is not None and cached.trunc >= n:
-        return cached.truncate(n)
     wcp = hilbert_class_poly(d, cache_dir=cache_dir)
     out_ring = QQ if ring is ZZ else ring
     j = jfunction(n, ring)
@@ -71,7 +64,6 @@ def _log_derivative(d: int, n: int, ring, cache_dir: str | None) -> QSeries:
     if total.coeff(0) != out_ring.coerce(wcp.h):
         raise InternalConsistencyError(
             f"constant term {total.coeff(0)} != h({d}) = {wcp.h} over {out_ring.name}")
-    _LOGDER_CACHE[key] = total
     return total
 
 

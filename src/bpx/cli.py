@@ -93,7 +93,7 @@ def _emit(doc: dict, args, text_lines: list[str]) -> None:
     if args.format == "json":
         body = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
     elif args.format == "csv":
-        body = doc.get("csv") or _csv_fallback(doc)
+        body = _csv(doc)
     else:
         body = "\n".join(text_lines) + "\n"
     if args.out:
@@ -103,7 +103,7 @@ def _emit(doc: dict, args, text_lines: list[str]) -> None:
         sys.stdout.write(body)
 
 
-def _csv_fallback(doc: dict) -> str:
+def _csv(doc: dict) -> str:
     rows = doc.get("rows")
     if not rows:
         raise InputError("this command has no CSV form; use --format json")
@@ -140,8 +140,8 @@ def _cmd_density(args) -> dict:
         tab = asymptotic_table(F)
     else:
         tab = empirical_table(F, args.x, threads=args.threads)
-    doc = json.loads(tab.to_json())
-    doc["csv"] = tab.to_csv()
+    doc = tab.to_document()
+    doc["csv"] = _csv(doc)
     text = [f"{tab.kind} density of A(p^2, {args.d}) mod {args.ell}"
             + (f" for p < {args.x}" if args.x else "")]
     for row in tab.to_rows():
@@ -227,6 +227,9 @@ def run(argv=None) -> int:
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         print(f"error: the directory of --out {args.out} does not exist",
               file=sys.stderr)
+        return 2
+    if args.out and os.path.isdir(args.out):
+        print(f"error: --out {args.out} is a directory", file=sys.stderr)
         return 2
     # exact exponents outgrow the default 4300-digit int/str conversion limit
     digits_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -11,7 +11,6 @@ columns of a_i(p), and tallies the congruence values at those primes.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -196,16 +195,9 @@ class DensityTable:
                              "ratio": f"{count / self.total:.4f}"})
         return rows
 
-    def to_csv(self) -> str:
-        rows = self.to_rows()
-        header = ",".join(rows[0].keys())
-        return "\n".join([header] + [",".join(str(v) for v in r.values())
-                                     for r in rows]) + "\n"
-
-    def to_json(self) -> str:
-        doc = {"d": self.d, "ell": self.ell, "kind": self.kind,
-               "x": self.x, "total": self.total, "rows": self.to_rows()}
-        return json.dumps(doc, indent=2, sort_keys=True)
+    def to_document(self) -> dict:
+        return {"d": self.d, "ell": self.ell, "kind": self.kind,
+                "x": self.x, "total": self.total, "rows": self.to_rows()}
 
 
 def asymptotic_table(F: CongruenceFormula) -> DensityTable:

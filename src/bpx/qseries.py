@@ -11,12 +11,12 @@ everywhere: a series knows its leading exponent and the last exponent it
 is valid to, and every operation propagates validity conservatively (no
 global precision state).
 
-Classical expansions live here too: Eisenstein series, the discriminant
-cusp form (via the pentagonal-number sparse product, or over F_l from
-E4 and E6), the j-function, rewriting weight-0 series as polynomials in
-j, weight-k monomial bases in Delta/E4/E6 and their expansions over F_l
-from one shared table of powers, and the Gauss-sum coefficients of the
-twisted cyclotomic factor P_D.
+Classical expansions live here too: Eisenstein series; one table of the
+level-one forms Delta^a E4^b E6^c over ZZ, QQ and GF(l >= 5), with
+Delta = (E4^3 - E6^2)/1728, from which the discriminant cusp form and
+j = E4^3/Delta are read for every ring; rewriting weight-0 series as
+polynomials in j; weight-k monomial bases; and the Gauss-sum
+coefficients of the twisted cyclotomic factor P_D.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .arith import (QuadExt, _check_odd_prime, bernoulli, frac_mod,
-                    is_fundamental_discriminant, is_prime, kronecker,
+                    is_fundamental_discriminant, kronecker,
                     sigma_prefix)
 from .errors import InputError, TruncationError
 
@@ -712,41 +712,11 @@ def eisenstein(k: int, n: int, ring=QQ) -> QSeries:
     return QSeries(ring, 0, coeffs)
 
 
-def euler_product(n: int, ring=ZZ) -> QSeries:
-    """prod (1 - q^m) to order n via the pentagonal number theorem."""
-    coeffs = [ring.zero] * (n + 1)
-    coeffs[0] = ring.one
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        s = ring.one if k % 2 == 0 else -ring.one
-        if g1 <= n:
-            coeffs[g1] = s
-        if g2 <= n:
-            coeffs[g2] = s
-        k += 1
-    return QSeries(ring, 0, coeffs)
-
-
-def _has_gf_table(ring) -> bool:
-    """Is ring an F_l for which monomial_forms builds Delta (l >= 5)?"""
-    return isinstance(ring, PrimeField) and ring.ell >= 5
-
-
 def delta(n: int, ring=ZZ) -> QSeries:
-    """The discriminant cusp form q prod (1-q^m)^24 to order n.
-
-    Over F_l (l >= 5) it comes from the table of monomial_forms; over any
-    other ring it is the pentagonal-number product to the 24th power.
-    """
+    """The discriminant cusp form q prod (1-q^m)^24 to order n, from monomial_forms."""
     if n < 1:
         raise InputError("delta needs truncation order >= 1")
-    if _has_gf_table(ring):
-        return monomial_forms([(1, 0, 0)], n, ring.ell)[0]
-    return (euler_product(n - 1, ring) ** 24).shift(1)
+    return monomial_forms([(1, 0, 0)], n, ring)[0]
 
 
 _J_CACHE: dict[str, QSeries] = {}
@@ -759,11 +729,7 @@ def jfunction(n: int, ring=ZZ) -> QSeries:
     key = ring.name
     cached = _J_CACHE.get(key)
     if cached is None or cached.trunc < n:
-        m = max(n, 2)
-        if _has_gf_table(ring):
-            e4_cubed, disc = monomial_forms([(0, 3, 0), (1, 0, 0)], m + 2, ring.ell)
-        else:
-            e4_cubed, disc = eisenstein(4, m + 2, ring) ** 3, delta(m + 2, ring)
+        e4_cubed, disc = monomial_forms([(0, 3, 0), (1, 0, 0)], max(n, 2) + 2, ring)
         cached = e4_cubed / disc
         _J_CACHE[key] = cached
     return cached.truncate(n)
@@ -822,25 +788,44 @@ def monomial_basis(k: int, cusp_only: bool = False) -> list[tuple[int, int, int]
     return basis
 
 
-def monomial_forms(monos, n: int, ell: int) -> list[QSeries]:
-    """Delta^a E4^b E6^c over F_l to order n, for each (a, b, c) in monos.
+def monomial_forms(monos, n: int, ring) -> list[QSeries]:
+    """Delta^a E4^b E6^c over ZZ, QQ or GF(l >= 5) to order n, for each (a, b, c).
 
     E4 and E6 come from their divisor sums, and Delta from (E4^3 - E6^2)
     / 1728, an identity over Z that holds mod every l >= 5.  Each power of
-    E4, E6 and Delta is formed once, by Kronecker products on int lists,
-    and shared by all the monomials.  Each series starts at q^a, its
-    valuation.
+    E4, E6 and Delta is formed once and shared by all the monomials: over
+    F_l by Kronecker products on int lists, over ZZ and QQ by the series
+    product.  Each series starts at q^a, its valuation.
     """
-    if ell < 5 or not is_prime(ell):
-        raise InputError(f"need a prime l >= 5, got {ell}")
+    if isinstance(ring, PrimeField):
+        ell = ring.ell
+        if ell < 5:
+            raise InputError(f"Delta = (E4^3 - E6^2)/1728 needs l >= 5, got {ell}")
 
-    def mul(f, g):
-        return _kron_mul_gf(f, g, ell, n + 1)
+        def mul(f, g):
+            return _kron_mul_gf(f, g, ell, n + 1)
 
-    def eisenstein_mod(k, factor):  # 1 + factor sum sigma_(k-1)(m) q^m
-        return [1] + [factor * s % ell for s in sigma_prefix(k - 1, n, ell)[1:]]
+        def scale(c, f):
+            return [c * v % ell for v in f]
+    else:
+        ell = None
 
-    powers: dict[tuple[str, int], list[int]] = {}
+        def mul(f, g):
+            return (QSeries(ring, 0, f) * QSeries(ring, 0, g)).coeffs
+
+        def scale(c, f):
+            return [c * v for v in f]
+
+    def eisenstein_table(k, factor):  # 1 + factor sum sigma_(k-1)(m) q^m
+        return [ring.one] + scale(ring.coerce(factor), sigma_prefix(k - 1, n, ell)[1:])
+
+    def delta_table():
+        diff = [x - y for x, y in zip(power("E4", 3), power("E6", 2))]
+        if ring is ZZ:  # exact: 1728 divides every coefficient
+            return [v // 1728 for v in diff]
+        return scale(ring.inverse(ring.coerce(1728)), diff)
+
+    powers: dict[tuple[str, int], list] = {}
 
     def power(name, e):
         key = (name, e)
@@ -851,13 +836,11 @@ def monomial_forms(monos, n: int, ell: int) -> list[QSeries]:
             elif e > 1:
                 powers[key] = mul(power(name, e - 1), power(name, 1))
             elif name == "E4":
-                powers[key] = eisenstein_mod(4, 240)
+                powers[key] = eisenstein_table(4, 240)
             elif name == "E6":
-                powers[key] = eisenstein_mod(6, -504)
+                powers[key] = eisenstein_table(6, -504)
             else:
-                inv = pow(1728, -1, ell)
-                powers[key] = [(x - y) * inv % ell
-                               for x, y in zip(power("E4", 3), power("E6", 2))]
+                powers[key] = delta_table()
         return powers[key]
 
     out = []
@@ -867,7 +850,7 @@ def monomial_forms(monos, n: int, ell: int) -> list[QSeries]:
             if e:
                 f = power(name, e) if f is None else mul(f, power(name, e))
         a = mono[0]  # Delta^a starts at q^a
-        out.append(QSeries(GF(ell), a, (f or [1] + [0] * n)[a:]))
+        out.append(QSeries(ring, a, (f or [ring.one] + [ring.zero] * n)[a:]))
     return out
 
 

@@ -37,7 +37,7 @@ def supersingular_poly(ell: int) -> Poly:
     # the quotient by Delta^m (valuation m) starts at q^-m and is known
     # only to q^(n - 2m)
     n = 2 * m + 8
-    divisor, = monomial_forms([(m, de, ep)], n, ell)
+    divisor, = monomial_forms([(m, de, ep)], n, ring)
     f = eisenstein(ell - 1, n, ring) / divisor
     try:
         etilde = as_j_polynomial(f)
@@ -173,12 +173,6 @@ def _solve_linear_mod(rows: list[list[int]], rhs: list[int], ell: int) -> list[i
     return [row[n] for row in reduced]
 
 
-def _minus_scalar(mat: list[list[int]], t: int) -> list[list[int]]:
-    """M - t I."""
-    return [[v - t if i == j else v for j, v in enumerate(row)]
-            for i, row in enumerate(mat)]
-
-
 def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
     """Simultaneous normalized T_p eigenforms of S_{l+1} over F_l.
 
@@ -193,18 +187,17 @@ def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
     if r == 0:
         return EigenformBasis(ell, order, (), (), ())
     n = max(order, 2 * r + 2)
-    gens = monomial_forms(monos, n, ell)
+    gens = monomial_forms(monos, n, GF(ell))
     # matrix of T_2 in the monomial basis, solved from coefficients q^1..q^r
     basis_rows = [[gens[i].coeff(m) for i in range(r)] for m in range(1, r + 1)]
     t_cols = [_solve_linear_mod(basis_rows, hecke_Tp(g, 2, k, out_order=r).coeffs[1:], ell)
               for g in gens]
     # t_cols[i][j]: coefficient of gens[j] in T_2 gens[i]
     mat = [list(row) for row in zip(*t_cols)]
-    eigs = _distinct_eigenvalues(mat, ell)
+    pairs = _eigenpairs(mat, ell)
     values = [[0] * g.lead + g.coeffs for g in gens]
     forms, combos = [], []
-    for lam in eigs:
-        vec = _eigenvector(mat, lam, ell)
+    for _, vec in pairs:
         a1 = sum(v * g.coeff(1) for v, g in zip(vec, gens)) % ell
         if not a1:
             raise InputError("eigenform cannot be normalized: a(1) = 0")
@@ -213,38 +206,37 @@ def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
         forms.append(QSeries(GF(ell), 0, [sum(map(operator.mul, vec, col))
                                           for col in zip(*values)]))
         combos.append(tuple((monos[i], v) for i, v in enumerate(vec) if v))
-    return EigenformBasis(ell, n, tuple(forms), tuple(eigs), tuple(combos))
+    return EigenformBasis(ell, n, tuple(forms), tuple(lam for lam, _ in pairs),
+                          tuple(combos))
 
 
-def _distinct_eigenvalues(mat: list[list[int]], ell: int) -> list[int]:
-    """Eigenvalues of a small matrix over F_l, largest representative first.
+def _eigenpairs(mat: list[list[int]], ell: int) -> list[tuple[int, list[int]]]:
+    """Eigenvalues t of a small matrix over F_l, each with a kernel vector of M - t I.
 
-    They are the t in F_l at which M - t I loses rank; unless there are
-    as many as rows, some eigenvalue is repeated or lies outside F_l, and
-    the eigenbasis is not defined over F_l.
+    The t are the elements of F_l, largest representative first, at which
+    M - t I loses rank, and each vector is read from the same elimination.
+    Unless there are as many as rows, some eigenvalue is repeated or lies
+    outside F_l, and the eigenbasis is not defined over F_l.
     """
     r = len(mat)
-    roots = [t for t in range(ell - 1, -1, -1)
-             if len(_row_reduce(_minus_scalar(mat, t), ell)[1]) < r]
-    if len(roots) != r:
+    pairs = []
+    for t in range(ell - 1, -1, -1):
+        reduced, pivots = _row_reduce(
+            [[v - t if i == j else v for j, v in enumerate(row)]
+             for i, row in enumerate(mat)], ell)
+        free = next((c for c in range(r) if c not in pivots), None)
+        if free is None:
+            continue
+        vec = [0] * r
+        vec[free] = 1
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[free] % ell
+        pairs.append((t, vec))
+    if len(pairs) != r:
         raise InputError(
             f"eigenbasis not defined over F_{ell}: T_2 eigenvalues are not "
             f"distinct elements of F_{ell}")
-    return roots
-
-
-def _eigenvector(mat: list[list[int]], lam: int, ell: int) -> list[int]:
-    """A nonzero kernel vector of (M - lam I) over F_l."""
-    r = len(mat)
-    reduced, pivots = _row_reduce(_minus_scalar(mat, lam), ell)
-    free = next((c for c in range(r) if c not in pivots), None)
-    if free is None:
-        raise InputError(f"{lam} is not an eigenvalue")
-    vec = [0] * r
-    vec[free] = 1
-    for row, col in zip(reduced, pivots):
-        vec[col] = -row[free] % ell
-    return vec
+    return pairs
 
 
 def eisenstein_cusp_split(f: QSeries, ell: int) -> tuple[int, QSeries]:

@@ -1,7 +1,9 @@
 """Independent reference computations used only by the tests.
 
 Each one computes by a different or more literal route something the
-package computes fast, so the tests can compare the two.
+package computes fast, so the tests can compare the two.  The
+pentagonal-number product here is the independent route to Delta, which
+the package builds only from E4 and E6.
 """
 
 import cmath
@@ -9,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 from bpx.arith import QuadExt, divisors, kronecker, moebius
-from bpx.qseries import GF, Poly, QSeries, eisenstein, euler_product, f2
+from bpx.qseries import GF, ZZ, Poly, QSeries, eisenstein, f2
 
 
 def f2_numeric(D: int, r: int) -> complex:
@@ -48,6 +50,25 @@ def charpoly_table_bruteforce(ell: int) -> dict[tuple[int, int], int]:
                     if det:
                         table[((w + z) % ell, det)] += 1
     return dict(table)
+
+
+def euler_product(n: int, ring=ZZ) -> QSeries:
+    """prod (1 - q^m) to order n via the pentagonal number theorem."""
+    coeffs = [ring.zero] * (n + 1)
+    coeffs[0] = ring.one
+    k = 1
+    while True:
+        g1 = k * (3 * k - 1) // 2
+        g2 = k * (3 * k + 1) // 2
+        if g1 > n and g2 > n:
+            break
+        s = ring.one if k % 2 == 0 else -ring.one
+        if g1 <= n:
+            coeffs[g1] = s
+        if g2 <= n:
+            coeffs[g2] = s
+        k += 1
+    return QSeries(ring, 0, coeffs)
 
 
 def monomial_form_by_euler_product(a: int, b: int, c: int, n: int, ring) -> QSeries:

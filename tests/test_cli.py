@@ -257,6 +257,19 @@ def test_out_onto_a_directory_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_out_onto_a_directory_fails_before_the_command_runs(tmp_path, capsys,
+                                                            monkeypatch):
+    import bpx.cli as cli
+    calls = []
+    monkeypatch.setitem(cli._COMMANDS, "exponents",
+                        lambda args: calls.append(args) or ({}, []))
+    code, out, err = invoke(capsys, "exponents", "--d", "4", "--n", "3",
+                            "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "is a directory" in err and calls == []
+    assert os.listdir(tmp_path) == []
+
+
 def test_cache_dir_under_a_regular_file_exit_2(tmp_path, capsys):
     blocker = tmp_path / "F"
     blocker.write_text("not a directory\n")

@@ -9,6 +9,7 @@ import pytest
 from bpx import density, kernel
 from bpx.arith import kronecker, sieve
 from bpx.borcherds import CongruenceFormula, fit_congruence
+from bpx.cli import _csv
 from bpx.density import (X0_CURVES, EllCurve, asymptotic_table,
                          charpoly_count, ec_trace, ec_traces, empirical_table,
                          gl2_order)
@@ -282,10 +283,11 @@ def test_empirical_capability_error():
 
 def test_density_table_serialization():
     tab = asymptotic_table(fit_congruence(4, 11))
-    csv = tab.to_csv()
+    doc = tab.to_document()
+    assert json.loads(json.dumps(doc)) == doc
+    csv = _csv(doc)
     assert csv.splitlines()[0] == "t,density,decimal"
     assert "119/1200" in csv
-    doc = json.loads(tab.to_json())
     assert doc["kind"] == "asymptotic"
     assert doc["rows"][8]["density"] == "119/1200"
     emp = empirical_table(fit_congruence(4, 11), 2000)

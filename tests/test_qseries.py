@@ -10,9 +10,9 @@ from bpx.arith import (QuadExt, frac_mod, is_fundamental_discriminant,
 from bpx.errors import InputError, TruncationError
 from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, _kron_mul_gf,
                          _kron_mul_zz, as_j_polynomial, delta, eisenstein,
-                         euler_product, f2, jfunction, monomial_basis,
-                         monomial_forms)
-from oracles import f2_numeric, monomial_form_by_euler_product, pd_log_coeffs
+                         f2, jfunction, monomial_basis, monomial_forms)
+from oracles import (euler_product, f2_numeric, monomial_form_by_euler_product,
+                     pd_log_coeffs)
 
 
 def test_eisenstein_small():
@@ -59,11 +59,12 @@ def test_delta_known_coefficients():
 
 
 def test_delta_two_routes_agree():
-    # pentagonal-product construction vs (E4^3 - E6^2)/1728 over Q, 300 terms
-    lhs = delta(300, QQ)
+    # pentagonal-product oracle vs (E4^3 - E6^2)/1728 over Q, 300 terms
+    lhs = (euler_product(299, QQ) ** 24).shift(1)
     rhs = (eisenstein(4, 300, QQ) ** 3 - eisenstein(6, 300, QQ) ** 2) \
         / QSeries.constant(QQ, 1728, 300)
     assert lhs == rhs
+    assert delta(300, QQ) == lhs
 
 
 def test_jfunction_known_coefficients():
@@ -101,15 +102,20 @@ def test_gf_multiplication_matches_exact_reduction():
         Poly(GF(11), [3, 1]).reduce_mod(13)
 
 
-@pytest.mark.parametrize("ell", [5, 7, 11, 13, 17, 19, 23, 31, 37])
-def test_monomial_forms_match_the_per_monomial_euler_route(ell):
+@pytest.mark.parametrize("ell, ring, n", [
+    *(pytest.param(ell, GF(ell), 2000, id=str(ell))
+      for ell in (5, 7, 11, 13, 17, 19, 23, 31, 37)),
+    pytest.param(37, ZZ, 2000, id="ZZ"),
+    pytest.param(37, QQ, 100, id="QQ"),
+])
+def test_monomial_forms_match_the_per_monomial_euler_route(ell, ring, n):
     # the whole weight l+1 basis, cusp and non-cusp, plus Delta and a mixed
     # monomial: E4 = 1 mod 5 and E6 = 1 mod 7, so at l = 5 and 7 Delta
-    # comes from a degenerate E4^3 - E6^2
-    n, ring = 2000, GF(ell)
+    # comes from a degenerate E4^3 - E6^2; over ZZ and QQ the same table
+    # for the weight 38 basis
     monos = monomial_basis(ell + 1) + [(1, 0, 0), (2, 1, 1)]
     assert any(a == 0 for a, _, _ in monos)
-    got = monomial_forms(monos, n, ell)
+    got = monomial_forms(monos, n, ring)
     for mono, form in zip(monos, got):
         want = monomial_form_by_euler_product(*mono, n, ring)
         assert form.lead == want.lead == mono[0] and form.trunc == want.trunc == n
@@ -117,12 +123,16 @@ def test_monomial_forms_match_the_per_monomial_euler_route(ell):
 
 
 def test_monomial_forms_edge_cases():
-    one, e6_squared = monomial_forms([(0, 0, 0), (0, 0, 2)], 5, 11)
+    one, e6_squared = monomial_forms([(0, 0, 0), (0, 0, 2)], 5, GF(11))
     assert one.coeffs == [1] + [0] * 5
     assert e6_squared == eisenstein(6, 5, ZZ).reduce_mod(11) ** 2
     for ell in (2, 3, 9):
         with pytest.raises(InputError):
-            monomial_forms([(1, 0, 0)], 5, ell)
+            monomial_forms([(1, 0, 0)], 5, GF(ell))
+    # 1728 = 0 mod 3, so Delta and j have no F_3 route
+    for build in (delta, jfunction):
+        with pytest.raises(InputError):
+            build(5, GF(3))
 
 
 @given(st.sampled_from([5, 31, 257, 65537, 2 ** 31 - 1, 2 ** 61 - 1]),
@@ -456,7 +466,7 @@ def test_monomial_basis_counts_match_dimensions():
 
 def test_monomial_form_weights():
     # Delta^2 E4^2 has valuation 2 and weight 32
-    f, = monomial_forms([(2, 2, 0)], 6, 31)
+    f, = monomial_forms([(2, 2, 0)], 6, GF(31))
     assert f.valuation() == 2
     assert f.coeff(2) == 1
 

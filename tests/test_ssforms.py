@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from bpx.errors import InputError, TruncationError
 from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, delta, eisenstein,
                          monomial_basis)
-from bpx.ssforms import (_distinct_eigenvalues, _eigenvector,
-                         _solve_linear_mod, eigenbasis, eisenstein_cusp_split,
-                         hecke_Tp, supersingular_poly, supersingular_poly_bruteforce)
+from bpx.ssforms import (_eigenpairs, _solve_linear_mod, eigenbasis,
+                         eisenstein_cusp_split, hecke_Tp, supersingular_poly,
+                         supersingular_poly_bruteforce)
 from oracles import (charpoly_roots, monomial_form_by_euler_product,
                      supersingular_j_invariants)
 
@@ -221,11 +221,11 @@ def test_rank_scan_eigenvalues_are_the_charpoly_roots(case):
     roots = charpoly_roots(mat, ell)
     if len(roots) < r:  # a repeated root, or one outside F_l
         with pytest.raises(InputError, match="not defined over"):
-            _distinct_eigenvalues(mat, ell)
+            _eigenpairs(mat, ell)
         return
-    assert _distinct_eigenvalues(mat, ell) == roots
-    for lam in roots:
-        vec = _eigenvector(mat, lam, ell)
+    pairs = _eigenpairs(mat, ell)
+    assert [lam for lam, _ in pairs] == roots
+    for lam, vec in pairs:
         assert any(vec)
         assert [sum(a * v for a, v in zip(row, vec)) % ell for row in mat] \
             == [lam * v % ell for v in vec]
@@ -239,8 +239,8 @@ def test_rank_scan_rejects_repeated_and_irreducible():
     for ell, mat in cases:
         assert len(charpoly_roots(mat, ell)) < len(mat)
         with pytest.raises(InputError, match="not defined over"):
-            _distinct_eigenvalues(mat, ell)
-    assert _distinct_eigenvalues([[1, 1], [0, 3]], 5) == [3, 1]
+            _eigenpairs(mat, ell)
+    assert [lam for lam, _ in _eigenpairs([[1, 1], [0, 3]], 5)] == [3, 1]
 
 
 def test_solve_linear_mod():
