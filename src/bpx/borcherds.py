@@ -3,10 +3,12 @@
 The generating identity: writing the weighted class polynomial evaluated
 at j as q^(-h(d)) prod (1-q^n)^A(n^2,d), the negated logarithmic
 q-derivative L(q) has constant term h(d) and [q^n] L = sum over m|n of
-m A(m^2,d).  L is computed by one routine over two rings: exactly over Q
-for the exponents (integrality of the recovered exponents is asserted,
-not assumed), and directly over F_l, from the class polynomial and j
-reduced mod l, for the congruences.
+m A(m^2,d).  L is computed by one routine over two rings, with no
+j-series: each factor P of degree k becomes the holomorphic form
+T = Delta^k P(E4^3/Delta), and its share of L is k E2 - q T'/T.  Over Z
+it gives the exponents, recovered by an integer Moebius inversion whose
+exactness is asserted, not assumed; over F_l, with P reduced mod l and
+the forms built mod l, it gives the congruences.
 
 Fitting: over F_l the series L is a combination of E_{l+1} and the
 weight l+1 cusp eigenforms; the constant term gives c0 and an r x r
@@ -17,12 +19,15 @@ whole series identity is re-verified to the requested order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .arith import QuadExt, dirichlet_inverse, divisors, moebius, sigma
 from .classpoly import eligibility, hilbert_class_poly
 from .errors import (IneligiblePairError, InputError,
                      InternalConsistencyError, TruncationError)
-from .qseries import GF, QQ, ZZ, QSeries, f2, jfunction, monomial_basis
+from .qseries import (GF, QQ, ZZ, QSeries, eisenstein, f2, monomial_basis,
+                      monomial_forms)
 from .ssforms import (EigenformBasis, _solve_linear_mod, eigenbasis,
                       eisenstein_cusp_split)
 
@@ -48,19 +53,29 @@ def _log_derivative(d: int, n: int, ring, cache_dir: str | None) -> QSeries:
     """-q d/dq log of the weighted class polynomial at j, to order n.
 
     ring is ZZ (the result is over QQ, since the weights are 1, 1/2 or 1/3)
-    or GF(l) (everything is reduced mod l first: P mod l evaluated at j mod
-    l).  Per component S = P(j) has unit leading coefficient, so S'/S needs
-    no denominators; the weighted sum has constant term h(d) (checked).
+    or GF(l) (each factor is reduced mod l first).  A monic factor P of
+    degree k gives the holomorphic form T = Delta^k P(E4^3/Delta) with
+    constant term 1, built by homogeneous Horner from E4^3 and one running
+    power of Delta.  Since q Delta'/Delta = E2, the factor's -q S'/S for
+    S = P(j) is k E2 - q T'/T: no j-series, and T's coefficients grow only
+    polynomially.  The weighted sum has constant term h(d) (checked).
     """
     wcp = hilbert_class_poly(d, cache_dir=cache_dir)
     out_ring = QQ if ring is ZZ else ring
-    j = jfunction(n, ring)
+    e4_cubed, disc = monomial_forms([(0, 3, 0), (1, 0, 0)], n, ring)
+    disc = QSeries(ring, 0, [ring.zero] + disc.coeffs)  # Delta from q^0
+    e2 = eisenstein(2, n, ring)
     total = QSeries.zero(out_ring, n)
     for poly, w in wcp.components:
         if ring is not ZZ:
             poly = poly.reduce_mod(ring.ell)
-        li = poly.evaluate_series(j).log_derivative().truncate(n)
-        total = total - QSeries(out_ring, li.lead, li.coeffs).scale(w)
+        *rest, top = poly.coeffs
+        t, power = QSeries.constant(ring, top, n), QSeries.one(ring, n)
+        for c in reversed(rest):
+            power = power * disc
+            t = t * e4_cubed + power.scale(c)
+        li = e2.scale(poly.degree) - t.log_derivative()
+        total = total + QSeries(out_ring, 0, li.coeffs).scale(w)
     if total.coeff(0) != out_ring.coerce(wcp.h):
         raise InternalConsistencyError(
             f"constant term {total.coeff(0)} != h({d}) = {wcp.h} over {out_ring.name}")
@@ -73,16 +88,23 @@ def log_derivative_exact(d: int, n: int, cache_dir: str | None = None) -> QSerie
 
 
 def exact_exponents(d: int, n_max: int, cache_dir: str | None = None) -> ExponentTable:
-    """A(n^2, d) for n = 1..n_max by Moebius inversion of the log derivative."""
+    """A(n^2, d) for n = 1..n_max by Moebius inversion of the log derivative.
+
+    The inversion runs over the integers: every coefficient of L is scaled
+    by D, the lcm of their denominators (1, 2 or 3, from the weights), and
+    n A(n^2, d) D must then divide exactly.
+    """
     L = log_derivative_exact(d, n_max, cache_dir=cache_dir)
+    D = lcm(*(c.denominator for c in L.coeffs))
+    scaled = [c.numerator * (D // c.denominator) for c in L.coeffs]
     out = []
     for n in range(1, n_max + 1):
-        s = sum(moebius(n // m) * L.coeff(m) for m in divisors(n))
-        a = s / n
-        if a.denominator != 1:
+        s = sum(moebius(n // m) * scaled[m] for m in divisors(n))
+        a, r = divmod(s, n * D)
+        if r:
             raise InternalConsistencyError(
-                f"exponent A({n}^2,{d}) = {a} is not an integer")
-        out.append(a.numerator)
+                f"exponent A({n}^2,{d}) = {Fraction(s, n * D)} is not an integer")
+        out.append(a)
     return ExponentTable(d, n_max, tuple(out))
 
 

@@ -103,10 +103,13 @@ def _emit(doc: dict, args, text_lines: list[str]) -> None:
         sys.stdout.write(body)
 
 
+_NO_CSV = "this command has no CSV form; use --format json"
+
+
 def _csv(doc: dict) -> str:
     rows = doc.get("rows")
     if not rows:
-        raise InputError("this command has no CSV form; use --format json")
+        raise InputError(_NO_CSV)
     header = list(rows[0].keys())
     lines = [",".join(header)]
     lines += [",".join(str(r[k]) for k in header) for r in rows]
@@ -157,7 +160,7 @@ def _cmd_check(args) -> dict:
                                           cache_dir=args.cache_dir)
     doc = {"d": args.d, "ell": args.ell, "n": args.n,
            "verified": verified, "skipped": skipped, "ok": True}
-    text = [f"OK: {args.n} indices verified ({skipped} skipped, l|n)"]
+    text = [f"OK: {verified} indices verified ({skipped} skipped, l|n)"]
     return doc, text
 
 
@@ -219,6 +222,10 @@ _COMMANDS = {
     "table2": _cmd_table2,
 }
 
+# commands whose documents never have rows; table2's rows can be empty,
+# so its CSV form is decided by _csv after the scan
+_ROWLESS = ("congruence", "check", "supersingular", "classpoly")
+
 
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
@@ -230,6 +237,9 @@ def run(argv=None) -> int:
         return 2
     if args.out and os.path.isdir(args.out):
         print(f"error: --out {args.out} is a directory", file=sys.stderr)
+        return 2
+    if args.format == "csv" and args.command in _ROWLESS:
+        print(f"error: {_NO_CSV}", file=sys.stderr)
         return 2
     # exact exponents outgrow the default 4300-digit int/str conversion limit
     digits_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -650,13 +650,6 @@ class Poly:
     def is_squarefree(self) -> bool:
         return self.gcd(self.derivative()).degree == 0
 
-    def evaluate_series(self, s: QSeries) -> QSeries:
-        """Horner evaluation at a q-series argument."""
-        acc = QSeries.constant(s.ring, self.coeffs[-1], max(s.trunc, 0))
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * s + QSeries.constant(s.ring, c, max(s.trunc, 0))
-        return acc
-
     def reduce_mod(self, ell: int) -> "Poly":
         ring = _reduction_ring(self.ring, ell)
         return Poly(ring, [ring.coerce(c) for c in self.coeffs])

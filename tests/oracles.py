@@ -3,7 +3,9 @@
 Each one computes by a different or more literal route something the
 package computes fast, so the tests can compare the two.  The
 pentagonal-number product here is the independent route to Delta, which
-the package builds only from E4 and E6.
+the package builds only from E4 and E6, and the j-series route here is
+the independent route to the log derivative of a class polynomial, which
+the package builds from E2, E4^3 and Delta with no j.
 """
 
 import cmath
@@ -11,7 +13,8 @@ from collections import Counter
 from fractions import Fraction
 
 from bpx.arith import QuadExt, divisors, kronecker, moebius
-from bpx.qseries import GF, ZZ, Poly, QSeries, eisenstein, f2
+from bpx.classpoly import hilbert_class_poly
+from bpx.qseries import GF, QQ, ZZ, Poly, QSeries, eisenstein, f2, jfunction
 
 
 def f2_numeric(D: int, r: int) -> complex:
@@ -85,6 +88,31 @@ def monomial_form_by_euler_product(a: int, b: int, c: int, n: int, ring) -> QSer
     if c:
         f = f * eisenstein(6, n, ring) ** c
     return f.truncate(n)
+
+
+def evaluate_series(poly: Poly, s: QSeries) -> QSeries:
+    """Horner evaluation of a polynomial at a q-series argument."""
+    acc = QSeries.constant(s.ring, poly.coeffs[-1], max(s.trunc, 0))
+    for c in reversed(poly.coeffs[:-1]):
+        acc = acc * s + QSeries.constant(s.ring, c, max(s.trunc, 0))
+    return acc
+
+
+def log_derivative_by_j(d: int, n: int, ring) -> QSeries:
+    """-q d/dq log of the weighted class polynomial at j, through the j-series.
+
+    Each factor P (reduced mod l over GF(l)) is evaluated at j, S = P(j),
+    and q S'/S is one series quotient; over ZZ the weighted sum is over QQ.
+    """
+    out_ring = QQ if ring is ZZ else ring
+    j = jfunction(n, ring)
+    total = QSeries.zero(out_ring, n)
+    for poly, w in hilbert_class_poly(d).components:
+        if ring is not ZZ:
+            poly = poly.reduce_mod(ring.ell)
+        li = evaluate_series(poly, j).log_derivative().truncate(n)
+        total = total - QSeries(out_ring, li.lead, li.coeffs).scale(w)
+    return total
 
 
 def charpoly(mat: list[list[int]], ell: int) -> Poly:

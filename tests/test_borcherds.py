@@ -4,15 +4,15 @@ from fractions import Fraction
 import pytest
 
 from bpx.arith import QuadExt, sieve
-from bpx.borcherds import (exact_exponents, fit_congruence,
+from bpx.borcherds import (_log_derivative, exact_exponents, fit_congruence,
                            formula_eval, formula_eval_primes,
                            log_derivative_exact, log_derivative_mod, nu,
                            twisted_forward, twisted_roundtrip,
                            verify_congruence)
 from bpx.classpoly import hilbert_class_poly, hurwitz_class_number
 from bpx.errors import IneligiblePairError, InputError
-from bpx.qseries import GF, delta, eisenstein, f2, jfunction, monomial_forms
-from oracles import nu_closed_form
+from bpx.qseries import GF, ZZ, delta, eisenstein, f2, monomial_forms
+from oracles import log_derivative_by_j, nu_closed_form
 
 
 # exact square-index exponents, frozen from the product identity
@@ -106,13 +106,34 @@ def test_log_derivative_mod_builds_no_integer_series(monkeypatch):
     import bpx.borcherds as borcherds
     rings = []
 
-    def spy(n, ring):
+    def spy_forms(monos, n, ring):
         rings.append(ring.name)
-        return jfunction(n, ring)
+        return monomial_forms(monos, n, ring)
 
-    monkeypatch.setattr(borcherds, "jfunction", spy)
+    def spy_eisenstein(k, n, ring):
+        rings.append(ring.name)
+        return eisenstein(k, n, ring)
+
+    monkeypatch.setattr(borcherds, "monomial_forms", spy_forms)
+    monkeypatch.setattr(borcherds, "eisenstein", spy_eisenstein)
     log_derivative_mod(20, 31, 100)
-    assert rings == ["GF(31)"]
+    assert rings and set(rings) == {"GF(31)"}
+
+
+@pytest.mark.parametrize("d, n", [
+    (3, 150), (12, 150), (27, 150),      # components with the root j = 0
+    (4, 150), (7, 150), (20, 150), (40, 150),
+    (23, 150),                           # h = 3
+    (719, 30),                           # one component of degree 31
+])
+@pytest.mark.parametrize("ring", [ZZ, GF(11), GF(31)], ids=str)
+def test_log_derivative_matches_j_route(d, n, ring):
+    # E2 and T = Delta^k P(E4^3/Delta) against S = P(j) and q S'/S
+    got = _log_derivative(d, n, ring, None)
+    want = log_derivative_by_j(d, n, ring)
+    assert got.ring.name == want.ring.name
+    assert got.lead == want.lead == 0 and got.trunc == want.trunc == n
+    assert got == want
 
 
 def test_fit_congruence_4_11():

@@ -82,7 +82,12 @@ def test_density_empirical_thread_count_invariance(capsys):
 def test_check_command(capsys):
     code, out, _ = invoke(capsys, "check", "--d", "4", "--ell", "11", "--n", "60")
     assert code == 0
-    assert out.strip() == "OK: 60 indices verified (5 skipped, l|n)"
+    assert out.strip() == "OK: 55 indices verified (5 skipped, l|n)"
+    # the text states the count of the JSON document
+    code, doc, _ = invoke(capsys, "check", "--d", "4", "--ell", "11", "--n", "60",
+                          "--format", "json")
+    assert code == 0
+    assert out.split()[1] == str(json.loads(doc)["verified"])
 
 
 def test_supersingular_command(capsys):
@@ -327,6 +332,24 @@ def test_csv_without_rows_exit_2(capsys):
                             "--format", "csv")
     assert code == 2 and out == ""
     assert "no CSV form" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["congruence", "--d", "4", "--ell", "11"],
+    ["check", "--d", "3", "--ell", "5", "--n", "10"],
+    ["supersingular", "--ell", "11"],
+    ["classpoly", "--d", "20"],
+], ids=lambda argv: argv[0])
+def test_csv_without_rows_fails_before_the_command_runs(argv, capsys,
+                                                        monkeypatch):
+    import bpx.cli as cli
+    calls = []
+    monkeypatch.setitem(cli._COMMANDS, argv[0],
+                        lambda args: calls.append(args) or ({}, []))
+    code, out, err = invoke(capsys, *argv, "--format", "csv")
+    assert code == 2 and out == ""
+    assert err == "error: this command has no CSV form; use --format json\n"
+    assert calls == []
 
 
 # Well-formed argv: every subcommand, with values that parse but need not
