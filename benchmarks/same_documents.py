@@ -3,19 +3,20 @@
 Run:  python benchmarks/same_documents.py PARENT_DIR CHANGE_DIR
 
 Reads the commands of both workloads (main ops, every pool entry, and the
-probes) from each tree's ``bpxbench/run.py`` and runs each one in both
-trees as ``python -m bpx.cli ... --format FORMAT``, once each as json,
-text and csv, with the tree's ``src`` on PYTHONPATH and one fresh cache
-directory per tree.  The two sides of a run go at the same time.  A json
-document is compared as written, less its ``meta`` and ``cache`` keys,
-which describe the run rather than the result, and a class polynomial's
-``precision_used`` and ``residual_bound``, which describe how it was
-verified rather than what it is (as the gate ``FIELDS`` of
-bpxbench/run.py does); every mathematical field is compared.  A text or
-csv document holds no run description, so it is compared byte for byte
-(a command with no CSV form must then fail alike in both trees).  The
-exit status and standard error must match too.  Prints one line per
-document and exits 1 if any differs.
+probes) from each tree's ``bpxbench/run.py``, adds the fixed
+``EXTRA_COMMANDS`` for routes the benchmark does not reach, and runs each
+one in both trees as ``python -m bpx.cli ... --format FORMAT``, once each
+as json, text and csv, with the tree's ``src`` on PYTHONPATH and one
+fresh cache directory per tree.  The two sides of a run go at the same
+time.  A json document is compared as written, less its ``meta`` and
+``cache`` keys, which describe the run rather than the result, and a
+class polynomial's ``precision_used`` and ``residual_bound``, which
+describe how it was verified rather than what it is (as the gate
+``FIELDS`` of bpxbench/run.py does); every mathematical field is
+compared.  A text or csv document holds no run description, so it is
+compared byte for byte (a command with no CSV form must then fail alike
+in both trees).  The exit status and standard error must match too.
+Prints one line per document and exits 1 if any differs.
 """
 
 import argparse
@@ -30,6 +31,10 @@ from pathlib import Path
 # run descriptions and the precision strategy, not results
 RUN_KEYS = ("meta", "cache", "precision_used", "residual_bound")
 FORMATS = ("json", "text", "csv")
+# s_l at l = 1, 5, 7 and 11 mod 12 and at a large l, and a divisibility
+# scan at another l than the benchmark's
+EXTRA_COMMANDS = [f"supersingular --ell {ell}" for ell in (5, 7, 13, 1009, 10007)]
+EXTRA_COMMANDS.append("table2 --ell 31 --dmax 100")
 
 
 def benchmark_commands(tree: Path) -> list[str]:
@@ -79,7 +84,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     trees = (args.parent.resolve(), args.change.resolve())
     commands = list(dict.fromkeys(benchmark_commands(trees[0])
-                                  + benchmark_commands(trees[1])))
+                                  + benchmark_commands(trees[1])
+                                  + EXTRA_COMMANDS))
     runs = [(command, fmt) for command in commands for fmt in FORMATS]
     differ = 0
     with tempfile.TemporaryDirectory() as c0, tempfile.TemporaryDirectory() as c1:

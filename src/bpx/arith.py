@@ -5,8 +5,7 @@ normalized, positive denominator, structural equality), an element of a
 prime field F_l is a plain int in [0, l) (``frac_mod`` reduces a rational
 into one), and real quadratic extensions a + b*sqrt(D) are ``QuadExt``
 with Fraction scalars.  On top of those live the classical number-theoretic
-functions (Kronecker symbol, Bernoulli numbers, divisor sums, Moebius) and
-Dirichlet convolution inverses.
+functions (Kronecker symbol, Bernoulli numbers, divisor sums, Moebius).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import InputError, ResourceLimitError
 from . import kernel
@@ -323,43 +321,6 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}; D={self.D})"
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet convolution
-
-def _ring_inverse(x):
-    if isinstance(x, int):
-        if x in (1, -1):
-            return x
-        raise InputError("no Dirichlet inverse: f(1) is not invertible")
-    try:
-        if isinstance(x, QuadExt):
-            return x.inverse()
-        return 1 / x
-    except ZeroDivisionError:
-        raise InputError("no Dirichlet inverse: f(1) is not invertible") from None
-
-
-def dirichlet_inverse(f: Sequence) -> list:
-    """Convolution inverse nu of f(1..N): (f*nu)(1) = 1, (f*nu)(n>1) = 0.
-
-    Works over any ring whose elements support +, -, * and in which f(1)
-    is invertible; raises InputError otherwise.
-    """
-    if not f:
-        return []
-    inv1 = _ring_inverse(f[0])
-    nu = [inv1]
-    for n in range(2, len(f) + 1):
-        s = None
-        for d in divisors(n):
-            if d == n:
-                continue
-            term = nu[d - 1] * f[n // d - 1]
-            s = term if s is None else s + term
-        nu.append(-inv1 * s if s is not None else -inv1 * 0)
-    return nu
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .arith import QuadExt, dirichlet_inverse, divisors, moebius, sigma
+from .arith import (QuadExt, divisors, is_fundamental_discriminant,
+                    kronecker, moebius, sigma)
 from .classpoly import eligibility, hilbert_class_poly
 from .errors import (IneligiblePairError, InputError,
                      InternalConsistencyError, TruncationError)
@@ -248,23 +249,17 @@ def verify_congruence(d: int, ell: int, n_max: int,
 # the twisted (D > 1) machinery
 
 
-_NU_CACHE: dict[int, list[QuadExt]] = {}
-
-
 def nu(D: int, m: int) -> QuadExt:
     """Dirichlet inverse at m of the Gauss-sum sequence r -> f2(D, r).
 
-    Computed by the inversion recurrence; the closed form
-    mu(m) (D/m) / sqrt(D) is checked against it in the test suite.
+    f2(D, r) = (D/r) sqrt(D) and (D/r) is completely multiplicative, so
+    nu(m) = mu(m) (D/m) / sqrt(D).
     """
     if m < 1:
         raise InputError(f"index must be >= 1, got {m}")
-    cached = _NU_CACHE.get(D)
-    if cached is None or len(cached) < m:
-        size = max(m, 2 * len(cached) if cached else 16)
-        _NU_CACHE[D] = cached = dirichlet_inverse(
-            [f2(D, r) for r in range(1, size + 1)])
-    return cached[m - 1]
+    if D <= 1 or not is_fundamental_discriminant(D):
+        raise InputError(f"D must be a fundamental discriminant > 1, got {D}")
+    return QuadExt(0, Fraction(moebius(m) * kronecker(D, m), D), D)
 
 
 def twisted_forward(D: int, a_seq) -> list[QuadExt]:

@@ -22,8 +22,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, islice
 
-from .arith import is_fundamental_discriminant, kronecker
+from .arith import is_fundamental_discriminant, is_prime, kronecker
 from .errors import (InputError, InternalConsistencyError,
                      NotADiscriminantError, PrecisionError)
 from .qseries import GF, ZZ, Poly, jfunction
@@ -257,10 +258,11 @@ def hilbert_class_poly(d: int, cache_dir: str | None = None) -> WeightedClassPol
                 cached = WeightedClassPoly.from_document(json.load(fh))
         except ValueError:
             cached = None
-        # a malformed document, one for another d, or one whose degrees and
-        # weights miss h(d) is corrupt: recompute it and overwrite it
+        # a malformed document, one for another d or missing h(d), or one whose
+        # roots are not CM j-invariants is corrupt: recompute and overwrite it
         if (cached is not None and cached.d == d
-                and cached.h == hurwitz_class_number(d)):
+                and cached.h == hurwitz_class_number(d)
+                and _roots_reduce_supersingular(cached)):
             _CACHE_STATS["hits"] += 1
             return cached
     _CACHE_STATS["misses"] += 1
@@ -277,6 +279,30 @@ def hilbert_class_poly(d: int, cache_dir: str | None = None) -> WeightedClassPol
     wcp = WeightedClassPoly(d, comps, h, prec, residual)
     _write_cache(path, wcp.to_document())
     return wcp
+
+
+def _roots_reduce_supersingular(wcp: WeightedClassPoly) -> bool:
+    """Does every component P mod p divide s_p^(deg P), at three inert p?
+
+    Deuring: a j-invariant with CM by an order in Q(sqrt(-d)) reduces to a
+    supersingular one mod every p >= 5 inert there and prime to d, so each
+    root of a genuine P mod p is a root of s_p.  Squaring s_p mod P until
+    the exponent reaches deg P tests that.  The uncached s_p leaves the
+    per-l cache to the eligibility scans.
+    """
+    d = wcp.d
+    inert = (p for p in count(5)
+             if d % p and is_prime(p) and kronecker(-d, p) == -1)
+    for p in islice(inert, 3):
+        s_p = supersingular_poly.__wrapped__(p)
+        for poly, _ in wcp.components:
+            reduced = poly.reduce_mod(p)
+            power, e = s_p % reduced, 1
+            while e < reduced.degree:
+                power, e = power * power % reduced, 2 * e
+            if not power.is_zero():
+                return False
+    return True
 
 
 def _build_components(groups, prec) -> tuple[list[tuple[Poly, Fraction]], float]:

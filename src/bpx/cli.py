@@ -121,8 +121,10 @@ def _cmd_exponents(args) -> dict:
     rows = [{"n": n, "A": table[n]} for n in range(1, args.n + 1)]
     doc = table.to_document()
     doc["rows"] = rows
-    text = [f"A(n^2, {args.d}) for n = 1..{args.n}:"]
-    text += [f"  n={r['n']:>4}  {r['A']}" for r in rows]
+    text = []
+    if args.format == "text":  # one line per exponent, printed only as text
+        text = [f"A(n^2, {args.d}) for n = 1..{args.n}:"]
+        text += [f"  n={r['n']:>4}  {r['A']}" for r in rows]
     return doc, text
 
 

@@ -14,9 +14,8 @@ global precision state).
 Classical expansions live here too: Eisenstein series; one table of the
 level-one forms Delta^a E4^b E6^c over ZZ, QQ and GF(l >= 5), with
 Delta = (E4^3 - E6^2)/1728, from which the discriminant cusp form and
-j = E4^3/Delta are read for every ring; rewriting weight-0 series as
-polynomials in j; weight-k monomial bases; and the Gauss-sum
-coefficients of the twisted cyclotomic factor P_D.
+j = E4^3/Delta are read for every ring; weight-k monomial bases; and
+the Gauss-sum coefficients of the twisted cyclotomic factor P_D.
 """
 
 from __future__ import annotations
@@ -726,37 +725,6 @@ def jfunction(n: int, ring=ZZ) -> QSeries:
         cached = e4_cubed / disc
         _J_CACHE[key] = cached
     return cached.truncate(n)
-
-
-def as_j_polynomial(f: QSeries) -> Poly:
-    """Write a weight-0 series, holomorphic away from infinity, as P(j).
-
-    Repeatedly subtracts c*j^e to kill the most negative exponent; the
-    residual must vanish identically up to f's truncation order.
-    """
-    if f.trunc < 0:
-        raise TruncationError("need the series through its constant term")
-    ring = f.ring
-    v = f.valuation()
-    m = max(0, -v) if v is not None else 0
-    out = [ring.zero] * (m + 1)
-    g = f
-    if m > 0:
-        j = jfunction(f.trunc + m - 1, ring)
-        jpow: dict[int, QSeries] = {1: j}
-        for e in range(2, m + 1):
-            jpow[e] = jpow[e - 1] * j
-        for e in range(m, 0, -1):
-            c = g.coeff(-e)
-            if c:
-                out[e] = c
-                g = g - jpow[e].truncate(g.trunc).scale(c)
-    out[0] = g.coeff(0)
-    g = g - QSeries.constant(ring, out[0], g.trunc)
-    if not g.is_zero():
-        raise InputError(
-            f"not a polynomial in j: residual at q^{g.valuation()}")
-    return Poly(ring, out)
 
 
 def monomial_basis(k: int, cusp_only: bool = False) -> list[tuple[int, int, int]]:

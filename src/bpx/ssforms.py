@@ -1,11 +1,11 @@
 """Supersingular polynomials, Hecke operators, and eigenbases mod l.
 
-The supersingular polynomial s_l comes out of the weight factorization of
-E_{l-1} (divide by Delta^m E4^d E6^e, rewrite as a polynomial in j); a
-brute-force point-counting enumeration over F_l provides the independent
-oracle.  Level-1 Hecke operators act on q-expansions, and for the weight
-l+1 cusp space we diagonalize T_2 over F_l to get the normalized
-eigenforms the exponent congruences are expressed in.
+The supersingular polynomial s_l comes from Kaneko and Zagier's closed
+form, a truncated hypergeometric series in 1728/j mod l; brute-force
+point counting over F_(l^2) is the independent oracle.  Level-1 Hecke
+operators act on q-expansions, and for the weight l+1 cusp space we
+diagonalize T_2 over F_l to get the normalized eigenforms the exponent
+congruences are expressed in.
 """
 
 from __future__ import annotations
@@ -16,37 +16,31 @@ from functools import lru_cache
 
 from . import kernel
 from .arith import is_prime
-from .errors import InputError, InternalConsistencyError, TruncationError
-from .qseries import (GF, Poly, QSeries, as_j_polynomial, eisenstein,
-                      monomial_basis, monomial_forms)
+from .errors import InputError, TruncationError
+from .qseries import (GF, Poly, QSeries, eisenstein, monomial_basis,
+                      monomial_forms)
 
 
 @lru_cache(maxsize=None)
 def supersingular_poly(ell: int) -> Poly:
     """Monic s_l(x) over F_l whose roots are the supersingular j-invariants.
 
-    Built from E_{l-1} mod l: divide off Delta^m E4^d E6^e, rewrite the
-    weight-0 quotient as a polynomial in j, and reattach x^d (x-1728)^e.
+    Kaneko and Zagier's closed form: with l - 1 = 12m + 4d + 6e, s_l is
+    x^d (x - 1728)^e times x^m 2F1(a/12, b/12; 1; 1728/x) cut after
+    (1728/x)^m, where (a, b) = (1, 5) if e = 0 and (7, 11) if e = 1.
     Computed once per l (Poly values are never mutated in place).
     """
     if ell < 5 or not is_prime(ell):
         raise InputError(f"need a prime l >= 5, got {ell}")
     # the first basis monomial is the one with a = m: l - 1 = 12m + 4d + 6e
     m, de, ep = monomial_basis(ell - 1)[0]
+    a, b = (7, 11) if ep else (1, 5)
+    c = [1]  # c_i is the coefficient of x^(m-i); each i + 1 <= m < l is a unit
+    for i in range(m):
+        c.append(12 * (a + 12 * i) * (b + 12 * i) * c[-1]
+                 * pow((i + 1) * (i + 1), -1, ell) % ell)
     ring = GF(ell)
-    # the quotient by Delta^m (valuation m) starts at q^-m and is known
-    # only to q^(n - 2m)
-    n = 2 * m + 8
-    divisor, = monomial_forms([(m, de, ep)], n, ring)
-    f = eisenstein(ell - 1, n, ring) / divisor
-    try:
-        etilde = as_j_polynomial(f)
-    except InputError as exc:
-        raise InternalConsistencyError(
-            f"E_(l-1) factorization failed for l={ell}: {exc}") from exc
-    x = Poly(ring, [ring.zero, ring.one])
-    s = (x ** de) * (Poly.x_minus(ring, 1728) ** ep) * etilde
-    return s.monic()
+    return Poly(ring, [0] * de + c[::-1]) * Poly.x_minus(ring, 1728) ** ep
 
 
 def _nonresidue(ell: int) -> int:
@@ -240,10 +234,14 @@ def _eigenpairs(mat: list[list[int]], ell: int) -> list[tuple[int, list[int]]]:
 
 
 def eisenstein_cusp_split(f: QSeries, ell: int) -> tuple[int, QSeries]:
-    """Split a weight l+1 form mod l as c0 * E_{l+1} plus a cusp expansion."""
+    """Split a weight l+1 form mod l as c0 * E_{l+1} plus a cusp expansion.
+
+    E_{l+1} = E_2 mod l (l >= 5), by Kummer's congruence B_{l+1}/(l+1) =
+    B_2/2 and Fermat's sigma_l = sigma_1, so E_2 is subtracted: no B_{l+1}.
+    """
     ring = GF(ell)
     if f.ring.name != ring.name:
         raise InputError(f"series must live over GF({ell})")
     c0 = f.coeff(0)
-    cusp = f - eisenstein(ell + 1, f.trunc, ring).scale(c0)
+    cusp = f - eisenstein(2, f.trunc, ring).scale(c0)
     return c0, cusp

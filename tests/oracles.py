@@ -5,16 +5,19 @@ package computes fast, so the tests can compare the two.  The
 pentagonal-number product here is the independent route to Delta, which
 the package builds only from E4 and E6, and the j-series route here is
 the independent route to the log derivative of a class polynomial, which
-the package builds from E2, E4^3 and Delta with no j.
+the package builds from E2, E4^3 and Delta with no j.  The package takes
+s_l and the twisted inverse nu from their closed forms; the factorization
+of E_(l-1) and the Dirichlet inversion recurrence here are their checks.
 """
 
 import cmath
 from collections import Counter
-from fractions import Fraction
 
-from bpx.arith import QuadExt, divisors, kronecker, moebius
+from bpx.arith import QuadExt, divisors, kronecker
 from bpx.classpoly import hilbert_class_poly
-from bpx.qseries import GF, QQ, ZZ, Poly, QSeries, eisenstein, f2, jfunction
+from bpx.errors import InputError, TruncationError
+from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, eisenstein, f2, jfunction,
+                         monomial_basis, monomial_forms)
 
 
 def f2_numeric(D: int, r: int) -> complex:
@@ -28,9 +31,40 @@ def pd_log_coeffs(D: int, n: int) -> list[QuadExt]:
     return [f2(D, r) for r in range(1, n + 1)]
 
 
-def nu_closed_form(D: int, m: int) -> QuadExt:
-    """mu(m) (D/m) / sqrt(D) as an element of Q(sqrt(D))."""
-    return QuadExt(Fraction(0), Fraction(moebius(m) * kronecker(D, m), D), D)
+def _ring_inverse(x):
+    if isinstance(x, int):
+        if x in (1, -1):
+            return x
+        raise InputError("no Dirichlet inverse: f(1) is not invertible")
+    try:
+        if isinstance(x, QuadExt):
+            return x.inverse()
+        return 1 / x
+    except ZeroDivisionError:
+        raise InputError("no Dirichlet inverse: f(1) is not invertible") from None
+
+
+def dirichlet_inverse(f) -> list:
+    """Convolution inverse nu of f(1..N): (f*nu)(1) = 1, (f*nu)(n>1) = 0.
+
+    The inversion recurrence, over any ring whose elements support +, -
+    and * and in which f(1) is invertible; raises InputError otherwise.
+    Applied to the Gauss sums f2(D, r) it is the oracle for the closed
+    form of borcherds.nu.
+    """
+    if not f:
+        return []
+    inv1 = _ring_inverse(f[0])
+    nu = [inv1]
+    for n in range(2, len(f) + 1):
+        s = None
+        for d in divisors(n):
+            if d == n:
+                continue
+            term = nu[d - 1] * f[n // d - 1]
+            s = term if s is None else s + term
+        nu.append(-inv1 * s if s is not None else -inv1 * 0)
+    return nu
 
 
 def dirichlet_convolve(f, g) -> list:
@@ -113,6 +147,57 @@ def log_derivative_by_j(d: int, n: int, ring) -> QSeries:
         li = evaluate_series(poly, j).log_derivative().truncate(n)
         total = total - QSeries(out_ring, li.lead, li.coeffs).scale(w)
     return total
+
+
+def as_j_polynomial(f: QSeries) -> Poly:
+    """Write a weight-0 series, holomorphic away from infinity, as P(j).
+
+    Repeatedly subtracts c*j^e to kill the most negative exponent; the
+    residual must vanish identically up to f's truncation order.
+    """
+    if f.trunc < 0:
+        raise TruncationError("need the series through its constant term")
+    ring = f.ring
+    v = f.valuation()
+    m = max(0, -v) if v is not None else 0
+    out = [ring.zero] * (m + 1)
+    g = f
+    if m > 0:
+        j = jfunction(f.trunc + m - 1, ring)
+        jpow: dict[int, QSeries] = {1: j}
+        for e in range(2, m + 1):
+            jpow[e] = jpow[e - 1] * j
+        for e in range(m, 0, -1):
+            c = g.coeff(-e)
+            if c:
+                out[e] = c
+                g = g - jpow[e].truncate(g.trunc).scale(c)
+    out[0] = g.coeff(0)
+    g = g - QSeries.constant(ring, out[0], g.trunc)
+    if not g.is_zero():
+        raise InputError(
+            f"not a polynomial in j: residual at q^{g.valuation()}")
+    return Poly(ring, out)
+
+
+def supersingular_poly_by_eisenstein(ell: int) -> Poly:
+    """s_l from the weight factorization of E_(l-1) mod l.
+
+    Divide E_(l-1) by Delta^m E4^d E6^e, where l - 1 = 12m + 4d + 6e,
+    rewrite the weight-0 quotient as a polynomial in j, and reattach
+    x^d (x - 1728)^e: the route the closed form of supersingular_poly is
+    checked against.
+    """
+    m, de, ep = monomial_basis(ell - 1)[0]
+    ring = GF(ell)
+    # the quotient by Delta^m (valuation m) starts at q^-m and is known
+    # only to q^(n - 2m)
+    n = 2 * m + 8
+    divisor, = monomial_forms([(m, de, ep)], n, ring)
+    etilde = as_j_polynomial(eisenstein(ell - 1, n, ring) / divisor)
+    x = Poly(ring, [ring.zero, ring.one])
+    s = (x ** de) * (Poly.x_minus(ring, 1728) ** ep) * etilde
+    return s.monic()
 
 
 def charpoly(mat: list[list[int]], ell: int) -> Poly:

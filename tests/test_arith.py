@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpx import arith
-from bpx.arith import (PrimeStream, QuadExt, bernoulli, dirichlet_inverse,
-                       divisors, factorize, frac_mod, is_fundamental_discriminant,
-                       kronecker, moebius, sieve, sigma)
+from bpx.arith import (PrimeStream, QuadExt, bernoulli, divisors, factorize,
+                       frac_mod, is_fundamental_discriminant, kronecker,
+                       moebius, sieve, sigma)
 from bpx.errors import InputError, ResourceLimitError
-from oracles import dirichlet_convolve
+from oracles import dirichlet_convolve, dirichlet_inverse
 
 
 def test_kronecker_minus4_mod_11():

@@ -12,7 +12,7 @@ from bpx.borcherds import (_log_derivative, exact_exponents, fit_congruence,
 from bpx.classpoly import hilbert_class_poly, hurwitz_class_number
 from bpx.errors import IneligiblePairError, InputError
 from bpx.qseries import GF, ZZ, delta, eisenstein, f2, monomial_forms
-from oracles import log_derivative_by_j, nu_closed_form
+from oracles import dirichlet_inverse, log_derivative_by_j, pd_log_coeffs
 
 
 # exact square-index exponents, frozen from the product identity
@@ -203,6 +203,18 @@ def test_end_to_end_verification_small():
     assert verified == 39 and skipped == 1
 
 
+def test_fit_asks_for_no_bernoulli_number_past_b2(monkeypatch):
+    # the cusp split subtracts E_2, which is E_(l+1) mod l, so no B_(l+1)
+    from bpx import qseries
+    asked = []
+    bernoulli = qseries.bernoulli
+    monkeypatch.setattr(qseries, "bernoulli",
+                        lambda m: asked.append(m) or bernoulli(m))
+    F = fit_congruence(20, 31)
+    assert (F.c0, F.c) == (2, (22, 1))
+    assert asked and max(asked) == 2
+
+
 def test_congruence_document():
     doc = fit_congruence(4, 11).to_document()
     assert doc["c0"] == 6 and doc["c"] == [9]
@@ -218,13 +230,20 @@ def test_nu_examples():
     assert nu(5, 1) == QuadExt(Fraction(0), Fraction(1, 5), 5)
     assert nu(5, 4) == QuadExt(Fraction(0), Fraction(0), 5)
     assert nu(8, 3) == QuadExt(Fraction(0), Fraction(1, 8), 8)
-    assert nu(8, 3) == nu_closed_form(8, 3)
+    assert nu(8, 3) == dirichlet_inverse(pd_log_coeffs(8, 3))[2]
+    with pytest.raises(InputError):
+        nu(5, 0)
+    for D in (9, 0, -4):  # not a fundamental discriminant > 1, as for f2
+        with pytest.raises(InputError):
+            nu(D, 1)
 
 
-def test_nu_matches_closed_form_broadly():
-    for D in (5, 8, 13):
+def test_nu_matches_recurrence_broadly():
+    # the closed form against the Dirichlet inversion of the Gauss sums
+    for D in (5, 8, 12, 13):
+        recurrence = dirichlet_inverse(pd_log_coeffs(D, 79))
         for m in range(1, 80):
-            assert nu(D, m) == nu_closed_form(D, m), (D, m)
+            assert nu(D, m) == recurrence[m - 1], (D, m)
 
 
 def test_twisted_forward_magnitude_case():

@@ -241,6 +241,15 @@ def test_cache_document_for_another_d_recomputed(tmp_path):
     assert (w.d, w.h) == (4, Fraction(1, 2))
 
 
+def test_supersingular_reduction_accepts_every_class_polynomial():
+    # Deuring's theorem holds for every genuine class polynomial, so the
+    # cache check never rejects a correct document
+    for d in range(3, 301):
+        if d % 4 in (0, 3):
+            w = hilbert_class_poly(d)
+            assert classpoly._roots_reduce_supersingular(w), d
+
+
 def test_eligibility_examples():
     assert eligibility(4, 11).divides
     assert eligibility(3, 5).divides

@@ -107,6 +107,16 @@ def test_supersingular_above_bruteforce_bound(capsys):
     assert doc["degree"] == 18 and "bruteforce_match" not in doc
 
 
+def test_supersingular_at_a_large_ell(capsys):
+    # the closed form reaches l = 100003 (7 mod 12) with no q-series
+    ell = 100003
+    code, out, err = invoke(capsys, "supersingular", "--ell", str(ell),
+                            "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["degree"] == ell // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[ell % 12]
+
+
 def test_classpoly_command(capsys):
     code, out, _ = invoke(capsys, "classpoly", "--d", "20")
     assert code == 0
@@ -191,6 +201,24 @@ def test_corrupt_cache_document_recomputed(tmp_path, capsys):
                             "--cache-dir", str(cache))
     assert (code, err) == (0, "")
     assert "492" in out and "8806299845100" in out
+
+
+def test_cache_document_with_a_wrong_coefficient_recomputed(tmp_path, capsys):
+    # right shape, d and weight sum, but x - 1729 for x - 1728: its root is
+    # not supersingular mod the primes inert in Q(i), so the document is
+    # recomputed and rewritten instead of giving A(1, 4) = 985/2
+    path = tmp_path / "hd_4.json"
+    path.write_text(json.dumps({
+        "d": 4, "components": [{"coeffs": ["-1729", "1"], "weight": "1/2"}],
+        "precision_used": 30, "residual_bound": 0.0}))
+    code, out, err = invoke(capsys, "exponents", "--d", "4", "--n", "2",
+                            "--format", "json", "--cache-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["values"] == [492, 143376]
+    assert doc["cache"] == {"hits": 0, "misses": 1}
+    rewritten = json.loads(path.read_text())
+    assert rewritten["components"] == [{"coeffs": ["-1728", "1"], "weight": "1/2"}]
 
 
 def test_warm_cache_run_never_imports_mpmath(tmp_path, capsys):

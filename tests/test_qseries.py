@@ -9,10 +9,11 @@ from bpx.arith import (QuadExt, frac_mod, is_fundamental_discriminant,
                        kronecker)
 from bpx.errors import InputError, TruncationError
 from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, _kron_mul_gf,
-                         _kron_mul_zz, as_j_polynomial, delta, eisenstein,
-                         f2, jfunction, monomial_basis, monomial_forms)
-from oracles import (euler_product, evaluate_series, f2_numeric,
-                     monomial_form_by_euler_product, pd_log_coeffs)
+                         _kron_mul_zz, delta, eisenstein, f2, jfunction,
+                         monomial_basis, monomial_forms)
+from oracles import (as_j_polynomial, euler_product, evaluate_series,
+                     f2_numeric, monomial_form_by_euler_product,
+                     pd_log_coeffs)
 
 
 def test_eisenstein_small():

@@ -8,8 +8,10 @@ from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, delta, eisenstein,
 from bpx.ssforms import (_eigenpairs, _solve_linear_mod, eigenbasis,
                          eisenstein_cusp_split, hecke_Tp, supersingular_poly,
                          supersingular_poly_bruteforce)
+from bpx.arith import is_prime
 from oracles import (charpoly_roots, monomial_form_by_euler_product,
-                     supersingular_j_invariants)
+                     supersingular_j_invariants,
+                     supersingular_poly_by_eisenstein)
 
 
 def test_weight_decomposition_examples():
@@ -40,6 +42,12 @@ def test_supersingular_examples():
 def test_supersingular_matches_bruteforce_to_50():
     for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         assert supersingular_poly(ell) == supersingular_poly_bruteforce(ell)
+
+
+def test_supersingular_closed_form_matches_eisenstein_factorization():
+    for ell in range(5, 500):
+        if is_prime(ell):
+            assert supersingular_poly(ell) == supersingular_poly_by_eisenstein(ell), ell
 
 
 def test_supersingular_degree_formula_to_100():
