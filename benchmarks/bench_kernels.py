@@ -44,7 +44,7 @@ def crossover(backends):
     """Microseconds per prime, counting vs BSGS, over 40 primes from lo on."""
     print("\nper-prime cost, counting / BSGS (us)")
     print(f"{'p from':>8}" + "".join(f"{name:>22}" for name in backends))
-    for lo in (300, 500, 1000, 2000, 4000, 10 ** 4):
+    for lo in (300, 500, 600, 1000, 2000, 4000, 10 ** 4):
         primes = [p for p in pure.primes_below(2 * lo) if p >= lo][:40]
         cells = []
         for mod in backends.values():

@@ -3,10 +3,15 @@
  * C twin of bpx._eckernel_py: the same API, algorithms and results, bit for
  * bit.  Traces are counted below NAIVE_LIMIT and found above it by the
  * Shanks-Mestre candidate filter (Cohen, GTM 138, 7.4.3) over the pure
- * kernel's seeded xorshift point walk.  The trace loop and the supersingular
- * scan release the GIL.  Primes are limited to p < 2^31, so every product
- * of two residues fits in 64 bits; the seed and hash products wrap mod 2^64
- * on purpose.
+ * kernel's seeded xorshift point walk, with the same +-j baby steps, giant
+ * stride and tiny-order rule, so the same candidate lists.  Where the pure
+ * kernel steps one affine addition at a time, this one runs the baby and
+ * giant steps in batches that share one inversion (Montgomery, Math. Comp.
+ * 48, 1987) and multiplies by a scalar in Jacobian coordinates, as one
+ * extended Euclid per addition would otherwise dominate.  The trace loop and
+ * the supersingular scan release the GIL.  Primes are limited to p < 2^31,
+ * so every product of two residues fits in 64 bits; the seed and hash
+ * products wrap mod 2^64 on purpose.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -18,9 +23,9 @@
 #include <string.h>
 
 /* Below this prime counting beats the search (benchmarks/bench_kernels.py). */
-#define NAIVE_LIMIT 2000
+#define NAIVE_LIMIT 600
 #define MAX_PRIME (1ULL << 31)
-/* p < 2^31 keeps the Hasse window below 2^18 points, so its root m <= 430 */
+/* p < 2^31 keeps the Hasse window below 2^18 points, so m = isqrt(width/2) + 1 <= 305 */
 #define MAX_M 512
 #define HASH_MULT 0x9E3779B97F4A7C15ULL
 #define SEED_ADD 0x243F6A8885A308D3ULL
@@ -86,36 +91,76 @@ static u64 isqrt(u64 n)
  * curve arithmetic on y^2 = x^3 + a*x + b over F_p, affine coordinates */
 
 typedef struct { u64 x, y; int inf; } Pt;
+typedef struct { u64 X, Y, Z; } Jac;  /* the point (X/Z^2, Y/Z^3); Z = 0 is O */
 
 static const Pt INF = {0, 0, 1};
 
-static Pt pt_add(Pt P, Pt Q, u64 a, u64 p)
+/* Affine P + Q for Q.x != P.x, given 1/(Q.x - P.x) or 1/(2 P.y) when Q = P. */
+static Pt pt_add_inv(Pt P, Pt Q, u64 inv, u64 a, u64 p)
 {
     u64 lam, x3;
+    if (P.x == Q.x)
+        lam = (3 * (P.x * P.x % p) + a) % p * inv % p;
+    else
+        lam = (Q.y + p - P.y) % p * inv % p;
+    x3 = (lam * lam % p + 2 * p - P.x - Q.x) % p;
+    return (Pt){x3, (lam * ((P.x + p - x3) % p) % p + p - P.y) % p, 0};
+}
+
+static Pt pt_add(Pt P, Pt Q, u64 a, u64 p)
+{
     if (P.inf)
         return Q;
     if (Q.inf)
         return P;
     if (P.x == Q.x && (P.y + Q.y) % p == 0)
         return INF;
-    if (P.x == Q.x)
-        lam = (3 * (P.x * P.x % p) + a) % p * invmod(2 * P.y % p, p) % p;
-    else
-        lam = (Q.y + p - P.y) % p * invmod((Q.x + p - P.x) % p, p) % p;
-    x3 = (lam * lam % p + 2 * p - P.x - Q.x) % p;
-    return (Pt){x3, (lam * ((P.x + p - x3) % p) % p + p - P.y) % p, 0};
+    return pt_add_inv(P, Q, invmod(P.x == Q.x ? 2 * P.y % p : (Q.x + p - P.x) % p, p), a, p);
 }
 
+/* k*P, left to right in Jacobian coordinates: one inversion in all. */
 static Pt pt_mul(u64 k, Pt P, u64 a, u64 p)
 {
-    Pt R = INF;
-    for (; k; k >>= 1) {
-        if (k & 1)
-            R = pt_add(R, P, a, p);
-        if (k > 1)
-            P = pt_add(P, P, a, p);
+    Jac R = {0, 1, 0};
+    u64 zz, zi;
+    int bit = 63;
+    if (P.inf || k == 0)
+        return INF;
+    while (!(k >> bit & 1))
+        bit--;
+    for (; bit >= 0; bit--) {
+        if (R.Z) {  /* R = 2R: s = 4 X Y^2, t = 3 X^2 + a Z^4 */
+            u64 yy = R.Y * R.Y % p, z2 = R.Z * R.Z % p;
+            u64 s = 4 * (R.X * yy % p) % p, t = (3 * (R.X * R.X % p) + a * (z2 * z2 % p)) % p;
+            u64 x3 = (t * t % p + 2 * p - 2 * s) % p;
+            R.Z = 2 * (R.Y * R.Z % p) % p;
+            R.Y = (t * ((s + p - x3) % p) % p + p - 8 * (yy * yy % p) % p) % p;
+            R.X = x3;
+        }
+        if (!(k >> bit & 1))
+            continue;
+        if (R.Z == 0) {  /* R = O + P */
+            R = (Jac){P.x, P.y, 1};
+        } else {  /* R = R + P: h = x Z^2 - X, r = y Z^3 - Y */
+            u64 z2 = R.Z * R.Z % p, h = (P.x * z2 % p + p - R.X) % p;
+            u64 r = (P.y * (z2 * R.Z % p) % p + p - R.Y) % p, hh, hhh, v, x3;
+            if (h == 0) {  /* R = +-P: 2P or O, now rare enough for affine */
+                Pt D = r ? INF : pt_add(P, P, a, p);
+                R = D.inf ? (Jac){0, 1, 0} : (Jac){D.x, D.y, 1};
+                continue;
+            }
+            hh = h * h % p; hhh = h * hh % p; v = R.X * hh % p;
+            x3 = (r * r % p + 3 * p - hhh - 2 * v) % p;
+            R.Y = (r * ((v + p - x3) % p) % p + p - R.Y * hhh % p) % p;
+            R.X = x3;
+            R.Z = R.Z * h % p;
+        }
     }
-    return R;
+    if (R.Z == 0)
+        return INF;
+    zi = invmod(R.Z, p);
+    zz = zi * zi % p;
+    return (Pt){R.X * zz % p, R.Y * (zz * zi % p) % p, 0};
 }
 
 /* Trace by counting: y^2 and x^3 + a x + b advance by finite differences. */
@@ -155,59 +200,119 @@ static Pt next_point(u64 *state, u64 a, u64 b, u64 p)
     return P;
 }
 
-typedef struct { u64 x, y, j1; } Slot;  /* j1 = j + 1; 0 marks a free slot */
-
-/* Slot of point P in a table of 2^bits slots: where its linear probe starts. */
-static u64 slot_of(Pt P, int bits)
+/* Replace each of the n nonzero d[i] by its inverse mod p with one invmod
+ * (Montgomery's simultaneous inversion); pre is scratch of n entries. */
+static void invert_all(u64 *d, u64 n, u64 p, u64 *pre)
 {
-    return (P.x * HASH_MULT + P.y) * HASH_MULT >> (64 - bits);
+    u64 acc = 1, inv, t, i;
+    for (i = 0; i < n; i++) {
+        pre[i] = acc;
+        acc = acc * d[i] % p;
+    }
+    inv = invmod(acc, p);
+    for (i = n; i-- > 0;) {
+        t = inv * pre[i] % p;
+        inv = inv * d[i] % p;
+        d[i] = t;
+    }
 }
 
-/* Every N in [lo, hi] with N*P = O, written to found; returns their count,
- * or -1 when P has tiny order.
+/* Slot of x in a table of 2^bits slots: where its linear probe starts. */
+static u64 slot_of(u64 x, int bits)
+{
+    return x * HASH_MULT >> (64 - bits);
+}
+
+/* Every N in [lo, hi] with N*P = O, written to found in order; returns their
+ * count, or -1 when P has tiny order.
  *
- * Baby steps (lo + j)P for 0 <= j < m meet giant steps -(i*m)P at
- * N = lo + i*m + j, with m = isqrt(hi - lo + 1).  A giant step on O means
- * the order of P divides i*m: P hardly narrows the window, and an order
- * below m (repeated baby steps) always shows this way, since i runs to at
- * least m - 1.  At most (hi - lo) / m + 1 <= m + 3 values are found, one per i. */
+ * Baby steps key x(jP) -> j for 1 <= j <= m, m = isqrt((hi - lo)/2) + 1, in
+ * a hash table; one x stands for both jP and -jP (Mestre).  Giant steps
+ * N0*P, from N0 = lo + m by the stride s = 2m + 1, meet the table at N0 - j
+ * when the y values agree and at N0 + j when they are opposite (both when
+ * y = 0); a giant step on O is N0 itself.  A repeated baby x, jP = O for
+ * some j <= m + 1, or sP = O means P has order at most 2m + 1: P is
+ * skipped.  The same rules as the pure kernel's, so the same lists.  Both
+ * step runs go in rounds that double what is known, each round one batch
+ * of additions with one shared inversion: jP + tP for j <= t from the
+ * multiples 1..t of P, and G_i + tS for i < t from the giant points
+ * G_0..G_(t-1).  The values found are multiples of the order of P, which
+ * is at least 2m, so there are at most m + 1 of them. */
 static i64 annihilators(Pt P, u64 a, u64 p, u64 lo, u64 hi, u64 *found)
 {
-    Slot tab[2 * MAX_M];
-    u64 m = isqrt(hi - lo + 1), i, j, h, mask, n = 0;
+    u64 tab[2 * MAX_M];  /* j of the slot's x; 0 marks a free slot */
+    Pt B[MAX_M + 2], G[MAX_M + 2], T, S;
+    u64 d[MAX_M + 2], pre[MAX_M + 2];
+    unsigned char slow[MAX_M + 2];
+    u64 m = isqrt((hi - lo) / 2) + 1, s = 2 * m + 1, g = (hi - lo) / s + 1;
+    u64 t, top, n, i, j, h, mask, q, r, n0, cnt = 0;
     int bits = 2;
-    i64 inf_j = -1;  /* first j with (lo + j)P = O */
-    Pt R = pt_mul(lo, P, a, p), U = INF, G = pt_mul(m, (Pt){P.x, (p - P.y) % p, 0}, a, p);
+    if (P.y == 0)
+        return -1;  /* 2P = O */
     while ((1ULL << bits) < 2 * m)
         bits++;
     mask = (1ULL << bits) - 1;
-    memset(tab, 0, (mask + 1) * sizeof(Slot));
-    for (j = 0; j < m; j++, R = pt_add(R, P, a, p)) {
-        if (R.inf) {
-            if (inf_j < 0)
-                inf_j = (i64)j;
+    memset(tab, 0, (mask + 1) * sizeof(u64));
+    B[0] = INF;
+    B[1] = P;
+    tab[slot_of(P.x, bits)] = 1;
+    for (t = 1; t <= m; t = top) {  /* (t + j)P = jP + tP for 1 <= j <= n */
+        top = 2 * t < m + 1 ? 2 * t : m + 1;
+        n = top - t;
+        if (n == t && B[t].y == 0)
+            return -1;  /* 2tP = O */
+        for (j = 1; j <= n; j++)
+            d[j - 1] = j == t ? 2 * B[t].y % p : (B[t].x + p - B[j].x) % p;
+        invert_all(d, n, p, pre);
+        for (j = 1; j <= n; j++)
+            B[t + j] = pt_add_inv(B[j], B[t], d[j - 1], a, p);
+        for (j = t + 1; j <= top && j <= m; j++) {
+            for (h = slot_of(B[j].x, bits); tab[h]; h = (h + 1) & mask)
+                if (B[tab[h]].x == B[j].x)
+                    return -1;  /* jP = +-iP, i < j */
+            tab[h] = j;
+        }
+    }
+    if (B[m + 1].x == B[m].x)
+        return -1;  /* (m+1)P = -mP: sP = O */
+    S = pt_add(B[m], B[m + 1], a, p);
+    /* the first giant step N0 = lo + m = q*s + r, |r| <= m: q*S + r*P */
+    q = (lo + 2 * m) / s;
+    r = lo + 2 * m - q * s;  /* r - m in [-m, m] */
+    G[0] = pt_add(pt_mul(q, S, a, p),
+                  r == m ? INF : r > m ? B[r - m] : (Pt){B[m - r].x, (p - B[m - r].y) % p, 0},
+                  a, p);
+    for (t = 1, T = S; t < g; t += n) {  /* G_(t+i) = G_i + T, T = tS */
+        int dbl = 2 * t < g;
+        n = t < g - t ? t : g - t;
+        for (i = 0; i < n; i++) {
+            slow[i] = G[i].inf || T.inf || G[i].x == T.x;
+            d[i] = slow[i] ? 1 : (T.x + p - G[i].x) % p;
+        }
+        slow[n] = T.inf || T.y == 0;
+        d[n] = slow[n] ? 1 : 2 * T.y % p;
+        invert_all(d, n + dbl, p, pre);
+        for (i = 0; i < n; i++)
+            G[t + i] = slow[i] ? pt_add(G[i], T, a, p) : pt_add_inv(G[i], T, d[i], a, p);
+        if (dbl)
+            T = slow[n] ? pt_add(T, T, a, p) : pt_add_inv(T, T, d[n], a, p);
+    }
+    for (i = 0, n0 = lo + m; i < g; i++, n0 += s) {
+        if (G[i].inf) {
+            if (n0 <= hi)
+                found[cnt++] = n0;
             continue;
         }
-        for (h = slot_of(R, bits); tab[h].j1; h = (h + 1) & mask)
-            if (tab[h].x == R.x && tab[h].y == R.y)
-                break;  /* keep the first j */
-        if (!tab[h].j1)
-            tab[h] = (Slot){R.x, R.y, j + 1};
+        for (h = slot_of(G[i].x, bits); tab[h] && B[tab[h]].x != G[i].x; h = (h + 1) & mask)
+            ;
+        if ((j = tab[h]) == 0)
+            continue;
+        if (G[i].y == B[j].y && n0 - j <= hi)
+            found[cnt++] = n0 - j;
+        if (G[i].y == (p - B[j].y) % p && n0 + j <= hi)
+            found[cnt++] = n0 + j;
     }
-    for (i = 0; i <= (hi - lo) / m; i++, U = pt_add(U, G, a, p)) {
-        i64 hit = -1;
-        if (U.inf && i)
-            return -1;
-        if (U.inf)
-            hit = inf_j;
-        else
-            for (h = slot_of(U, bits); tab[h].j1 && hit < 0; h = (h + 1) & mask)
-                if (tab[h].x == U.x && tab[h].y == U.y)
-                    hit = (i64)tab[h].j1 - 1;
-        if (hit >= 0 && lo + i * m + (u64)hit <= hi)
-            found[n++] = lo + i * m + (u64)hit;
-    }
-    return (i64)n;
+    return (i64)cnt;
 }
 
 /* Group order by Shanks-Mestre: the one N in the Hasse window that

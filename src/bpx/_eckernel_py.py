@@ -6,10 +6,14 @@ is available.  Traces are computed by naive point counting below
 The search lists every N in the Hasse window with N*P = O for one point P
 and drops the candidates that a further point does not annihilate until
 one is left (Shanks-Mestre, Cohen GTM 138, 7.4.3); no point order is
-computed.  Points are chosen deterministically (seeded), so results never
-depend on run order or thread count.  ``NAIVE_LIMIT`` is this backend's
-measured crossover: BSGS is as cheap as counting from p of about 300 on
-and several times cheaper from 1000 on.
+computed.  Its baby steps are keyed by x alone, so each covers jP and -jP
+(Mestre), and every step is an affine formula on local ints.  Points are
+chosen deterministically (seeded), so results never depend on run order or
+thread count.  ``NAIVE_LIMIT`` is this backend's measured crossover: BSGS
+is as cheap as counting from p of about 300 on and several times cheaper
+from 500 on.  Batching the inversions (Montgomery's trick), as the
+compiled kernel does, was measured slower here: one ``pow(x, -1, p)``
+costs less than the interpreted products and lists that replace it.
 """
 
 from __future__ import annotations
@@ -117,30 +121,104 @@ def _next_point(state, a, b, p):
 
 
 def _annihilators(P, a, p, lo, hi):
-    """Every N in [lo, hi] with N*P = O, or None when P has tiny order.
+    """Every N in [lo, hi] with N*P = O, sorted, or None when P has tiny order.
 
-    Baby steps (lo + j)P for 0 <= j < m meet giant steps -(i*m)P at
-    N = lo + i*m + j, with m = isqrt(hi - lo + 1).  A giant step on O means
-    the order of P divides i*m: P hardly narrows the window, and an order
-    below m (repeated baby steps) always shows this way, since i runs to
-    at least m - 1.
+    Baby steps store x(jP) -> j for 1 <= j <= m, m = isqrt((hi - lo)//2) + 1,
+    and y(jP) by j: one x stands for both jP and -jP (Mestre).  Giant steps
+    N0*P, from N0 = lo + m by the stride s = 2m + 1, meet the table at
+    N0 - j when the y values agree and at N0 + j when they are opposite
+    (both when y = 0); a giant step on O is N0 itself.  The windows
+    [N0 - m, N0 + m] tile [lo, hi], so every N is found, in order.  A
+    repeated baby x, jP = O for some j <= m + 1, or sP = O means P has
+    order at most 2m + 1, and P is skipped.  Every step is an affine
+    formula on local ints; ``_ec_add`` and ``_ec_mul`` serve only the rare
+    giant or start step whose two x coincide.
     """
-    m = isqrt(hi - lo + 1)
-    baby = {}
-    R = _ec_mul(lo, P, a, p)
-    for j in range(m):
-        baby.setdefault(R, j)
-        R = _ec_add(R, P, a, p)
-    G = _ec_mul(-m, P, a, p)
+    m = isqrt((hi - lo) // 2) + 1
+    x1, y1 = P
+    if y1 == 0:
+        return None  # 2P = O
+    baby = {x1: 1}
+    bx, by = [0, x1], [0, y1]  # x(jP) and y(jP) by j
+    lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    x = (lam * lam - 2 * x1) % p
+    y = (lam * (x1 - x) - y1) % p
+    for j in range(2, m + 1):  # (x, y) = jP
+        if x in baby:
+            return None  # jP = -iP for some i < j, or (j+1)P = O at x = x1
+        baby[x] = j
+        bx.append(x)
+        by.append(y)
+        lam = (y - y1) * pow(x - x1, -1, p) % p
+        nx = (lam * lam - x - x1) % p
+        y = (lam * (x1 - nx) - y1) % p
+        x = nx
+    # (x, y) = (m+1)P, so S = mP + (m+1)P = sP
+    xm, ym = bx[m], by[m]
+    if x == xm:
+        return None  # (m+1)P = -mP: sP = O
+    lam = (y - ym) * pow(x - xm, -1, p) % p
+    sx = (lam * lam - x - xm) % p
+    sy = (lam * (xm - sx) - ym) % p
+    s = 2 * m + 1
+    # the first giant step N0 = lo + m = q*s + r, |r| <= m: q*S + r*P
+    first = lo + m
+    q, r = divmod(first + m, s)
+    r -= m
+    x, y, inline = sx, sy, True
+    for bit in bin(q)[3:]:  # q*S, left to right
+        if y == 0:
+            inline = False
+            break
+        lam = (3 * x * x + a) * pow(2 * y, -1, p) % p
+        nx = (lam * lam - 2 * x) % p
+        y = (lam * (x - nx) - y) % p
+        x = nx
+        if bit == "1":
+            if x == sx:
+                inline = False
+                break
+            lam = (y - sy) * pow(x - sx, -1, p) % p
+            nx = (lam * lam - x - sx) % p
+            y = (lam * (sx - nx) - sy) % p
+            x = nx
+    if r and inline:
+        rx, ry = bx[abs(r)], by[r] if r > 0 else -by[-r] % p
+        if x == rx:
+            inline = False
+        else:
+            lam = (y - ry) * pow(x - rx, -1, p) % p
+            nx = (lam * lam - x - rx) % p
+            y = (lam * (rx - nx) - ry) % p
+            x = nx
+    if not inline:
+        Q = _ec_add(_ec_mul(q, (sx, sy), a, p), _ec_mul(r, P, a, p), a, p)
+        x, y = Q if Q else (None, None)
     found = []
-    U = None  # -(i*m) P
-    for i in range((hi - lo) // m + 1):
-        if i and U is None:
-            return None
-        j = baby.get(U)
-        if j is not None and lo + i * m + j <= hi:
-            found.append(lo + i * m + j)
-        U = _ec_add(U, G, a, p)
+    last = lo + (hi - lo) // s * s + m
+    for n0 in range(first, last + 1, s):
+        if x is None:  # n0 P = O
+            if n0 <= hi:
+                found.append(n0)
+            x, y = sx, sy
+            continue
+        j = baby.get(x)
+        if j is not None:
+            yj = by[j]
+            if y == yj and n0 - j <= hi:
+                found.append(n0 - j)
+            if y == (-yj) % p and n0 + j <= hi:
+                found.append(n0 + j)
+        if n0 == last:
+            break
+        if x == sx:
+            Q = _ec_add((x, y), (sx, sy), a, p)
+            x, y = Q if Q else (None, None)
+        else:
+            lam = (y - sy) * pow(x - sx, -1, p) % p
+            nx = (lam * lam - x - sx) % p
+            y = (lam * (sx - nx) - sy) % p
+            x = nx
     return found
 
 

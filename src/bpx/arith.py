@@ -99,18 +99,34 @@ def sigma(k: int, n: int) -> int:
 
 
 def sigma_prefix(k: int, n_max: int, modulus: int | None = None) -> list[int]:
-    """sigma_k(n) for n = 1..n_max via a divisor sieve; index 0 unused.
+    """sigma_k(n) for n = 1..n_max, multiplicatively; index 0 unused.
 
-    With ``modulus`` the values are reduced, keeping the sieve cheap for
-    the large exponents that appear in Eisenstein series mod l.
+    One sieve gives the smallest prime factor p of each n = p*r, and then
+    sigma_k(n) = (1 + p^k) sigma_k(r), less p^k sigma_k(r/p) when p also
+    divides r (sigma_k(p^e) = (1 + p^k) sigma_k(p^(e-1)) - p^k
+    sigma_k(p^(e-2))).  With ``modulus`` every value is reduced as it is
+    made, keeping the large exponents of Eisenstein series mod l cheap.
     """
+    spf = list(range(n_max + 1))
+    # descending, so the smallest prime factor writes last
+    for q in reversed(kernel.primes_below(math.isqrt(n_max) + 1)):
+        spf[q * q::q] = [q] * len(range(q * q, n_max + 1, q))
     acc = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        dk = pow(d, k, modulus) if modulus else d**k
-        for n in range(d, n_max + 1, d):
-            acc[n] += dk
-    if modulus:
-        acc = [v % modulus for v in acc]
+    pk = [0] * (n_max + 1)  # p^k, at each prime p
+    if n_max:
+        acc[1] = 1
+    for n in range(2, n_max + 1):
+        p = spf[n]
+        if p == n:
+            pk[p] = t = pow(p, k, modulus) if modulus else p**k
+            v = 1 + t
+        else:
+            r = n // p
+            t = pk[p]
+            v = acc[r] * (1 + t)
+            if spf[r] == p:
+                v -= t * acc[r // p]
+        acc[n] = v % modulus if modulus else v
     return acc
 
 

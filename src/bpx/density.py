@@ -12,7 +12,6 @@ columns of a_i(p), and tallies the congruence values at those primes.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -151,6 +150,8 @@ def ec_traces(E: EllCurve, primes, naive_limit: int = kernel.NAIVE_LIMIT,
     if threads <= 1 or len(big) < 4096 or kernel.BACKEND != "compiled":
         out_big = kernel.ec_traces(A, B, big, naive_limit)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # this branch only
+
         blocks = [big[i:i + 4096] for i in range(0, len(big), 4096)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(

@@ -8,11 +8,14 @@ the independent route to the log derivative of a class polynomial, which
 the package builds from E2, E4^3 and Delta with no j.  The package takes
 s_l and the twisted inverse nu from their closed forms; the factorization
 of E_(l-1) and the Dirichlet inversion recurrence here are their checks.
+The kernel's baby-step/giant-step search is checked against one scalar
+multiplication per N in the window.
 """
 
 import cmath
 from collections import Counter
 
+from bpx._eckernel_py import _ec_mul
 from bpx.arith import QuadExt, divisors, kronecker
 from bpx.classpoly import hilbert_class_poly
 from bpx.errors import InputError, TruncationError
@@ -280,3 +283,8 @@ def supersingular_js_by_point_count(ell: int, nonres: int) -> list[int]:
         if trace(a, b) % ell == 0:
             out.append(j[0] * ell + j[1])
     return out
+
+
+def annihilators_bruteforce(P, a: int, p: int, lo: int, hi: int) -> list[int]:
+    """Every N in [lo, hi] with N*P = O on y^2 = x^3 + a x + b over F_p."""
+    return [N for N in range(lo, hi + 1) if _ec_mul(N, P, a, p) is None]

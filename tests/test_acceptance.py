@@ -14,13 +14,13 @@ import time
 from fractions import Fraction
 from functools import reduce
 
-from bpx.arith import kronecker, sieve
+from bpx.arith import frac_mod, kronecker, sieve
 from bpx.borcherds import (exact_exponents, fit_congruence, formula_eval,
                            twisted_roundtrip, verify_congruence)
 from bpx.classpoly import eligibility
 from bpx.density import (X0_CURVES, asymptotic_table, charpoly_count,
                          ec_trace, ec_traces, empirical_table)
-from bpx.qseries import GF, QSeries, eisenstein
+from bpx.qseries import GF, QQ, QSeries, eisenstein
 from bpx.ssforms import (eigenbasis, supersingular_poly,
                          supersingular_poly_bruteforce)
 from oracles import charpoly_table_bruteforce
@@ -328,6 +328,11 @@ def test_c10_property_suites():
         ring = GF(ell)
         if eisenstein(ell - 1, 500, ring) != QSeries.one(ring, 500):
             bad.append(f"E_(l-1) != 1 mod {ell}")
+        # the F_l branch above is the von Staudt shortcut; the Bernoulli
+        # and divisor-sum route over Q, reduced mod l, is its check
+        exact = eisenstein(ell - 1, 500, QQ)
+        if [frac_mod(c, ell) for c in exact.coeffs] != [1] + [0] * (len(exact.coeffs) - 1):
+            bad.append(f"E_(l-1) over Q != 1 mod {ell}")
         if eisenstein(ell + 1, 500, ring) != eisenstein(2, 500, ring):
             bad.append(f"E_(l+1) != E_2 mod {ell}")
     # convolution-inverse round trips, 50 random sequences per D

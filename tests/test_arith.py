@@ -92,6 +92,24 @@ def test_sigma_matches_bruteforce():
             assert sigma(k, n) == sum(d**k for d in range(1, n + 1) if n % d == 0)
 
 
+@pytest.mark.parametrize("modulus", [None, 31, 1009])
+def test_sigma_prefix_matches_a_literal_divisor_sum(modulus):
+    # the multiplicative recurrence over smallest prime factors against
+    # the sum of d^k over the divisors, to n = 2000
+    n = 2000
+    divs = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            divs[m].append(d)
+    for k in (1, 3, 5, 29):
+        want = [0] + [sum(d**k for d in divs[m]) for m in range(1, n + 1)]
+        if modulus:
+            want = [v % modulus for v in want]
+        assert arith.sigma_prefix(k, n, modulus) == want
+    assert arith.sigma_prefix(3, 0) == [0]
+    assert arith.sigma_prefix(3, 1, modulus) == [0, 1]
+
+
 def test_moebius():
     assert moebius(1) == 1
     assert moebius(6) == 1

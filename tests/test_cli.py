@@ -242,6 +242,17 @@ def test_warm_cache_run_never_imports_mpmath(tmp_path, capsys):
     assert proc.stderr.split() == ["0", "False", "False"]
 
 
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # only the threaded compiled branch of density.ec_traces needs it
+    script = "import sys, bpx.cli\nprint('concurrent.futures' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(bpx.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_congruence_text_golden(capsys):
     _, out, _ = invoke(capsys, "congruence", "--d", "4", "--ell", "11")
     assert out == (

@@ -233,7 +233,8 @@ def test_ec_traces_no_threads_on_the_pure_kernel(monkeypatch):
         raise AssertionError("thread pool created on the pure-Python kernel")
 
     monkeypatch.setattr(kernel, "BACKEND", "python")
-    monkeypatch.setattr(density, "ThreadPoolExecutor", no_pool)
+    # density imports the pool class only on the threaded branch
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
     assert ec_traces(curve, primes, threads=4) == want
 
 

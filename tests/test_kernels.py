@@ -2,6 +2,7 @@
 agree bit for bit on every exposed operation.  The compiled module comes
 from the ``compiled`` fixture (tests/conftest.py), which builds it."""
 
+import math
 import sys
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import bpx._eckernel_py as pure
 from bpx import density, kernel
-from oracles import supersingular_js_by_point_count
+from bpx.arith import is_prime
+from oracles import annihilators_bruteforce, supersingular_js_by_point_count
 
 A11, B11 = -27 * 496, -54 * 20008  # short form of the level 11 curve
 
@@ -44,6 +46,19 @@ def test_trace_parity_naive_and_bsgs(compiled):
         # force both strategies on the compiled side
         assert compiled.ec_trace(A11, B11, p, naive_limit=2) == want
         assert compiled.ec_trace(A11, B11, p, naive_limit=10 ** 9) == want
+
+
+def test_trace_parity_below_2_31(compiled):
+    # the largest primes the compiled kernel takes: the widest Hasse window,
+    # m = 305, and the largest baby table and giant stride
+    primes = []
+    for n in range(2 ** 31 - 1, 0, -2):
+        if len(primes) == 40:
+            break
+        if is_prime(n):
+            primes.append(n)
+    assert compiled.ec_traces(A11, B11, primes) == pure.ec_traces(A11, B11, primes)
+    assert compiled.ec_traces(0, 1, primes) == pure.ec_traces(0, 1, primes)
 
 
 def test_pure_bsgs_vs_naive():
@@ -118,6 +133,82 @@ def test_pure_default_route_equals_naive_count(p, kind, a, b):
     assert pure.ec_trace(a, b, p) == pure.ec_trace(a, b, p, naive_limit=10 ** 9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([p for p in pure.primes_below(3000) if p >= 5]),
+       st.sampled_from(["j=0", "j=1728", "random"]),
+       st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+def test_compiled_search_equals_naive_count(compiled, p, kind, a, b):
+    # small primes reach the compiled search's rare branches: giant points
+    # on O or on +-tS, and points of tiny order
+    if kind == "j=0":
+        a = 0
+    elif kind == "j=1728":
+        b = 0
+    if (4 * a ** 3 + 27 * b * b) % p == 0:
+        return
+    assert compiled.ec_trace(a, b, p, naive_limit=2) == pure.ec_trace(a, b, p, naive_limit=10 ** 9)
+
+
+def _curve_and_point(p, kind, u, v, w):
+    """(a, P) for a point P of y^2 = x^3 + a x + b over F_p from three draws.
+
+    "random", "j=0" and "j=1728" take the first x >= u with a square on the
+    right; "order 2" puts the root u on the curve; "order 3" builds the flex
+    P = (w^2/3, v), whose tangent slope w gives x(2P) = w^2 - 2x(P) = x(P)."""
+    a, b = v % p, w % p
+    if kind == "j=0":
+        a = 0
+    elif kind == "j=1728":
+        b = 0
+    elif kind == "order 2":
+        b = -(u ** 3 + a * u) % p
+        return a, (u % p, 0)
+    elif kind == "order 3":
+        x, y = w * w * pow(3, -1, p) % p, v % p or 1  # slope w: w^2 = 3x
+        a = (2 * y * w - 3 * x * x) % p
+        return a, (x, y)
+    for x in range(u, u + p):
+        y = pure._sqrt_mod(x ** 3 + a * x + b, p)
+        if y is not None:
+            return a, (x % p, y)
+    return a, None
+
+
+def _nonsingular(a, P, p):
+    b = (P[1] ** 2 - P[0] ** 3 - a * P[0]) % p
+    return (4 * a ** 3 + 27 * b * b) % p != 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([p for p in pure.primes_below(3000) if p >= 5]),
+       st.sampled_from(["random", "j=0", "j=1728", "order 2", "order 3"]),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.booleans(), st.integers(0, 6000), st.integers(0, 250))
+def test_annihilators_match_a_scalar_multiple_per_n(p, kind, u, v, w, hasse, lo, width):
+    # the +-j baby steps, the giant stride 2m + 1 and the tiny-order rule
+    # against N*P for every N, in the Hasse window or in any other
+    a, P = _curve_and_point(p, kind, u, v, w)
+    if P is None or not _nonsingular(a, P, p):
+        return
+    if hasse:
+        r = math.isqrt(4 * p)
+        lo, width = p + 1 - r, 2 * r
+    lo, hi = max(lo, 1), max(lo, 1) + width
+    m = math.isqrt(width // 2) + 1
+    found = pure._annihilators(P, a, p, lo, hi)
+    order, R = 1, P  # the order of P, or None when it exceeds 2m + 1
+    while R is not None:
+        R, order = pure._ec_add(R, P, a, p), order + 1
+        if order > 2 * m + 1:
+            order = None
+            break
+    # skipped: jP = O for j <= m + 1, a repeated baby x, or sP = O
+    tiny = order is not None and (order <= max(m + 1, 2 * m - 1) or order == 2 * m + 1)
+    assert (found is None) == tiny
+    if found is not None:
+        assert found == annihilators_bruteforce(P, a, p, lo, hi)
+
+
 def _record_bsgs(monkeypatch):
     """Log the candidate lists and naive counts one BSGS search goes through."""
     log = []
@@ -148,19 +239,19 @@ def test_bsgs_falls_back_to_naive_count(monkeypatch):
 
 
 def test_bsgs_skips_a_point_of_tiny_order(monkeypatch):
-    # the first point drawn on y^2 = x^3 + 1 over F_659 has order 60, a
-    # multiple of the giant stride m = 10: the giant steps reach O at 60P
-    # and the search moves on; the next point has order 660 = #E
-    want = pure._trace_naive(0, 1, 659)
+    # the first point drawn on y^2 = x^3 + 1 over F_1021 has order 12, below
+    # 2m + 1 = 17 (m = 8): x(5P) = x(7P) repeats in the baby table and the
+    # search moves on; the next point leaves one candidate, 1008 = #E
+    want = pure._trace_naive(0, 1, 1021)
     log = _record_bsgs(monkeypatch)
-    assert pure._trace_bsgs(0, 1, 659) == want
-    assert log[0] is None and len(log[1]) == 1 and "naive" not in log
+    assert pure._trace_bsgs(0, 1, 1021) == want == 1021 + 1 - 1008
+    assert log == [None, [1008]]
 
 
 def test_each_backend_owns_its_measured_crossover(compiled):
     # benchmarks/bench_kernels.py measures both: counting costs about p,
     # the search about p^(1/4) point operations, at very different constants
-    assert (pure.NAIVE_LIMIT, compiled.NAIVE_LIMIT) == (500, 2000)
+    assert (pure.NAIVE_LIMIT, compiled.NAIVE_LIMIT) == (500, 600)
 
 
 def test_pure_crossover_is_the_default_below_10000(monkeypatch):
