@@ -4,9 +4,13 @@ Run:  python benchmarks/bench_kernels.py [--full]
 
 Covers the three kernel entry points: prime sieving, elliptic-curve
 traces (the inner loop of the empirical density tables), and the
-supersingular j-invariant scan over F_(l^2).  The crossover table times
-counting against the BSGS search per prime on each backend; each
-backend's NAIVE_LIMIT sits where the search becomes the cheaper one.
+supersingular j-invariant scan over F_(l^2), a character-sum
+correlation in pure Python and a direct O(l^4) sum in C; --full also
+times the compiled scan at l = 199, far past the l where the two cross
+(about 23).
+The crossover table times counting against the BSGS search per prime on
+each backend; each backend's NAIVE_LIMIT sits where the search becomes
+the cheaper one.
 The compiled rows need the extension built where ``bpx`` is imported
 from (``python setup.py build_ext --inplace`` or ``pip install .``).
 """
@@ -33,11 +37,11 @@ def timed(fn, *args):
 def row(name, pure_fn, comp_fn, *args):
     tp, want = timed(pure_fn, *args)
     if comp_fn is None:
-        print(f"{name:<42} pure {tp:9.3f}s   compiled      n/a")
+        print(f"{name:<42} pure {tp:9.4f}s   compiled       n/a")
         return
     tc, got = timed(comp_fn, *args)
     assert got == want, f"backend disagreement in {name}"
-    print(f"{name:<42} pure {tp:9.3f}s   compiled {tc:8.3f}s   x{tp / tc:6.1f}")
+    print(f"{name:<42} pure {tp:9.4f}s   compiled {tc:9.4f}s   x{tp / tc:6.1f}")
 
 
 def crossover(backends):
@@ -83,8 +87,12 @@ def main():
     row("ec_traces, 300 primes < 10^4 (naive)", pure.ec_traces,
         c.ec_traces if c else None, A11, B11, small, 10 ** 9)
 
-    row("supersingular_js_fq2(47)", pure.supersingular_js_fq2,
-        c.supersingular_js_fq2 if c else None, 47, 5)
+    # (l, a nonresidue mod l): the compiled scan is the faster one at 19,
+    # the pure one at 47, and 199 is the largest l the oracle accepts
+    for ell, ns in ((19, 2), (47, 5), (199, 3)):
+        row(f"supersingular_js_fq2({ell})", pure.supersingular_js_fq2,
+            c.supersingular_js_fq2 if c and (args.full or ell < 199) else None,
+            ell, ns)
 
     if args.full:
         row(f"ec_traces, all {len(primes)} primes < 10^6", pure.ec_traces,

@@ -268,54 +268,77 @@ def supersingular_js_fq2(ell: int, nonres: int) -> list[int]:
     Elements u + v*w (w^2 = nonres) are encoded as u*l + v.  Only
     representatives with v <= (l-1)/2 are returned; the conjugate of
     u + v*w is u - v*w.  A curve with invariant j is supersingular iff
-    l divides its trace over F_(l^2).
+    l divides its trace over F_(l^2), which is -S for the character sum
+    S = sum over x of chi(x^3 + a x + b).
+
+    j = 0 and 1728 are summed directly.  Any other j takes
+    y^2 = x^3 + k s, s = 3x + 2, k = j/(1728 - j).  For s != 0,
+    chi(x^3 + k s) = chi(s) chi(x^3/s + k), and s = 0 adds chi(x^3) = 1
+    (x = -2/3 lies in F_l), so S(k) = 1 + sum_r w[r] chi(r + k), with w[r]
+    the sum of chi(s) over the x with x^3/s = r.  That cyclic correlation
+    over the additive group of F_(l^2) comes for every k at once from one
+    Kronecker-packed integer product: O(l^2) steps besides the product,
+    where the C kernel sums all O(l^4) terms.
     """
     n2 = ell * ell
-    enc1728 = (1728 % ell) * ell
-
-    def mul(x, y):
-        xu, xv = divmod(x, ell)
-        yu, yv = divmod(y, ell)
-        return (xu * yu + xv * yv * nonres) % ell * ell + (xu * yv + xv * yu) % ell
-
-    def inv(x):
-        xu, xv = divmod(x, ell)
-        n = (xu * xu - xv * xv * nonres) % ell
-        ni = pow(n, -1, ell)
-        return (xu * ni) % ell * ell + (-xv * ni) % ell
-
-    def sub(x, y):
-        xu, xv = divmod(x, ell)
-        yu, yv = divmod(y, ell)
-        return (xu - yu) % ell * ell + (xv - yv) % ell
-
-    one = ell  # the element 1 is encoded as u=1, v=0
-    # quadratic character: 1 on nonzero squares, -1 on nonsquares, 0 at 0
-    char = [-1] * n2
+    inv = [0] + [pow(i, -1, ell) for i in range(1, ell)]
+    # quadratic character: s is a square in F_(l^2) iff its norm is in F_l
+    leg = [-1] * ell
+    for i in range(1, ell):
+        leg[i * i % ell] = 1
+    leg[0] = 0
+    char = [leg[(u * u - v * v * nonres) % ell]
+            for u in range(ell) for v in range(ell)]
+    # (u, v) of every x and of x^3
+    rows = []
+    for xu in range(ell):
+        for xv in range(ell):
+            su, sv = (xu * xu + xv * xv * nonres) % ell, 2 * xu * xv % ell
+            rows.append((xu, xv, (su * xu + sv * xv * nonres) % ell,
+                         (su * xv + sv * xu) % ell))
+    w = [0] * n2
+    for xu, xv, cu, cv in rows:
+        su, sv = (3 * xu + 2) % ell, 3 * xv % ell
+        if su or sv:
+            nm = (su * su - sv * sv * nonres) % ell
+            iu, iv = su * inv[nm], -sv * inv[nm]
+            w[(cu * iu + cv * iv * nonres) % ell * ell
+              + (cu * iv + cv * iu) % ell] += leg[nm]
+    # row u of each factor is d = 2l slots of nb bytes, so the rows of the
+    # product (v up to 2l - 2) do not overlap; slot v holds chi(u, v) + 1 in
+    # one factor and w(-u, -v) + 3 in the other, so no product slot is
+    # negative, and 24 l^2 bounds every slot before and after the folds
+    d, nb = 2 * ell, (24 * n2).bit_length() // 8 + 1
+    fa, fb = bytearray(ell * d * nb), bytearray(ell * d * nb)
     for u in range(ell):
-        for v in range(ell):
-            char[(u * u + v * v * nonres) % ell * ell + (2 * u * v) % ell] = 1
-    char[0] = 0
-    # (u, v) of every x and of x^3, shared by all j
-    rows = [divmod(x, ell) + divmod(mul(mul(x, x), x), ell) for x in range(n2)]
+        at, neg = u * d * nb, (-u) % ell * ell
+        fa[at:at + ell * nb:nb] = bytes(c + 1
+                                        for c in char[u * ell:u * ell + ell])
+        fb[at:at + ell * nb:nb] = bytes(w[neg + (-v) % ell] + 3
+                                        for v in range(ell))
+    prod = int.from_bytes(fa, "little") * int.from_bytes(fb, "little")
+    bits = len(fa) * 8
+    prod = (prod & ((1 << bits) - 1)) + (prod >> bits)  # u mod l
+    prod += prod >> (ell * nb * 8)  # v mod l, in the slots v < l
+    corr = prod.to_bytes(len(fa), "little")
+    enc1728 = 1728 % ell
     out = []
     for ju in range(ell):
         for jv in range((ell + 1) // 2):
-            j = ju * ell + jv
-            if j == 0:
-                a, b = 0, one           # y^2 = x^3 + 1
-            elif j == enc1728:
-                a, b = one, 0           # y^2 = x^3 + x
+            if ju == jv == 0:  # y^2 = x^3 + 1
+                t = sum([char[(cu + 1) % ell * ell + cv]
+                         for _, _, cu, cv in rows])
+            elif ju == enc1728 and jv == 0:  # y^2 = x^3 + x
+                t = sum([char[(cu + xu) % ell * ell + (cv + xv) % ell]
+                         for xu, xv, cu, cv in rows])
             else:
-                k = mul(j, inv(sub(enc1728, j)))
-                a, b = mul(3 * ell, k), mul(2 * ell, k)
-            au, av = divmod(a, ell)
-            bu, bv = divmod(b, ell)
-            avn = av * nonres
-            # sum of chi(x^3 + a x + b): -(trace over F_(l^2))
-            t = sum([char[(cu + bu + au * xu + avn * xv) % ell * ell
-                          + (cv + bv + au * xv + av * xu) % ell]
-                     for xu, xv, cu, cv in rows])
+                du, dv = enc1728 - ju, -jv
+                nm = inv[(du * du - dv * dv * nonres) % ell]
+                ku = (ju * du - jv * dv * nonres) * nm % ell
+                kv = (jv * du - ju * dv) * nm % ell
+                at = (ku * d + kv) * nb
+                # chi and w each sum to 0 over F_(l^2): the offsets add 3 l^2
+                t = 1 + int.from_bytes(corr[at:at + nb], "little") - 3 * n2
             if t % ell == 0:
-                out.append(j)
+                out.append(ju * ell + jv)
     return out

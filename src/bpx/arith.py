@@ -11,9 +11,9 @@ functions (Kronecker symbol, Bernoulli numbers, divisor sums, Moebius).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InputError, ResourceLimitError
 from . import kernel
@@ -165,21 +165,23 @@ def kronecker(a: int, n: int) -> int:
     return k if n == 1 else 0
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_upto(m: int) -> tuple[Fraction, ...]:
-    # B_0..B_m from sum_{j<=m} C(m+1,j) B_j = 0, B_0 = 1 (so B_1 = -1/2).
-    bs: list[Fraction] = [Fraction(1)]
-    for n in range(1, m + 1):
-        s = sum(math.comb(n + 1, j) * bs[j] for j in range(n))
-        bs.append(Fraction(-s, n + 1))
-    return tuple(bs)
+# B_0, B_1, ... so far, from sum_{j<=n} C(n+1,j) B_j = 0, B_0 = 1 (so
+# B_1 = -1/2); each request extends the one list only as far as it needs,
+# under the lock, since two threads appending B_n at once would shift it
+_BERNOULLI: list[Fraction] = [Fraction(1)]
+_BERNOULLI_LOCK = threading.Lock()
 
 
 def bernoulli(m: int) -> Fraction:
     """Exact Bernoulli number B_m for even m >= 2 (odd m > 1 rejected)."""
     if m < 2 or m % 2 != 0:
         raise InputError(f"bernoulli is defined here for even m >= 2, got {m}")
-    return _bernoulli_upto(m)[m]
+    bs = _BERNOULLI
+    with _BERNOULLI_LOCK:
+        for n in range(len(bs), m + 1):
+            s = sum(math.comb(n + 1, j) * bs[j] for j in range(n))
+            bs.append(Fraction(-s, n + 1))
+    return bs[m]
 
 
 def is_fundamental_discriminant(D: int) -> bool:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -71,6 +73,54 @@ def test_bernoulli_recurrence_holds():
             bs.append(bernoulli(m))
     for m in range(2, 61, 2):
         assert sum(math.comb(m + 1, j) * bs[j] for j in range(m + 1)) == 0
+
+
+def _fresh_bernoulli(m):
+    bs = [Fraction(1)]
+    for n in range(1, m + 1):
+        bs.append(-sum(math.comb(n + 1, j) * bs[j] for j in range(n)) / (n + 1))
+    return bs
+
+
+def test_bernoulli_is_the_same_in_any_request_order():
+    fresh = _fresh_bernoulli(60)
+    evens = list(range(2, 61, 2))
+    mixed = [30, 4, 60, 2, 44, 12, 58, 18] + evens
+    for order in (evens, evens[::-1], mixed):
+        del arith._BERNOULLI[1:]
+        assert [bernoulli(m) for m in order] == [fresh[m] for m in order]
+    del arith._BERNOULLI[1:]
+    bernoulli(10)
+    assert len(arith._BERNOULLI) == 11  # extended only as far as asked
+
+
+def test_bernoulli_cache_survives_threads():
+    # four threads extending the one cached list at once must not append
+    # any B_n twice
+    fresh = _fresh_bernoulli(120)
+    orders = [list(range(2, 121, 2)), list(range(120, 1, -2)),
+              list(range(60, 121, 2)), list(range(2, 61, 2))]
+    results = [None] * len(orders)
+
+    def work(i):
+        results[i] = [bernoulli(m) for m in orders[i]]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            del arith._BERNOULLI[1:]
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(orders))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            for order, got in zip(orders, results):
+                assert got == [fresh[m] for m in order]
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_bernoulli_rejects_odd_and_small():

@@ -91,17 +91,18 @@ def test_ec_traces_block_parity(compiled):
 
 
 def test_supersingular_scan_parity(compiled):
+    # the pure correlation against the compiled direct character sum
     from bpx.ssforms import _nonresidue
-    for ell in (5, 7, 11, 13, 37, 47):
+    for ell in (p for p in range(5, 100) if is_prime(p)):
         ns = _nonresidue(ell)
         assert compiled.supersingular_js_fq2(ell, ns) == \
             pure.supersingular_js_fq2(ell, ns)
 
 
-@pytest.mark.parametrize("ell", [5, 7, 11, 13, 37])
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 17, 19, 37])
 def test_supersingular_scan_matches_a_literal_point_count(ell):
-    # l = 5 and 11 have j = 0 supersingular, l = 7 and 11 j = 1728, and
-    # l = 37 a conjugate pair outside F_l
+    # l = 5, 11 and 17 have j = 0 supersingular, l = 7, 11 and 19 j = 1728,
+    # and l = 37 a conjugate pair outside F_l
     from bpx.ssforms import _nonresidue
     ns = _nonresidue(ell)
     assert pure.supersingular_js_fq2(ell, ns) == \

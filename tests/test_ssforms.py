@@ -40,7 +40,8 @@ def test_supersingular_examples():
 
 
 def test_supersingular_matches_bruteforce_to_50():
-    for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+    # and the two largest primes the point count accepts
+    for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 197, 199):
         assert supersingular_poly(ell) == supersingular_poly_bruteforce(ell)
 
 
@@ -59,9 +60,9 @@ def test_supersingular_degree_formula_to_100():
 
 def test_supersingular_certificates_above_100():
     # the Delta^m division used to run short of terms for every l >= 109;
-    # certificates instead of the l^4 brute force: the number of
-    # supersingular j (Deuring/Eichler) and s_l | x^(l^2) - x, i.e. s_l is
-    # squarefree with every root in F_(l^2)
+    # certificates, which also reach past the point count's l <= 200: the
+    # number of supersingular j (Deuring/Eichler) and s_l | x^(l^2) - x,
+    # i.e. s_l is squarefree with every root in F_(l^2)
     for ell in (109, 113, 199, 1009):
         s = supersingular_poly(ell)
         ring = GF(ell)
