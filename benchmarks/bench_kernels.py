@@ -8,9 +8,12 @@ supersingular j-invariant scan over F_(l^2), a character-sum
 correlation in pure Python and a direct O(l^4) sum in C; --full also
 times the compiled scan at l = 199, far past the l where the two cross
 (about 23).
+The trace rows run the search over the whole Hasse window (t = 1) and
+over the multiples of the curve's rational torsion (t = 5), as
+``bpx.kernel`` does for this curve.
 The crossover table times counting against the BSGS search per prime on
-each backend; each backend's NAIVE_LIMIT sits where the search becomes
-the cheaper one.
+each backend, at t = 1 and t = 5; each backend's NAIVE_LIMIT sits where
+the t = 1 search becomes the cheaper one.
 The compiled rows need the extension built where ``bpx`` is imported
 from (``python setup.py build_ext --inplace`` or ``pip install .``).
 """
@@ -26,6 +29,7 @@ except ImportError:
     compiled = None
 
 A11, B11 = -27 * 496, -54 * 20008  # short model of the level 11 curve
+T11 = 5  # the order of its rational torsion, which divides every #E(F_p)
 
 
 def timed(fn, *args):
@@ -37,27 +41,34 @@ def timed(fn, *args):
 def row(name, pure_fn, comp_fn, *args):
     tp, want = timed(pure_fn, *args)
     if comp_fn is None:
-        print(f"{name:<42} pure {tp:9.4f}s   compiled       n/a")
+        print(f"{name:<46} pure {tp:9.4f}s   compiled       n/a")
         return
     tc, got = timed(comp_fn, *args)
     assert got == want, f"backend disagreement in {name}"
-    print(f"{name:<42} pure {tp:9.4f}s   compiled {tc:9.4f}s   x{tp / tc:6.1f}")
+    print(f"{name:<46} pure {tp:9.4f}s   compiled {tc:9.4f}s   x{tp / tc:6.1f}")
+
+
+def trace_rows(name, primes, c):
+    """One row per torsion: the whole Hasse window, then multiples of 5."""
+    for t in (1, T11):
+        row(f"{name}, t = {t}", pure.ec_traces, c.ec_traces if c else None,
+            A11, B11, primes, 2, t)
 
 
 def crossover(backends):
-    """Microseconds per prime, counting vs BSGS, over 40 primes from lo on."""
-    print("\nper-prime cost, counting / BSGS (us)")
-    print(f"{'p from':>8}" + "".join(f"{name:>22}" for name in backends))
+    """Microseconds per prime, counting vs BSGS at t = 1 and t = 5, over 40
+    primes from lo on."""
+    print("\nper-prime cost, counting / BSGS t = 1 / BSGS t = 5 (us)")
+    print(f"{'p from':>8}" + "".join(f"{name:>30}" for name in backends))
     for lo in (300, 500, 600, 1000, 2000, 4000, 10 ** 4):
         primes = [p for p in pure.primes_below(2 * lo) if p >= lo][:40]
         cells = []
         for mod in backends.values():
-            tn = min(timed(mod.ec_traces, A11, B11, primes, 10 ** 9)[0]
-                     for _ in range(3))
-            tb = min(timed(mod.ec_traces, A11, B11, primes, 2)[0]
-                     for _ in range(3))
-            cells.append(f"{tn / len(primes) * 1e6:10.1f} /{tb / len(primes) * 1e6:8.1f}")
-        print(f"{lo:>8}" + "".join(f"{c:>22}" for c in cells))
+            us = [min(timed(mod.ec_traces, A11, B11, primes, limit, t)[0]
+                      for _ in range(3)) / len(primes) * 1e6
+                  for limit, t in ((10 ** 9, 1), (2, 1), (2, T11))]
+            cells.append("{:10.1f} /{:8.1f} /{:8.1f}".format(*us))
+        print(f"{lo:>8}" + "".join(f"{c:>30}" for c in cells))
 
 
 def main():
@@ -78,9 +89,10 @@ def main():
 
     primes = [p for p in pure.primes_below(10 ** 6)
               if p >= 5 and p != 11]
-    band = primes[-400:]
-    row("ec_traces, 400 primes near 10^6 (BSGS)", pure.ec_traces,
-        c.ec_traces if c else None, A11, B11, band)
+    trace_rows("ec_traces, 400 primes near 10^6 (BSGS)", primes[-400:], c)
+    # the primes of the curve tally of density --empirical 100000
+    trace_rows("ec_traces, all primes < 10^5 (BSGS)",
+               [p for p in primes if p < 10 ** 5], c)
 
     # naive on both sides, whatever each backend's crossover
     small = [p for p in primes if p < 10000][-300:]
@@ -95,8 +107,7 @@ def main():
             ell, ns)
 
     if args.full:
-        row(f"ec_traces, all {len(primes)} primes < 10^6", pure.ec_traces,
-            c.ec_traces if c else None, A11, B11, primes)
+        trace_rows(f"ec_traces, all {len(primes)} primes < 10^6", primes, c)
 
     crossover(backends)
 

@@ -3,12 +3,13 @@
  * C twin of bpx._eckernel_py: the same API, algorithms and results, bit for
  * bit.  Traces are counted below NAIVE_LIMIT and found above it by the
  * Shanks-Mestre candidate filter (Cohen, GTM 138, 7.4.3) over the pure
- * kernel's seeded xorshift point walk, with the same +-j baby steps, giant
- * stride and tiny-order rule, so the same candidate lists.  Where the pure
- * kernel steps one affine addition at a time, this one runs the baby and
- * giant steps in batches that share one inversion (Montgomery, Math. Comp.
- * 48, 1987) and multiplies by a scalar in Jacobian coordinates, as one
- * extended Euclid per addition would otherwise dominate.  The trace loop and
+ * kernel's seeded xorshift walk of points on isomorphic twists, with the same
+ * multiples of a known torsion, +-j baby steps, giant stride and tiny-order
+ * rule, so the same candidate lists.  Where the pure kernel steps one affine
+ * addition at a time, this one runs the baby and giant steps in batches that
+ * share one inversion (Montgomery, Math. Comp. 48, 1987) and multiplies by a
+ * scalar in Jacobian coordinates, as one extended Euclid per addition would
+ * otherwise dominate.  The trace loop and
  * the supersingular scan release the GIL.  Primes are limited to p < 2^31,
  * so every product of two residues fits in 64 bits; the seed and hash
  * products wrap mod 2^64 on purpose.
@@ -54,31 +55,6 @@ static u64 invmod(u64 a, u64 p)
         tmp = r - q * newr; r = newr; newr = tmp;
     }
     return (u64)(t < 0 ? t + (i64)p : t);
-}
-
-/* A square root of n mod p in *root (Tonelli-Shanks); 0 for a nonresidue. */
-static int sqrtmod(u64 n, u64 p, u64 *root)
-{
-    u64 q, s = 0, z = 2, m, c, t, r, b, t2, i;
-    if ((n %= p) == 0 || p % 4 == 3) {
-        *root = powmod(n, (p + 1) / 4, p);
-        return n == 0 || *root * *root % p == n;
-    }
-    if (powmod(n, (p - 1) / 2, p) != 1)
-        return 0;
-    for (q = p - 1; q % 2 == 0; q /= 2)
-        s++;
-    while (powmod(z, (p - 1) / 2, p) != p - 1)
-        z++;
-    m = s; c = powmod(z, q, p); t = powmod(n, q, p); r = powmod(n, (q + 1) / 2, p);
-    while (t != 1) {
-        for (t2 = t, i = 0; t2 != 1; i++)
-            t2 = t2 * t2 % p;
-        b = powmod(c, 1ULL << (m - i - 1), p);
-        m = i; c = b * b % p; t = t * c % p; r = r * b % p;
-    }
-    *root = r;
-    return 1;
 }
 
 /* floor(sqrt(n)), exact from the correctly rounded double for n < 2^50 */
@@ -187,17 +163,23 @@ static int trace_naive(u64 a, u64 b, u64 p, i64 *trace)
     return TRACE_OK;
 }
 
-/* Deterministic next affine point, xorshift64 walk over x. */
-static Pt next_point(u64 *state, u64 a, u64 b, u64 p)
+/* Deterministic next point, xorshift64 walk over x: for f = x^3 + a x + b a
+ * nonzero square (one Euler test), (f x, f^2) on y^2 = x^3 + a f^2 x + b f^3,
+ * the twist by f, isomorphic to the curve; *ap gets that curve's a f^2.  A
+ * root x of f gives (x, 0) on the curve itself, so the walk always ends. */
+static Pt next_point(u64 *state, u64 a, u64 b, u64 p, u64 *ap)
 {
-    Pt P = {0, 0, 0};  /* y is set by sqrtmod */
+    u64 x, f, u;
     do {
         *state ^= *state << 13;
         *state ^= *state >> 7;
         *state ^= *state << 17;
-        P.x = *state % p;
-    } while (!sqrtmod((P.x * P.x % p * P.x + a * P.x + b) % p, p, &P.y));
-    return P;
+        x = *state % p;
+        f = (x * x % p * x + a * x + b) % p;
+    } while (f != 0 && powmod(f, (p - 1) / 2, p) != 1);
+    u = f ? f : 1;
+    *ap = a * (u * u % p) % p;
+    return (Pt){u * x % p, f * f % p, 0};
 }
 
 /* Replace each of the n nonzero d[i] by its inverse mod p with one invmod
@@ -316,23 +298,29 @@ static i64 annihilators(Pt P, u64 a, u64 p, u64 lo, u64 hi, u64 *found)
 }
 
 /* Group order by Shanks-Mestre: the one N in the Hasse window that
- * annihilates every point tried (#E is always among the candidates). */
-static int trace_bsgs(u64 a, u64 b, u64 p, i64 *trace)
+ * annihilates every point tried (#E is always among the candidates).  A
+ * torsion t dividing #E(F_p) narrows it to N = t M: the M in [lo/t, hi/t]
+ * that annihilate tP for the first P with tP != O, filtered at later P. */
+static int trace_bsgs(u64 a, u64 b, u64 p, u64 t, i64 *trace)
 {
-    u64 w = isqrt(4 * p), lo = p + 1 - w, hi = p + 1 + w;
+    u64 w = isqrt(4 * p), lo = (p + t - w) / t, hi = (p + 1 + w) / t, ap;
     u64 state = p * HASH_MULT + SEED_ADD, cands[MAX_M];
     i64 n = -1, k, kept;
     int trial;
+    if (lo > hi)
+        return TRACE_NOCAND;
     if (state == 0)
         state = 1;
     for (trial = 0; trial < 20; trial++) {
-        Pt P = next_point(&state, a, b, p);
+        Pt P = next_point(&state, a, b, p, &ap), Q;
         if (n < 0) {
-            if ((n = annihilators(P, a, p, lo, hi, cands)) < 0)
+            if ((Q = pt_mul(t, P, ap, p)).inf || (n = annihilators(Q, ap, p, lo, hi, cands)) < 0)
                 continue;
+            for (k = 0; k < n; k++)
+                cands[k] *= t;
         } else {
             for (k = kept = 0; k < n; k++)
-                if (pt_mul(cands[k], P, a, p).inf)
+                if (pt_mul(cands[k], P, ap, p).inf)
                     cands[kept++] = cands[k];
             n = kept;
         }
@@ -385,15 +373,19 @@ static int job_init(Job *job, PyObject *a, PyObject *b, PyObject *pobj)
 }
 
 /* Trace every job with the GIL released; raise and return -1 on failure. */
-static int run_jobs(Job *jobs, Py_ssize_t n, long long naive_limit)
+static int run_jobs(Job *jobs, Py_ssize_t n, long long naive_limit, long long torsion)
 {
     u64 limit = naive_limit < 0 ? 0 : (u64)naive_limit;
     int status = TRACE_OK;
     Py_ssize_t i;
+    if (torsion < 1) {
+        PyErr_Format(PyExc_ValueError, "torsion must be >= 1, got %lld", torsion);
+        return -1;
+    }
     Py_BEGIN_ALLOW_THREADS
     for (i = 0; i < n && status == TRACE_OK; i++)
-        status = (jobs[i].p < limit ? trace_naive : trace_bsgs)(
-            jobs[i].a, jobs[i].b, jobs[i].p, &jobs[i].trace);
+        status = jobs[i].p < limit ? trace_naive(jobs[i].a, jobs[i].b, jobs[i].p, &jobs[i].trace)
+            : trace_bsgs(jobs[i].a, jobs[i].b, jobs[i].p, (u64)torsion, &jobs[i].trace);
     Py_END_ALLOW_THREADS
     if (status == TRACE_NOMEM)
         PyErr_NoMemory();
@@ -404,26 +396,26 @@ static int run_jobs(Job *jobs, Py_ssize_t n, long long naive_limit)
 
 static PyObject *ec_trace(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"a", "b", "p", "naive_limit", NULL};
+    static char *kwlist[] = {"a", "b", "p", "naive_limit", "torsion", NULL};
     PyObject *a, *b, *p;
-    long long naive_limit = NAIVE_LIMIT;
+    long long naive_limit = NAIVE_LIMIT, torsion = 1;
     Job job;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|L:ec_trace", kwlist,
-                                     &a, &b, &p, &naive_limit)
-        || job_init(&job, a, b, p) < 0 || run_jobs(&job, 1, naive_limit) < 0)
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|LL:ec_trace", kwlist,
+                                     &a, &b, &p, &naive_limit, &torsion)
+        || job_init(&job, a, b, p) < 0 || run_jobs(&job, 1, naive_limit, torsion) < 0)
         return NULL;
     return PyLong_FromLongLong(job.trace);
 }
 
 static PyObject *ec_traces(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"a", "b", "primes", "naive_limit", NULL};
+    static char *kwlist[] = {"a", "b", "primes", "naive_limit", "torsion", NULL};
     PyObject *a, *b, *primes, *seq, *t, *out = NULL;
-    long long naive_limit = NAIVE_LIMIT;
+    long long naive_limit = NAIVE_LIMIT, torsion = 1;
     Py_ssize_t n, i;
     Job *jobs;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|L:ec_traces", kwlist,
-                                     &a, &b, &primes, &naive_limit)
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|LL:ec_traces", kwlist,
+                                     &a, &b, &primes, &naive_limit, &torsion)
         || (seq = PySequence_Tuple(primes)) == NULL)  /* a copy no callback can change */
         return NULL;
     n = PyTuple_GET_SIZE(seq);
@@ -435,7 +427,7 @@ static PyObject *ec_traces(PyObject *Py_UNUSED(self), PyObject *args, PyObject *
     for (i = 0; i < n; i++)
         if (job_init(&jobs[i], a, b, PyTuple_GET_ITEM(seq, i)) < 0)
             goto done;
-    if (run_jobs(jobs, n, naive_limit) < 0 || (out = PyList_New(n)) == NULL)
+    if (run_jobs(jobs, n, naive_limit, torsion) < 0 || (out = PyList_New(n)) == NULL)
         goto done;
     for (i = 0; out && i < n; i++)
         if ((t = PyLong_FromLongLong(jobs[i].trace)) == NULL)
@@ -574,10 +566,11 @@ static PyMethodDef methods[] = {
     {"primes_below", primes_below, METH_O,
      "primes_below(limit)\n--\n\nAscending list of all primes p < limit."},
     {"ec_trace", (PyCFunction)(void (*)(void))ec_trace, METH_VARARGS | METH_KEYWORDS,
-     "ec_trace(a, b, p, naive_limit=NAIVE_LIMIT)\n--\n\n"
-     "Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime)."},
+     "ec_trace(a, b, p, naive_limit=NAIVE_LIMIT, torsion=1)\n--\n\n"
+     "Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime);\n"
+     "torsion must divide #E(F_p)."},
     {"ec_traces", (PyCFunction)(void (*)(void))ec_traces, METH_VARARGS | METH_KEYWORDS,
-     "ec_traces(a, b, primes, naive_limit=NAIVE_LIMIT)\n--\n\n"
+     "ec_traces(a, b, primes, naive_limit=NAIVE_LIMIT, torsion=1)\n--\n\n"
      "Traces of the global curve y^2 = x^3 + a*x + b at each given prime."},
     {"supersingular_js_fq2", supersingular_js_fq2, METH_VARARGS,
      "supersingular_js_fq2(ell, nonres)\n--\n\n"

@@ -6,14 +6,17 @@ is available.  Traces are computed by naive point counting below
 The search lists every N in the Hasse window with N*P = O for one point P
 and drops the candidates that a further point does not annihilate until
 one is left (Shanks-Mestre, Cohen GTM 138, 7.4.3); no point order is
-computed.  Its baby steps are keyed by x alone, so each covers jP and -jP
-(Mestre), and every step is an affine formula on local ints.  Points are
-chosen deterministically (seeded), so results never depend on run order or
-thread count.  ``NAIVE_LIMIT`` is this backend's measured crossover: BSGS
-is as cheap as counting from p of about 300 on and several times cheaper
-from 500 on.  Batching the inversions (Montgomery's trick), as the
-compiled kernel does, was measured slower here: one ``pow(x, -1, p)``
-costs less than the interpreted products and lists that replace it.
+computed.  Given the order t of a rational torsion subgroup it lists only
+multiples of t (Sutherland, "Order computations in generic groups", 2007).
+Its baby steps are keyed by x alone, so each covers jP and -jP (Mestre),
+and every step is an affine formula on local ints.  Points are chosen
+deterministically (seeded), on twists isomorphic to the curve so that no
+square root is taken: results never depend on run order or thread count.
+``NAIVE_LIMIT`` is this backend's measured crossover: BSGS is as cheap as
+counting from p of about 300 on and several times cheaper from 500 on.
+Batching the inversions (Montgomery's trick), as the compiled kernel does,
+was measured slower here: one ``pow(x, -1, p)`` costs less than the
+interpreted products and lists that replace it.
 """
 
 from __future__ import annotations
@@ -70,34 +73,6 @@ def _ec_mul(k, P, a, p):
     return R
 
 
-def _sqrt_mod(n, p):
-    """A square root of n mod p, or None if n is a nonresidue."""
-    n %= p
-    if n == 0:
-        return 0
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
 def _trace_naive(a, b, p):
     counts = [0] * p
     for y in range(p):
@@ -109,15 +84,22 @@ def _trace_naive(a, b, p):
 
 
 def _next_point(state, a, b, p):
-    """Deterministic next affine point, xorshift64 walk over x."""
+    """Deterministic next point and its curve's a, xorshift64 walk over x.
+
+    For f = x^3 + a x + b a nonzero square (one Euler test), (f x, f^2) lies
+    on y^2 = x^3 + a f^2 x + b f^3, the twist of the curve by f and so
+    isomorphic to it: no square root is taken.  A root x of f gives (x, 0)
+    on the curve itself, so the walk ends even where every point has y = 0.
+    """
     while True:
         state ^= (state << 13) & _M64
         state ^= state >> 7
         state ^= (state << 17) & _M64
         x = state % p
-        y = _sqrt_mod((x * x % p * x + a * x + b) % p, p)
-        if y is not None:
-            return state, (x, y)
+        f = (x * x % p * x + a * x + b) % p
+        if f == 0 or pow(f, (p - 1) // 2, p) == 1:
+            u = f or 1  # f = 0: (x, 0) on the curve itself
+            return state, (u * x % p, f * f % p), a * u * u % p
 
 
 def _annihilators(P, a, p, lo, hi):
@@ -222,21 +204,28 @@ def _annihilators(P, a, p, lo, hi):
     return found
 
 
-def _trace_bsgs(a, b, p):
+def _trace_bsgs(a, b, p, torsion=1):
     """Group order by Shanks-Mestre: the one N in the Hasse window that
-    annihilates every point tried (#E is always among the candidates)."""
+    annihilates every point tried (#E is always among the candidates).
+    A ``torsion`` t dividing #E(F_p) narrows it to N = t M: the M in
+    [lo/t, hi/t] that annihilate tP for the first point P with tP != O,
+    filtered by N*P = O at later points."""
     w = isqrt(4 * p)  # floor(2 sqrt p)
-    lo, hi = p + 1 - w, p + 1 + w
+    lo, hi = -(-(p + 1 - w) // torsion), (p + 1 + w) // torsion
+    if lo > hi:
+        raise AssertionError("no group-order candidate in the Hasse window")
     state = (p * 0x9E3779B97F4A7C15 + 0x243F6A8885A308D3) & _M64 or 1
     cands = None
     for _ in range(20):
-        state, P = _next_point(state, a, b, p)
+        state, P, ap = _next_point(state, a, b, p)
         if cands is None:
-            cands = _annihilators(P, a, p, lo, hi)
+            Q = _ec_mul(torsion, P, ap, p)
+            cands = None if Q is None else _annihilators(Q, ap, p, lo, hi)
             if cands is None:
                 continue
+            cands = [torsion * M for M in cands]
         else:
-            cands = [N for N in cands if _ec_mul(N, P, a, p) is None]
+            cands = [N for N in cands if _ec_mul(N, P, ap, p) is None]
         if not cands:
             raise AssertionError("no group-order candidate in the Hasse window")
         if len(cands) == 1:
@@ -245,21 +234,25 @@ def _trace_bsgs(a, b, p):
     return _trace_naive(a, b, p)
 
 
-def ec_trace(a: int, b: int, p: int, naive_limit: int = NAIVE_LIMIT) -> int:
-    """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime)."""
+def ec_trace(a: int, b: int, p: int, naive_limit: int = NAIVE_LIMIT,
+             torsion: int = 1) -> int:
+    """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime);
+    the search tries only multiples of ``torsion``, which must divide #E."""
     a %= p
     b %= p
     if (4 * a * a % p * a + 27 * b * b) % p == 0:
         raise ValueError(f"singular curve mod {p}")
+    if torsion < 1:
+        raise ValueError(f"torsion must be >= 1, got {torsion}")
     if p < naive_limit:
         return _trace_naive(a, b, p)
-    return _trace_bsgs(a, b, p)
+    return _trace_bsgs(a, b, p, torsion)
 
 
-def ec_traces(a: int, b: int, primes,
-              naive_limit: int = NAIVE_LIMIT) -> list[int]:
+def ec_traces(a: int, b: int, primes, naive_limit: int = NAIVE_LIMIT,
+              torsion: int = 1) -> list[int]:
     """Traces of the global curve y^2 = x^3 + a*x + b at each given prime."""
-    return [ec_trace(a, b, p, naive_limit) for p in primes]
+    return [ec_trace(a, b, p, naive_limit, torsion) for p in primes]
 
 
 def supersingular_js_fq2(ell: int, nonres: int) -> list[int]:

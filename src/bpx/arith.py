@@ -246,10 +246,6 @@ class QuadExt:
         self.b = b
         self.D = D
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.b
-
     def _lift(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
             if other.D != self.D:

@@ -20,9 +20,26 @@ except ImportError:
 NAIVE_LIMIT = _impl.NAIVE_LIMIT
 
 primes_below = _impl.primes_below
-ec_trace = _impl.ec_trace
-ec_traces = _impl.ec_traces
 supersingular_js_fq2 = _impl.supersingular_js_fq2
+
+# Order of E(Q)_tors of the short models (density.EllCurve.short_form) of
+# X0(11), X0(17) and X0(19).  It embeds in E(F_p) at every good p >= 3, so
+# it divides #E(F_p) and the trace search needs only its multiples.
+RATIONAL_TORSION = {(-13392, -1080432): 5, (-7371, -240570): 4,
+                    (-12096, -544752): 3}
+
+
+def ec_trace(a: int, b: int, p: int, naive_limit: int = NAIVE_LIMIT) -> int:
+    """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime)."""
+    t = RATIONAL_TORSION.get((a, b), 1)
+    return _impl.ec_trace(a, b, p, naive_limit, t)
+
+
+def ec_traces(a: int, b: int, primes,
+              naive_limit: int = NAIVE_LIMIT) -> list[int]:
+    """Traces of the global curve y^2 = x^3 + a*x + b at each given prime."""
+    t = RATIONAL_TORSION.get((a, b), 1)
+    return _impl.ec_traces(a, b, primes, naive_limit, t)
 
 
 def backend() -> str:

@@ -186,6 +186,56 @@ def test_eigenform_curve_correspondence_all_three_levels():
             assert eb.coefficient(0, p) == ec_trace(curve, p) % ell, (ell, p)
 
 
+def _add_exact(E, P, Q):
+    """P + Q on the long Weierstrass model of E over Q; None is O."""
+    if P is None or Q is None:
+        return Q if P is None else P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and y1 + y2 + E.a1 * x2 + E.a3 == 0:
+        return None
+    if x1 != x2:
+        lam = Fraction(y2 - y1) / (x2 - x1)
+        nu = Fraction(y1 * x2 - y2 * x1) / (x2 - x1)
+    else:
+        den = 2 * y1 + E.a1 * x1 + E.a3
+        lam = Fraction(3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1) / den
+        nu = Fraction(-x1 ** 3 + E.a4 * x1 + 2 * E.a6 - E.a3 * y1) / den
+    x3 = lam * lam + E.a1 * lam - E.a2 - x1 - x2
+    return x3, -(lam + E.a1) * x3 - nu - E.a3
+
+
+# generators of E(Q)_tors: Z/5, Z/2 x Z/2 (this model of X0(17) has three
+# rational points of order 2) and Z/3
+TORSION_GENERATORS = {11: [(5, 5)], 17: [(-1, 0), (3, -2)], 19: [(5, 9)]}
+
+
+def test_rational_torsion_keys_are_the_x0_short_forms():
+    assert set(kernel.RATIONAL_TORSION) == {E.short_form for E in X0_CURVES.values()}
+
+
+@pytest.mark.parametrize("ell", [11, 17, 19])
+def test_rational_torsion_is_a_subgroup_of_that_order(ell):
+    # the closure of the generators under addition; for one generator that
+    # is its cyclic group, so (5, 5) and (5, 9) have exact order t
+    E = X0_CURVES[ell]
+    group, new = {None}, set(TORSION_GENERATORS[ell])
+    while new:
+        for x, y in new:
+            assert y * y + E.a1 * x * y + E.a3 * y == x ** 3 + E.a2 * x * x + E.a4 * x + E.a6
+        group |= new
+        new = {_add_exact(E, P, Q) for P in group for Q in group} - group
+    assert len(group) == kernel.RATIONAL_TORSION[E.short_form]
+
+
+@pytest.mark.parametrize("ell", [11, 17, 19])
+def test_rational_torsion_divides_every_point_count(ell):
+    curve = X0_CURVES[ell]
+    t = kernel.RATIONAL_TORSION[curve.short_form]
+    primes = [p for p in sieve(10 ** 4).primes if curve.discriminant % p]
+    traces = ec_traces(curve, primes, naive_limit=10 ** 9)  # counted
+    assert [p for p, a in zip(primes, traces) if (p + 1 - a) % t] == []
+
+
 def test_hasse_bound_and_method_agreement_band():
     curve = X0_CURVES[11]
     primes = [p for p in sieve(30000).primes if p > 10000][:120]

@@ -2,6 +2,7 @@
 agree bit for bit on every exposed operation.  The compiled module comes
 from the ``compiled`` fixture (tests/conftest.py), which builds it."""
 
+import inspect
 import math
 import sys
 
@@ -59,6 +60,55 @@ def test_trace_parity_below_2_31(compiled):
             primes.append(n)
     assert compiled.ec_traces(A11, B11, primes) == pure.ec_traces(A11, B11, primes)
     assert compiled.ec_traces(0, 1, primes) == pure.ec_traces(0, 1, primes)
+
+
+def _good_primes(curve, lo, hi):
+    return [p for p in pure.primes_below(hi) if p >= lo and curve.discriminant % p]
+
+
+@pytest.mark.parametrize("ell, bound", [(11, 10 ** 5), (17, 2 * 10 ** 4), (19, 2 * 10 ** 4)])
+def test_torsion_search_keeps_the_traces(ell, bound):
+    # the search over multiples of t against the one over the whole window,
+    # at every good prime, tiny ones included, where tP = O for every P
+    curve = density.X0_CURVES[ell]
+    A, B = curve.short_form
+    t = kernel.RATIONAL_TORSION[A, B]
+    primes = _good_primes(curve, 5, bound)
+    assert pure.ec_traces(A, B, primes, 2, t) == pure.ec_traces(A, B, primes, 2, 1)
+
+
+@pytest.mark.parametrize("ell", [11, 17, 19])
+def test_torsion_search_parity_near_10_6(compiled, ell):
+    curve = density.X0_CURVES[ell]
+    A, B = curve.short_form
+    t = kernel.RATIONAL_TORSION[A, B]
+    primes = _good_primes(curve, 10 ** 6 - 15000, 10 ** 6)[-400:]
+    assert len(primes) == 400
+    assert compiled.ec_traces(A, B, primes, 2, t) == pure.ec_traces(A, B, primes, 2, t)
+
+
+def test_torsion_is_checked(compiled):
+    # t < 1 is refused; a t with no multiple in the Hasse window [946, 1074]
+    # cannot divide #E and leaves no candidate, before any point is drawn
+    for mod in (pure, compiled):
+        with pytest.raises(ValueError, match="torsion"):
+            mod.ec_traces(A11, B11, [1009], 2, 0)
+        with pytest.raises(AssertionError, match="no group-order candidate"):
+            mod.ec_traces(A11, B11, [1009], 2, 10 ** 6)
+
+
+def test_kernel_entry_points_keep_four_arguments(compiled):
+    # the benchmark's tracer observes kernel.ec_traces(a, b, primes,
+    # naive_limit) and its replay calls each backend with those four
+    # arguments, so the torsion is looked up inside bpx.kernel
+    for fn, third in ((kernel.ec_traces, "primes"), (kernel.ec_trace, "p")):
+        params = inspect.signature(fn).parameters
+        assert list(params) == ["a", "b", third, "naive_limit"]
+        assert params["naive_limit"].default == kernel.NAIVE_LIMIT
+    primes = [p for p in pure.primes_below(30000) if p > 20000][:50]
+    want = kernel.ec_traces(A11, B11, primes, 600)
+    for mod in (pure, compiled):
+        assert mod.ec_traces(A11, B11, primes, 600) == want
 
 
 def test_pure_bsgs_vs_naive():
@@ -168,8 +218,9 @@ def _curve_and_point(p, kind, u, v, w):
         x, y = w * w * pow(3, -1, p) % p, v % p or 1  # slope w: w^2 = 3x
         a = (2 * y * w - 3 * x * x) % p
         return a, (x, y)
+    roots = {y * y % p: y for y in range(p)}
     for x in range(u, u + p):
-        y = pure._sqrt_mod(x ** 3 + a * x + b, p)
+        y = roots.get((x ** 3 + a * x + b) % p)
         if y is not None:
             return a, (x % p, y)
     return a, None
