@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError
@@ -338,14 +337,44 @@ class QuadExt:
 
 
 # ---------------------------------------------------------------------------
-# primes
+# records and primes
 
-@dataclass(frozen=True)
-class PrimeStream:
+class Record:
+    """A frozen record on ``__slots__``, built from its fields in slot order,
+    compared and hashed by ``_key()``.  A mutable record restores ``object``'s
+    ``__setattr__`` and ``__delattr__`` and sets ``__hash__`` to None."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # for copy and pickle, which cannot set frozen slots
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def _key(self) -> tuple:
+        return self.__reduce__()[1]
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return type(self).__name__ + repr(self.__reduce__()[1])
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __setattr__ = __delattr__ = _frozen
+
+
+class PrimeStream(Record):
     """All primes below a bound, ascending."""
 
-    bound: int
-    primes: tuple[int, ...]
+    __slots__ = ("bound", "primes")  # int, tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.primes)

@@ -18,13 +18,13 @@ whole series identity is re-verified to the requested order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
-from .arith import (QuadExt, divisors, is_fundamental_discriminant,
+from .arith import (QuadExt, Record, divisors, is_fundamental_discriminant,
                     kronecker, moebius, sigma)
-from .classpoly import eligibility, hilbert_class_poly
+from .classpoly import degree_rules_out, eligibility, hilbert_class_poly
 from .errors import (IneligiblePairError, InputError,
                      InternalConsistencyError, TruncationError)
 from .qseries import (GF, QQ, ZZ, QSeries, eisenstein, f2, monomial_basis,
@@ -33,13 +33,10 @@ from .ssforms import (EigenformBasis, _solve_linear_mod, eigenbasis,
                       eisenstein_cusp_split)
 
 
-@dataclass(frozen=True)
-class ExponentTable:
+class ExponentTable(Record):
     """Exact exponents A(n^2, d) for 1 <= n <= n_max."""
 
-    d: int
-    n_max: int
-    values: tuple[int, ...]
+    __slots__ = ("d", "n_max", "values")  # int, int, tuple[int, ...]
 
     def __getitem__(self, n: int) -> int:
         if not 1 <= n <= self.n_max:
@@ -112,16 +109,15 @@ def exact_exponents(d: int, n_max: int, cache_dir: str | None = None) -> Exponen
 def log_derivative_mod(d: int, ell: int, n: int,
                        cache_dir: str | None = None) -> QSeries:
     """The log derivative computed over F_l directly, for eligible (d, l)."""
-    report = eligibility(d, ell, cache_dir=cache_dir)
-    if not report.divides:
+    if (degree_rules_out(d, ell)
+            or not eligibility(d, ell, cache_dir=cache_dir).divides):
         raise IneligiblePairError(
             f"H_{d} mod {ell} does not divide s_{ell}: the weight l+1 "
             f"membership hypothesis fails for (d={d}, l={ell})")
     return _log_derivative(d, n, GF(ell), cache_dir)
 
 
-@dataclass(frozen=True)
-class CongruenceFormula:
+class CongruenceFormula(NamedTuple):
     """Fitted data: A(n^2,d) = (1/n) sum_{m|n} mu(n/m)(-24 c0 sigma_1(m) + sum c_i a_i(m)) mod l."""
 
     d: int

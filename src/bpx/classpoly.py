@@ -20,19 +20,18 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
+from typing import NamedTuple
 
-from .arith import is_fundamental_discriminant, is_prime, kronecker
+from .arith import Record, is_fundamental_discriminant, is_prime, kronecker
 from .errors import (InputError, InternalConsistencyError,
                      NotADiscriminantError, PrecisionError)
 from .qseries import GF, ZZ, Poly, jfunction
 from .ssforms import supersingular_poly
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(NamedTuple):
     """Reduced positive definite form a x^2 + b xy + c y^2 of discriminant -d."""
 
     a: int
@@ -132,16 +131,14 @@ def singular_modulus(Q: QuadForm, prec: int = 40) -> mpmath.mpc:
 # class polynomials
 
 
-@dataclass
-class WeightedClassPoly:
+class WeightedClassPoly(Record):
     """Hurwitz-weighted class polynomial: (monic integer factor, weight) pairs."""
 
-    d: int
-    components: list[tuple[Poly, Fraction]]
-    h: Fraction
-    precision_used: int = 0
-    residual_bound: float = 0.0
-    cached: bool = field(default=False, compare=False)
+    __slots__ = ("d", "components", "h", "precision_used", "residual_bound", "cached")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def _key(self) -> tuple:  # equality ignores cached
+        return super()._key()[:-1]
 
     def product_mod(self, ell: int) -> Poly:
         """Product of the components over F_l, weights ignored (the radical)."""
@@ -183,7 +180,7 @@ class WeightedClassPoly:
                         for p, w in comps)):
             raise ValueError("malformed class polynomial document")
         h = sum((w * p.degree for p, w in comps), Fraction(0))
-        return cls(d, comps, h, prec, resid, cached=True)
+        return cls(d, comps, h, prec, resid, True)
 
 
 def _text(value) -> str:
@@ -276,7 +273,7 @@ def hilbert_class_poly(d: int, cache_dir: str | None = None) -> WeightedClassPol
     if got != h:
         raise InternalConsistencyError(
             f"degree/weight sum {got} != h({d}) = {h}")
-    wcp = WeightedClassPoly(d, comps, h, prec, residual)
+    wcp = WeightedClassPoly(d, comps, h, prec, residual, False)
     _write_cache(path, wcp.to_document())
     return wcp
 
@@ -359,12 +356,16 @@ def _write_cache(path: str, doc: dict) -> None:
 # eligibility
 
 
-@dataclass(frozen=True)
-class EligibilityReport:
+class EligibilityReport(NamedTuple):
     d: int
     ell: int
     divides: bool
     squarefree: bool
+
+
+def degree_rules_out(d: int, ell: int) -> bool:
+    """Rule out H_d mod l | s_l by degree: H_d has one root per reduced form."""
+    return len(reduced_forms(d)) > supersingular_poly(ell).degree
 
 
 def eligibility(d: int, ell: int, cache_dir: str | None = None) -> EligibilityReport:
@@ -375,8 +376,7 @@ def eligibility(d: int, ell: int, cache_dir: str | None = None) -> EligibilityRe
     return EligibilityReport(d, ell, prod.divides(s_ell), prod.is_squarefree())
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(NamedTuple):
     D: int
     d: int
     ell: int

@@ -16,8 +16,8 @@ import sys
 
 from . import __version__
 from .borcherds import exact_exponents, fit_congruence, verify_congruence
-from .classpoly import (cache_stats, default_cache_dir, eligibility,
-                        hilbert_class_poly, hurwitz_class_number)
+from .classpoly import (cache_stats, default_cache_dir, degree_rules_out,
+                        eligibility, hilbert_class_poly, hurwitz_class_number)
 from .density import asymptotic_table, empirical_table
 from .errors import InputError, InternalConsistencyError
 from .kernel import backend
@@ -194,7 +194,7 @@ def _cmd_table2(args) -> dict:
         raise InputError("the divisibility scan is implemented for D = 1")
     flagged = []
     for d in range(3, args.dmax + 1):
-        if d % 4 not in (0, 3):
+        if d % 4 not in (0, 3) or degree_rules_out(d, args.ell):
             continue
         rep = eligibility(d, args.ell, cache_dir=args.cache_dir)
         if rep.divides:

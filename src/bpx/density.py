@@ -12,12 +12,11 @@ columns of a_i(p), and tallies the congruence values at those primes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import kernel
-from .arith import is_prime, kronecker, sieve
+from .arith import Record, is_prime, kronecker, sieve
 from .borcherds import CongruenceFormula, formula_eval_primes
 from .errors import CapabilityError, InputError, InternalConsistencyError
 from .ssforms import eigenbasis
@@ -64,16 +63,15 @@ def charpoly_count(ell: int, a: int, b: int) -> CharpolyCount:
 # elliptic curves
 
 
-@dataclass(frozen=True)
-class EllCurve:
+class EllCurve(Record):
     """Integral Weierstrass model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-    label: str = ""
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "label")
+
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int, label: str = ""):
+        super().__init__(a1, a2, a3, a4, a6, label)
+        if self.discriminant == 0:
+            raise InputError("singular Weierstrass model")
 
     @property
     def b_invariants(self) -> tuple[int, int, int, int]:
@@ -97,10 +95,6 @@ class EllCurve:
         c4 = b2 * b2 - 24 * b4
         c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
         return -27 * c4, -54 * c6
-
-    def __post_init__(self):
-        if self.discriminant == 0:
-            raise InputError("singular Weierstrass model")
 
 
 X0_CURVES = {
@@ -166,16 +160,12 @@ def ec_traces(E: EllCurve, primes, naive_limit: int = kernel.NAIVE_LIMIT,
 # density tables
 
 
-@dataclass
-class DensityTable:
-    """Per-residue densities of the congruence values, exact or empirical."""
+class DensityTable(Record):
+    """Per-residue densities of the congruence values: kind "asymptotic" maps t
+    to a Fraction, "empirical" to a count of the primes p < x, total = pi(x)."""
 
-    d: int
-    ell: int
-    kind: str  # "asymptotic" | "empirical"
-    entries: dict  # t -> Fraction, or t -> count
-    x: int | None = None
-    total: int | None = None  # pi(X) for empirical tables
+    __slots__ = ("d", "ell", "kind", "entries", "x", "total")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def ratio(self, t: int) -> float:
         if self.kind == "asymptotic":
@@ -229,7 +219,7 @@ def asymptotic_table(F: CongruenceFormula) -> DensityTable:
     if sum(tally) != total:
         raise InternalConsistencyError("asymptotic densities do not sum to 1")
     acc = {t: Fraction(n, total) for t, n in enumerate(tally) if n}
-    return DensityTable(F.d, ell, "asymptotic", acc)
+    return DensityTable(F.d, ell, "asymptotic", acc, None, None)
 
 
 EXPANSION_LIMIT = 100_000
@@ -261,4 +251,4 @@ def empirical_table(F: CongruenceFormula, x: int, threads: int = 1) -> DensityTa
     else:
         columns = []
     counts = Counter(formula_eval_primes(F, eligible, columns))
-    return DensityTable(F.d, ell, "empirical", dict(counts), x=x, total=total)
+    return DensityTable(F.d, ell, "empirical", dict(counts), x, total)

@@ -11,8 +11,8 @@ congruences are expressed in.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import kernel
 from .arith import is_prime
@@ -114,8 +114,7 @@ def hecke_Tp(f: QSeries, p: int, k: int, out_order: int | None = None) -> QSerie
     return QSeries(ring, 0, out)
 
 
-@dataclass(frozen=True)
-class EigenformBasis:
+class EigenformBasis(NamedTuple):
     """Normalized Hecke eigenforms spanning the weight l+1 cusp space mod l."""
 
     ell: int

@@ -1,7 +1,9 @@
 import contextlib
+import copy
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -10,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bpx
+from bpx.arith import sieve
+from bpx.borcherds import ExponentTable, fit_congruence
+from bpx.classpoly import (QuadForm, WeightedClassPoly, corollary_conditions,
+                           degree_rules_out, eligibility, hilbert_class_poly,
+                           hurwitz_class_number)
 from bpx.cli import run
+from bpx.density import EllCurve, asymptotic_table
+from bpx.errors import InputError
+from bpx.ssforms import eigenbasis
 
 
 def invoke(capsys, *args):
@@ -242,15 +252,118 @@ def test_warm_cache_run_never_imports_mpmath(tmp_path, capsys):
     assert proc.stderr.split() == ["0", "False", "False"]
 
 
-def test_cli_import_leaves_the_thread_pool_unloaded():
-    # only the threaded compiled branch of density.ec_traces needs it
-    script = "import sys, bpx.cli\nprint('concurrent.futures' in sys.modules)\n"
+def _loaded_after_cli_import(*modules):
+    """The given modules that a fresh ``import bpx.cli`` leaves loaded."""
+    script = f"import sys, bpx.cli\nprint([m for m in {modules!r} if m in sys.modules])\n"
     src = os.path.dirname(os.path.dirname(bpx.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # only the threaded compiled branch of density.ec_traces needs it
+    assert _loaded_after_cli_import("concurrent.futures") == "[]\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # the records are NamedTuples or slotted classes: dataclasses would
+    # load inspect, ast, dis and tokenize at every start
+    assert _loaded_after_cli_import("dataclasses", "inspect") == "[]\n"
+
+
+# One of each record type, and whether it hashes: a record hashes as its
+# fields do, so the two that hold series (which are unhashable) do not.
+_FROZEN_RECORDS = {
+    "PrimeStream": (lambda: sieve(30), True),
+    "ExponentTable": (lambda: ExponentTable(4, 2, (492, 143376)), True),
+    "QuadForm": (lambda: QuadForm(1, 0, 1, 2), True),
+    "EligibilityReport": (lambda: eligibility(4, 11), True),
+    "CorollaryReport": (lambda: corollary_conditions(1, 4, 11), True),
+    "EllCurve": (lambda: EllCurve(0, -1, 1, -10, -20, "X0(11)"), True),
+    "EigenformBasis": (lambda: eigenbasis(11, 60), False),
+    "CongruenceFormula": (lambda: fit_congruence(4, 11), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_RECORDS))
+def test_frozen_records_compare_hash_copy_and_refuse_assignment(name):
+    make, hashable = _FROZEN_RECORDS[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert a == b and not a != b and a != object()
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    if hashable:
+        assert hash(a) == hash(b) and len({a, b}) == 1
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    field = type(a)._fields[0] if hasattr(type(a), "_fields") else type(a).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b
+
+
+def test_mutable_records_compare_by_value_and_do_not_hash():
+    F = fit_congruence(4, 11)
+    tables = asymptotic_table(F), asymptotic_table(F)
+    w = hilbert_class_poly(4)
+    polys = w, WeightedClassPoly(w.d, w.components, w.h, w.precision_used,
+                                 w.residual_bound, not w.cached)
+    for a, b in (tables, polys):
+        assert a == b and copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+        with pytest.raises(TypeError):
+            hash(a)
+    # equality ignores whether the class polynomial came from the cache
+    assert polys[0].cached != polys[1].cached
+    tables[1].x = 5
+    polys[1].d = 7
+    assert tables[0] != tables[1] and polys[0] != polys[1]
+
+
+def test_singular_curve_is_refused():
+    with pytest.raises(InputError, match="singular Weierstrass model"):
+        EllCurve(0, 0, 0, 0, 0)
+
+
+def test_degree_rule_agrees_with_the_full_computation(capsys):
+    # The rule skips d with more reduced forms than deg s_l.  Every d it
+    # skips must fail the full divisibility test, and table2 must list the
+    # rows of a scan that calls eligibility on every d.  One shared cache.
+    for ell in (11, 17, 19, 31):
+        full, skipped = [], 0
+        for d in range(3, 301):
+            if d % 4 not in (0, 3):
+                continue
+            rep = eligibility(d, ell)
+            if degree_rules_out(d, ell):
+                skipped += 1
+                assert not rep.divides, (d, ell)
+            if rep.divides:
+                full.append({"d": d, "h": str(hurwitz_class_number(d)),
+                             "class_poly_mod_ell":
+                                 str(hilbert_class_poly(d).product_mod(ell)),
+                             "squarefree": rep.squarefree})
+        assert skipped > 50, ell
+        code, out, _ = invoke(capsys, "table2", "--ell", str(ell),
+                              "--dmax", "300", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"] == full
+
+
+def test_congruence_ruled_out_by_degree_computes_no_class_polynomial(capsys, tmp_path):
+    # H_239 has 15 roots and s_11 two, so the gate answers before H_239 is built
+    code, out, err = invoke(capsys, "congruence", "--d", "239", "--ell", "11",
+                            "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == ("error: H_239 mod 11 does not divide s_11: the weight l+1 "
+                   "membership hypothesis fails for (d=239, l=11)\n")
+    assert not (tmp_path / "hd_239.json").exists()
 
 
 def test_congruence_text_golden(capsys):
