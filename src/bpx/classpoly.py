@@ -7,7 +7,9 @@ to the nearest integer, and residuals of the rounded polynomial at the
 roots recomputed with 20 extra digits, relative to the size of the
 terms).  The precision is chosen once, from a bound on the coefficient
 size (Enge, Math. Comp. 2009), so there are no retries: a verification
-failure at that precision is a bug.  Results are cached on disk as
+failure at that precision is a bug.  The arithmetic is the standard
+library's ``decimal`` (libmpdec in CPython), with a complex number held
+as a (real, imaginary) pair.  Results are cached on disk as
 decimal-coefficient documents.
 
 The Hurwitz convention is used throughout: imprimitive forms are counted,
@@ -20,7 +22,9 @@ import json
 import math
 import os
 import tempfile
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice
 from typing import NamedTuple
 
@@ -100,31 +104,100 @@ def _terms_needed(d: int, a: int, prec: int) -> int:
         n += 1
 
 
-def singular_modulus(Q: QuadForm, prec: int = 40) -> mpmath.mpc:
+@lru_cache(maxsize=64)
+def _pi(digits: int) -> Decimal:
+    """pi to ``digits`` significant digits, by Machin's formula on ints."""
+    scale = 10 ** (digits + 10)
+
+    def arccot(x: int) -> int:  # scale * arctan(1/x), truncated termwise
+        power = total = scale // x
+        n, x2 = 1, x * x
+        while power:
+            power //= x2
+            n += 2
+            total += -(power // n) if n % 4 == 3 else power // n
+        return total
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return Decimal(16 * arccot(5) - 4 * arccot(239)).scaleb(-digits - 10)
+
+
+@lru_cache(maxsize=64)
+def _abs_q(d: int, a: int, digits: int) -> Decimal:
+    """|q| = e^(-pi sqrt(d)/a) to ``digits`` digits, the same for every b."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return (-_pi(digits) * Decimal(d).sqrt() / a).exp()
+
+
+def _cos_sin(theta: Decimal) -> tuple[Decimal, Decimal]:
+    """(cos theta, sin theta) for |theta| <= pi, in the current context.
+
+    Taylor series at theta/256, then 8 doublings, which cost about 3 of
+    the caller's guard digits.
+    """
+    x = theta / 256
+    x2, eps = x * x, -getcontext().prec - 2
+    c = tc = Decimal(1)
+    s = ts = x
+    k = 2
+    while tc and tc.adjusted() >= eps:
+        tc = -tc * x2 / (k * (k - 1))
+        ts = -ts * x2 / (k * (k + 1))
+        c, s, k = c + tc, s + ts, k + 2
+    for _ in range(8):
+        c, s = c * c - s * s, 2 * c * s
+    return c, s
+
+
+def singular_modulus(Q: QuadForm, prec: int = 40) -> tuple[Decimal, Decimal]:
     """j(alpha_Q) for alpha_Q = (-b + i sqrt(d)) / 2a, accurate to 10^-prec.
 
-    Evaluates the exact integer q-expansion of j at q = e^(2 pi i alpha)
-    with a proven tail bound; working precision carries enough extra
-    digits to cover the magnitude of the leading q^-1 term, so the
-    accuracy is absolute.
+    Returned as a (real, imaginary) pair of Decimals.  Evaluates the exact
+    integer q-expansion of j at q = e^(2 pi i alpha) with a proven tail
+    bound; working precision carries enough extra digits to cover the
+    magnitude of the leading q^-1 term, so the accuracy is absolute.
     """
-    import mpmath  # the compute path only: a warm cache never loads it
-
     if prec < 1:
         raise InputError("precision must be positive")
     d = -Q.discriminant
     n_terms = _terms_needed(d, Q.a, prec)
     js = jfunction(n_terms, ZZ)
     size_digits = int(math.pi * math.sqrt(d) / Q.a / math.log(10)) + 1
-    with mpmath.workdps(prec + 10 + size_digits):
-        t = -mpmath.pi / Q.a
-        q = mpmath.exp(mpmath.mpc(t * mpmath.sqrt(d), t * Q.b))
-        acc = mpmath.mpc(0)
-        qn = 1 / q
-        for n in range(-1, n_terms + 1):
-            acc += js.coeff(n) * qn
-            qn *= q
-        return acc
+    with localcontext() as ctx:
+        ctx.prec = prec + 10 + size_digits
+        r = _abs_q(d, Q.a, ctx.prec)
+        c, s = _cos_sin(-_pi(ctx.prec) * Q.b / Q.a)
+        q_re, q_im = r * c, r * s
+        re, im = _horner([js.coeff(n) for n in range(-1, n_terms + 1)], (q_re, q_im))
+        r2 = r * r  # that was q j; j = (q j) conj(q) / |q|^2
+        return (re * q_re + im * q_im) / r2, (im * q_re - re * q_im) / r2
+
+
+def _horner(coeffs, z: tuple[Decimal, Decimal]) -> tuple[Decimal, Decimal]:
+    """sum of coeffs[k] z^k at a complex z = (re, im), in the current context."""
+    z_re, z_im = z
+    z_sum, z_diff = z_re + z_im, z_im - z_re  # three real products per step
+    re = im = Decimal(0)
+    for c in reversed(coeffs):
+        k = z_re * (re + im)
+        re, im = k - im * z_sum + c, k + re * z_diff
+    return re, im
+
+
+def _singular_moduli(qs: list[QuadForm], prec: int) -> list[tuple[Decimal, Decimal]]:
+    """singular_modulus of each form, evaluated once per pair (a, +-b, c).
+
+    (a, -b, c) has the root -conj(alpha), and j has real coefficients, so
+    its singular modulus is the conjugate of that of (a, b, c).
+    """
+    done = {(Q.a, Q.b): singular_modulus(Q, prec) for Q in qs if Q.b >= 0}
+    out = []
+    for Q in qs:
+        re, im = done[Q.a, abs(Q.b)]
+        out.append((re, im) if Q.b >= 0 else (re, im.copy_negate()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +294,21 @@ def _precision_bound(d: int, groups: dict[int, list[QuadForm]]) -> int:
 
 
 def _expand_and_round(roots) -> tuple[list[int], float]:
-    """Multiply out prod (x - r), round to integers, return max rounding error."""
-    import mpmath
+    """Multiply out prod (x - r), round to integers, return max rounding error.
 
-    coeffs = [mpmath.mpc(1)]
-    for r in roots:
-        nxt = [mpmath.mpc(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= r * c
-        coeffs = nxt
+    Roots are (real, imaginary) pairs; arithmetic is in the current context.
+    """
+    re, im = [Decimal(1)], [Decimal(0)]
+    for r_re, r_im in roots:
+        re, im = [Decimal(0)] + re, [Decimal(0)] + im  # x times the product
+        for i in range(len(re) - 1):  # then minus r times it
+            c_re, c_im = re[i + 1], im[i + 1]
+            re[i] -= r_re * c_re - r_im * c_im
+            im[i] -= r_re * c_im + r_im * c_re
     rounded, err = [], 0.0
-    for c in coeffs:
-        n = int(mpmath.nint(c.real))
-        err = max(err, float(abs(c - n)))
+    for c_re, c_im in zip(re, im):
+        n = int(c_re.to_integral_value())
+        err = max(err, math.hypot(float(c_re - n), float(c_im)))
         rounded.append(n)
     return rounded, err
 
@@ -309,28 +383,26 @@ def _build_components(groups, prec) -> tuple[list[tuple[Poly, Fraction]], float]
     the size of the terms it sums (the 1 keeps the root j = 0 well
     defined), and must stay below 10^-(prec/2).
     """
-    import mpmath
-
     comps = []
     worst = 0.0
     for w in sorted(groups):
         qs = groups[w]
-        with mpmath.workdps(prec + 10):
-            roots = [singular_modulus(Q, prec) for Q in qs]
-            ints, err = _expand_and_round(roots)
+        with localcontext() as ctx:
+            ctx.prec = prec + 10
+            ints, err = _expand_and_round(_singular_moduli(qs, prec))
         if err > 1e-6:
             raise PrecisionError(f"rounding error {err:.2e} at {prec} digits")
         poly = Poly.from_ints(ZZ, ints)
         # verify at higher precision: residuals of the rounded polynomial
-        with mpmath.workdps(prec + 30):
-            tol = mpmath.mpf(10) ** (-prec / 2)
-            for Q in qs:
-                r = singular_modulus(Q, prec + 20)
-                val, size = mpmath.mpc(0), mpmath.mpf(0)
+        with localcontext() as ctx:
+            ctx.prec = prec + 30
+            tol = Decimal(1).scaleb(-prec).sqrt()  # 10^-(prec/2)
+            for r_re, r_im in _singular_moduli(qs, prec + 20):
+                v_re, v_im = _horner(poly.coeffs, (r_re, r_im))
+                r_abs, size = (r_re * r_re + r_im * r_im).sqrt(), Decimal(0)
                 for c in reversed(poly.coeffs):
-                    val = val * r + c
-                    size = size * abs(r) + abs(c)
-                resid = abs(val) / max(1, size)
+                    size = size * r_abs + abs(c)
+                resid = (v_re * v_re + v_im * v_im).sqrt() / max(1, size)
                 if resid > tol:
                     raise PrecisionError(
                         f"relative residual {float(resid):.2e} at {prec} digits")
@@ -361,6 +433,7 @@ class EligibilityReport(NamedTuple):
     ell: int
     divides: bool
     squarefree: bool
+    class_poly_mod_ell: Poly  # the product of the components over F_l
 
 
 def degree_rules_out(d: int, ell: int) -> bool:
@@ -370,10 +443,9 @@ def degree_rules_out(d: int, ell: int) -> bool:
 
 def eligibility(d: int, ell: int, cache_dir: str | None = None) -> EligibilityReport:
     """Does the class polynomial of -d divide s_l over F_l, and squarefreely?"""
-    wcp = hilbert_class_poly(d, cache_dir=cache_dir)
-    prod = wcp.product_mod(ell)
-    s_ell = supersingular_poly(ell)
-    return EligibilityReport(d, ell, prod.divides(s_ell), prod.is_squarefree())
+    prod = hilbert_class_poly(d, cache_dir=cache_dir).product_mod(ell)
+    return EligibilityReport(d, ell, prod.divides(supersingular_poly(ell)),
+                             prod.is_squarefree(), prod)
 
 
 class CorollaryReport(NamedTuple):

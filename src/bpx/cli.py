@@ -198,11 +198,10 @@ def _cmd_table2(args) -> dict:
             continue
         rep = eligibility(d, args.ell, cache_dir=args.cache_dir)
         if rep.divides:
-            wcp = hilbert_class_poly(d, cache_dir=args.cache_dir)
             flagged.append({
                 "d": d,
                 "h": str(hurwitz_class_number(d)),
-                "class_poly_mod_ell": str(wcp.product_mod(args.ell)),
+                "class_poly_mod_ell": str(rep.class_poly_mod_ell),
                 "squarefree": rep.squarefree,
             })
     s = supersingular_poly(args.ell)

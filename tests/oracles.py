@@ -14,6 +14,7 @@ multiplication per N in the window.
 
 import cmath
 from collections import Counter
+from math import isqrt
 
 from bpx._eckernel_py import _ec_mul
 from bpx.arith import QuadExt, divisors, kronecker
@@ -125,6 +126,25 @@ def monomial_form_by_euler_product(a: int, b: int, c: int, n: int, ring) -> QSer
     if c:
         f = f * eisenstein(6, n, ring) ** c
     return f.truncate(n)
+
+
+def zagier_g1(n: int) -> QSeries:
+    """g_1 = theta_1(tau) E4(4 tau) / eta(4 tau)^6 = q^-1 - 2 + 248 q^3 - ..., to order n.
+
+    Zagier ("Traces of singular moduli", 2002): A(1, d) = -b(d) for the
+    coefficients b of this weight 3/2 form, theta_1 = sum (-1)^k q^(k^2).
+    E4(4 tau) and eta(4 tau)^6 = q prod (1 - q^(4m))^6 are series in q^4, so
+    their quotient is taken in q^4 and then spread out; no class polynomial
+    and no j-series is involved.
+    """
+    m = (n + 1) // 4
+    quotient = eisenstein(4, m, ZZ) / euler_product(m) ** 6
+    spread = [0] * (n + 2)
+    spread[::4] = quotient.coeffs  # q^(4i) for i = 0..m
+    theta = [0] * (n + 2)
+    for k in range(isqrt(n + 1) + 1):
+        theta[k * k] = 1 if k == 0 else 2 * (-1) ** k
+    return (QSeries(ZZ, 0, theta) * QSeries(ZZ, 0, spread)).shift(-1)
 
 
 def evaluate_series(poly: Poly, s: QSeries) -> QSeries:

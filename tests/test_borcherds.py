@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bpx.arith import QuadExt, sieve
+from bpx.arith import QuadExt, kronecker, sieve
 from bpx.borcherds import (_log_derivative, exact_exponents, fit_congruence,
                            formula_eval, formula_eval_primes,
                            log_derivative_exact, log_derivative_mod, nu,
@@ -12,7 +12,8 @@ from bpx.borcherds import (_log_derivative, exact_exponents, fit_congruence,
 from bpx.classpoly import hilbert_class_poly, hurwitz_class_number
 from bpx.errors import IneligiblePairError, InputError
 from bpx.qseries import GF, ZZ, delta, eisenstein, f2, monomial_forms
-from oracles import dirichlet_inverse, log_derivative_by_j, pd_log_coeffs
+from oracles import (dirichlet_inverse, log_derivative_by_j, pd_log_coeffs,
+                     zagier_g1)
 
 
 # exact square-index exponents, frozen from the product identity
@@ -55,6 +56,23 @@ def test_d3_value_against_cube_root_of_j():
     assert c1 == 248
     assert c2 == 4124
     assert 249 * 248 // 2 - 4124 == 26752 == EXACT[(3, 2)]
+
+
+def test_zagier_duality_without_class_polynomials():
+    # Zagier: A(1, d) = -b(d) for the coefficients b of g_1, and the weight
+    # 3/2 Hecke operator gives p g_(p^2) = g_1 | T(p^2) - g_1 at a prime p.
+    # g_1 reads no class polynomial, so a wrong one that passed the cache
+    # checks would show here
+    g1 = zagier_g1(49 * 100)
+    for d in range(3, 101):
+        if d % 4 not in (0, 3):
+            continue
+        A = exact_exponents(d, 7)
+        assert A[1] == -g1.coeff(d), d
+        for p in (2, 3, 5, 7):
+            below = p * g1.coeff(d // (p * p)) if d % (p * p) == 0 else 0
+            t = g1.coeff(p * p * d) + kronecker(-d, p) * g1.coeff(d) + below - g1.coeff(d)
+            assert t % p == 0 and A[p] == -t // p, (d, p)
 
 
 def test_exponent_table_document_and_bounds():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -52,22 +53,41 @@ def test_hurwitz_class_numbers():
     assert hurwitz_class_number(23) == 3
 
 
+def _dist(z, w=(0, 0)) -> Decimal:
+    """|z - w| for (real, imaginary) pairs, with digits enough to be exact."""
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        re, im = z[0] - w[0], z[1] - w[1]
+        return (re * re + im * im).sqrt()
+
+
 def test_singular_modulus_classics():
     # two-precision oracle: evaluate at prec and prec+20, compare
     for prec in (30, 50):
         ji = singular_modulus(QuadForm(1, 0, 1, 2), prec)
-        assert abs(ji - 1728) < mpmath.mpf(10) ** (-prec)
+        assert _dist(ji, (1728, 0)) < Decimal(10) ** (-prec)
         rho = singular_modulus(QuadForm(1, 1, 1, 3), prec)
-        assert abs(rho) < mpmath.mpf(10) ** (-prec)
+        assert _dist(rho) < Decimal(10) ** (-prec)
         j7 = singular_modulus(QuadForm(1, 1, 2, 1), prec)
-        assert abs(j7 + 3375) < mpmath.mpf(10) ** (-prec)
+        assert _dist(j7, (-3375, 0)) < Decimal(10) ** (-prec)
 
 
 def test_singular_modulus_two_precision_agreement():
     for Q in reduced_forms(23):
         lo = singular_modulus(Q, 30)
         hi = singular_modulus(Q, 50)
-        assert abs(lo - hi) < mpmath.mpf(10) ** -28
+        assert _dist(lo, hi) < Decimal(10) ** -28
+
+
+def test_conjugate_pairs_share_one_evaluation():
+    # (a, -b, c) takes the conjugate of (a, b, c)'s singular modulus; it
+    # agrees with evaluating that form directly
+    for d in (23, 239):
+        qs = reduced_forms(d)
+        assert any(Q.b < 0 for Q in qs)
+        paired = classpoly._singular_moduli(qs, 40)
+        for Q, z in zip(qs, paired):
+            assert _dist(z, singular_modulus(Q, 40)) < Decimal(10) ** -40, (d, Q)
 
 
 def test_hilbert_class_poly_small(tmp_path):
@@ -125,9 +145,11 @@ def test_singular_moduli_match_kleinj_at_the_bound(d):
     prec = _bound(d)
     for Q in reduced_forms(d):
         size = int(math.pi * math.sqrt(d) / Q.a / math.log(10)) + 1
+        re, im = singular_modulus(Q, prec)
         with mpmath.workdps(prec + size + 10):
             tau = mpmath.mpc(-Q.b, mpmath.sqrt(d)) / (2 * Q.a)
-            diff = abs(singular_modulus(Q, prec) - 1728 * mpmath.kleinj(tau))
+            ours = mpmath.mpc(mpmath.mpf(str(re)), mpmath.mpf(str(im)))
+            diff = abs(ours - 1728 * mpmath.kleinj(tau))
         assert diff < mpmath.mpf(10) ** (-prec), (d, Q)
 
 

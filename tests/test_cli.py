@@ -231,25 +231,39 @@ def test_cache_document_with_a_wrong_coefficient_recomputed(tmp_path, capsys):
     assert rewritten["components"] == [{"coeffs": ["-1728", "1"], "weight": "1/2"}]
 
 
-def test_warm_cache_run_never_imports_mpmath(tmp_path, capsys):
-    # mpmath serves only the class-polynomial compute path; importing the
-    # CLI, or answering from a warm cache, must not load it
+def test_no_command_imports_mpmath(tmp_path):
+    # bpx computes with the stdlib alone; mpmath is a test oracle.  Import
+    # the CLI, compute a class polynomial and a divisibility scan cold, and
+    # answer again from the warm cache: mpmath must never load
     cache = str(tmp_path / "cache")
-    code, _, _ = invoke(capsys, "classpoly", "--d", "23", "--cache-dir", cache)
-    assert code == 0
     script = (
         "import sys, bpx.cli\n"
         "loaded = ['mpmath' in sys.modules]\n"
-        "code = bpx.cli.run(['classpoly', '--d', '23', '--cache-dir', sys.argv[1]])\n"
-        "loaded.append('mpmath' in sys.modules)\n"
-        "print(code, *loaded, file=sys.stderr)\n")
+        "for argv in (['classpoly', '--d', '23', '--cache-dir', sys.argv[1]],\n"
+        "             ['classpoly', '--d', '23', '--cache-dir', sys.argv[1]],\n"
+        "             ['table2', '--ell', '11', '--dmax', '24', '--cache-dir', sys.argv[2]]):\n"
+        "    loaded.append(bpx.cli.run(argv))\n"
+        "    loaded.append('mpmath' in sys.modules)\n"
+        "print(*loaded, file=sys.stderr)\n")
     src = os.path.dirname(os.path.dirname(bpx.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script, cache], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, cache, str(tmp_path / "scan")],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.split() == ["0", "False", "False"]
+    assert proc.stderr.split() == ["False", "0", "False", "0", "False", "0", "False"]
+
+
+def test_table2_reads_each_class_polynomial_once(tmp_path, capsys):
+    # a cold scan computes each d it does not rule out by degree once, and
+    # builds its row from that one polynomial: no cache hits
+    cache = str(tmp_path / "cache")
+    code, out, _ = invoke(capsys, "table2", "--ell", "11", "--dmax", "100",
+                          "--format", "json", "--cache-dir", cache)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["d_list"] == [3, 4, 11, 12, 15, 16, 20, 27, 67]
+    assert doc["cache"] == {"hits": 0, "misses": len(os.listdir(cache))}
 
 
 def _loaded_after_cli_import(*modules):
