@@ -4,10 +4,8 @@ Run:  python benchmarks/bench_kernels.py [--full]
 
 Covers the three kernel entry points: prime sieving, elliptic-curve
 traces (the inner loop of the empirical density tables), and the
-supersingular j-invariant scan over F_(l^2), a character-sum
-correlation in pure Python and a direct O(l^4) sum in C; --full also
-times the compiled scan at l = 199, far past the l where the two cross
-(about 23).
+supersingular j-invariant scan over F_(l^2), one character-sum
+correlation that both backends share, so its rows have one column.
 The trace rows run the search over the whole Hasse window (t = 1) and
 over the multiples of the curve's rational torsion (t = 5), as
 ``bpx.kernel`` does for this curve.
@@ -99,12 +97,10 @@ def main():
     row("ec_traces, 300 primes < 10^4 (naive)", pure.ec_traces,
         c.ec_traces if c else None, A11, B11, small, 10 ** 9)
 
-    # (l, a nonresidue mod l): the compiled scan is the faster one at 19,
-    # the pure one at 47, and 199 is the largest l the oracle accepts
+    # (l, a nonresidue mod l); 199 is the largest l the oracle accepts
     for ell, ns in ((19, 2), (47, 5), (199, 3)):
-        row(f"supersingular_js_fq2({ell})", pure.supersingular_js_fq2,
-            c.supersingular_js_fq2 if c and (args.full or ell < 199) else None,
-            ell, ns)
+        name = f"supersingular_js_fq2({ell})"
+        print(f"{name:<46} both {timed(pure.supersingular_js_fq2, ell, ns)[0]:9.4f}s")
 
     if args.full:
         trace_rows(f"ec_traces, all {len(primes)} primes < 10^6", primes, c)

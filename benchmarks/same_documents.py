@@ -31,13 +31,16 @@ from pathlib import Path
 # run descriptions and the precision strategy, not results
 RUN_KEYS = ("meta", "cache", "precision_used", "residual_bound")
 FORMATS = ("json", "text", "csv")
-# s_l at l = 1, 5, 7 and 11 mod 12 and at a large l, divisibility scans
-# at two other l than the benchmark's, a pair that the degree of H_d
-# alone rules out (exit 2), and class polynomials computed at 248 to 549
-# digits
-EXTRA_COMMANDS = [f"supersingular --ell {ell}" for ell in (5, 7, 13, 1009, 10007)]
+# s_l at l = 1, 5, 7 and 11 mod 12 and at a large l, the point-count
+# check at l = 97 and at its largest l, 199, divisibility scans at two
+# other l than the benchmark's, a pair that the degree of H_d alone rules
+# out (exit 2), two pairs of rank 0 (no cusp form of weight l + 1), and
+# class polynomials computed at 248 to 549 digits
+EXTRA_COMMANDS = [f"supersingular --ell {ell}"
+                  for ell in (5, 7, 13, 97, 199, 1009, 10007)]
 EXTRA_COMMANDS += ["table2 --ell 31 --dmax 100", "table2 --ell 17 --dmax 150",
-                   "congruence --d 239 --ell 11"]
+                   "congruence --d 239 --ell 11", "congruence --d 3 --ell 5",
+                   "density --d 7 --ell 13"]
 EXTRA_COMMANDS += [f"classpoly --d {d}" for d in (719, 2351, 2624)]
 
 

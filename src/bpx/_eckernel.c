@@ -9,10 +9,10 @@
  * addition at a time, this one runs the baby and giant steps in batches that
  * share one inversion (Montgomery, Math. Comp. 48, 1987) and multiplies by a
  * scalar in Jacobian coordinates, as one extended Euclid per addition would
- * otherwise dominate.  The trace loop and
- * the supersingular scan release the GIL.  Primes are limited to p < 2^31,
- * so every product of two residues fits in 64 bits; the seed and hash
- * products wrap mod 2^64 on purpose.
+ * otherwise dominate.  The trace loop releases the GIL.  Primes are limited
+ * to p < 2^31, so every product of two residues fits in 64 bits; the seed
+ * and hash products wrap mod 2^64 on purpose.  The supersingular scan is
+ * the pure kernel's own function (see PyInit__eckernel).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -485,83 +485,6 @@ static PyObject *primes_below(PyObject *Py_UNUSED(self), PyObject *arg)
     return out;
 }
 
-/* ------------------------------------------------------------------------
- * supersingular scan over F_(l^2) = F_l(w), w^2 = nonres */
-
-typedef struct { u64 u, v; } F2;
-
-static F2 f2_mul(F2 x, F2 y, u64 l, u64 ns)
-{
-    return (F2){(x.u * y.u + x.v * y.v % l * ns) % l, (x.u * y.v + x.v * y.u) % l};
-}
-
-static F2 f2_inv(F2 x, u64 l, u64 ns)
-{
-    u64 ni = invmod((x.u * x.u + (l - x.v * x.v % l * ns % l)) % l, l);
-    return (F2){x.u * ni % l, (l - x.v) % l * ni % l};
-}
-
-/* Supersingular j = u + v*w in F_(l^2), encoded u*l + v with v <= (l-1)/2:
- * a curve with invariant j is supersingular iff l divides its trace over
- * F_(l^2), minus the sum over x of the quadratic character of x^3 + a x + b. */
-static PyObject *supersingular_js_fq2(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    long long ell, nonres, t;
-    u64 l, ns, n2, xu, xv, ju, jv, nfound = 0;
-    F2 *cube, one = {1, 0}, zero = {0, 0};
-    signed char *chi;
-    unsigned char *hit;
-    PyObject *out;
-    if (!PyArg_ParseTuple(args, "LL:supersingular_js_fq2", &ell, &nonres))
-        return NULL;
-    if (ell < 3 || ell >= (1LL << 20))
-        return PyErr_Format(PyExc_ValueError, "l = %lld is outside 3 <= l < 2**20", ell);
-    l = (u64)ell;
-    ns = (u64)(nonres % ell + ell) % l;
-    n2 = l * l;
-    if ((cube = PyMem_RawCalloc(n2, sizeof(F2) + 2)) == NULL)
-        return PyErr_NoMemory();
-    chi = (signed char *)(cube + n2);
-    hit = (unsigned char *)(chi + n2);
-    Py_BEGIN_ALLOW_THREADS
-    /* quadratic character: 1 on nonzero squares, -1 on nonsquares, 0 at 0 */
-    memset(chi, -1, n2);
-    for (xu = 0; xu < l; xu++)
-        for (xv = 0; xv < l; xv++) {
-            F2 x = {xu, xv}, sq = f2_mul(x, x, l, ns);
-            chi[sq.u * l + sq.v] = 1;
-            cube[xu * l + xv] = f2_mul(sq, x, l, ns);
-        }
-    chi[0] = 0;
-    for (ju = 0; ju < l; ju++)
-        for (jv = 0; jv < (l + 1) / 2; jv++) {
-            F2 ca = zero, cb = one, k;                  /* j = 0: y^2 = x^3 + 1 */
-            if (ju == 1728 % l && jv == 0 && ju) {
-                ca = one;                               /* j = 1728: y^2 = x^3 + x */
-                cb = zero;
-            } else if (ju || jv) {                      /* a = 3k, b = 2k, k = j/(1728 - j) */
-                k = f2_mul((F2){ju, jv}, f2_inv((F2){(1728 % l + l - ju) % l, (l - jv) % l},
-                                                l, ns), l, ns);
-                ca = f2_mul((F2){3 % l, 0}, k, l, ns);
-                cb = f2_mul((F2){2 % l, 0}, k, l, ns);
-            }
-            for (t = 0, xu = 0; xu < l; xu++) {
-                const F2 *c = cube + xu * l;
-                u64 fu = cb.u + ca.u * xu, fv = cb.v + ca.v * xu, avn = ca.v * ns;
-                for (xv = 0; xv < l; xv++)
-                    t += chi[(c[xv].u + fu + avn * xv) % l * l + (c[xv].v + fv + ca.u * xv) % l];
-            }
-            if (t % ell == 0) {
-                hit[ju * l + jv] = 1;
-                nfound++;
-            }
-        }
-    Py_END_ALLOW_THREADS
-    out = flagged_list(hit, n2, nfound);
-    PyMem_RawFree(cube);
-    return out;
-}
-
 static PyMethodDef methods[] = {
     {"primes_below", primes_below, METH_O,
      "primes_below(limit)\n--\n\nAscending list of all primes p < limit."},
@@ -572,23 +495,28 @@ static PyMethodDef methods[] = {
     {"ec_traces", (PyCFunction)(void (*)(void))ec_traces, METH_VARARGS | METH_KEYWORDS,
      "ec_traces(a, b, primes, naive_limit=NAIVE_LIMIT, torsion=1)\n--\n\n"
      "Traces of the global curve y^2 = x^3 + a*x + b at each given prime."},
-    {"supersingular_js_fq2", supersingular_js_fq2, METH_VARARGS,
-     "supersingular_js_fq2(ell, nonres)\n--\n\n"
-     "Supersingular j-invariants in F_(l^2) by point counting, encoded\n"
-     "u*l + v for u + v*w (w^2 = nonres), one of each conjugate pair."},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, .m_name = "bpx._eckernel", .m_size = -1, .m_methods = methods,
     .m_doc = "Compiled kernels: prime sieve and elliptic-curve traces (C twin of\n"
-             "bpx._eckernel_py; primes p < 2**31).",
+             "bpx._eckernel_py; primes p < 2**31), and that module's supersingular scan.",
 };
 
 PyMODINIT_FUNC PyInit__eckernel(void)
 {
-    PyObject *m = PyModule_Create(&module);
-    if (m && PyModule_AddIntConstant(m, "NAIVE_LIMIT", NAIVE_LIMIT) < 0)
+    PyObject *m = PyModule_Create(&module), *pure = NULL, *scan = NULL;
+    /* The pure kernel's O(l^2) character-sum correlation beats a direct C sum
+     * over all O(l^4) terms from l of about 23 on, so this module serves that
+     * very function: callers look supersingular_js_fq2 up by name on either
+     * backend (bpx.kernel, and bpxbench's tracer and kernel-call replay). */
+    if (m == NULL || PyModule_AddIntConstant(m, "NAIVE_LIMIT", NAIVE_LIMIT) < 0
+        || (pure = PyImport_ImportModule("bpx._eckernel_py")) == NULL
+        || (scan = PyObject_GetAttrString(pure, "supersingular_js_fq2")) == NULL
+        || PyModule_AddObjectRef(m, "supersingular_js_fq2", scan) < 0)
         Py_CLEAR(m);
+    Py_XDECREF(scan);
+    Py_XDECREF(pure);
     return m;
 }

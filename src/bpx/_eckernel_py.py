@@ -1,7 +1,9 @@
-"""Pure-Python kernels: prime sieve and elliptic-curve traces.
+"""Pure-Python kernels: prime sieve, elliptic-curve traces, supersingular scan.
 
 Same API as the compiled ``bpx._eckernel``; ``bpx.kernel`` picks whichever
-is available.  Traces are computed by naive point counting below
+is available.  The compiled module twins the sieve and the traces and
+serves this module's supersingular scan itself, which beats a direct C sum
+from l of about 23 on.  Traces are computed by naive point counting below
 ``naive_limit`` and by baby-step/giant-step group-order search above it.
 The search lists every N in the Hasse window with N*P = O for one point P
 and drops the candidates that a further point does not annihilate until
@@ -271,7 +273,7 @@ def supersingular_js_fq2(ell: int, nonres: int) -> list[int]:
     the sum of chi(s) over the x with x^3/s = r.  That cyclic correlation
     over the additive group of F_(l^2) comes for every k at once from one
     Kronecker-packed integer product: O(l^2) steps besides the product,
-    where the C kernel sums all O(l^4) terms.
+    where a direct sum takes all O(l^4) terms.
     """
     n2 = ell * ell
     inv = [0] + [pow(i, -1, ell) for i in range(1, ell)]

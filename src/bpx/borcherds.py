@@ -161,25 +161,19 @@ def fit_congruence(d: int, ell: int, verify_to: int | None = None,
     lbar = log_derivative_mod(d, ell, n, cache_dir=cache_dir)
     basis = eigenbasis(ell, order=n)
     c0, cusp = eisenstein_cusp_split(lbar, ell)
-    if r == 0:
-        cvec: list[int] = []
-        residual = cusp
-    else:
-        rows = [[basis.coefficient(i, m) for i in range(r)] for m in range(1, r + 1)]
-        rhs = [cusp.coeff(m) for m in range(1, r + 1)]
-        try:
-            cvec = _solve_linear_mod(rows, rhs, ell)
-        except InputError as exc:
-            raise InternalConsistencyError(
-                f"eigenform coefficient matrix is singular for l={ell}: "
-                f"{exc}") from exc
-        combo = QSeries.zero(cusp.ring, n)
-        for ci, form in zip(cvec, basis.forms):
-            if ci:
-                combo = combo + form.truncate(n).scale(ci)
-        residual = cusp - combo
+    rows = [[basis.coefficient(i, m) for i in range(r)] for m in range(1, r + 1)]
+    rhs = [cusp.coeff(m) for m in range(1, r + 1)]
+    try:
+        cvec = _solve_linear_mod(rows, rhs, ell)
+    except InputError as exc:
+        raise InternalConsistencyError(
+            f"eigenform coefficient matrix is singular for l={ell}: "
+            f"{exc}") from exc
+    for ci, form in zip(cvec, basis.forms):
+        if ci:
+            cusp = cusp - form.truncate(n).scale(ci)
     for m in range(n + 1):
-        if residual.coeff(m):
+        if cusp.coeff(m):
             raise InternalConsistencyError(
                 f"congruence verification failed at q^{m} for (d={d}, l={ell})")
     return CongruenceFormula(d, ell, c0, tuple(cvec), basis, n)

@@ -116,7 +116,7 @@ def _csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_exponents(args) -> dict:
+def _cmd_exponents(args) -> tuple[dict, list[str]]:
     table = exact_exponents(args.d, args.n, cache_dir=args.cache_dir)
     rows = [{"n": n, "A": table[n]} for n in range(1, args.n + 1)]
     doc = table.to_document()
@@ -128,7 +128,7 @@ def _cmd_exponents(args) -> dict:
     return doc, text
 
 
-def _cmd_congruence(args) -> dict:
+def _cmd_congruence(args) -> tuple[dict, list[str]]:
     F = fit_congruence(args.d, args.ell, verify_to=args.verify_to,
                        cache_dir=args.cache_dir)
     doc = F.to_document()
@@ -139,7 +139,7 @@ def _cmd_congruence(args) -> dict:
     return doc, text
 
 
-def _cmd_density(args) -> dict:
+def _cmd_density(args) -> tuple[dict, list[str]]:
     F = fit_congruence(args.d, args.ell, cache_dir=args.cache_dir)
     if args.x is None:
         tab = asymptotic_table(F)
@@ -157,7 +157,7 @@ def _cmd_density(args) -> dict:
     return doc, text
 
 
-def _cmd_check(args) -> dict:
+def _cmd_check(args) -> tuple[dict, list[str]]:
     verified, skipped = verify_congruence(args.d, args.ell, args.n,
                                           cache_dir=args.cache_dir)
     doc = {"d": args.d, "ell": args.ell, "n": args.n,
@@ -166,7 +166,7 @@ def _cmd_check(args) -> dict:
     return doc, text
 
 
-def _cmd_supersingular(args) -> dict:
+def _cmd_supersingular(args) -> tuple[dict, list[str]]:
     s = supersingular_poly(args.ell)
     doc = {"ell": args.ell, "s": str(s), "degree": s.degree,
            "coeffs": s.coeffs}
@@ -179,7 +179,7 @@ def _cmd_supersingular(args) -> dict:
     return doc, text
 
 
-def _cmd_classpoly(args) -> dict:
+def _cmd_classpoly(args) -> tuple[dict, list[str]]:
     w = hilbert_class_poly(args.d, cache_dir=args.cache_dir)
     doc = w.to_document()
     doc["h"] = str(w.h)
@@ -189,7 +189,7 @@ def _cmd_classpoly(args) -> dict:
     return doc, text
 
 
-def _cmd_table2(args) -> dict:
+def _cmd_table2(args) -> tuple[dict, list[str]]:
     if args.D != 1:
         raise InputError("the divisibility scan is implemented for D = 1")
     flagged = []

@@ -2,7 +2,8 @@
 
 The compiled C extension ``bpx._eckernel`` is used when it is importable;
 otherwise the pure-Python fallback ``bpx._eckernel_py`` with the identical
-API and identical results.
+API and identical results.  The supersingular scan is the pure kernel's
+character-sum correlation on both backends.
 """
 
 from __future__ import annotations

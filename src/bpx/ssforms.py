@@ -51,8 +51,8 @@ def _nonresidue(ell: int) -> int:
     return n
 
 
-# largest l for the point-count oracle (0.6 s at l = 199 on the pure kernel's
-# character-sum correlation, 7 s on the compiled kernel's O(l^4) direct sum)
+# largest l for the point-count oracle (0.6 s at l = 199 on the kernel's
+# character-sum correlation)
 BRUTEFORCE_MAX_ELL = 200
 
 
@@ -68,10 +68,9 @@ def supersingular_poly_bruteforce(ell: int) -> Poly:
     """Product of (x - j) over all supersingular j in F_(l^2), by point counting.
 
     The independent oracle for supersingular_poly: j-invariants are found
-    by counting points (trace divisible by l over F_(l^2)), through a
-    character-sum correlation on the pure kernel and a direct sum on the
-    compiled one; conjugate pairs u +- v sqrt(ns) assemble into quadratic
-    factors.
+    by counting points (trace divisible by l over F_(l^2)) through the
+    kernel's character-sum correlation, the same on both backends;
+    conjugate pairs u +- v sqrt(ns) assemble into quadratic factors.
     """
     ring = GF(ell)
     ns, js = _ss_encoded(ell)

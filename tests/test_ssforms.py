@@ -39,10 +39,10 @@ def test_supersingular_examples():
     assert supersingular_j_invariants(7) == [6]
 
 
-def test_supersingular_matches_bruteforce_to_50():
-    # and the two largest primes the point count accepts
-    for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 197, 199):
-        assert supersingular_poly(ell) == supersingular_poly_bruteforce(ell)
+def test_supersingular_matches_bruteforce_to_100():
+    # every prime l < 100, and the two largest primes the point count accepts
+    for ell in [p for p in range(5, 100) if is_prime(p)] + [197, 199]:
+        assert supersingular_poly(ell) == supersingular_poly_bruteforce(ell), ell
 
 
 def test_supersingular_closed_form_matches_eisenstein_factorization():
