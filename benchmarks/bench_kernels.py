@@ -12,6 +12,9 @@ over the multiples of the curve's rational torsion (t = 5), as
 The crossover table times counting against the BSGS search per prime on
 each backend, at t = 1 and t = 5; each backend's NAIVE_LIMIT sits where
 the t = 1 search becomes the cheaper one.
+The pool row times ``bpx.density.ec_traces``, which runs blocks of 4096
+primes on one thread per usable CPU with the compiled kernel, against one
+compiled ``bpx.kernel.ec_traces`` call on the same primes.
 The compiled rows need the extension built where ``bpx`` is imported
 from (``python setup.py build_ext --inplace`` or ``pip install .``).
 """
@@ -20,6 +23,7 @@ import argparse
 import time
 
 import bpx._eckernel_py as pure
+from bpx import density, kernel
 
 try:
     import bpx._eckernel as compiled
@@ -51,6 +55,22 @@ def trace_rows(name, primes, c):
     for t in (1, T11):
         row(f"{name}, t = {t}", pure.ec_traces, c.ec_traces if c else None,
             A11, B11, primes, 2, t)
+
+
+def pool_row():
+    """X0(11) at every good p < 10^6: the automatic thread pool against one call."""
+    name = "X0(11), all good p < 10^6, compiled"
+    if kernel.BACKEND != "compiled":
+        print(f"{name:<46} pool n/a (pure kernel: no pool)")
+        return
+    curve = density.X0_CURVES[11]
+    A, B = curve.short_form
+    primes = [p for p in pure.primes_below(10 ** 6) if p >= 5 and p != 11]
+    t1, want = timed(kernel.ec_traces, A, B, primes)
+    tp, got = timed(density.ec_traces, curve, primes)
+    assert got == want, "pooled traces differ from one call"
+    print(f"{name:<46} one call {t1:9.4f}s   pool on {density._usable_cpus()} CPUs "
+          f"{tp:9.4f}s   x{t1 / tp:6.1f}")
 
 
 def crossover(backends):
@@ -102,6 +122,7 @@ def main():
         name = f"supersingular_js_fq2({ell})"
         print(f"{name:<46} both {timed(pure.supersingular_js_fq2, ell, ns)[0]:9.4f}s")
 
+    pool_row()
     if args.full:
         trace_rows(f"ec_traces, all {len(primes)} primes < 10^6", primes, c)
 

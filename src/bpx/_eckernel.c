@@ -1,18 +1,20 @@
 /* Compiled kernels: prime sieve and elliptic-curve traces.
  *
  * C twin of bpx._eckernel_py: the same API, algorithms and results, bit for
- * bit.  Traces are counted below NAIVE_LIMIT and found above it by the
- * Shanks-Mestre candidate filter (Cohen, GTM 138, 7.4.3) over the pure
- * kernel's seeded xorshift walk of points on isomorphic twists, with the same
- * multiples of a known torsion, +-j baby steps, giant stride and tiny-order
- * rule, so the same candidate lists.  Where the pure kernel steps one affine
- * addition at a time, this one runs the baby and giant steps in batches that
- * share one inversion (Montgomery, Math. Comp. 48, 1987) and multiplies by a
- * scalar in Jacobian coordinates, as one extended Euclid per addition would
- * otherwise dominate.  The trace loop releases the GIL.  Primes are limited
- * to p < 2^31, so every product of two residues fits in 64 bits; the seed
- * and hash products wrap mod 2^64 on purpose.  The supersingular scan is
- * the pure kernel's own function (see PyInit__eckernel).
+ * bit, with one batch trace call, ec_traces, for any list of primes.  Traces
+ * are counted below NAIVE_LIMIT and found above it by the Shanks-Mestre
+ * candidate filter (Cohen, GTM 138, 7.4.3) over the pure kernel's seeded
+ * xorshift walk of points on isomorphic twists, with the same multiples of a
+ * known torsion, +-j baby steps, giant stride and tiny-order rule, so the
+ * same candidate lists.  Where the pure kernel steps one affine addition at a
+ * time, this one runs the baby and giant steps in batches that share one
+ * inversion (Montgomery, Math. Comp. 48, 1987) and multiplies by a scalar in
+ * Jacobian coordinates, as one extended Euclid per addition would otherwise
+ * dominate.  The trace loop releases the GIL, so bpx.density runs blocks of
+ * primes on one thread per usable CPU.  Primes are limited to p < 2^31, so
+ * every product of two residues fits in 64 bits; the seed and hash products
+ * wrap mod 2^64 on purpose.  The supersingular scan is the pure kernel's own
+ * function (see PyInit__eckernel).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -372,51 +374,20 @@ static int job_init(Job *job, PyObject *a, PyObject *b, PyObject *pobj)
     return 0;
 }
 
-/* Trace every job with the GIL released; raise and return -1 on failure. */
-static int run_jobs(Job *jobs, Py_ssize_t n, long long naive_limit, long long torsion)
-{
-    u64 limit = naive_limit < 0 ? 0 : (u64)naive_limit;
-    int status = TRACE_OK;
-    Py_ssize_t i;
-    if (torsion < 1) {
-        PyErr_Format(PyExc_ValueError, "torsion must be >= 1, got %lld", torsion);
-        return -1;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    for (i = 0; i < n && status == TRACE_OK; i++)
-        status = jobs[i].p < limit ? trace_naive(jobs[i].a, jobs[i].b, jobs[i].p, &jobs[i].trace)
-            : trace_bsgs(jobs[i].a, jobs[i].b, jobs[i].p, (u64)torsion, &jobs[i].trace);
-    Py_END_ALLOW_THREADS
-    if (status == TRACE_NOMEM)
-        PyErr_NoMemory();
-    else if (status == TRACE_NOCAND)
-        PyErr_SetString(PyExc_AssertionError, "no group-order candidate in the Hasse window");
-    return status == TRACE_OK ? 0 : -1;
-}
-
-static PyObject *ec_trace(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"a", "b", "p", "naive_limit", "torsion", NULL};
-    PyObject *a, *b, *p;
-    long long naive_limit = NAIVE_LIMIT, torsion = 1;
-    Job job;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|LL:ec_trace", kwlist,
-                                     &a, &b, &p, &naive_limit, &torsion)
-        || job_init(&job, a, b, p) < 0 || run_jobs(&job, 1, naive_limit, torsion) < 0)
-        return NULL;
-    return PyLong_FromLongLong(job.trace);
-}
-
 static PyObject *ec_traces(PyObject *Py_UNUSED(self), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"a", "b", "primes", "naive_limit", "torsion", NULL};
     PyObject *a, *b, *primes, *seq, *t, *out = NULL;
     long long naive_limit = NAIVE_LIMIT, torsion = 1;
+    int status = TRACE_OK;
     Py_ssize_t n, i;
     Job *jobs;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO|LL:ec_traces", kwlist,
-                                     &a, &b, &primes, &naive_limit, &torsion)
-        || (seq = PySequence_Tuple(primes)) == NULL)  /* a copy no callback can change */
+                                     &a, &b, &primes, &naive_limit, &torsion))
+        return NULL;
+    if (torsion < 1)
+        return PyErr_Format(PyExc_ValueError, "torsion must be >= 1, got %lld", torsion);
+    if ((seq = PySequence_Tuple(primes)) == NULL)  /* a copy no callback can change */
         return NULL;
     n = PyTuple_GET_SIZE(seq);
     if ((jobs = PyMem_RawMalloc((n + 1) * sizeof(Job))) == NULL) {
@@ -427,8 +398,18 @@ static PyObject *ec_traces(PyObject *Py_UNUSED(self), PyObject *args, PyObject *
     for (i = 0; i < n; i++)
         if (job_init(&jobs[i], a, b, PyTuple_GET_ITEM(seq, i)) < 0)
             goto done;
-    if (run_jobs(jobs, n, naive_limit, torsion) < 0 || (out = PyList_New(n)) == NULL)
-        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    for (i = 0; i < n && status == TRACE_OK; i++)
+        status = (long long)jobs[i].p < naive_limit
+            ? trace_naive(jobs[i].a, jobs[i].b, jobs[i].p, &jobs[i].trace)
+            : trace_bsgs(jobs[i].a, jobs[i].b, jobs[i].p, (u64)torsion, &jobs[i].trace);
+    Py_END_ALLOW_THREADS
+    if (status == TRACE_NOMEM)
+        PyErr_NoMemory();
+    else if (status == TRACE_NOCAND)
+        PyErr_SetString(PyExc_AssertionError, "no group-order candidate in the Hasse window");
+    else
+        out = PyList_New(n);
     for (i = 0; out && i < n; i++)
         if ((t = PyLong_FromLongLong(jobs[i].trace)) == NULL)
             Py_CLEAR(out);
@@ -488,13 +469,10 @@ static PyObject *primes_below(PyObject *Py_UNUSED(self), PyObject *arg)
 static PyMethodDef methods[] = {
     {"primes_below", primes_below, METH_O,
      "primes_below(limit)\n--\n\nAscending list of all primes p < limit."},
-    {"ec_trace", (PyCFunction)(void (*)(void))ec_trace, METH_VARARGS | METH_KEYWORDS,
-     "ec_trace(a, b, p, naive_limit=NAIVE_LIMIT, torsion=1)\n--\n\n"
-     "Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime);\n"
-     "torsion must divide #E(F_p)."},
     {"ec_traces", (PyCFunction)(void (*)(void))ec_traces, METH_VARARGS | METH_KEYWORDS,
      "ec_traces(a, b, primes, naive_limit=NAIVE_LIMIT, torsion=1)\n--\n\n"
-     "Traces of the global curve y^2 = x^3 + a*x + b at each given prime."},
+     "Traces of Frobenius of y^2 = x^3 + a*x + b at each given prime p >= 5;\n"
+     "torsion must divide every #E(F_p)."},
     {NULL, NULL, 0, NULL}
 };
 

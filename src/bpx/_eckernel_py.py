@@ -3,8 +3,9 @@
 Same API as the compiled ``bpx._eckernel``; ``bpx.kernel`` picks whichever
 is available.  The compiled module twins the sieve and the traces and
 serves this module's supersingular scan itself, which beats a direct C sum
-from l of about 23 on.  Traces are computed by naive point counting below
-``naive_limit`` and by baby-step/giant-step group-order search above it.
+from l of about 23 on.  One call, ``ec_traces``, traces a curve at a list
+of primes: by naive point counting below ``naive_limit`` and by
+baby-step/giant-step group-order search above it.
 The search lists every N in the Hasse window with N*P = O for one point P
 and drops the candidates that a further point does not annihilate until
 one is left (Shanks-Mestre, Cohen GTM 138, 7.4.3); no point order is
@@ -236,25 +237,20 @@ def _trace_bsgs(a, b, p, torsion=1):
     return _trace_naive(a, b, p)
 
 
-def ec_trace(a: int, b: int, p: int, naive_limit: int = NAIVE_LIMIT,
-             torsion: int = 1) -> int:
-    """Trace of Frobenius of y^2 = x^3 + a*x + b over F_p (p >= 5 prime);
-    the search tries only multiples of ``torsion``, which must divide #E."""
-    a %= p
-    b %= p
-    if (4 * a * a % p * a + 27 * b * b) % p == 0:
-        raise ValueError(f"singular curve mod {p}")
-    if torsion < 1:
-        raise ValueError(f"torsion must be >= 1, got {torsion}")
-    if p < naive_limit:
-        return _trace_naive(a, b, p)
-    return _trace_bsgs(a, b, p, torsion)
-
-
 def ec_traces(a: int, b: int, primes, naive_limit: int = NAIVE_LIMIT,
               torsion: int = 1) -> list[int]:
-    """Traces of the global curve y^2 = x^3 + a*x + b at each given prime."""
-    return [ec_trace(a, b, p, naive_limit, torsion) for p in primes]
+    """Traces of Frobenius of y^2 = x^3 + a*x + b at each given prime p >= 5;
+    the search tries only multiples of ``torsion``, which must divide #E."""
+    if torsion < 1:
+        raise ValueError(f"torsion must be >= 1, got {torsion}")
+    out = []
+    for p in primes:
+        ap, bp = a % p, b % p
+        if (4 * ap * ap % p * ap + 27 * bp * bp) % p == 0:
+            raise ValueError(f"singular curve mod {p}")
+        out.append(_trace_naive(ap, bp, p) if p < naive_limit
+                   else _trace_bsgs(ap, bp, p, torsion))
+    return out
 
 
 def supersingular_js_fq2(ell: int, nonres: int) -> list[int]:

@@ -2,9 +2,10 @@
 
 Subcommands: exponents, congruence, density, check, supersingular,
 classpoly, table2.  Every run echoes its resolved configuration into the
-output document; identical configurations produce byte-identical output
-regardless of thread count.  Exit codes: 0 success, 2 invalid input or an
-unmet hypothesis (an expected state), 1 broken internal invariant (a bug).
+output document; identical configurations produce byte-identical output,
+whatever the number of CPUs the compiled kernel's curve traces run on.
+Exit codes: 0 success, 2 invalid input or an unmet hypothesis (an expected
+state), 1 broken internal invariant (a bug).
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None,
                        help="class polynomial cache directory")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="threads for curve traces (compiled kernel only)")
 
     p = sub.add_parser("exponents", help="exact exponents A(n^2, d)")
     common(p, d=True, n=10)
@@ -144,7 +143,7 @@ def _cmd_density(args) -> tuple[dict, list[str]]:
     if args.x is None:
         tab = asymptotic_table(F)
     else:
-        tab = empirical_table(F, args.x, threads=args.threads)
+        tab = empirical_table(F, args.x)
     doc = tab.to_document()
     doc["csv"] = _csv(doc)
     text = [f"{tab.kind} density of A(p^2, {args.d}) mod {args.ell}"

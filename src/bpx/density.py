@@ -11,6 +11,7 @@ columns of a_i(p), and tallies the congruence values at those primes.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -125,29 +126,38 @@ def ec_trace(E: EllCurve, p: int) -> int:
     if p < 5:
         return _trace_tiny(E, p)
     A, B = E.short_form
-    return kernel.ec_trace(A, B, p)
+    return kernel.ec_traces(A, B, [p])[0]
 
 
-def ec_traces(E: EllCurve, primes, naive_limit: int = kernel.NAIVE_LIMIT,
-              threads: int = 1) -> list[int]:
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def ec_traces(E: EllCurve, primes, naive_limit: int = kernel.NAIVE_LIMIT) -> list[int]:
     """Traces at many good primes, in prime order whatever the thread count.
 
     With the compiled kernel, whose trace loop releases the GIL, blocks of
-    4096 primes run on ``threads`` threads.  The pure-Python kernel holds
-    the GIL, so there threads would only add overhead and are not used.
+    4096 primes run on one thread per usable CPU, at most one per block.
+    The pure-Python kernel holds the GIL, so there threads would only add
+    overhead and none are started.
     """
     primes = list(primes)
     small = [p for p in primes if p < 5]
     big = [p for p in primes if p >= 5]
     A, B = E.short_form
     out_small = [_trace_tiny(E, p) for p in small]
-    if threads <= 1 or len(big) < 4096 or kernel.BACKEND != "compiled":
+    blocks = [big[i:i + 4096] for i in range(0, len(big), 4096)]
+    workers = min(_usable_cpus(), len(blocks)) if kernel.BACKEND == "compiled" else 1
+    if workers <= 1:
         out_big = kernel.ec_traces(A, B, big, naive_limit)
     else:
         from concurrent.futures import ThreadPoolExecutor  # this branch only
 
-        blocks = [big[i:i + 4096] for i in range(0, len(big), 4096)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
                 lambda blk: kernel.ec_traces(A, B, blk, naive_limit), blocks))
         out_big = [t for part in parts for t in part]
@@ -225,7 +235,7 @@ def asymptotic_table(F: CongruenceFormula) -> DensityTable:
 EXPANSION_LIMIT = 100_000
 
 
-def empirical_table(F: CongruenceFormula, x: int, threads: int = 1) -> DensityTable:
+def empirical_table(F: CongruenceFormula, x: int) -> DensityTable:
     """Tally of the congruence values over primes p < x.
 
     Traces come from the level l modular curve for l in {11, 17, 19}
@@ -239,7 +249,7 @@ def empirical_table(F: CongruenceFormula, x: int, threads: int = 1) -> DensityTa
     total = len(primes)
     eligible = [p for p in primes if p != ell]
     if ell in X0_CURVES and F.rank == 1:
-        columns = [ec_traces(X0_CURVES[ell], eligible, threads=threads)]
+        columns = [ec_traces(X0_CURVES[ell], eligible)]
     elif F.rank:
         if x > EXPANSION_LIMIT:
             raise CapabilityError(

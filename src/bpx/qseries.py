@@ -249,6 +249,25 @@ def _kron_pays(a: list[int], b: list[int], n_out: int) -> bool:
     return 2 * kron < school
 
 
+def _schoolbook(a: list, b: list, n_out: int, zero) -> list:
+    """The first n_out coefficients of the product of a and b, over any ring.
+
+    The outer loop runs over the sparser operand and skips its zeros.
+    """
+    if sum(1 for c in a if c) > sum(1 for c in b if c):
+        a, b = b, a
+    out = [zero] * n_out
+    nb = len(b)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for k in range(min(nb, n_out - i)):
+            cb = b[k]
+            if cb:
+                out[i + k] = out[i + k] + ca * cb
+    return out
+
+
 def _inverse_gf(u: list[int], ell: int) -> list[int]:
     """len(u) coefficients of 1/u over F_l by Newton iteration g <- g + g (1 - u g).
 
@@ -359,6 +378,11 @@ class QSeries:
         if self.ring is not other.ring and self.ring.name != other.ring.name:
             raise InputError(f"mixed rings {self.ring.name} / {other.ring.name}")
 
+    def _padded(self, lead: int, n: int) -> list:
+        """The n coefficients of q^lead.. for lead <= self.lead, n <= trunc - lead + 1."""
+        k = self.lead - lead
+        return [self.ring.zero] * min(k, n) + self.coeffs[:max(n - k, 0)]
+
     def _lift_scalar(self, c) -> "QSeries":
         return QSeries.constant(self.ring, c, max(self.trunc, 0))
 
@@ -367,13 +391,9 @@ class QSeries:
             other = self._lift_scalar(other)
         self._check_ring(other)
         lead = min(self.lead, other.lead)
-        trunc = min(self.trunc, other.trunc)
-        out = []
-        for e in range(lead, trunc + 1):
-            a = self.coeffs[e - self.lead] if self.lead <= e <= self.trunc else self.ring.zero
-            b = other.coeffs[e - other.lead] if other.lead <= e <= other.trunc else self.ring.zero
-            out.append(a + b)
-        return QSeries(self.ring, lead, out)
+        n = min(self.trunc, other.trunc) - lead + 1
+        return QSeries(self.ring, lead, [a + b for a, b in zip(self._padded(lead, n),
+                                                               other._padded(lead, n))])
 
     __radd__ = __add__
 
@@ -407,21 +427,8 @@ class QSeries:
         if isinstance(self.ring, IntegerRing) and _kron_pays(self.coeffs, other.coeffs, n_out):
             return QSeries(self.ring, lead,
                            _kron_mul_zz(self.coeffs, other.coeffs, n_out))
-        # generic schoolbook, outer loop over the sparser operand
-        a, b = self, other
-        if sum(1 for c in a.coeffs if c) > sum(1 for c in b.coeffs if c):
-            a, b = b, a
-        out = [self.ring.zero] * n_out
-        nb = len(b.coeffs)
-        for i, ca in enumerate(a.coeffs):
-            if not ca:
-                continue
-            top = min(nb, n_out - i)
-            for k in range(top):
-                cb = b.coeffs[k]
-                if cb:
-                    out[i + k] = out[i + k] + ca * cb
-        return QSeries(self.ring, lead, out)
+        return QSeries(self.ring, lead,
+                       _schoolbook(self.coeffs, other.coeffs, n_out, self.ring.zero))
 
     __rmul__ = __mul__
 
@@ -499,13 +506,9 @@ class QSeries:
             return NotImplemented
         if self.ring.name != other.ring.name:
             return False
-        trunc = min(self.trunc, other.trunc)
-        for e in range(min(self.lead, other.lead), trunc + 1):
-            a = self.coeffs[e - self.lead] if self.lead <= e else self.ring.zero
-            b = other.coeffs[e - other.lead] if other.lead <= e else self.ring.zero
-            if a != b:
-                return False
-        return True
+        lead = min(self.lead, other.lead)
+        n = min(self.trunc, other.trunc) - lead + 1
+        return self._padded(lead, n) == other._padded(lead, n)
 
     def __str__(self):
         terms = []
@@ -580,14 +583,9 @@ class Poly:
         if not isinstance(other, Poly):
             c = self.ring.coerce(other)
             return Poly(self.ring, [c * v for v in self.coeffs])
-        out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for k, b in enumerate(other.coeffs):
-                if b:
-                    out[i + k] = out[i + k] + a * b
-        return Poly(self.ring, out)
+        return Poly(self.ring, _schoolbook(self.coeffs, other.coeffs,
+                                           len(self.coeffs) + len(other.coeffs) - 1,
+                                           self.ring.zero))
 
     __rmul__ = __mul__
 

@@ -10,7 +10,6 @@ congruences are expressed in.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -190,7 +189,6 @@ def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
     # t_cols[i][j]: coefficient of gens[j] in T_2 gens[i]
     mat = [list(row) for row in zip(*t_cols)]
     pairs = _eigenpairs(mat, ell)
-    values = [[0] * g.lead + g.coeffs for g in gens]
     forms, combos = [], []
     for _, vec in pairs:
         a1 = sum(v * g.coeff(1) for v, g in zip(vec, gens)) % ell
@@ -198,8 +196,8 @@ def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
             raise InputError("eigenform cannot be normalized: a(1) = 0")
         inv = pow(a1, -1, ell)
         vec = [v * inv % ell for v in vec]
-        forms.append(QSeries(GF(ell), 0, [sum(map(operator.mul, vec, col))
-                                          for col in zip(*values)]))
+        forms.append(sum((g.scale(v) for v, g in zip(vec, gens) if v),
+                         QSeries.zero(GF(ell), n)))
         combos.append(tuple((monos[i], v) for i, v in enumerate(vec) if v))
     return EigenformBasis(ell, n, tuple(forms), tuple(lam for lam, _ in pairs),
                           tuple(combos))

@@ -76,17 +76,31 @@ def test_density_empirical(capsys):
     assert doc["total"] == 430  # pi(3000)
 
 
-def test_density_empirical_thread_count_invariance(capsys):
-    _, out1, _ = invoke(capsys, "density", "--d", "4", "--ell", "11",
-                        "--empirical", "20000", "--format", "json", "--threads", "1")
-    _, out4, _ = invoke(capsys, "density", "--d", "4", "--ell", "11",
-                        "--empirical", "20000", "--format", "json", "--threads", "4")
-    d1, d4 = json.loads(out1), json.loads(out4)
-    assert d1["rows"] == d4["rows"]
-    # full byte identity apart from the echoed thread count
-    d1["meta"]["config"].pop("threads")
-    d4["meta"]["config"].pop("threads")
-    assert d1 == d4
+def test_density_empirical_thread_count_invariance(capsys, monkeypatch):
+    # the compiled kernel's trace pool takes one thread per usable CPU; the
+    # document, echoed configuration included, must not depend on it
+    docs = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        docs.append(invoke(capsys, "density", "--d", "4", "--ell", "11",
+                           "--empirical", "20000", "--format", "json")[1])
+    assert docs[0] == docs[1]
+    assert sorted(json.loads(docs[0])["meta"]["config"]) == \
+        ["cache_dir", "command", "d", "ell", "x"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--d", "4"], ["congruence", "--d", "4", "--ell", "11"],
+    ["density", "--d", "4", "--ell", "11"], ["check", "--d", "4", "--ell", "11"],
+    ["supersingular", "--ell", "11"], ["classpoly", "--d", "4"],
+    ["table2", "--ell", "11", "--dmax", "10"],
+], ids=lambda argv: argv[0])
+def test_threads_option_is_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--threads", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
 
 def test_check_command(capsys):
@@ -279,7 +293,7 @@ def _loaded_after_cli_import(*modules):
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    # only the threaded compiled branch of density.ec_traces needs it
+    # only the pooled compiled branch of density.ec_traces needs it
     assert _loaded_after_cli_import("concurrent.futures") == "[]\n"
 
 
@@ -463,11 +477,10 @@ def test_discriminant_message_shows_d_as_given(argv, shown, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["exponents", "--d", "4", "--threads", "0"],
     ["exponents", "--d", "4", "--n", "0"],
     ["check", "--d", "4", "--ell", "11", "--n", "-3"],
     ["congruence", "--d", "4", "--ell", "11", "--verify-to", "0"],
-], ids=["threads", "n", "negative-n", "verify-to"])
+], ids=["n", "negative-n", "verify-to"])
 def test_counts_below_1_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv)

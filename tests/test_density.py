@@ -1,6 +1,8 @@
 import json
+import os
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -246,30 +248,59 @@ def test_hasse_bound_and_method_agreement_band():
         assert t * t <= 4 * p
 
 
-def test_ec_traces_threads_deterministic():
+def _pretend_cpus(monkeypatch, n):
+    """Let this process appear to run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def test_ec_traces_threads_deterministic(monkeypatch):
     curve = X0_CURVES[11]
     primes = [p for p in sieve(40000).primes if p not in (2, 3, 11)]
-    assert ec_traces(curve, primes, threads=1) == ec_traces(curve, primes, threads=4)
+    _pretend_cpus(monkeypatch, 1)
+    want = ec_traces(curve, primes)
+    _pretend_cpus(monkeypatch, 4)
+    assert ec_traces(curve, primes) == want
 
 
 def test_ec_traces_threads_on_the_compiled_kernel(monkeypatch, compiled):
-    # blocks of 4096 primes run on a thread pool, each block with the GIL
-    # released; the merged traces must equal one single-threaded call
+    # blocks of 4096 primes run on a pool of one thread per usable CPU, at
+    # most one per block, each block with the GIL released; the merged
+    # traces must equal one single-threaded call
     curve = X0_CURVES[11]
     primes = [p for p in sieve(40000).primes if p not in (2, 3, 11)]
-    assert len(primes) > 4096  # enough for more than one block
-    callers = set()
+    assert 4096 < len(primes) <= 2 * 4096  # two blocks
+    callers, pools = set(), []
 
     def traced(*args):
         callers.add(threading.get_ident())
         return compiled.ec_traces(*args)
 
+    def counted_pool(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
     monkeypatch.setattr(kernel, "BACKEND", "compiled")
     monkeypatch.setattr(kernel, "ec_traces", traced)
-    want = ec_traces(curve, primes, threads=1)
-    assert callers == {threading.get_ident()}
-    assert ec_traces(curve, primes, threads=2) == want
-    assert len(callers) > 1  # the blocks ran on pool threads
+    # density imports the pool class only on the threaded branch
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", counted_pool)
+    _pretend_cpus(monkeypatch, 1)
+    want = ec_traces(curve, primes)
+    assert pools == [] and callers == {threading.get_ident()}
+    _pretend_cpus(monkeypatch, 2)
+    assert ec_traces(curve, primes) == want
+    assert pools == [2] and len(callers) > 1  # the blocks ran on pool threads
+    _pretend_cpus(monkeypatch, 64)
+    assert ec_traces(curve, primes) == want
+    assert pools == [2, 2]  # no more threads than blocks
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert density._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert density._usable_cpus() == 1
 
 
 def test_ec_traces_no_threads_on_the_pure_kernel(monkeypatch):
@@ -277,15 +308,15 @@ def test_ec_traces_no_threads_on_the_pure_kernel(monkeypatch):
     curve = X0_CURVES[11]
     primes = [p for p in sieve(40000).primes if p not in (2, 3, 11)]
     assert len(primes) > 4096  # enough for more than one block
-    want = ec_traces(curve, primes, threads=1)
+    want = ec_traces(curve, primes)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("thread pool created on the pure-Python kernel")
 
     monkeypatch.setattr(kernel, "BACKEND", "python")
-    # density imports the pool class only on the threaded branch
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
-    assert ec_traces(curve, primes, threads=4) == want
+    _pretend_cpus(monkeypatch, 4)
+    assert ec_traces(curve, primes) == want
 
 
 # ---------------------------------------------------------------------------

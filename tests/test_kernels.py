@@ -34,19 +34,18 @@ def test_primes_below_parity(compiled):
 
 
 def test_pure_trace_small():
-    assert pure.ec_trace(A11, B11, 5) == 1
-    assert pure.ec_trace(A11, B11, 7) == -2
+    assert pure.ec_traces(A11, B11, [5, 7]) == [1, -2]
 
 
 def test_trace_parity_naive_and_bsgs(compiled):
     primes = [p for p in pure.primes_below(2000) if p >= 5 and p != 11][:80]
     big = [p for p in pure.primes_below(120000) if p > 100000][:40]
     for p in primes + big:
-        want = pure.ec_trace(A11, B11, p)
-        assert compiled.ec_trace(A11, B11, p) == want
+        want = pure.ec_traces(A11, B11, [p])
+        assert compiled.ec_traces(A11, B11, [p]) == want
         # force both strategies on the compiled side
-        assert compiled.ec_trace(A11, B11, p, naive_limit=2) == want
-        assert compiled.ec_trace(A11, B11, p, naive_limit=10 ** 9) == want
+        assert compiled.ec_traces(A11, B11, [p], naive_limit=2) == want
+        assert compiled.ec_traces(A11, B11, [p], naive_limit=10 ** 9) == want
 
 
 def test_trace_parity_below_2_31(compiled):
@@ -100,11 +99,13 @@ def test_torsion_is_checked(compiled):
 def test_kernel_entry_points_keep_four_arguments(compiled):
     # the benchmark's tracer observes kernel.ec_traces(a, b, primes,
     # naive_limit) and its replay calls each backend with those four
-    # arguments, so the torsion is looked up inside bpx.kernel
-    for fn, third in ((kernel.ec_traces, "primes"), (kernel.ec_trace, "p")):
-        params = inspect.signature(fn).parameters
-        assert list(params) == ["a", "b", third, "naive_limit"]
-        assert params["naive_limit"].default == kernel.NAIVE_LIMIT
+    # arguments, so the torsion is looked up inside bpx.kernel; the batch
+    # call is the one way into the traces, a single prime a list of one
+    params = inspect.signature(kernel.ec_traces).parameters
+    assert list(params) == ["a", "b", "primes", "naive_limit"]
+    assert params["naive_limit"].default == kernel.NAIVE_LIMIT
+    for mod in (kernel, pure, compiled):
+        assert not hasattr(mod, "ec_trace")
     primes = [p for p in pure.primes_below(30000) if p > 20000][:50]
     want = kernel.ec_traces(A11, B11, primes, 600)
     for mod in (pure, compiled):
@@ -112,19 +113,22 @@ def test_kernel_entry_points_keep_four_arguments(compiled):
 
 
 def test_pure_bsgs_vs_naive():
-    for p in [10007, 10009, 10037, 20011, 30011]:
-        assert pure.ec_trace(A11, B11, p, naive_limit=2) == \
-            pure.ec_trace(A11, B11, p, naive_limit=10 ** 9)
+    primes = [10007, 10009, 10037, 20011, 30011]
+    assert pure.ec_traces(A11, B11, primes, naive_limit=2) == \
+        pure.ec_traces(A11, B11, primes, naive_limit=10 ** 9)
 
 
 def test_singular_curve_rejected():
-    with pytest.raises(ValueError):
-        pure.ec_trace(0, 0, 7)
+    with pytest.raises(ValueError, match="singular curve mod 7"):
+        pure.ec_traces(0, 0, [7])
+    # 4 + 27 * 4 = 2^4 * 7: bad reduction at 7 only
+    with pytest.raises(ValueError, match="singular curve mod 7"):
+        pure.ec_traces(1, 2, [5, 7])
 
 
 def test_compiled_singular_curve_rejected(compiled):
     with pytest.raises(ValueError, match="singular curve mod 7"):
-        compiled.ec_trace(0, 0, 7)
+        compiled.ec_traces(0, 0, [7])
     # 4 + 27 * 4 = 2^4 * 7: bad reduction at 7 only
     with pytest.raises(ValueError, match="singular curve mod 7"):
         compiled.ec_traces(1, 2, [5, 7])
@@ -132,7 +136,7 @@ def test_compiled_singular_curve_rejected(compiled):
 
 def test_compiled_prime_size_limit(compiled):
     with pytest.raises(OverflowError):
-        compiled.ec_trace(1, 1, 2 ** 31 + 11)
+        compiled.ec_traces(1, 1, [2 ** 31 + 11])
 
 
 def test_ec_traces_block_parity(compiled):
@@ -157,8 +161,8 @@ def test_supersingular_scan_matches_a_literal_point_count(ell):
 
 
 def test_hasse_bound_pure_band():
-    for p in [10007, 50021, 100003]:
-        t = pure.ec_trace(A11, B11, p)
+    primes = [10007, 50021, 100003]
+    for p, t in zip(primes, pure.ec_traces(A11, B11, primes)):
         assert t * t <= 4 * p
 
 
@@ -178,7 +182,7 @@ def test_pure_default_route_equals_naive_count(p, kind, a, b):
         b = 0
     if (4 * a ** 3 + 27 * b * b) % p == 0:
         return
-    assert pure.ec_trace(a, b, p) == pure.ec_trace(a, b, p, naive_limit=10 ** 9)
+    assert pure.ec_traces(a, b, [p]) == pure.ec_traces(a, b, [p], naive_limit=10 ** 9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,7 +198,8 @@ def test_compiled_search_equals_naive_count(compiled, p, kind, a, b):
         b = 0
     if (4 * a ** 3 + 27 * b * b) % p == 0:
         return
-    assert compiled.ec_trace(a, b, p, naive_limit=2) == pure.ec_trace(a, b, p, naive_limit=10 ** 9)
+    assert compiled.ec_traces(a, b, [p], naive_limit=2) == \
+        pure.ec_traces(a, b, [p], naive_limit=10 ** 9)
 
 
 def _curve_and_point(p, kind, u, v, w):
