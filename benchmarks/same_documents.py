@@ -34,14 +34,17 @@ FORMATS = ("json", "text", "csv")
 # s_l at l = 1, 5, 7 and 11 mod 12 and at a large l, the point-count
 # check at l = 97 and at its largest l, 199, divisibility scans at two
 # other l than the benchmark's, a pair that the degree of H_d alone rules
-# out (exit 2), two pairs of rank 0 (no cusp form of weight l + 1), and
-# class polynomials computed at 248 to 549 digits
+# out (exit 2), two pairs of rank 0 (no cusp form of weight l + 1),
+# class polynomials computed at 248 to 549 digits, and exponents whose
+# integer series products have class-polynomial-sized coefficients on both
+# sides of the Kronecker/schoolbook choice
 EXTRA_COMMANDS = [f"supersingular --ell {ell}"
                   for ell in (5, 7, 13, 97, 199, 1009, 10007)]
 EXTRA_COMMANDS += ["table2 --ell 31 --dmax 100", "table2 --ell 17 --dmax 150",
                    "congruence --d 239 --ell 11", "congruence --d 3 --ell 5",
                    "density --d 7 --ell 13"]
 EXTRA_COMMANDS += [f"classpoly --d {d}" for d in (719, 2351, 2624)]
+EXTRA_COMMANDS += ["exponents --d 719 --n 200", "exponents --d 2351 --n 100"]
 
 
 def benchmark_commands(tree: Path) -> list[str]:
@@ -89,6 +92,8 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     args = ap.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # exponents past 4300 digits
+        sys.set_int_max_str_digits(0)
     trees = (args.parent.resolve(), args.change.resolve())
     commands = list(dict.fromkeys(benchmark_commands(trees[0])
                                   + benchmark_commands(trees[1])

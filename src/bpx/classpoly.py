@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import count, islice
 from typing import NamedTuple
 
-from .arith import Record, is_fundamental_discriminant, is_prime, kronecker
+from .arith import Record, is_prime, kronecker
 from .errors import (InputError, InternalConsistencyError,
                      NotADiscriminantError, PrecisionError)
 from .qseries import GF, ZZ, Poly, jfunction
@@ -446,32 +446,3 @@ def eligibility(d: int, ell: int, cache_dir: str | None = None) -> EligibilityRe
     prod = hilbert_class_poly(d, cache_dir=cache_dir).product_mod(ell)
     return EligibilityReport(d, ell, prod.divides(supersingular_poly(ell)),
                              prod.is_squarefree(), prod)
-
-
-class CorollaryReport(NamedTuple):
-    D: int
-    d: int
-    ell: int
-    inert: bool
-    kron: bool
-    range_ok: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return self.inert and self.kron and self.range_ok
-
-
-def corollary_conditions(D: int, d: int, ell: int) -> CorollaryReport:
-    """The inertia / Kronecker / size conditions that imply eligibility."""
-    if not is_fundamental_discriminant(-d):
-        raise InputError(f"-{d} is not a fundamental discriminant")
-    if D != 1 and not (D > 0 and is_fundamental_discriminant(D)):
-        raise InputError(f"{D} is not a positive fundamental discriminant")
-    if not is_fundamental_discriminant(-D * d):
-        raise InputError(f"-{D * d} is not a fundamental discriminant")
-    return CorollaryReport(
-        D, d, ell,
-        inert=kronecker(-D * d, ell) == -1,
-        kron=kronecker(ell, D * d) == 1,
-        range_ok=ell > D * d,
-    )

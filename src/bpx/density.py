@@ -123,10 +123,7 @@ def ec_trace(E: EllCurve, p: int) -> int:
         raise InputError(f"{p} is not prime")
     if E.discriminant % p == 0:
         raise InputError(f"{E.label or 'curve'} has bad reduction at {p}")
-    if p < 5:
-        return _trace_tiny(E, p)
-    A, B = E.short_form
-    return kernel.ec_traces(A, B, [p])[0]
+    return ec_traces(E, [p])[0]
 
 
 def _usable_cpus() -> int:

@@ -9,7 +9,10 @@ Series and polynomials normalize when they are built, so their arithmetic
 is written once for every ring.  Truncation orders are explicit
 everywhere: a series knows its leading exponent and the last exponent it
 is valid to, and every operation propagates validity conservatively (no
-global precision state).
+global precision state).  One Kronecker product on int lists (Harvey,
+J. Symbolic Comput. 2009), over ZZ or F_l, multiplies series over GF(l),
+over ZZ where it is estimated cheaper than the schoolbook loop, and the
+level-one forms for every ring.
 
 Classical expansions live here too: Eisenstein series; one table of the
 level-one forms Delta^a E4^b E6^c over ZZ, QQ and GF(l >= 5), with
@@ -162,52 +165,43 @@ def _kron_unpack(x: int, nb: int, count: int) -> list[int]:
     return words.tolist()
 
 
-def _kron_mul_gf(a: list[int], b: list[int], ell: int, n_out: int) -> list[int]:
-    """Convolution mod l by Kronecker substitution into one big integer.
+def _kron_mul(a: list[int], b: list[int], n_out: int, ell: int | None = None) -> list[int]:
+    """The first n_out coefficients of a b by Kronecker substitution.
 
-    Values are ints in [0, l).  Slots are packed and unpacked through
-    machine-word arrays, so the big product is the only per-call cost that
-    grows faster than the length.
+    Over F_l (``ell`` given) the values are ints in [0, l), and each slot
+    is reduced mod l.  Over ZZ every slot of w bits carries the offset
+    h = 2^(w-1): a list packs as its values plus h, less the all-h integer
+    H(len), and since every output coefficient has |c_k| < h, the low slots
+    of the product plus H are c_k + h in [0, 2^w), with no carries.  Slots
+    are packed and unpacked through machine-word arrays, so the big
+    product is the only per-call cost that grows faster than the length.
     """
-    bound = (ell - 1) ** 2 * min(len(a), len(b)) + 1
-    nb = (bound.bit_length() + 7) // 8
-    A = _kron_pack(a, nb)
-    B = A if b is a else _kron_pack(b, nb)
-    total = min(n_out, len(a) + len(b) - 1)
-    out = [v % ell for v in _kron_unpack(A * B, nb, total)]
-    out.extend([0] * (n_out - total))
-    return out
-
-
-def _kron_pack_signed(a: list[int], nb: int) -> int:
-    """sum a_i 2^(8 nb i) for signed a_i, as positive part minus negative part."""
-    zero = bytes(nb)
-    pos = b"".join(v.to_bytes(nb, "little") if v > 0 else zero for v in a)
-    neg = b"".join((-v).to_bytes(nb, "little") if v < 0 else zero for v in a)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _kron_mul_zz(a: list[int], b: list[int], n_out: int) -> list[int]:
-    """Integer convolution to n_out terms by signed Kronecker substitution.
-
-    Each slot is wide enough that every output coefficient lies strictly
-    inside (-2^(w-1), 2^(w-1)); the low n_out slots of the product, read
-    as nonnegative digits, are turned back into signed ones by carrying.
-    """
+    square = a is b
     a, b = a[:n_out], b[:n_out]
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    if not bound:
-        return [0] * n_out
-    nb = (bound.bit_length() + 8) // 8
-    width = 8 * nb
-    low = (_kron_pack_signed(a, nb) * _kron_pack_signed(b, nb)) & ((1 << (width * n_out)) - 1)
-    buf = low.to_bytes(nb * n_out, "little")
-    half, full = 1 << (width - 1), 1 << width
-    out, carry = [], 0
-    for i in range(0, nb * n_out, nb):
-        v = int.from_bytes(buf[i:i + nb], "little") + carry
-        carry = v >= half
-        out.append(v - full if carry else v)
+    m = min(len(a), len(b))
+    total = min(n_out, len(a) + len(b) - 1)
+    if ell:
+        nb = (((ell - 1) ** 2 * m + 1).bit_length() + 7) // 8
+        A = _kron_pack(a, nb)
+        x = A * (A if square else _kron_pack(b, nb))
+        out = [v % ell for v in _kron_unpack(x, nb, total)]
+    else:
+        top = max(map(abs, a)) * max(map(abs, b))
+        if not top:
+            return [0] * n_out
+        nb = ((2 * top * m + 1).bit_length() + 7) // 8
+        h = 1 << (8 * nb - 1)
+        slot = h.to_bytes(nb, "little")
+
+        def pack(f):
+            return (_kron_pack([v + h for v in f], nb)
+                    - int.from_bytes(slot * len(f), "little"))
+
+        A = pack(a)
+        x = A * (A if square else pack(b)) + int.from_bytes(slot * total, "little")
+        x &= (1 << (8 * nb * total)) - 1  # the slots past total may be negative
+        out = [v - h for v in _kron_unpack(x, nb, total)]
+    out.extend([0] * (n_out - total))
     return out
 
 
@@ -278,8 +272,8 @@ def _inverse_gf(u: list[int], ell: int) -> list[int]:
     n, k = len(u), 1
     while k < n:
         k2 = min(2 * k, n)
-        err = _kron_mul_gf(u[:k2], g, ell, k2)[k:]  # u g = 1 + q^k err + O(q^k2)
-        g += [-c % ell for c in _kron_mul_gf(g, err, ell, k2 - k)]
+        err = _kron_mul(u[:k2], g, k2, ell)[k:]  # u g = 1 + q^k err + O(q^k2)
+        g += [-c % ell for c in _kron_mul(g, err, k2 - k, ell)]
         k = k2
     return g
 
@@ -421,14 +415,12 @@ class QSeries:
         n_out = trunc - lead + 1
         if n_out <= 0:
             return QSeries(self.ring, lead, [self.ring.zero])
-        if isinstance(self.ring, PrimeField):
-            return QSeries(self.ring, lead, _kron_mul_gf(self.coeffs, other.coeffs,
-                                                         self.ring.ell, n_out))
-        if isinstance(self.ring, IntegerRing) and _kron_pays(self.coeffs, other.coeffs, n_out):
-            return QSeries(self.ring, lead,
-                           _kron_mul_zz(self.coeffs, other.coeffs, n_out))
-        return QSeries(self.ring, lead,
-                       _schoolbook(self.coeffs, other.coeffs, n_out, self.ring.zero))
+        a, b, ring = self.coeffs, other.coeffs, self.ring
+        if isinstance(ring, PrimeField):
+            return QSeries(ring, lead, _kron_mul(a, b, n_out, ring.ell))
+        if isinstance(ring, IntegerRing) and _kron_pays(a, b, n_out):
+            return QSeries(ring, lead, _kron_mul(a, b, n_out))
+        return QSeries(ring, lead, _schoolbook(a, b, n_out, ring.zero))
 
     __rmul__ = __mul__
 
@@ -752,54 +744,34 @@ def monomial_forms(monos, n: int, ring) -> list[QSeries]:
 
     E4 and E6 come from their divisor sums, and Delta from (E4^3 - E6^2)
     / 1728, an identity over Z that holds mod every l >= 5.  Each power of
-    E4, E6 and Delta is formed once and shared by all the monomials: over
-    F_l by Kronecker products on int lists, over ZZ and QQ by the series
-    product.  Each series starts at q^a, its valuation.
+    E4, E6 and Delta is formed once, as an int list, and shared by all the
+    monomials; every product is one Kronecker product, over ZZ or over
+    F_l.  The forms are integral, so over QQ they are the ZZ forms with
+    Fraction coefficients.  Each series starts at q^a, its valuation.
     """
-    if isinstance(ring, PrimeField):
-        ell = ring.ell
-        if ell < 5:
-            raise InputError(f"Delta = (E4^3 - E6^2)/1728 needs l >= 5, got {ell}")
+    ell = ring.ell if isinstance(ring, PrimeField) else None
+    if ell is not None and ell < 5:
+        raise InputError(f"Delta = (E4^3 - E6^2)/1728 needs l >= 5, got {ell}")
 
-        def mul(f, g):
-            return _kron_mul_gf(f, g, ell, n + 1)
-
-        def scale(c, f):
-            return [c * v % ell for v in f]
-    else:
-        ell = None
-
-        def mul(f, g):
-            return (QSeries(ring, 0, f) * QSeries(ring, 0, g)).coeffs
-
-        def scale(c, f):
-            return [c * v for v in f]
-
-    def eisenstein_table(k, factor):  # 1 + factor sum sigma_(k-1)(m) q^m
-        return [ring.one] + scale(ring.coerce(factor), sigma_prefix(k - 1, n, ell)[1:])
-
-    def delta_table():
-        diff = [x - y for x, y in zip(power("E4", 3), power("E6", 2))]
-        if ring is ZZ:  # exact: 1728 divides every coefficient
-            return [v // 1728 for v in diff]
-        return scale(ring.inverse(ring.coerce(1728)), diff)
-
-    powers: dict[tuple[str, int], list] = {}
+    powers: dict[tuple[str, int], list[int]] = {}
 
     def power(name, e):
         key = (name, e)
         if key not in powers:
             if e % 2 == 0:
                 half = power(name, e // 2)
-                powers[key] = mul(half, half)
+                f = _kron_mul(half, half, n + 1, ell)
             elif e > 1:
-                powers[key] = mul(power(name, e - 1), power(name, 1))
-            elif name == "E4":
-                powers[key] = eisenstein_table(4, 240)
-            elif name == "E6":
-                powers[key] = eisenstein_table(6, -504)
-            else:
-                powers[key] = delta_table()
+                f = _kron_mul(power(name, e - 1), power(name, 1), n + 1, ell)
+            elif name == "Delta" and ell:
+                inv = pow(1728, -1, ell)
+                f = [(x - y) * inv % ell for x, y in zip(power("E4", 3), power("E6", 2))]
+            elif name == "Delta":  # exact: 1728 divides every coefficient
+                f = [(x - y) // 1728 for x, y in zip(power("E4", 3), power("E6", 2))]
+            else:  # 1 + factor sum sigma_(k-1)(m) q^m, reduced over F_l
+                k, factor = (4, 240) if name == "E4" else (6, -504)
+                f = ring.normalize([1] + [factor * s for s in sigma_prefix(k - 1, n, ell)[1:]])
+            powers[key] = f
         return powers[key]
 
     out = []
@@ -807,9 +779,10 @@ def monomial_forms(monos, n: int, ring) -> list[QSeries]:
         f = None
         for name, e in zip(("Delta", "E4", "E6"), mono):
             if e:
-                f = power(name, e) if f is None else mul(f, power(name, e))
+                f = power(name, e) if f is None else _kron_mul(f, power(name, e), n + 1, ell)
         a = mono[0]  # Delta^a starts at q^a
-        out.append(QSeries(ring, a, (f or [ring.one] + [ring.zero] * n)[a:]))
+        f = (f or [1] + [0] * n)[a:]
+        out.append(QSeries(ring, a, list(map(Fraction, f)) if ring is QQ else f))
     return out
 
 

@@ -182,12 +182,16 @@ def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
         return EigenformBasis(ell, order, (), (), ())
     n = max(order, 2 * r + 2)
     gens = monomial_forms(monos, n, GF(ell))
-    # matrix of T_2 in the monomial basis, solved from coefficients q^1..q^r
-    basis_rows = [[gens[i].coeff(m) for i in range(r)] for m in range(1, r + 1)]
-    t_cols = [_solve_linear_mod(basis_rows, hecke_Tp(g, 2, k, out_order=r).coeffs[1:], ell)
-              for g in gens]
-    # t_cols[i][j]: coefficient of gens[j] in T_2 gens[i]
-    mat = [list(row) for row in zip(*t_cols)]
+    # matrix of T_2 in the monomial basis from coefficients q^1..q^r: one
+    # elimination of [B | H], B's column i the generator gens[i] and H's
+    # column i T_2 gens[i], leaves [I | M], M[j][i] the coefficient of
+    # gens[j] in T_2 gens[i]
+    t2 = [hecke_Tp(g, 2, k, out_order=r).coeffs for g in gens]
+    reduced, pivots = _row_reduce([[g.coeff(m) for g in gens] + [h[m] for h in t2]
+                                   for m in range(1, r + 1)], ell)
+    if pivots != list(range(r)):
+        raise InputError("singular linear system over F_l")
+    mat = [row[r:] for row in reduced]
     pairs = _eigenpairs(mat, ell)
     forms, combos = [], []
     for _, vec in pairs:

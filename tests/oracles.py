@@ -9,15 +9,19 @@ the package builds from E2, E4^3 and Delta with no j.  The package takes
 s_l and the twisted inverse nu from their closed forms; the factorization
 of E_(l-1) and the Dirichlet inversion recurrence here are their checks.
 The kernel's baby-step/giant-step search is checked against one scalar
-multiplication per N in the window.
+multiplication per N in the window.  The corollary's sufficient
+conditions for eligibility are here as well, checked against the class
+polynomials themselves.
 """
 
 import cmath
 from collections import Counter
 from math import isqrt
+from typing import NamedTuple
 
 from bpx._eckernel_py import _ec_mul
-from bpx.arith import QuadExt, divisors, kronecker
+from bpx.arith import (QuadExt, divisors, is_fundamental_discriminant,
+                       kronecker)
 from bpx.classpoly import hilbert_class_poly
 from bpx.errors import InputError, TruncationError
 from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, eisenstein, f2, jfunction,
@@ -308,3 +312,32 @@ def supersingular_js_by_point_count(ell: int, nonres: int) -> list[int]:
 def annihilators_bruteforce(P, a: int, p: int, lo: int, hi: int) -> list[int]:
     """Every N in [lo, hi] with N*P = O on y^2 = x^3 + a x + b over F_p."""
     return [N for N in range(lo, hi + 1) if _ec_mul(N, P, a, p) is None]
+
+
+class CorollaryReport(NamedTuple):
+    D: int
+    d: int
+    ell: int
+    inert: bool
+    kron: bool
+    range_ok: bool
+
+    @property
+    def all_hold(self) -> bool:
+        return self.inert and self.kron and self.range_ok
+
+
+def corollary_conditions(D: int, d: int, ell: int) -> CorollaryReport:
+    """The inertia / Kronecker / size conditions that imply eligibility of (d, l)."""
+    if not is_fundamental_discriminant(-d):
+        raise InputError(f"-{d} is not a fundamental discriminant")
+    if D != 1 and not (D > 0 and is_fundamental_discriminant(D)):
+        raise InputError(f"{D} is not a positive fundamental discriminant")
+    if not is_fundamental_discriminant(-D * d):
+        raise InputError(f"-{D * d} is not a fundamental discriminant")
+    return CorollaryReport(
+        D, d, ell,
+        inert=kronecker(-D * d, ell) == -1,
+        kron=kronecker(ell, D * d) == 1,
+        range_ok=ell > D * d,
+    )

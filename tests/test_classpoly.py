@@ -10,13 +10,14 @@ import pytest
 from bpx.borcherds import exact_exponents
 from bpx import classpoly
 from bpx.classpoly import (QuadForm, WeightedClassPoly, _precision_bound,
-                           corollary_conditions, eligibility, hilbert_class_poly,
+                           eligibility, hilbert_class_poly,
                            hurwitz_class_number, reduced_forms,
                            singular_modulus)
 from bpx.errors import InputError, NotADiscriminantError, PrecisionError
 from bpx.arith import is_fundamental_discriminant
 from bpx.qseries import ZZ, Poly
 from bpx.ssforms import supersingular_poly
+from oracles import corollary_conditions
 
 
 def test_reduced_forms_examples():

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 import bpx
 from bpx.arith import sieve
 from bpx.borcherds import ExponentTable, fit_congruence
-from bpx.classpoly import (QuadForm, WeightedClassPoly, corollary_conditions,
-                           degree_rules_out, eligibility, hilbert_class_poly,
-                           hurwitz_class_number)
+from bpx.classpoly import (QuadForm, WeightedClassPoly, degree_rules_out,
+                           eligibility, hilbert_class_poly, hurwitz_class_number)
 from bpx.cli import run
 from bpx.density import EllCurve, asymptotic_table
 from bpx.errors import InputError
 from bpx.ssforms import eigenbasis
+from oracles import corollary_conditions
 
 
 def invoke(capsys, *args):

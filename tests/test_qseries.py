@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from bpx.arith import (QuadExt, frac_mod, is_fundamental_discriminant,
                        kronecker)
 from bpx.errors import InputError, TruncationError
-from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, _kron_mul_gf,
-                         _kron_mul_zz, delta, eisenstein, f2, jfunction,
-                         monomial_basis, monomial_forms)
+from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, _kron_mul, delta,
+                         eisenstein, f2, jfunction, monomial_basis,
+                         monomial_forms)
 from oracles import (as_j_polynomial, euler_product, evaluate_series,
                      f2_numeric, monomial_form_by_euler_product,
                      pd_log_coeffs)
@@ -123,6 +123,14 @@ def test_monomial_forms_match_the_per_monomial_euler_route(ell, ring, n):
         assert form.coeffs == want.coeffs, mono
 
 
+def test_monomial_forms_over_qq_are_the_integer_forms():
+    monos = monomial_basis(38) + [(1, 0, 0), (2, 1, 1), (0, 0, 0)]
+    for zz, qq in zip(monomial_forms(monos, 80, ZZ), monomial_forms(monos, 80, QQ)):
+        assert qq.ring is QQ and qq.lead == zz.lead and qq.trunc == zz.trunc
+        assert all(type(c) is Fraction for c in qq.coeffs)
+        assert qq.coeffs == [Fraction(c) for c in zz.coeffs]
+
+
 def test_monomial_forms_edge_cases():
     one, e6_squared = monomial_forms([(0, 0, 0), (0, 0, 2)], 5, GF(11))
     assert one.coeffs == [1] + [0] * 5
@@ -147,8 +155,8 @@ def test_gf_kronecker_product_every_slot_width(ell, a, b, n_out):
     a = [v % ell for v in a]
     b = [v % ell for v in b]
     want = [v % ell for v in _conv_oracle(a, b, n_out - 1)]
-    assert _kron_mul_gf(a, b, ell, n_out) == want
-    assert _kron_mul_gf(a, a, ell, n_out) == [v % ell for v in _conv_oracle(a, a, n_out - 1)]
+    assert _kron_mul(a, b, n_out, ell) == want
+    assert _kron_mul(a, a, n_out, ell) == [v % ell for v in _conv_oracle(a, a, n_out - 1)]
 
 
 def _conv_oracle(a, b, n):
@@ -194,15 +202,37 @@ _SIGNED = st.one_of(st.just(0), st.integers(-9, 9),
 @settings(max_examples=150, deadline=None)
 def test_signed_kronecker_product_matches_schoolbook(a, b, n_out):
     # random signed, sparse (zeros drawn often), huge and length-1 operands
-    assert _kron_mul_zz(a, b, n_out) == _conv_oracle(a, b, n_out - 1)
+    assert _kron_mul(a, b, n_out) == _conv_oracle(a, b, n_out - 1)
+    assert _kron_mul(a, a, n_out) == _conv_oracle(a, a, n_out - 1)
+
+
+@pytest.mark.parametrize("m, k", [
+    (1, 127), (1, 128), (255, 2), (2 ** 16 - 1, 4),  # slots of 1 to 8 bytes
+    (2 ** 32 - 1, 3), (10 ** 40, 30),                # slots past 8 bytes
+], ids=["1x127", "1x128", "255x2", "2^16-1x4", "2^32-1x3", "10^40x30"])
+def test_kronecker_product_extremal_operands(m, k):
+    # |c_(k-1)| = max|a| max|b| min(len): the slot bound is met, with either
+    # sign; at (1, 127) it is h - 1 for one-byte slots, at (1, 128) it is h
+    # for a bound without its factor 2
+    pos, neg = [m] * k, [-m] * k
+    for a, b in ((pos, neg), (neg, neg), (neg, list(neg)), (pos, pos)):
+        for n_out in (1, k, 2 * k - 1, 2 * k + 3):
+            assert _kron_mul(a, b, n_out) == _conv_oracle(a, b, n_out - 1)
+    for ell in (5, 2 ** 61 - 1):
+        top = [ell - 1] * k
+        for b in (top, list(top)):
+            assert _kron_mul(top, b, 2 * k - 1, ell) == \
+                [v % ell for v in _conv_oracle(top, b, 2 * k - 2)]
 
 
 def test_signed_kronecker_product_edge_cases():
-    assert _kron_mul_zz([5], [-7], 1) == [-35]
-    assert _kron_mul_zz([0, 0], [3], 3) == [0, 0, 0]
+    assert _kron_mul([5], [-7], 1) == [-35]
+    assert _kron_mul([0, 0], [3], 3) == [0, 0, 0]
+    assert _kron_mul([10 ** 40, -3], [0], 2) == [0, 0]
+    assert _kron_mul([0, 0], [3], 3, 11) == [0, 0, 0]
     a = [0] * 40 + [-(2 ** 64)]
     b = [2 ** 64 - 1, -1, 0, 1]
-    assert _kron_mul_zz(a, b, 44) == _conv_oracle(a, b, 43)
+    assert _kron_mul(a, b, 44) == _conv_oracle(a, b, 43)
     # every ZZ product shape the program uses, whichever method is chosen
     j = jfunction(60, ZZ).shift(1)
     growing = QSeries(ZZ, 0, [(-10) ** (3 * i) for i in range(62)])
