@@ -15,11 +15,18 @@ the t = 1 search becomes the cheaper one.
 The pool row times ``bpx.density.ec_traces``, which runs blocks of 4096
 primes on one thread per usable CPU with the compiled kernel, against one
 compiled ``bpx.kernel.ec_traces`` call on the same primes.
+The eta row times ``bpx.density.x0_11_eta_traces``, X0(11)'s a(p) at every
+good p < 10^5 from one transform square of its eta-product, against the
+pure-Python trace search on the same primes, each in a fresh process that
+reports its peak RSS; the two processes differ only in the route.  Beside the trace
+rows for p < 10^5 it shows which route is faster on each backend.
 The compiled rows need the extension built where ``bpx`` is imported
 from (``python setup.py build_ext --inplace`` or ``pip install .``).
 """
 
 import argparse
+import subprocess
+import sys
 import time
 
 import bpx._eckernel_py as pure
@@ -73,6 +80,39 @@ def pool_row():
           f"{tp:9.4f}s   x{t1 / tp:6.1f}")
 
 
+# One route for X0(11) at the good p < 10^5 in a fresh process: seconds and
+# the peak RSS of the process in MB.
+ROUTE = """
+import resource, sys, time
+import bpx._eckernel_py as pure
+from bpx import density
+primes = [p for p in pure.primes_below(10 ** 5) if p != 11]
+A, B = density.X0_CURVES[11].short_form
+t0 = time.perf_counter()
+if sys.argv[1] == "eta":
+    out = density.x0_11_eta_traces(primes)[2:]
+else:  # the short model is good from p = 5 on
+    out = pure.ec_traces(A, B, primes[2:], pure.NAIVE_LIMIT, 5)
+seconds = time.perf_counter() - t0
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(seconds, peak, hash(tuple(out)))
+"""
+
+
+def eta_row():
+    """X0(11) at every good p < 10^5: the eta-product route against the
+    pure trace search, with each process's peak RSS."""
+    (te, me, he), (tt, mt, ht) = (
+        map(float, subprocess.run([sys.executable, "-c", ROUTE, route],
+                                  capture_output=True, text=True,
+                                  check=True).stdout.split())
+        for route in ("eta", "traces"))
+    assert he == ht, "eta route and traces disagree"
+    name = "X0(11) a(p), all good p < 10^5, eta route"
+    print(f"{name:<46} eta {te:9.4f}s {me:5.1f} MB   pure traces {tt:9.4f}s "
+          f"{mt:5.1f} MB")
+
+
 def crossover(backends):
     """Microseconds per prime, counting vs BSGS at t = 1 and t = 5, over 40
     primes from lo on."""
@@ -122,6 +162,7 @@ def main():
         name = f"supersingular_js_fq2({ell})"
         print(f"{name:<46} both {timed(pure.supersingular_js_fq2, ell, ns)[0]:9.4f}s")
 
+    eta_row()
     pool_row()
     if args.full:
         trace_rows(f"ec_traces, all {len(primes)} primes < 10^6", primes, c)

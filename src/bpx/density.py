@@ -7,11 +7,15 @@ proportion of each residue t for any rank r.  The empirical side runs
 over all primes p < X, taking the curve trace at p for the level l = 11,
 17, 19 curves (or exact eigenform coefficients for other moduli) as
 columns of a_i(p), and tallies the congruence values at those primes.
+At l = 11 on the pure-Python kernel, up to X = EXPANSION_LIMIT, the
+traces are the coefficients of an eta-product, from one transform square
+on ``decimal`` that is faster than the point counts.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -20,6 +24,7 @@ from . import kernel
 from .arith import Record, is_prime, kronecker, sieve
 from .borcherds import CongruenceFormula, formula_eval_primes
 from .errors import CapabilityError, InputError, InternalConsistencyError
+from .qseries import _square_at, pentagonal, transform_decimal
 from .ssforms import eigenbasis
 
 
@@ -163,6 +168,27 @@ def ec_traces(E: EllCurve, primes, naive_limit: int = kernel.NAIVE_LIMIT) -> lis
     return [merged[p] for p in primes]
 
 
+def x0_11_eta_traces(primes: list[int]) -> list[int]:
+    """a(p) of X0(11) at ascending primes p != 11, from its weight 2 newform.
+
+    The newform is the eta-quotient q prod (1 - q^n)^2 (1 - q^(11n))^2
+    (Martin, Trans. AMS 348, 1996), that is q F^2 with F = E(q) E(q^11)
+    for Euler's pentagonal series E, so a(p) = [q^(p-1)] F^2.  F comes from
+    the sparse terms of the two series, and F^2 from one transform product
+    at the slots p - 1, with no point count.
+    """
+    n = primes[-1] if primes else 0
+    f = array("b", bytes(n))
+    terms = list(pentagonal(n))
+    for e11, s11 in pentagonal(-(-n // 11)):
+        base = 11 * e11
+        for e, s in terms:
+            if base + e >= n:
+                break
+            f[base + e] += s * s11
+    return _square_at(f, [p - 1 for p in primes])
+
+
 # ---------------------------------------------------------------------------
 # density tables
 
@@ -238,6 +264,13 @@ def empirical_table(F: CongruenceFormula, x: int) -> DensityTable:
     Traces come from the level l modular curve for l in {11, 17, 19}
     (any x), otherwise from exact eigenform expansions (x capped).  p = l
     is excluded from the tallies but counted in the denominator pi(x).
+    At l = 11 they are read from X0(11)'s eta-product when the trace kernel
+    is the pure-Python one, x <= EXPANSION_LIMIT and ``decimal`` is the C
+    libmpdec: there one transform square takes a fraction of the point
+    counts' time.  The compiled kernel's traces are faster than the square,
+    and past the limit the square's memory grows faster than the traces'
+    (measured in benchmarks/bench_kernels.py); X0(17) and X0(19) are not
+    eta-quotients.  Both routes give the same a(p).
     """
     if x < 3:
         raise InputError(f"need X >= 3 so that some prime lies below X, got {x}")
@@ -246,7 +279,11 @@ def empirical_table(F: CongruenceFormula, x: int) -> DensityTable:
     total = len(primes)
     eligible = [p for p in primes if p != ell]
     if ell in X0_CURVES and F.rank == 1:
-        columns = [ec_traces(X0_CURVES[ell], eligible)]
+        if (ell == 11 and kernel.BACKEND == "python" and x <= EXPANSION_LIMIT
+                and transform_decimal()):
+            columns = [x0_11_eta_traces(eligible)]
+        else:
+            columns = [ec_traces(X0_CURVES[ell], eligible)]
     elif F.rank:
         if x > EXPANSION_LIMIT:
             raise CapabilityError(

@@ -12,13 +12,17 @@ is valid to, and every operation propagates validity conservatively (no
 global precision state).  One Kronecker product on int lists (Harvey,
 J. Symbolic Comput. 2009), over ZZ or F_l, multiplies series over GF(l),
 over ZZ where it is estimated cheaper than the schoolbook loop, and the
-level-one forms for every ring.
+level-one forms for every ring.  ``_square_at`` squares one signed int
+list by the same substitution in base 10^k on the stdlib ``decimal``,
+whose libmpdec multiplies long operands by a number-theoretic transform,
+and reads only the coefficients asked for.
 
 Classical expansions live here too: Eisenstein series; one table of the
 level-one forms Delta^a E4^b E6^c over ZZ, QQ and GF(l >= 5), with
 Delta = (E4^3 - E6^2)/1728, from which the discriminant cusp form and
-j = E4^3/Delta are read for every ring; weight-k monomial bases; and
-the Gauss-sum coefficients of the twisted cyclotomic factor P_D.
+j = E4^3/Delta are read for every ring; weight-k monomial bases; Euler's
+pentagonal series; and the Gauss-sum coefficients of the twisted
+cyclotomic factor P_D.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_FLOOR, Context,
+                     Decimal, localcontext)
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -202,6 +208,89 @@ def _kron_mul(a: list[int], b: list[int], n_out: int, ell: int | None = None) ->
         x &= (1 << (8 * nb * total)) - 1  # the slots past total may be negative
         out = [v - h for v in _kron_unpack(x, nb, total)]
     out.extend([0] * (n_out - total))
+    return out
+
+
+# Integer arithmetic on Decimals in this context never rounds.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_CHUNK = 4096  # slots per packed string and per decoded piece
+
+
+def transform_decimal() -> bool:
+    """Is ``decimal`` libmpdec (C), whose long products use a number-theoretic
+    transform, and not the pure-Python ``_pydecimal``, which has none?"""
+    return Decimal is getattr(sys.modules.get("_decimal"), "Decimal", None)
+
+
+def _all_h(h: int, k: int, count: int) -> Decimal:
+    """sum_(i < count) h 10^(k i), by doubling; in the _EXACT context."""
+    out, run, width, pos = Decimal(0), Decimal(h), 1, 0
+    while count:
+        if count & 1:
+            out += run.scaleb(pos * k)
+            pos += width
+        count >>= 1
+        if count:
+            run += run.scaleb(width * k)
+            width *= 2
+    return out
+
+
+def _square_at(f, positions: list[int]) -> list[int]:
+    """The coefficients of f^2 at ascending positions < len(f), f signed ints.
+
+    Kronecker substitution in base B = 10^k on ``decimal``, whose products
+    use a number-theoretic transform.  The slots carry the offset
+    h = B/2 as ``_kron_mul``'s do over ZZ, with the same bound: every
+    coefficient of f^2 has |c| <= max|f|^2 len(f) < h.  With f split in
+    quarters f_0..f_3 of m slots, f^2 mod q^(4m) is the sum of f_i f_j
+    q^((i+j) m) over i + j <= 3.  Slots are decoded from the low end, one
+    piece of _CHUNK slots at a time: adding the piece's all-h value makes
+    each of its slots c + h in [0, B), and the floor split at the piece's
+    top then leaves the rest as the plain value of the higher slots.
+    """
+    n = len(f)
+    top = max(map(abs, f), default=0)
+    if not top:
+        return [0] * len(positions)
+    k = len(str(2 * top * top * n))  # 10^k > 2 max|f|^2 n
+    h = 10 ** k // 2
+    m = -(-n // 4)
+    with localcontext(_EXACT):
+        # the slot string of v + h for each value v of f, and for 0
+        table = {v: f"{v + h:0{k}d}" for v in {0, *f}}
+        h_m = _all_h(h, k, m)
+
+        def pack(i):
+            """f_i(B), from its slots plus h less the all-h pack."""
+            part = f[i * m:(i + 1) * m]
+            digits = [table[0] * (m - len(part))]  # most significant first
+            for hi in range(len(part), 0, -_CHUNK):
+                digits.append("".join(map(table.__getitem__,
+                                          reversed(part[max(hi - _CHUNK, 0):hi]))))
+            return Decimal("".join(digits)) - h_m
+
+        mk = m * k
+        a0, a1 = pack(0), pack(1)
+        rest = a0 * a0 + (2 * a0 * a1).scaleb(mk)
+        a2 = pack(2)
+        rest += (2 * a0 * a2 + a1 * a1).scaleb(2 * mk)
+        rest += (2 * (a0 * pack(3) + a1 * a2)).scaleb(3 * mk)
+        del a0, a1, a2
+        h_chunk, width = _all_h(h, k, _CHUNK), _CHUNK * k
+        out, i, base = [], 0, 0
+        while i < len(positions):
+            # the piece's slots are the fraction, the higher slots the floor
+            rest += h_chunk
+            rest = rest.scaleb(-width)
+            high = rest.to_integral_value(rounding=ROUND_FLOOR)
+            digits = format(rest - high, "f")[-width:]
+            rest = high
+            while i < len(positions) and positions[i] < base + _CHUNK:
+                t = width - (positions[i] - base) * k
+                out.append(int(digits[t - k:t]) - h)
+                i += 1
+            base += _CHUNK
     return out
 
 
@@ -692,6 +781,21 @@ def eisenstein(k: int, n: int, ring=QQ) -> QSeries:
         modulus = ring.ell if isinstance(ring, PrimeField) else None
         coeffs += [c * s for s in sigma_prefix(k - 1, n, modulus)[1:]]
     return QSeries(ring, 0, coeffs)
+
+
+def pentagonal(n: int):
+    """(e, (-1)^j) for the generalized pentagonal numbers e = j(3j - 1)/2 < n,
+    j in Z, ascending: Euler's prod_(k >= 1) (1 - q^k) = sum_j (-1)^j q^e."""
+    if n > 0:
+        yield 0, 1
+    j = 1
+    while True:
+        sign = -1 if j & 1 else 1
+        for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if e >= n:
+                return
+            yield e, sign
+        j += 1
 
 
 def delta(n: int, ring=ZZ) -> QSeries:

@@ -1,3 +1,4 @@
+import _pydecimal
 import json
 import os
 import threading
@@ -8,13 +9,13 @@ from itertools import product
 
 import pytest
 
-from bpx import density, kernel
+from bpx import density, kernel, qseries
 from bpx.arith import kronecker, sieve
 from bpx.borcherds import CongruenceFormula, fit_congruence
 from bpx.cli import _csv
 from bpx.density import (X0_CURVES, EllCurve, asymptotic_table,
                          charpoly_count, ec_trace, ec_traces, empirical_table,
-                         gl2_order)
+                         gl2_order, x0_11_eta_traces)
 from bpx.errors import CapabilityError, InputError
 from bpx.qseries import GF, delta
 from bpx.ssforms import eigenbasis
@@ -188,6 +189,14 @@ def test_eigenform_curve_correspondence_all_three_levels():
             assert eb.coefficient(0, p) == ec_trace(curve, p) % ell, (ell, p)
 
 
+def test_eta_traces_match_the_kernel_below_2e5():
+    # called directly, past the x <= EXPANSION_LIMIT of the routing
+    primes = [p for p in sieve(2 * 10 ** 5).primes if p != 11]
+    assert x0_11_eta_traces(primes) == ec_traces(X0_CURVES[11], primes)
+    assert x0_11_eta_traces([2, 3, 5, 7]) == [-2, -1, 1, -2]
+    assert x0_11_eta_traces([]) == []
+
+
 def _add_exact(E, P, Q):
     """P + Q on the long Weierstrass model of E over Q; None is O."""
     if P is None or Q is None:
@@ -329,6 +338,53 @@ def test_empirical_table_counts_and_denominator():
     assert tab.total == 1229
     assert sum(tab.entries.values()) == 1228  # p = 11 excluded from tallies
     assert tab.kind == "empirical"
+
+
+def _spy(monkeypatch, name):
+    """Wrap density.<name>, recording the primes of each call."""
+    calls, real = [], getattr(density, name)
+
+    def spy(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(density, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("x", [3, 5, 12, 13])
+def test_empirical_table_eta_route_equals_the_trace_route(monkeypatch, x):
+    F = fit_congruence(4, 11)
+    eta = _spy(monkeypatch, "x0_11_eta_traces")
+    got = empirical_table(F, x).to_document()
+    monkeypatch.setattr(kernel, "BACKEND", "compiled")  # the trace route
+    traces = _spy(monkeypatch, "ec_traces")
+    assert empirical_table(F, x).to_document() == got
+    assert len(eta) == len(traces) == 1 and eta[0] == traces[0]
+
+
+def test_empirical_table_keeps_the_trace_route(monkeypatch):
+    # the compiled kernel, x past the limit, and the pure-Python decimal
+    # all tally l = 11 from the curve's traces
+    F = fit_congruence(4, 11)
+    eta, traces = (_spy(monkeypatch, name)
+                   for name in ("x0_11_eta_traces", "ec_traces"))
+    empirical_table(F, density.EXPANSION_LIMIT + 1)
+    assert not eta and len(traces) == 1
+    assert traces[0][-1] == 99991  # the largest prime below 100001
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "BACKEND", "compiled")
+        empirical_table(F, 1000)
+    with monkeypatch.context() as m:
+        m.setattr(qseries, "Decimal", _pydecimal.Decimal)
+        assert not qseries.transform_decimal()
+        empirical_table(F, 1000)
+    assert not eta and len(traces) == 3
+    empirical_table(F, density.EXPANSION_LIMIT)
+    assert len(eta) == 1 and len(traces) == 3
+    for ell in (17, 19):  # not eta-quotients
+        empirical_table(fit_congruence(3 if ell == 17 else 7, ell), 1000)
+    assert len(eta) == 1 and len(traces) == 5
 
 
 def test_empirical_table_within_tolerance_1e4():

@@ -1,4 +1,6 @@
 import cmath
+import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,9 @@ from hypothesis import strategies as st
 from bpx.arith import (QuadExt, frac_mod, is_fundamental_discriminant,
                        kronecker)
 from bpx.errors import InputError, TruncationError
-from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, _kron_mul, delta,
-                         eisenstein, f2, jfunction, monomial_basis,
-                         monomial_forms)
+from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, _kron_mul, _square_at,
+                         delta, eisenstein, f2, jfunction, monomial_basis,
+                         monomial_forms, pentagonal)
 from oracles import (as_j_polynomial, euler_product, evaluate_series,
                      f2_numeric, monomial_form_by_euler_product,
                      pd_log_coeffs)
@@ -242,6 +244,66 @@ def test_signed_kronecker_product_edge_cases():
     for f, g in shapes:
         got = f * g
         assert got.coeffs == _conv_oracle(f.coeffs, g.coeffs, got.trunc)
+
+
+def _piece_edges(n):
+    """Every multiple of 4096 below n, with its neighbours: where the decoded
+    pieces of _square_at meet."""
+    return sorted({t for c in range(4096, n + 1, 4096)
+                   for t in (c - 1, c, c + 1) if t < n})
+
+
+@pytest.mark.parametrize("n, top", [(4097, 1), (2 * 4096 + 3, 100),
+                                    (3 * 4096 + 2, 6), (9001, 7)])
+def test_square_at_matches_the_kronecker_square(n, top):
+    rng = random.Random(n)
+    f = [rng.randint(-top, top) for _ in range(n)]
+    want = _kron_mul(f, f, n)
+    # a piece whose value is negative (its highest nonzero slot is) lends
+    # one to the next piece unless the all-h value is added before the split
+    assert any(next(c for c in reversed(want[e - 4096:e]) if c) < 0
+               for e in range(4096, n, 4096))
+    positions = sorted(set(_piece_edges(n) + rng.sample(range(n), 300) + [0, n - 1]))
+    assert _square_at(f, positions) == [want[t] for t in positions]
+    if top < 128:
+        assert _square_at(array("b", f), positions) == [want[t] for t in positions]
+
+
+def test_square_at_negative_low_piece():
+    # (1 - q^4095)^2: the first piece holds -2 q^4095 and the slot q^4096 is 0
+    f = [1] + [0] * 4094 + [-1] + [0] * 4100
+    positions = [4095, 4096, 4097, 8190]
+    assert _square_at(f, positions) == [-2, 0, 0, 1]
+    g = [-v for v in f]
+    assert _square_at(g, positions) == [-2, 0, 0, 1]
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=40),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_square_at_short_operands(f, data):
+    # one piece, lengths not divisible by 4, slot widths from the values
+    want = _kron_mul(f, f, len(f))
+    positions = sorted(data.draw(st.sets(st.integers(0, len(f) - 1))))
+    assert _square_at(f, positions) == [want[t] for t in positions]
+
+
+def test_square_at_edge_cases():
+    for n in range(1, 10):
+        for top in (1, 9):
+            for f in ([top] * n, [-top] * n):  # |c_(n-1)| = n top^2, the bound
+                assert _square_at(f, list(range(n))) == _kron_mul(f, f, n)
+    assert _square_at([0] * 7, [0, 3, 6]) == [0, 0, 0]
+    assert _square_at([3, -1], []) == []
+    assert _square_at(array("b"), []) == []
+
+
+def test_pentagonal_is_the_euler_product():
+    for n in (0, 1, 2, 3, 6, 100, 1000):
+        coeffs = [0] * n
+        for e, sign in pentagonal(n):
+            coeffs[e] = sign
+        assert coeffs == euler_product(n, ZZ).coeffs[:n]
 
 
 def _inverse_oracle(u):
