@@ -18,7 +18,9 @@ compiled ``bpx.kernel.ec_traces`` call on the same primes.
 The eta row times ``bpx.density.x0_11_eta_traces``, X0(11)'s a(p) at every
 good p < 10^5 from one transform square of its eta-product, against the
 pure-Python trace search on the same primes, each in a fresh process that
-reports its peak RSS; the two processes differ only in the route.  Beside the trace
+reports its peak RSS; the two processes differ only in the route.  The row
+also shows k, the decimal digits per slot of the square: the least with
+10^k > 2 sum F_i^2, as ``bpx.qseries._square_at`` chooses it.  Beside the trace
 rows for p < 10^5 it shows which route is faster on each backend.
 The compiled rows need the extension built where ``bpx`` is imported
 from (``python setup.py build_ext --inplace`` or ``pip install .``).
@@ -95,22 +97,29 @@ else:  # the short model is good from p = 5 on
     out = pure.ec_traces(A, B, primes[2:], pure.NAIVE_LIMIT, 5)
 seconds = time.perf_counter() - t0
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(seconds, peak, hash(tuple(out)))
+k = 0
+if sys.argv[1] == "eta":  # after the timing: F again, to read its slot width
+    seen = []
+    density._square_at = lambda f, positions: seen.append(f) or []
+    density.x0_11_eta_traces(primes)
+    k = len(str(2 * sum(v * v for v in seen[0])))
+print(seconds, peak, k, hash(tuple(out)))
 """
 
 
 def eta_row():
     """X0(11) at every good p < 10^5: the eta-product route against the
-    pure trace search, with each process's peak RSS."""
-    (te, me, he), (tt, mt, ht) = (
+    pure trace search, with each process's peak RSS and the square's slot
+    width."""
+    (te, me, k, he), (tt, mt, _, ht) = (
         map(float, subprocess.run([sys.executable, "-c", ROUTE, route],
                                   capture_output=True, text=True,
                                   check=True).stdout.split())
         for route in ("eta", "traces"))
     assert he == ht, "eta route and traces disagree"
     name = "X0(11) a(p), all good p < 10^5, eta route"
-    print(f"{name:<46} eta {te:9.4f}s {me:5.1f} MB   pure traces {tt:9.4f}s "
-          f"{mt:5.1f} MB")
+    print(f"{name:<46} eta {te:9.4f}s {me:5.1f} MB k = {k:.0f}   pure traces "
+          f"{tt:9.4f}s {mt:5.1f} MB")
 
 
 def crossover(backends):

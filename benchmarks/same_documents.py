@@ -37,9 +37,11 @@ FORMATS = ("json", "text", "csv")
 # out (exit 2), two pairs of rank 0 (no cusp form of weight l + 1),
 # class polynomials computed at 248 to 549 digits, exponents whose
 # integer series products have class-polynomial-sized coefficients on both
-# sides of the Kronecker/schoolbook choice, the l = 11 curve tally at a
-# tiny X and just past the eta-product route's limit, where the traces take
-# over, and the curve tallies of l = 17 and 19, which always take the traces
+# sides of the Kronecker/schoolbook choice, the l = 11 curve tally at tiny
+# X (one or two primes, so the square's halves are one or two slots), at
+# another d and just past the eta-product route's limit, where the traces
+# take over, and the curve tallies of l = 17 and 19, which always take the
+# traces
 EXTRA_COMMANDS = [f"supersingular --ell {ell}"
                   for ell in (5, 7, 13, 97, 199, 1009, 10007)]
 EXTRA_COMMANDS += ["table2 --ell 31 --dmax 100", "table2 --ell 17 --dmax 150",
@@ -47,7 +49,10 @@ EXTRA_COMMANDS += ["table2 --ell 31 --dmax 100", "table2 --ell 17 --dmax 150",
                    "density --d 7 --ell 13"]
 EXTRA_COMMANDS += [f"classpoly --d {d}" for d in (719, 2351, 2624)]
 EXTRA_COMMANDS += ["exponents --d 719 --n 200", "exponents --d 2351 --n 100"]
-EXTRA_COMMANDS += ["density --d 4 --ell 11 --empirical 13",
+EXTRA_COMMANDS += ["density --d 4 --ell 11 --empirical 3",
+                   "density --d 4 --ell 11 --empirical 5",
+                   "density --d 4 --ell 11 --empirical 13",
+                   "density --d 16 --ell 11 --empirical 50000",
                    "density --d 4 --ell 11 --empirical 100001",
                    "density --d 3 --ell 17 --empirical 100000",
                    "density --d 4 --ell 19 --empirical 20000"]

@@ -90,19 +90,23 @@ def exact_exponents(d: int, n_max: int, cache_dir: str | None = None) -> Exponen
 
     The inversion runs over the integers: every coefficient of L is scaled
     by D, the lcm of their denominators (1, 2 or 3, from the weights), and
-    n A(n^2, d) D must then divide exactly.
+    n A(n^2, d) D must then divide exactly.  It is a divisor sieve: for n
+    ascending, B_n has lost the terms of its proper divisors, so it is
+    n A(n^2, d) D, and it is taken off every multiple of n.
     """
     L = log_derivative_exact(d, n_max, cache_dir=cache_dir)
     D = lcm(*(c.denominator for c in L.coeffs))
-    scaled = [c.numerator * (D // c.denominator) for c in L.coeffs]
+    B = [c.numerator * (D // c.denominator) for c in L.coeffs]
     out = []
     for n in range(1, n_max + 1):
-        s = sum(moebius(n // m) * scaled[m] for m in divisors(n))
+        s = B[n]
         a, r = divmod(s, n * D)
         if r:
             raise InternalConsistencyError(
                 f"exponent A({n}^2,{d}) = {Fraction(s, n * D)} is not an integer")
         out.append(a)
+        for kn in range(2 * n, n_max + 1, n):
+            B[kn] -= s
     return ExponentTable(d, n_max, tuple(out))
 
 
@@ -201,7 +205,8 @@ def formula_eval_primes(F: CongruenceFormula, primes, columns) -> list[int]:
     """The congruence at primes: -24 c0 + p^(-1) sum c_i (a_i(p) - 1) mod l.
 
     columns holds one list of plain-int a_i(p) per eigenform, aligned with
-    primes; the residues t come back in the same order.
+    primes; the residues t come back in the same order.  The sum runs one
+    pass per column, and p^(-1) comes from a table of the inverses mod l.
     """
     ell = F.ell
     bad = next((p for p in primes if p % ell == 0), None)
@@ -210,8 +215,11 @@ def formula_eval_primes(F: CongruenceFormula, primes, columns) -> list[int]:
     base = (-24 * F.c0) % ell
     if not F.c:
         return [base] * len(primes)
-    return [(base + sum(ci * (col[k] - 1) for ci, col in zip(F.c, columns))
-             * pow(p, ell - 2, ell)) % ell for k, p in enumerate(primes)]
+    acc = [0] * len(primes)
+    for ci, col in zip(F.c, columns):
+        acc = [s + ci * (a - 1) for s, a in zip(acc, col)]
+    inv = [0, *(pow(u, -1, ell) for u in range(1, ell))]
+    return [(base + s * inv[p % ell]) % ell for s, p in zip(acc, primes)]
 
 
 def verify_congruence(d: int, ell: int, n_max: int,

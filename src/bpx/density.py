@@ -174,8 +174,8 @@ def x0_11_eta_traces(primes: list[int]) -> list[int]:
     The newform is the eta-quotient q prod (1 - q^n)^2 (1 - q^(11n))^2
     (Martin, Trans. AMS 348, 1996), that is q F^2 with F = E(q) E(q^11)
     for Euler's pentagonal series E, so a(p) = [q^(p-1)] F^2.  F comes from
-    the sparse terms of the two series, and F^2 from one transform product
-    at the slots p - 1, with no point count.
+    the sparse terms of the two series, and F^2 from one transform square,
+    ``qseries._square_at``, read at the slots p - 1, with no point count.
     """
     n = primes[-1] if primes else 0
     f = array("b", bytes(n))

@@ -213,7 +213,7 @@ def _kron_mul(a: list[int], b: list[int], n_out: int, ell: int | None = None) ->
 
 # Integer arithmetic on Decimals in this context never rounds.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_CHUNK = 4096  # slots per packed string and per decoded piece
+_CHUNK = 4096  # slots per packed string
 
 
 def transform_decimal() -> bool:
@@ -240,58 +240,47 @@ def _square_at(f, positions: list[int]) -> list[int]:
     """The coefficients of f^2 at ascending positions < len(f), f signed ints.
 
     Kronecker substitution in base B = 10^k on ``decimal``, whose products
-    use a number-theoretic transform.  The slots carry the offset
-    h = B/2 as ``_kron_mul``'s do over ZZ, with the same bound: every
-    coefficient of f^2 has |c| <= max|f|^2 len(f) < h.  With f split in
-    quarters f_0..f_3 of m slots, f^2 mod q^(4m) is the sum of f_i f_j
-    q^((i+j) m) over i + j <= 3.  Slots are decoded from the low end, one
-    piece of _CHUNK slots at a time: adding the piece's all-h value makes
-    each of its slots c + h in [0, B), and the floor split at the piece's
-    top then leaves the rest as the plain value of the higher slots.
+    use a number-theoretic transform.  The slots carry the offset h = B/2,
+    as ``_kron_mul``'s do over ZZ.  By Cauchy-Schwarz every coefficient of
+    f^2 has |c| <= S = sum f_i^2, and 10^k > 2 S makes h > S.  Only the
+    slots below top, the last position plus one, are read, so with f cut
+    there and split in halves f_0, f_1 of m slots, f^2 mod q^top is
+    f_0^2 + 2 f_0 f_1 q^m.  Adding the all-h value of the low top slots
+    makes each of them c + h in [0, B); one floor split at B^top then
+    leaves them as the fraction, formatted once, and the higher slots,
+    which no position reads, as the floor.
     """
-    n = len(f)
-    top = max(map(abs, f), default=0)
-    if not top:
+    if not positions:
+        return []
+    top = positions[-1] + 1
+    f = f[:top]
+    s = sum(map(operator.mul, f, f))
+    if not s:
         return [0] * len(positions)
-    k = len(str(2 * top * top * n))  # 10^k > 2 max|f|^2 n
+    k = len(str(2 * s))  # 10^k > 2 S
     h = 10 ** k // 2
-    m = -(-n // 4)
+    m = -(-top // 2)
     with localcontext(_EXACT):
-        # the slot string of v + h for each value v of f, and for 0
-        table = {v: f"{v + h:0{k}d}" for v in {0, *f}}
-        h_m = _all_h(h, k, m)
+        # the slot string of v + h for each value v of f
+        table = {v: f"{v + h:0{k}d}" for v in set(f)}
 
-        def pack(i):
-            """f_i(B), from its slots plus h less the all-h pack."""
-            part = f[i * m:(i + 1) * m]
-            digits = [table[0] * (m - len(part))]  # most significant first
-            for hi in range(len(part), 0, -_CHUNK):
-                digits.append("".join(map(table.__getitem__,
-                                          reversed(part[max(hi - _CHUNK, 0):hi]))))
-            return Decimal("".join(digits)) - h_m
+        def pack(part):
+            """part(B), from its slots plus h less the all-h pack."""
+            packed = Decimal("".join([  # most significant first
+                "".join(map(table.__getitem__, reversed(part[max(hi - _CHUNK, 0):hi])))
+                for hi in range(len(part), 0, -_CHUNK)]))
+            return packed - _all_h(h, k, len(part))
 
-        mk = m * k
-        a0, a1 = pack(0), pack(1)
-        rest = a0 * a0 + (2 * a0 * a1).scaleb(mk)
-        a2 = pack(2)
-        rest += (2 * a0 * a2 + a1 * a1).scaleb(2 * mk)
-        rest += (2 * (a0 * pack(3) + a1 * a2)).scaleb(3 * mk)
-        del a0, a1, a2
-        h_chunk, width = _all_h(h, k, _CHUNK), _CHUNK * k
-        out, i, base = [], 0, 0
-        while i < len(positions):
-            # the piece's slots are the fraction, the higher slots the floor
-            rest += h_chunk
-            rest = rest.scaleb(-width)
-            high = rest.to_integral_value(rounding=ROUND_FLOOR)
-            digits = format(rest - high, "f")[-width:]
-            rest = high
-            while i < len(positions) and positions[i] < base + _CHUNK:
-                t = width - (positions[i] - base) * k
-                out.append(int(digits[t - k:t]) - h)
-                i += 1
-            base += _CHUNK
-    return out
+        a0 = pack(f[:m])
+        x = a0 * a0
+        if top > m:
+            x += (a0 * pack(f[m:]) * 2).scaleb(m * k)
+        del a0
+        x = (x + _all_h(h, k, top)).scaleb(-top * k)
+        x -= x.to_integral_value(rounding=ROUND_FLOOR)
+        digits = format(x, "f")
+    end = len(digits)  # slot t is the t-th group of k digits from the right
+    return [int(digits[end - (t + 1) * k:end - t * k]) - h for t in positions]
 
 
 # Costs in microseconds on CPython, measured, for choosing the ZZ product.

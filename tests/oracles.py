@@ -7,7 +7,8 @@ the package builds only from E4 and E6, and the j-series route here is
 the independent route to the log derivative of a class polynomial, which
 the package builds from E2, E4^3 and Delta with no j.  The package takes
 s_l and the twisted inverse nu from their closed forms; the factorization
-of E_(l-1) and the Dirichlet inversion recurrence here are their checks.
+of E_(l-1) and the Dirichlet inversion recurrence here are their checks,
+and one Moebius sum per n checks the exponents' divisor sieve.
 The kernel's baby-step/giant-step search is checked against one scalar
 multiplication per N in the window.  The corollary's sufficient
 conditions for eligibility are here as well, checked against the class
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from bpx._eckernel_py import _ec_mul
 from bpx.arith import (QuadExt, divisors, is_fundamental_discriminant,
-                       kronecker)
+                       kronecker, moebius)
 from bpx.classpoly import hilbert_class_poly
 from bpx.errors import InputError, TruncationError
 from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, eisenstein, f2, jfunction,
@@ -82,6 +83,14 @@ def dirichlet_convolve(f, g) -> list:
         terms = [f[d - 1] * g[n // d - 1] for d in divisors(n)]
         out.append(sum(terms[1:], terms[0]))
     return out
+
+
+def moebius_exponents(coeffs) -> list:
+    """(1/n) sum over m|n of mu(n/m) L_m for n = 1..len(coeffs) - 1, one
+    Moebius sum per n: the oracle for the divisor sieve of exact_exponents,
+    with coeffs L_0, L_1, ... the log derivative's."""
+    return [sum(moebius(n // m) * coeffs[m] for m in divisors(n)) / n
+            for n in range(1, len(coeffs))]
 
 
 def charpoly_table_bruteforce(ell: int) -> dict[tuple[int, int], int]:

@@ -10,10 +10,12 @@ from bpx.borcherds import (_log_derivative, exact_exponents, fit_congruence,
                            twisted_forward, twisted_roundtrip,
                            verify_congruence)
 from bpx.classpoly import hilbert_class_poly, hurwitz_class_number
-from bpx.errors import IneligiblePairError, InputError
-from bpx.qseries import GF, ZZ, delta, eisenstein, f2, monomial_forms
-from oracles import (dirichlet_inverse, log_derivative_by_j, pd_log_coeffs,
-                     zagier_g1)
+from bpx.density import x0_11_eta_traces
+from bpx.errors import IneligiblePairError, InputError, InternalConsistencyError
+from bpx.qseries import (GF, QQ, ZZ, QSeries, delta, eisenstein, f2,
+                         monomial_forms)
+from oracles import (dirichlet_inverse, log_derivative_by_j, moebius_exponents,
+                     pd_log_coeffs, zagier_g1)
 
 
 # exact square-index exponents, frozen from the product identity
@@ -214,6 +216,26 @@ def test_formula_eval_prime_matches_general():
         formula_eval_primes(F, [ell], columns=[])
 
 
+def test_formula_eval_primes_at_every_prime_below_10000():
+    # one pass per column and a table of inverses, against one Moebius sum
+    # per prime; the l = 11 column is X0(11)'s a(p), which falls below -l,
+    # and one l = 31 column is shifted by -3l, so both reduce negative sums
+    primes = sieve(10 ** 4).primes
+    F = fit_congruence(4, 11, verify_to=10 ** 4)
+    good = [p for p in primes if p != 11]
+    column = x0_11_eta_traces(good)
+    assert min(column) < -11
+    assert (formula_eval_primes(F, good, [column])
+            == [formula_eval(F, p) for p in good])
+    F = fit_congruence(20, 31, verify_to=10 ** 4)
+    assert F.rank == 2
+    good = [p for p in primes if p != 31]
+    columns = [[F.basis.coefficient(i, p) for p in good] for i in range(2)]
+    columns[1] = [a - 3 * 31 for a in columns[1]]
+    assert (formula_eval_primes(F, good, columns)
+            == [formula_eval(F, p) for p in good])
+
+
 def test_end_to_end_verification_small():
     verified, skipped = verify_congruence(4, 11, 60)
     assert verified == 55 and skipped == 5
@@ -325,6 +347,24 @@ def test_verify_congruence_more_pairs():
         verified, skipped = verify_congruence(d, ell, 60)
         assert verified + skipped == 60
         assert verified == 60 - 60 // ell
+
+
+def test_exponent_sieve_matches_the_moebius_sum():
+    for d in (3, 4, 7, 20):
+        L = log_derivative_exact(d, 300)
+        assert list(exact_exponents(d, 300).values) == moebius_exponents(L.coeffs), d
+
+
+def test_exponent_sieve_keeps_the_integrality_check(monkeypatch):
+    from bpx import borcherds
+    L = log_derivative_exact(4, 6)
+    bad = QSeries(QQ, 0, L.coeffs[:2] + [L.coeffs[2] + 1] + L.coeffs[3:])
+    monkeypatch.setattr(borcherds, "log_derivative_exact", lambda *a, **k: bad)
+    want = moebius_exponents(bad.coeffs)[1]  # A(2^2, 4) + 1/2
+    assert want.denominator == 2
+    with pytest.raises(InternalConsistencyError,
+                       match=rf"exponent A\(2\^2,4\) = {want} is not an integer"):
+        exact_exponents(4, 6)
 
 
 def test_exact_exponents_integrality_stress():

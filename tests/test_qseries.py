@@ -2,6 +2,7 @@ import cmath
 import random
 from array import array
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -247,8 +248,8 @@ def test_signed_kronecker_product_edge_cases():
 
 
 def _piece_edges(n):
-    """Every multiple of 4096 below n, with its neighbours: where the decoded
-    pieces of _square_at meet."""
+    """Every multiple of 4096 below n, with its neighbours: where the
+    4096-slot strings that _square_at joins into its packs meet."""
     return sorted({t for c in range(4096, n + 1, 4096)
                    for t in (c - 1, c, c + 1) if t < n})
 
@@ -259,8 +260,9 @@ def test_square_at_matches_the_kronecker_square(n, top):
     rng = random.Random(n)
     f = [rng.randint(-top, top) for _ in range(n)]
     want = _kron_mul(f, f, n)
-    # a piece whose value is negative (its highest nonzero slot is) lends
-    # one to the next piece unless the all-h value is added before the split
+    # a run of slots whose value is negative (its highest nonzero slot is)
+    # borrows one from the slots above it unless the all-h value is added
+    # before the split
     assert any(next(c for c in reversed(want[e - 4096:e]) if c) < 0
                for e in range(4096, n, 4096))
     positions = sorted(set(_piece_edges(n) + rng.sample(range(n), 300) + [0, n - 1]))
@@ -286,6 +288,46 @@ def test_square_at_short_operands(f, data):
     want = _kron_mul(f, f, len(f))
     positions = sorted(data.draw(st.sets(st.integers(0, len(f) - 1))))
     assert _square_at(f, positions) == [want[t] for t in positions]
+
+
+def _squares_summing_to(total):
+    """Positive ints whose squares sum to total, taken greedily."""
+    out = []
+    while total:
+        out.append(isqrt(total))
+        total -= out[-1] ** 2
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_square_at_reaches_the_cauchy_schwarz_bound(k):
+    # c_(n-1) = +S for a palindromic f and -S for an antipalindromic one,
+    # S = sum f_i^2, the bound the slot width rests on.  At S = 10^k/2 - 1
+    # (and - 2, as -S needs S even) the slots are k digits wide and c + h
+    # reaches 10^k - 1 or 1; at S = 10^k/2 they widen to k + 1 digits.
+    h = 10 ** k // 2
+    for total, sign in ((h - 1, 1), (h, 1), (h - 2, -1), (h, -1)):
+        half = [x for v in _squares_summing_to(total // 2) for x in (v, 0)]
+        if sign > 0:
+            f = half + [1] * (total % 2) + half[::-1]
+        else:
+            f = half + [-v for v in reversed(half)]
+        want = _kron_mul(f, f, len(f))
+        assert want[-1] == sign * total
+        for g in (f, [-v for v in f]):
+            assert _square_at(g, list(range(len(g)))) == want, (total, sign)
+
+
+def test_square_at_one_position_or_every_slot():
+    rng = random.Random(23)
+    for n in (1, 2, 3, 4, 4097, 5001):
+        f = [rng.randint(-6, 6) for _ in range(n)]
+        f[-1] = 1  # so f is not all zeros
+        want = _kron_mul(f, f, n)
+        assert _square_at(f, [0]) == [want[0]]
+        assert _square_at(f, [n - 1]) == [want[-1]]
+        assert _square_at(f, list(range(n))) == want
+        assert _square_at(array("b", f), list(range(n))) == want
 
 
 def test_square_at_edge_cases():
