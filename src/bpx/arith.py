@@ -222,6 +222,26 @@ def frac_mod(x: Fraction | int, ell: int) -> int:
     return x.numerator * pow(x.denominator, -1, ell) % ell
 
 
+def binary_power(x, e: int, one):
+    """x^e for an int e >= 0 by square-and-multiply, with x^0 = one.
+
+    The product starts from x itself, and x is squared only while bits of e
+    remain, so a truncated series loses no order to a needless factor.
+    """
+    if e < 0:
+        raise InputError(f"exponent must be >= 0, got {e}")
+    if e == 0:
+        return one
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else out * x
+        e >>= 1
+        if not e:
+            return out
+        x = x * x
+
+
 # ---------------------------------------------------------------------------
 # quadratic extension a + b*sqrt(D)
 
@@ -308,14 +328,7 @@ class QuadExt:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = self._lift(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return binary_power(self, e, self._lift(1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -3,12 +3,13 @@
 The generating identity: writing the weighted class polynomial evaluated
 at j as q^(-h(d)) prod (1-q^n)^A(n^2,d), the negated logarithmic
 q-derivative L(q) has constant term h(d) and [q^n] L = sum over m|n of
-m A(m^2,d).  L is computed by one routine over two rings, with no
-j-series: each factor P of degree k becomes the holomorphic form
-T = Delta^k P(E4^3/Delta), and its share of L is k E2 - q T'/T.  Over Z
-it gives the exponents, recovered by an integer Moebius inversion whose
-exactness is asserted, not assumed; over F_l, with P reduced mod l and
-the forms built mod l, it gives the congruences.
+m A(m^2,d).  One routine computes 6 L over either ring, with no j-series
+and no rationals: each factor P of degree k becomes the holomorphic form
+T = Delta^k P(E4^3/Delta), and its share of 6 L is 6 w (k E2 - q T'/T)
+for its Hurwitz weight w in {1, 1/2, 1/3}.  Over Z it gives the
+exponents, recovered by an integer Moebius inversion whose exactness is
+asserted, not assumed; over F_l, with P reduced mod l and the forms
+built mod l, it gives the congruences.
 
 Fitting: over F_l the series L is a combination of E_{l+1} and the
 weight l+1 cusp eigenforms; the constant term gives c0 and an r x r
@@ -19,7 +20,7 @@ whole series identity is re-verified to the requested order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import NamedTuple
 
 from .arith import (QuadExt, Record, divisors, is_fundamental_discriminant,
@@ -48,62 +49,61 @@ class ExponentTable(Record):
 
 
 def _log_derivative(d: int, n: int, ring, cache_dir: str | None) -> QSeries:
-    """-q d/dq log of the weighted class polynomial at j, to order n.
+    """6 L, for L = -q d/dq log of the weighted class polynomial at j, to order n.
 
-    ring is ZZ (the result is over QQ, since the weights are 1, 1/2 or 1/3)
-    or GF(l) (each factor is reduced mod l first).  A monic factor P of
-    degree k gives the holomorphic form T = Delta^k P(E4^3/Delta) with
-    constant term 1, built by homogeneous Horner from E4^3 and one running
-    power of Delta.  Since q Delta'/Delta = E2, the factor's -q S'/S for
-    S = P(j) is k E2 - q T'/T: no j-series, and T's coefficients grow only
-    polynomially.  The weighted sum has constant term h(d) (checked).
+    ring is ZZ or GF(l) (each factor is reduced mod l first), and the
+    series stays in it: a factor of weight w in {1, 1/2, 1/3} enters with
+    the integer 6 w.  A monic factor P of degree k gives the holomorphic
+    form T = Delta^k P(E4^3/Delta) with constant term 1, built by
+    homogeneous Horner from E4^3 and Delta^1..Delta^k, all from one
+    ``monomial_forms`` table shared by every factor.  Since
+    q Delta'/Delta = E2, the factor's -q S'/S for S = P(j) is
+    k E2 - q T'/T: no j-series, and T's coefficients grow only
+    polynomially.  The constant term is 6 h(d) (checked).
     """
     wcp = hilbert_class_poly(d, cache_dir=cache_dir)
-    out_ring = QQ if ring is ZZ else ring
-    e4_cubed, disc = monomial_forms([(0, 3, 0), (1, 0, 0)], n, ring)
-    disc = QSeries(ring, 0, [ring.zero] + disc.coeffs)  # Delta from q^0
+    k_max = max(poly.degree for poly, _ in wcp.components)
+    e4_cubed, *disc_powers = monomial_forms(
+        [(0, 3, 0)] + [(a, 0, 0) for a in range(1, k_max + 1)], n, ring)
     e2 = eisenstein(2, n, ring)
-    total = QSeries.zero(out_ring, n)
+    total = QSeries.zero(ring, n)
     for poly, w in wcp.components:
         if ring is not ZZ:
             poly = poly.reduce_mod(ring.ell)
         *rest, top = poly.coeffs
-        t, power = QSeries.constant(ring, top, n), QSeries.one(ring, n)
-        for c in reversed(rest):
-            power = power * disc
+        t = QSeries.constant(ring, top, n)
+        for c, power in zip(reversed(rest), disc_powers):
             t = t * e4_cubed + power.scale(c)
-        li = e2.scale(poly.degree) - t.log_derivative()
-        total = total + QSeries(out_ring, 0, li.coeffs).scale(w)
-    if total.coeff(0) != out_ring.coerce(wcp.h):
+        total = total + (e2.scale(poly.degree) - t.log_derivative()).scale(6 * w)
+    if total.coeff(0) != ring.coerce(6 * wcp.h):
         raise InternalConsistencyError(
-            f"constant term {total.coeff(0)} != h({d}) = {wcp.h} over {out_ring.name}")
+            f"constant term {total.coeff(0)} != 6 h({d}) = {6 * wcp.h} over {ring.name}")
     return total
 
 
 def log_derivative_exact(d: int, n: int, cache_dir: str | None = None) -> QSeries:
     """-q d/dq log of the weighted class polynomial at j, over Q, to order n."""
-    return _log_derivative(d, n, ZZ, cache_dir)
+    six_l = _log_derivative(d, n, ZZ, cache_dir)
+    return QSeries(QQ, 0, [Fraction(c, 6) for c in six_l.coeffs])
 
 
 def exact_exponents(d: int, n_max: int, cache_dir: str | None = None) -> ExponentTable:
     """A(n^2, d) for n = 1..n_max by Moebius inversion of the log derivative.
 
-    The inversion runs over the integers: every coefficient of L is scaled
-    by D, the lcm of their denominators (1, 2 or 3, from the weights), and
-    n A(n^2, d) D must then divide exactly.  It is a divisor sieve: for n
+    The inversion runs over the integers, on the coefficients of 6 L, so
+    6 n A(n^2, d) must divide exactly.  It is a divisor sieve: for n
     ascending, B_n has lost the terms of its proper divisors, so it is
-    n A(n^2, d) D, and it is taken off every multiple of n.
+    6 n A(n^2, d), and it is taken off every multiple of n.
     """
-    L = log_derivative_exact(d, n_max, cache_dir=cache_dir)
-    D = lcm(*(c.denominator for c in L.coeffs))
-    B = [c.numerator * (D // c.denominator) for c in L.coeffs]
+    B = _log_derivative(d, n_max, ZZ, cache_dir).coeffs
     out = []
     for n in range(1, n_max + 1):
         s = B[n]
-        a, r = divmod(s, n * D)
+        a, r = divmod(s, 6 * n)
         if r:
+            g = gcd(s, 6 * n)
             raise InternalConsistencyError(
-                f"exponent A({n}^2,{d}) = {Fraction(s, n * D)} is not an integer")
+                f"exponent A({n}^2,{d}) = {s // g}/{6 * n // g} is not an integer")
         out.append(a)
         for kn in range(2 * n, n_max + 1, n):
             B[kn] -= s
@@ -118,7 +118,7 @@ def log_derivative_mod(d: int, ell: int, n: int,
         raise IneligiblePairError(
             f"H_{d} mod {ell} does not divide s_{ell}: the weight l+1 "
             f"membership hypothesis fails for (d={d}, l={ell})")
-    return _log_derivative(d, n, GF(ell), cache_dir)
+    return _log_derivative(d, n, GF(ell), cache_dir).scale(pow(6, -1, ell))
 
 
 class CongruenceFormula(NamedTuple):

@@ -44,25 +44,16 @@ class CharpolyCount(NamedTuple):
 def charpoly_count(ell: int, a: int, b: int) -> CharpolyCount:
     """Elements of GL2(F_l) with trace a and determinant b (b nonzero).
 
-    The proportion depends only on whether a^2/4 - b is a nonresidue, a
-    nonzero residue, or zero mod l.
+    The count is l (l + chi(a^2 - 4b)), chi the Legendre symbol mod l with
+    chi(0) = 0: the characteristic polynomial x^2 - a x + b has two roots
+    in F_l, none, or one repeated root.
     """
     if ell < 3 or not is_prime(ell):
         raise InputError(f"need an odd prime, got {ell}")
     if b % ell == 0:
         raise InputError("determinant 0 is not in GL2")
-    disc = (a * a * pow(4, -1, ell) - b) % ell
-    chi = kronecker(disc, ell)
-    if chi == -1:
-        prop = Fraction(1, (ell - 1) * (ell + 1))
-    elif chi == 1:
-        prop = Fraction(1, (ell - 1) ** 2)
-    else:
-        prop = Fraction(ell, (ell - 1) ** 2 * (ell + 1))
-    count = prop * gl2_order(ell)
-    if count.denominator != 1:
-        raise InternalConsistencyError("non-integral class count")
-    return CharpolyCount(count.numerator, prop)
+    count = ell * (ell + kronecker((a * a - 4 * b) % ell, ell))
+    return CharpolyCount(count, Fraction(count, gl2_order(ell)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +266,21 @@ def empirical_table(F: CongruenceFormula, x: int) -> DensityTable:
     if x < 3:
         raise InputError(f"need X >= 3 so that some prime lies below X, got {x}")
     ell = F.ell
+    curve = ell in X0_CURVES and F.rank == 1
+    if F.rank and not curve and x > EXPANSION_LIMIT:
+        raise CapabilityError(
+            f"l={ell} is not curve-backed; eigenform-expansion mode "
+            f"supports x <= {EXPANSION_LIMIT}")
     primes = sieve(x).primes
     total = len(primes)
     eligible = [p for p in primes if p != ell]
-    if ell in X0_CURVES and F.rank == 1:
+    if curve:
         if (ell == 11 and kernel.BACKEND == "python" and x <= EXPANSION_LIMIT
                 and transform_decimal()):
             columns = [x0_11_eta_traces(eligible)]
         else:
             columns = [ec_traces(X0_CURVES[ell], eligible)]
     elif F.rank:
-        if x > EXPANSION_LIMIT:
-            raise CapabilityError(
-                f"l={ell} is not curve-backed; eigenform-expansion mode "
-                f"supports x <= {EXPANSION_LIMIT}")
         basis = eigenbasis(ell, order=max(x - 1, 4))
         columns = [[form.coeffs[p - form.lead] for p in eligible]
                    for form in basis.forms]

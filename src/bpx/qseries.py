@@ -36,8 +36,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .arith import (QuadExt, _check_odd_prime, bernoulli, frac_mod,
-                    is_fundamental_discriminant, kronecker,
+from .arith import (QuadExt, _check_odd_prime, bernoulli, binary_power,
+                    frac_mod, is_fundamental_discriminant, kronecker,
                     sigma_prefix)
 from .errors import InputError, TruncationError
 
@@ -184,6 +184,13 @@ def _kron_mul(a: list[int], b: list[int], n_out: int, ell: int | None = None) ->
     """
     square = a is b
     a, b = a[:n_out], b[:n_out]
+    za, zb = (next((i for i, v in enumerate(f) if v), n_out) for f in (a, b))
+    if za + zb >= n_out:
+        return [0] * n_out
+    if za + zb:  # a power of Delta starts at q^a: pack it from there
+        a = a[za:]
+        return [0] * (za + zb) + _kron_mul(a, a if square else b[zb:],
+                                           n_out - za - zb, ell)
     m = min(len(a), len(b))
     total = min(n_out, len(a) + len(b) - 1)
     if ell:
@@ -193,8 +200,6 @@ def _kron_mul(a: list[int], b: list[int], n_out: int, ell: int | None = None) ->
         out = [v % ell for v in _kron_unpack(x, nb, total)]
     else:
         top = max(map(abs, a)) * max(map(abs, b))
-        if not top:
-            return [0] * n_out
         nb = ((2 * top * m + 1).bit_length() + 7) // 8
         h = 1 << (8 * nb - 1)
         slot = h.to_bytes(nb, "little")
@@ -505,17 +510,7 @@ class QSeries:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        if e == 0:
-            return QSeries.one(self.ring, max(self.trunc, 0))
-        out = None
-        base = self
-        while True:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if not e:
-                return out
-            base = base * base
+        return binary_power(self, e, QSeries.one(self.ring, max(self.trunc, 0)))
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse of a series with invertible leading coefficient."""
@@ -660,14 +655,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        out = Poly(self.ring, [self.ring.one])
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return binary_power(self, e, Poly(self.ring, [self.ring.one]))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Division with remainder; divisor leading coefficient must be a unit."""

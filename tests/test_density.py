@@ -12,7 +12,7 @@ import pytest
 from bpx import density, kernel, qseries
 from bpx.arith import kronecker, sieve
 from bpx.borcherds import CongruenceFormula, fit_congruence
-from bpx.cli import _csv
+from bpx.cli import _csv, run
 from bpx.density import (X0_CURVES, EllCurve, asymptotic_table,
                          charpoly_count, ec_trace, ec_traces, empirical_table,
                          gl2_order, x0_11_eta_traces)
@@ -413,10 +413,25 @@ def test_empirical_rank0():
     assert tab.entries == {2: len(sieve(1000)) - 1}
 
 
-def test_empirical_capability_error():
+def _no_sieve(x):
+    raise AssertionError(f"sieve({x}) was called")
+
+
+def test_empirical_capability_error(monkeypatch):
+    # an l with no curve is refused past EXPANSION_LIMIT before any prime
+    # is sieved, so an x up to SIEVE_LIMIT costs no sieve on the way out
+    monkeypatch.setattr(density, "sieve", _no_sieve)
     F = fit_congruence(20, 31)
-    with pytest.raises(CapabilityError):
-        empirical_table(F, 10 ** 6)
+    with pytest.raises(CapabilityError, match="eigenform-expansion mode"):
+        empirical_table(F, 3_000_000)
+
+
+def test_over_limit_expansion_tally_exits_2_without_sieving(monkeypatch, capsys):
+    monkeypatch.setattr(density, "sieve", _no_sieve)
+    code = run(["density", "--d", "20", "--ell", "31", "--empirical", "3000000"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert "supports x <= 100000" in out.err
 
 
 def test_density_table_serialization():

@@ -228,6 +228,19 @@ def test_kronecker_product_extremal_operands(m, k):
                 [v % ell for v in _conv_oracle(top, b, 2 * k - 2)]
 
 
+def test_kronecker_product_from_the_first_nonzero_slot():
+    # leading zeros, as in a power of Delta, are left out of the pack: the
+    # product is the one of the rest, shifted by both valuations
+    a, b = [0, 0, 0, 5, -1, 7], [0, -2, 0, 3]
+    for ell in (None, 31):
+        red = (lambda f: [v % ell for v in f]) if ell else list
+        x, y = red(a), red(b)
+        for n_out in (1, 3, 4, 5, 7, 12):
+            assert _kron_mul(x, y, n_out, ell) == red(_conv_oracle(x, y, n_out - 1))
+            assert _kron_mul(x, x, n_out, ell) == red(_conv_oracle(x, x, n_out - 1))
+            assert _kron_mul([0] * 3, x, n_out, ell) == [0] * n_out
+
+
 def test_signed_kronecker_product_edge_cases():
     assert _kron_mul([5], [-7], 1) == [-35]
     assert _kron_mul([0, 0], [3], 3) == [0, 0, 0]
@@ -627,6 +640,26 @@ def test_poly_squarefree():
     x = Poly(ring, [ring.zero, ring.one])
     assert (x * (x - Poly(ring, [ring.one]))).is_squarefree()
     assert not (x * x).is_squarefree()
+
+
+def test_one_power_ladder_for_poly_series_and_quadext():
+    ring = GF(7)
+    f = Poly.from_ints(ring, [1, 1])  # x + 1
+    j = jfunction(8, ZZ)  # a Laurent series: no order is lost to extra factors
+    u = QuadExt(1, 2, 5)
+    assert f ** 0 == Poly(ring, [ring.one]) and u ** 0 == QuadExt(1, 0, 5)
+    one = j ** 0
+    assert (one.lead, one.trunc) == (0, 8) and one == QSeries.one(ZZ, 8)
+    want_f, want_j, want_u = f, j, u
+    for e in range(1, 9):
+        got_j = j ** e
+        assert f ** e == want_f and u ** e == want_u, e
+        assert (got_j.lead, got_j.trunc) == (-e, 9 - e), e
+        assert got_j == want_j, e
+        want_f, want_j, want_u = want_f * f, want_j * j, want_u * u
+    assert u ** -3 == (u * u * u).inverse()
+    with pytest.raises(InputError, match="exponent must be >= 0, got -1"):
+        f ** -1
 
 
 def test_poly_evaluate_series_matches_direct():
