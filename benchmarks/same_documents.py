@@ -41,9 +41,10 @@ FORMATS = ("json", "text", "csv")
 # X (one or two primes, so the square's halves are one or two slots), at
 # another d and just past the eta-product route's limit, where the traces
 # take over, the curve tallies of l = 17 and 19, which always take the
-# traces, and the exact exponents, fit and check at d = 12, 16 and 27,
+# traces, the exact exponents, fit and check at d = 12, 16 and 27,
 # whose class polynomials carry the Hurwitz weights 1/3, 1/2 and 1/3
-# beside weight 1
+# beside weight 1, and check at rank 0 (l = 5) and at d = 3 to n = 725,
+# past every multiple of 11 up to 715
 EXTRA_COMMANDS = [f"supersingular --ell {ell}"
                   for ell in (5, 7, 13, 97, 199, 1009, 10007)]
 EXTRA_COMMANDS += ["table2 --ell 31 --dmax 100", "table2 --ell 17 --dmax 150",
@@ -60,6 +61,8 @@ EXTRA_COMMANDS += ["density --d 4 --ell 11 --empirical 3",
                    "density --d 4 --ell 19 --empirical 20000"]
 EXTRA_COMMANDS += [f"exponents --d {d} --n 300" for d in (12, 16, 27)]
 EXTRA_COMMANDS += ["congruence --d 12 --ell 11", "check --d 12 --ell 11 --n 300"]
+EXTRA_COMMANDS += ["check --d 16 --ell 11 --n 300", "check --d 27 --ell 11 --n 300",
+                   "check --d 3 --ell 11 --n 725", "check --d 3 --ell 5 --n 200"]
 
 
 def benchmark_commands(tree: Path) -> list[str]:

@@ -9,7 +9,7 @@ exponent residues over primes.
 
 __version__ = "0.1.0"
 
-from .arith import QuadExt, kronecker, sieve
+from .arith import kronecker, sieve
 from .borcherds import (CongruenceFormula, ExponentTable, exact_exponents,
                         fit_congruence, formula_eval, nu, twisted_roundtrip,
                         verify_congruence)
@@ -24,7 +24,7 @@ from .ssforms import (eigenbasis, hecke_Tp, supersingular_poly,
 
 __all__ = [
     "__version__", "backend",
-    "QuadExt", "kronecker", "sieve",
+    "kronecker", "sieve",
     "QSeries", "Poly", "ZZ", "QQ", "GF", "eisenstein", "delta", "jfunction",
     "supersingular_poly", "supersingular_poly_bruteforce", "hecke_Tp",
     "eigenbasis",

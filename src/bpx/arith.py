@@ -3,9 +3,8 @@
 Integers are Python ints, rationals are ``fractions.Fraction`` (always
 normalized, positive denominator, structural equality), an element of a
 prime field F_l is a plain int in [0, l) (``frac_mod`` reduces a rational
-into one), and real quadratic extensions a + b*sqrt(D) are ``QuadExt``
-with Fraction scalars.  On top of those live the classical number-theoretic
-functions (Kronecker symbol, Bernoulli numbers, divisor sums, Moebius).
+into one).  On top of those live the classical number-theoretic functions
+(Kronecker symbol, Bernoulli numbers, divisor sums, Moebius).
 """
 
 from __future__ import annotations
@@ -240,113 +239,6 @@ def binary_power(x, e: int, one):
         if not e:
             return out
         x = x * x
-
-
-# ---------------------------------------------------------------------------
-# quadratic extension a + b*sqrt(D)
-
-class QuadExt:
-    """Element a + b*sqrt(D) of Q(sqrt(D)), D > 0 fundamental.
-
-    The scalars a, b are Fractions (ints are converted), and sqrt(D) is
-    kept symbolic.
-    """
-
-    __slots__ = ("a", "b", "D")
-
-    def __init__(self, a, b, D: int):
-        if D <= 1 or not is_fundamental_discriminant(D):
-            raise InputError(f"D must be a fundamental discriminant > 1, got {D}")
-        if isinstance(a, int):
-            a = Fraction(a)
-        if isinstance(b, int):
-            b = Fraction(b)
-        self.a = a
-        self.b = b
-        self.D = D
-
-    def _lift(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            if other.D != self.D:
-                raise InputError("mixed discriminants")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.D)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return QuadExt(self.a + o.a, self.b + o.b, self.D)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return QuadExt(self.a - o.a, self.b - o.b, self.D)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return QuadExt(o.a - self.a, o.b - self.b, self.D)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return QuadExt(self.a * o.a + self.b * o.b * self.D,
-                       self.a * o.b + self.b * o.a, self.D)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.D)
-
-    def norm(self):
-        return self.a * self.a - self.b * self.b * self.D
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.D)
-
-    def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if not n:
-            raise ZeroDivisionError("element of norm 0 is not invertible")
-        c = self.conjugate()
-        return QuadExt(c.a / n, c.b / n, self.D)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return binary_power(self, e, self._lift(1))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return not self.b and self.a == other
-        return (isinstance(other, QuadExt) and self.D == other.D
-                and self.a == other.a and self.b == other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.D))
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.D)
-
-    def __repr__(self):
-        return f"QuadExt({self.a}, {self.b}; D={self.D})"
 
 
 # ---------------------------------------------------------------------------

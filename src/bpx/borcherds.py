@@ -9,7 +9,8 @@ T = Delta^k P(E4^3/Delta), and its share of 6 L is 6 w (k E2 - q T'/T)
 for its Hurwitz weight w in {1, 1/2, 1/3}.  Over Z it gives the
 exponents, recovered by an integer Moebius inversion whose exactness is
 asserted, not assumed; over F_l, with P reduced mod l and the forms
-built mod l, it gives the congruences.
+built mod l, it gives the congruences.  Every divisor inversion here
+(exponents, fitted congruence, twisted round trip) is ``_divisor_sieve``.
 
 Fitting: over F_l the series L is a combination of E_{l+1} and the
 weight l+1 cusp eigenforms; the constant term gives c0 and an r x r
@@ -23,12 +24,12 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .arith import (QuadExt, Record, divisors, is_fundamental_discriminant,
-                    kronecker, moebius, sigma)
+from .arith import (Record, divisors, is_fundamental_discriminant, kronecker,
+                    moebius, sigma)
 from .classpoly import degree_rules_out, eligibility, hilbert_class_poly
 from .errors import (IneligiblePairError, InputError,
                      InternalConsistencyError, TruncationError)
-from .qseries import (GF, QQ, ZZ, QSeries, eisenstein, f2, monomial_basis,
+from .qseries import (GF, QQ, ZZ, QSeries, eisenstein, monomial_basis,
                       monomial_forms)
 from .ssforms import (EigenformBasis, _solve_linear_mod, eigenbasis,
                       eisenstein_cusp_split)
@@ -87,26 +88,41 @@ def log_derivative_exact(d: int, n: int, cache_dir: str | None = None) -> QSerie
     return QSeries(QQ, 0, [Fraction(c, 6) for c in six_l.coeffs])
 
 
+def _divisor_sieve(B: list[int], chi=None) -> list[int]:
+    """Invert B(n) = sum_{m|n} chi(n/m) b(m) in place, for n = 1..len(B) - 1.
+
+    chi lists chi(0..len(B) - 1), completely multiplicative with
+    chi(1) = 1; None is chi = 1, the Moebius inversion.  For n ascending,
+    B[n] has lost the terms of its proper divisors, so it is b(n), and
+    chi(k) b(n) is taken off B[kn] for every k >= 2.
+    """
+    n_max = len(B) - 1
+    if chi is None:
+        chi = [1] * (n_max + 1)
+    for n in range(1, n_max // 2 + 1):
+        for k, kn in enumerate(range(2 * n, n_max + 1, n), 2):
+            B[kn] -= chi[k] * B[n]
+    return B
+
+
 def exact_exponents(d: int, n_max: int, cache_dir: str | None = None) -> ExponentTable:
     """A(n^2, d) for n = 1..n_max by Moebius inversion of the log derivative.
 
     The inversion runs over the integers, on the coefficients of 6 L, so
-    6 n A(n^2, d) must divide exactly.  It is a divisor sieve: for n
-    ascending, B_n has lost the terms of its proper divisors, so it is
-    6 n A(n^2, d), and it is taken off every multiple of n.
+    6 n A(n^2, d) must divide exactly; the first n where it does not is
+    reported.
     """
-    B = _log_derivative(d, n_max, ZZ, cache_dir).coeffs
+    if n_max < 0:
+        raise InputError(f"n_max must be >= 0, got {n_max}")
+    B = _divisor_sieve(_log_derivative(d, n_max, ZZ, cache_dir).coeffs)
     out = []
     for n in range(1, n_max + 1):
-        s = B[n]
-        a, r = divmod(s, 6 * n)
+        a, r = divmod(B[n], 6 * n)
         if r:
-            g = gcd(s, 6 * n)
+            g = gcd(B[n], 6 * n)
             raise InternalConsistencyError(
-                f"exponent A({n}^2,{d}) = {s // g}/{6 * n // g} is not an integer")
+                f"exponent A({n}^2,{d}) = {B[n] // g}/{6 * n // g} is not an integer")
         out.append(a)
-        for kn in range(2 * n, n_max + 1, n):
-            B[kn] -= s
     return ExponentTable(d, n_max, tuple(out))
 
 
@@ -226,17 +242,23 @@ def verify_congruence(d: int, ell: int, n_max: int,
                       cache_dir: str | None = None) -> tuple[int, int]:
     """Exact exponents vs formula for all n <= n_max with l not dividing n.
 
-    Returns (verified, skipped); raises InternalConsistencyError with the
-    first mismatching index otherwise.
+    The formula is the divisor sieve of the fitted series c0 E_2 + sum c_i f_i,
+    whose n-th value is n A(n^2, d) mod l.  Returns (verified, skipped);
+    raises InternalConsistencyError with the first mismatching index
+    otherwise.
     """
     F = fit_congruence(d, ell, verify_to=max(n_max, 200), cache_dir=cache_dir)
     table = exact_exponents(d, n_max, cache_dir=cache_dir)
+    fitted = eisenstein(2, n_max, GF(ell)).scale(F.c0)
+    for ci, form in zip(F.c, F.basis.forms):
+        fitted = fitted + form.truncate(n_max).scale(ci)
+    b = _divisor_sieve([fitted.coeff(m) for m in range(n_max + 1)])
     verified = skipped = 0
     for n in range(1, n_max + 1):
         if n % ell == 0:
             skipped += 1
             continue
-        if table[n] % ell != formula_eval(F, n):
+        if table[n] % ell != b[n] * pow(n, -1, ell) % ell:
             raise InternalConsistencyError(
                 f"exact A({n}^2,{d}) = {table[n]} != formula value mod {ell}")
         verified += 1
@@ -244,57 +266,59 @@ def verify_congruence(d: int, ell: int, n_max: int,
 
 
 # ---------------------------------------------------------------------------
-# the twisted (D > 1) machinery
+# the twisted (D > 1) machinery, in ints: every Gauss sum is (D/r) sqrt(D)
 
 
-def nu(D: int, m: int) -> QuadExt:
-    """Dirichlet inverse at m of the Gauss-sum sequence r -> f2(D, r).
-
-    f2(D, r) = (D/r) sqrt(D) and (D/r) is completely multiplicative, so
-    nu(m) = mu(m) (D/m) / sqrt(D).
-    """
-    if m < 1:
-        raise InputError(f"index must be >= 1, got {m}")
+def _check_twist(D: int) -> None:
     if D <= 1 or not is_fundamental_discriminant(D):
         raise InputError(f"D must be a fundamental discriminant > 1, got {D}")
-    return QuadExt(0, Fraction(moebius(m) * kronecker(D, m), D), D)
 
 
-def twisted_forward(D: int, a_seq) -> list[QuadExt]:
-    """g(n) = sum_{m|n} m A(m) f2(D, n/m): the twisted log-derivative coefficients."""
+def nu(D: int, m: int) -> int:
+    """mu(m) (D/m), the Dirichlet inverse at m of the character r -> (D/r).
+
+    (D/r) is completely multiplicative, so its inverse is mu (D/.); the
+    inverse of the Gauss sums f2(D, r) = (D/r) sqrt(D) is nu(m) / sqrt(D).
+    """
+    _check_twist(D)
+    if m < 1:
+        raise InputError(f"index must be >= 1, got {m}")
+    return moebius(m) * kronecker(D, m)
+
+
+def twisted_forward(D: int, a_seq) -> list[int]:
+    """G(n) = sum_{m|n} m A(m) (D/(n/m)) for n = 1..len(a_seq).
+
+    The twisted log-derivative coefficients are g(n) = G(n) sqrt(D).
+    """
+    _check_twist(D)
     n_max = len(a_seq)
-    out = []
-    for n in range(1, n_max + 1):
-        acc = None
-        for m in divisors(n):
-            term = f2(D, n // m) * (m * a_seq[m - 1])
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    chi = [kronecker(D, k) for k in range(n_max + 1)]
+    G = [0] * (n_max + 1)
+    for m, a in enumerate(a_seq, 1):
+        for k, km in enumerate(range(m, n_max + 1, m), 1):
+            G[km] += chi[k] * m * a
+    return G[1:]
 
 
 def twisted_roundtrip(D: int, a_seq, n_max: int | None = None) -> list[int]:
-    """Push a synthetic exponent sequence through g and invert with nu.
+    """Push a synthetic exponent sequence through G and invert it again.
 
-    The inversion A(n) = (1/n) sum_{m|n} nu(m) g(n/m) must reproduce the
-    input exactly (rational with zero sqrt(D) part, integral).
+    The divisor sieve with chi = (D/.) gives n A(n) back from G, and the
+    division by n must be exact.
     """
-    if n_max is None:
-        n_max = len(a_seq)
-    a_seq = list(a_seq)[:n_max]
-    g = twisted_forward(D, a_seq)
+    a_seq = list(a_seq)
+    n_max = len(a_seq) if n_max is None else n_max
+    if not 0 <= n_max <= len(a_seq):
+        raise InputError(
+            f"n_max must satisfy 0 <= n_max <= len(a_seq) = {len(a_seq)}, got {n_max}")
+    chi = [kronecker(D, k) for k in range(n_max + 1)]
+    b = _divisor_sieve([0, *twisted_forward(D, a_seq[:n_max])], chi)
     out = []
     for n in range(1, n_max + 1):
-        acc = None
-        for m in divisors(n):
-            term = nu(D, m) * g[n // m - 1]
-            acc = term if acc is None else acc + term
-        if acc.b:
+        a, r = divmod(b[n], n)
+        if r:
             raise InternalConsistencyError(
-                f"twisted inversion at n={n} has a sqrt({D}) part: {acc!r}")
-        val = acc.a / n
-        if val.denominator != 1:
-            raise InternalConsistencyError(
-                f"twisted inversion at n={n} is not integral: {val}")
-        out.append(val.numerator)
+                f"twisted inversion at n={n} is not integral: {Fraction(b[n], n)}")
+        out.append(a)
     return out

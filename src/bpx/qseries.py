@@ -20,9 +20,8 @@ and reads only the coefficients asked for.
 Classical expansions live here too: Eisenstein series; one table of the
 level-one forms Delta^a E4^b E6^c over ZZ, QQ and GF(l >= 5), with
 Delta = (E4^3 - E6^2)/1728, from which the discriminant cusp form and
-j = E4^3/Delta are read for every ring; weight-k monomial bases; Euler's
-pentagonal series; and the Gauss-sum coefficients of the twisted
-cyclotomic factor P_D.
+j = E4^3/Delta are read for every ring; weight-k monomial bases; and
+Euler's pentagonal series.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .arith import (QuadExt, _check_odd_prime, bernoulli, binary_power,
-                    frac_mod, is_fundamental_discriminant, kronecker,
+from .arith import (_check_odd_prime, bernoulli, binary_power, frac_mod,
                     sigma_prefix)
 from .errors import InputError, TruncationError
 
@@ -865,21 +863,3 @@ def monomial_forms(monos, n: int, ring) -> list[QSeries]:
         f = (f or [1] + [0] * n)[a:]
         out.append(QSeries(ring, a, list(map(Fraction, f)) if ring is QQ else f))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Gauss sums for the twisted factor P_D
-
-
-def f2(D: int, r: int) -> QuadExt:
-    """sum over k of (D/k) zeta_D^{kr} as an element of Q(sqrt(D)).
-
-    Classical Gauss-sum evaluation: equals (D/r) sqrt(D) for fundamental
-    D > 1 (cross-checked numerically in the test suite).
-    """
-    if D <= 1 or not is_fundamental_discriminant(D):
-        raise InputError(f"D must be a fundamental discriminant > 1, got {D}")
-    if r < 1:
-        raise InputError(f"index must be >= 1, got {r}")
-    return QuadExt(Fraction(0), Fraction(kronecker(D, r)), D)
-

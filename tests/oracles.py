@@ -21,36 +21,50 @@ from math import isqrt
 from typing import NamedTuple
 
 from bpx._eckernel_py import _ec_mul
-from bpx.arith import (QuadExt, divisors, is_fundamental_discriminant,
-                       kronecker, moebius)
+from bpx.arith import divisors, is_fundamental_discriminant, kronecker, moebius
 from bpx.classpoly import hilbert_class_poly
 from bpx.errors import InputError, TruncationError
-from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, eisenstein, f2, jfunction,
+from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, eisenstein, jfunction,
                          monomial_basis, monomial_forms)
 
 
 def f2_numeric(D: int, r: int) -> complex:
-    """Direct floating-point Gauss sum sum_k (D/k) zeta_D^(kr), the oracle for f2."""
+    """Direct floating-point Gauss sum sum_k (D/k) zeta_D^(kr).
+
+    Its closed form for fundamental D > 1 is (D/r) sqrt(D).
+    """
     return sum(kronecker(D, k) * cmath.exp(2j * cmath.pi * k * r / D)
                for k in range(1, D))
 
 
-def pd_log_coeffs(D: int, n: int) -> list[QuadExt]:
-    """Coefficients of -t d/dt log P_D(t) for t^1..t^n; entry r is f2(D, r)."""
-    return [f2(D, r) for r in range(1, n + 1)]
+def pd_log_coeffs(D: int, n: int) -> list[complex]:
+    """Coefficients of -t d/dt log P_D(t) for t^1..t^n, in complex floats.
+
+    P_D(t) = prod_k (1 - zeta_D^k t)^((D/k)) is expanded as a power series
+    factor by factor, and L = -t P'/P is read from -t P' = L P term by
+    term; entry r should be the Gauss sum (D/r) sqrt(D).
+    """
+    p = [1] + [0] * n
+    for k in range(1, D):
+        z = cmath.exp(2j * cmath.pi * k / D)
+        if kronecker(D, k) == 1:  # times 1 - z t
+            p = [p[0]] + [p[i] - z * p[i - 1] for i in range(1, n + 1)]
+        elif kronecker(D, k) == -1:  # divided by 1 - z t
+            for i in range(1, n + 1):
+                p[i] += z * p[i - 1]
+    coeffs = []
+    for r in range(1, n + 1):
+        coeffs.append(-r * p[r] - sum(coeffs[j - 1] * p[r - j] for j in range(1, r)))
+    return coeffs
 
 
 def _ring_inverse(x):
     if isinstance(x, int):
         if x in (1, -1):
             return x
-        raise InputError("no Dirichlet inverse: f(1) is not invertible")
-    try:
-        if isinstance(x, QuadExt):
-            return x.inverse()
+    elif x:
         return 1 / x
-    except ZeroDivisionError:
-        raise InputError("no Dirichlet inverse: f(1) is not invertible") from None
+    raise InputError("no Dirichlet inverse: f(1) is not invertible")
 
 
 def dirichlet_inverse(f) -> list:
@@ -58,8 +72,8 @@ def dirichlet_inverse(f) -> list:
 
     The inversion recurrence, over any ring whose elements support +, -
     and * and in which f(1) is invertible; raises InputError otherwise.
-    Applied to the Gauss sums f2(D, r) it is the oracle for the closed
-    form of borcherds.nu.
+    Applied to the character (D/r) it is the oracle for the closed form
+    of borcherds.nu.
     """
     if not f:
         return []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpx import arith
-from bpx.arith import (PrimeStream, QuadExt, bernoulli, divisors, factorize,
+from bpx.arith import (PrimeStream, bernoulli, divisors, factorize,
                        frac_mod, is_fundamental_discriminant, kronecker,
                        moebius, sieve, sigma)
 from bpx.errors import InputError, ResourceLimitError
@@ -196,41 +196,6 @@ def test_frac_mod():
 
 
 # ---------------------------------------------------------------------------
-# QuadExt
-
-
-def quad(a, b, D=5):
-    return QuadExt(Fraction(a), Fraction(b), D)
-
-
-@given(st.tuples(*[st.integers(-20, 20)] * 6))
-@settings(max_examples=120)
-def test_quadext_ring_axioms(vals):
-    a = quad(vals[0], vals[1])
-    b = quad(vals[2], vals[3])
-    c = quad(vals[4], vals[5])
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-
-
-@given(st.integers(-20, 20), st.integers(-20, 20))
-@settings(max_examples=100)
-def test_quadext_inverse(x, y):
-    e = quad(x, y)
-    if e.norm() == 0:
-        return
-    assert e * e.inverse() == 1
-
-
-def test_quadext_rejects_bad_discriminant():
-    with pytest.raises(InputError):
-        QuadExt(Fraction(1), Fraction(1), 9)
-    with pytest.raises(InputError):
-        QuadExt(Fraction(1), Fraction(1), 1)
-
-
-# ---------------------------------------------------------------------------
 # Dirichlet convolution
 
 
@@ -248,14 +213,11 @@ def test_dirichlet_inverse_of_ones_is_moebius():
 
 
 def test_dirichlet_inverse_gauss_sum_sequence():
-    from bpx.qseries import f2
-    f = [f2(5, r) for r in range(1, 31)]
-    nu = dirichlet_inverse(f)
-    assert nu[0] == QuadExt(Fraction(0), Fraction(1, 5), 5)
-    # cross-check every entry against the closed form mu(m) (D/m) / sqrt(D)
-    for m in range(1, 31):
-        closed = QuadExt(Fraction(0), Fraction(moebius(m) * kronecker(5, m), 5), 5)
-        assert nu[m - 1] == closed
+    # the Gauss sums are (5/r) sqrt(5); sqrt(5) factors out, and the inverse
+    # of the character (5/r) is the closed form mu(m) (5/m), in ints
+    nu = dirichlet_inverse([kronecker(5, r) for r in range(1, 31)])
+    assert nu == [moebius(m) * kronecker(5, m) for m in range(1, 31)]
+    assert all(type(v) is int for v in nu)
 
 
 @given(st.lists(st.integers(-30, 30), min_size=1, max_size=40),

@@ -3,19 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from bpx.arith import QuadExt, kronecker, sieve
-from bpx.borcherds import (_log_derivative, exact_exponents, fit_congruence,
-                           formula_eval, formula_eval_primes,
+from bpx import borcherds
+from bpx.arith import divisors, kronecker, sieve
+from bpx.borcherds import (_divisor_sieve, _log_derivative, exact_exponents,
+                           fit_congruence, formula_eval, formula_eval_primes,
                            log_derivative_exact, log_derivative_mod, nu,
                            twisted_forward, twisted_roundtrip,
                            verify_congruence)
 from bpx.classpoly import hilbert_class_poly, hurwitz_class_number
 from bpx.density import x0_11_eta_traces
 from bpx.errors import IneligiblePairError, InputError, InternalConsistencyError
-from bpx.qseries import (GF, QQ, ZZ, QSeries, delta, eisenstein, f2,
-                         monomial_forms)
-from oracles import (dirichlet_inverse, log_derivative_by_j, moebius_exponents,
-                     pd_log_coeffs, zagier_g1)
+from bpx.qseries import GF, QQ, ZZ, QSeries, delta, eisenstein, monomial_forms
+from oracles import (dirichlet_convolve, dirichlet_inverse, f2_numeric,
+                     log_derivative_by_j, moebius_exponents, zagier_g1)
 
 
 # exact square-index exponents, frozen from the product identity
@@ -85,6 +85,9 @@ def test_exponent_table_document_and_bounds():
         t[6]
     with pytest.raises(InputError):
         t[0]
+    assert exact_exponents(4, 0).values == ()
+    with pytest.raises(InputError, match="n_max must be >= 0, got -1"):
+        exact_exponents(4, -1)
 
 
 def test_log_derivative_mod_known_forms():
@@ -246,6 +249,29 @@ def test_end_to_end_verification_small():
     assert verified == 39 and skipped == 1
 
 
+@pytest.mark.parametrize("d, ell, n_max", [
+    (4, 11, 300), (20, 31, 200), (12, 11, 300), (3, 5, 200),
+])
+def test_verify_congruence_sieve_equals_formula_eval(monkeypatch, d, ell, n_max):
+    # a table of formula_eval's values passes exactly when the sieve of the
+    # fitted series gives formula_eval(F, n) at every n with l not dividing n;
+    # (20, 31) has rank 2, d = 12 carries weight 1/3, (3, 5) has rank 0
+    F = fit_congruence(d, ell, verify_to=max(n_max, 200))
+    values = tuple(formula_eval(F, n) if n % ell else 0 for n in range(1, n_max + 1))
+    monkeypatch.setattr(borcherds, "exact_exponents",
+                        lambda d, n, cache_dir=None: borcherds.ExponentTable(d, n, values))
+    assert verify_congruence(d, ell, n_max) == (n_max - n_max // ell, n_max // ell)
+
+
+def test_verify_congruence_is_not_vacuous(monkeypatch):
+    fit = borcherds.fit_congruence
+    monkeypatch.setattr(borcherds, "fit_congruence",
+                        lambda *a, **k: (F := fit(*a, **k))._replace(c0=F.c0 + 1))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"exact A\(1\^2,4\) = 492 != formula value mod 11"):
+        verify_congruence(4, 11, 60)
+
+
 def test_fit_asks_for_no_bernoulli_number_past_b2(monkeypatch):
     # the cusp split subtracts E_2, which is E_(l+1) mod l, so no B_(l+1)
     from bpx import qseries
@@ -270,29 +296,63 @@ def test_congruence_document():
 
 
 def test_nu_examples():
-    assert nu(5, 1) == QuadExt(Fraction(0), Fraction(1, 5), 5)
-    assert nu(5, 4) == QuadExt(Fraction(0), Fraction(0), 5)
-    assert nu(8, 3) == QuadExt(Fraction(0), Fraction(1, 8), 8)
-    assert nu(8, 3) == dirichlet_inverse(pd_log_coeffs(8, 3))[2]
+    assert [nu(5, 1), nu(5, 4), nu(8, 3)] == [1, 0, 1]
+    assert nu(8, 3) == dirichlet_inverse([kronecker(8, r) for r in (1, 2, 3)])[2]
     with pytest.raises(InputError):
         nu(5, 0)
-    for D in (9, 0, -4):  # not a fundamental discriminant > 1, as for f2
-        with pytest.raises(InputError):
-            nu(D, 1)
+
+
+@pytest.mark.parametrize("D", [9, 1, 0, -4])
+def test_twisted_functions_refuse_bad_discriminants(D):
+    # not a fundamental discriminant > 1
+    for call in (lambda: nu(D, 1), lambda: twisted_forward(D, [1, 2]),
+                 lambda: twisted_roundtrip(D, [1, 2])):
+        with pytest.raises(InputError, match=f"fundamental discriminant > 1, got {D}"):
+            call()
 
 
 def test_nu_matches_recurrence_broadly():
-    # the closed form against the Dirichlet inversion of the Gauss sums
+    # the closed form against the Dirichlet inversion of the character (D/r),
+    # the Gauss sums (D/r) sqrt(D) less their common sqrt(D), in ints
     for D in (5, 8, 12, 13):
-        recurrence = dirichlet_inverse(pd_log_coeffs(D, 79))
+        recurrence = dirichlet_inverse([kronecker(D, r) for r in range(1, 80)])
+        assert all(type(v) is int for v in recurrence)
         for m in range(1, 80):
             assert nu(D, m) == recurrence[m - 1], (D, m)
 
 
 def test_twisted_forward_magnitude_case():
-    g = twisted_forward(8, [565760])
-    assert g[0] == f2(8, 1) * 565760
-    assert g[0] == QuadExt(Fraction(0), Fraction(565760), 8)
+    assert twisted_forward(8, [565760]) == [565760]
+
+
+def test_twisted_forward_matches_float_gauss_sums():
+    # G(n) sqrt(D) against sum_{m|n} m A(m) f2(D, n/m), each Gauss sum
+    # summed over the D-th roots of unity in complex floats
+    rng = random.Random(25)
+    for D in (5, 8, 12, 13):
+        seq = [rng.randint(-100, 100) for _ in range(40)]
+        G = twisted_forward(D, seq)
+        assert all(type(v) is int for v in G)
+        for n in range(1, 41):
+            want = sum(m * seq[m - 1] * f2_numeric(D, n // m) for m in divisors(n))
+            assert abs(G[n - 1] * D ** 0.5 - want) < 1e-6, (D, n)
+
+
+def test_twisted_roundtrip_n_max_range():
+    assert twisted_roundtrip(5, [1, 2], 0) == []
+    assert twisted_roundtrip(5, [1, 2], 1) == [1]
+    for n_max in (3, 5, -1):
+        with pytest.raises(InputError, match=r"0 <= n_max <= len\(a_seq\) = 2"):
+            twisted_roundtrip(5, [1, 2], n_max)
+
+
+def test_divisor_sieve_inverts_the_convolution():
+    rng = random.Random(2025)
+    b = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(120)]
+    for D in (1, 5, 8, -4):
+        chi = [kronecker(D, k) for k in range(121)]
+        B = dirichlet_convolve(chi[1:], b)
+        assert _divisor_sieve([7, *B], None if D == 1 else chi) == [7, *b], D
 
 
 def test_twisted_roundtrip_delta_sequence():

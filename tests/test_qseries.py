@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpx.arith import (QuadExt, frac_mod, is_fundamental_discriminant,
-                       kronecker)
+from bpx.arith import frac_mod, is_fundamental_discriminant, kronecker
 from bpx.errors import InputError, TruncationError
 from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, _kron_mul, _square_at,
-                         delta, eisenstein, f2, jfunction, monomial_basis,
+                         delta, eisenstein, jfunction, monomial_basis,
                          monomial_forms, pentagonal)
 from oracles import (as_j_polynomial, euler_product, evaluate_series,
                      f2_numeric, monomial_form_by_euler_product,
@@ -642,22 +641,20 @@ def test_poly_squarefree():
     assert not (x * x).is_squarefree()
 
 
-def test_one_power_ladder_for_poly_series_and_quadext():
+def test_one_power_ladder_for_poly_and_series():
     ring = GF(7)
     f = Poly.from_ints(ring, [1, 1])  # x + 1
     j = jfunction(8, ZZ)  # a Laurent series: no order is lost to extra factors
-    u = QuadExt(1, 2, 5)
-    assert f ** 0 == Poly(ring, [ring.one]) and u ** 0 == QuadExt(1, 0, 5)
+    assert f ** 0 == Poly(ring, [ring.one])
     one = j ** 0
     assert (one.lead, one.trunc) == (0, 8) and one == QSeries.one(ZZ, 8)
-    want_f, want_j, want_u = f, j, u
+    want_f, want_j = f, j
     for e in range(1, 9):
         got_j = j ** e
-        assert f ** e == want_f and u ** e == want_u, e
+        assert f ** e == want_f, e
         assert (got_j.lead, got_j.trunc) == (-e, 9 - e), e
         assert got_j == want_j, e
-        want_f, want_j, want_u = want_f * f, want_j * j, want_u * u
-    assert u ** -3 == (u * u * u).inverse()
+        want_f, want_j = want_f * f, want_j * j
     with pytest.raises(InputError, match="exponent must be >= 0, got -1"):
         f ** -1
 
@@ -674,16 +671,6 @@ def test_poly_evaluate_series_matches_direct():
 # Gauss sums
 
 
-def test_f2_examples():
-    assert f2(5, 1) == QuadExt(Fraction(0), Fraction(1), 5)
-    assert f2(5, 5) == QuadExt(Fraction(0), Fraction(0), 5)
-    assert f2(8, 3) == QuadExt(Fraction(0), Fraction(-1), 8)
-    with pytest.raises(InputError):
-        f2(9, 1)
-    with pytest.raises(InputError):
-        f2(12 // 12, 1)
-
-
 def test_f2_against_numeric_gauss_sums():
     fundamental = [D for D in range(2, 41) if is_fundamental_discriminant(D)]
     assert fundamental == [5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37, 40]
@@ -695,19 +682,16 @@ def test_f2_against_numeric_gauss_sums():
 
 
 def test_pd_log_coeffs_definition_and_numeric_product():
-    coeffs = pd_log_coeffs(5, 10)
-    assert coeffs[0] == f2(5, 1)
-    assert coeffs[4] == QuadExt(Fraction(0), Fraction(0), 5)
-    assert all(coeffs[r - 1] == f2(5, r) for r in range(1, 11))
-    # numeric oracle: expand -t d/dt log P_D(t) as a power series in floats
-    D, n = 5, 8
-    zeta = cmath.exp(2j * cmath.pi / D)
-    # log P_D(t) = sum_k (D/k) log(1 - zeta^k t); its -t d/dt expansion is
-    # sum_j (sum_k (D/k) zeta^(kj)) t^j
-    for j in range(1, n + 1):
-        want = sum(kronecker(D, k) * zeta ** (k * j) for k in range(1, D))
-        assert abs(float(coeffs[j - 1]) - want.real) < 1e-9
-        assert abs(want.imag) < 1e-9
+    # the oracle expands P_D(t) itself; log P_D(t) = sum_k (D/k) log(1 - zeta^k t),
+    # so its -t d/dt expansion is sum_j (sum_k (D/k) zeta^(kj)) t^j, and the
+    # closed form of that Gauss sum is (D/j) sqrt(D)
+    for D in (5, 8, 12, 13):
+        coeffs = pd_log_coeffs(D, 30)
+        zeta = cmath.exp(2j * cmath.pi / D)
+        for j in range(1, 31):
+            want = sum(kronecker(D, k) * zeta ** (k * j) for k in range(1, D))
+            assert abs(coeffs[j - 1] - want) < 1e-9, (D, j)
+            assert abs(coeffs[j - 1] - kronecker(D, j) * D ** 0.5) < 1e-9, (D, j)
 
 
 def test_series_render():
