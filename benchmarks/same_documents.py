@@ -43,8 +43,10 @@ FORMATS = ("json", "text", "csv")
 # take over, the curve tallies of l = 17 and 19, which always take the
 # traces, the exact exponents, fit and check at d = 12, 16 and 27,
 # whose class polynomials carry the Hurwitz weights 1/3, 1/2 and 1/3
-# beside weight 1, and check at rank 0 (l = 5) and at d = 3 to n = 725,
-# past every multiple of 11 up to 715
+# beside weight 1, check at rank 0 (l = 5) and at d = 3 to n = 725,
+# past every multiple of 11 up to 715, and check at n = 1 and n = l,
+# where its modulus 6 l lcm(1..n) is smallest, and at n = 600, past the
+# benchmark's n
 EXTRA_COMMANDS = [f"supersingular --ell {ell}"
                   for ell in (5, 7, 13, 97, 199, 1009, 10007)]
 EXTRA_COMMANDS += ["table2 --ell 31 --dmax 100", "table2 --ell 17 --dmax 150",
@@ -63,6 +65,8 @@ EXTRA_COMMANDS += [f"exponents --d {d} --n 300" for d in (12, 16, 27)]
 EXTRA_COMMANDS += ["congruence --d 12 --ell 11", "check --d 12 --ell 11 --n 300"]
 EXTRA_COMMANDS += ["check --d 16 --ell 11 --n 300", "check --d 27 --ell 11 --n 300",
                    "check --d 3 --ell 11 --n 725", "check --d 3 --ell 5 --n 200"]
+EXTRA_COMMANDS += ["check --d 4 --ell 11 --n 1", "check --d 20 --ell 31 --n 31",
+                   "check --d 40 --ell 31 --n 600"]
 
 
 def benchmark_commands(tree: Path) -> list[str]:

@@ -9,8 +9,11 @@ T = Delta^k P(E4^3/Delta), and its share of 6 L is 6 w (k E2 - q T'/T)
 for its Hurwitz weight w in {1, 1/2, 1/3}.  Over Z it gives the
 exponents, recovered by an integer Moebius inversion whose exactness is
 asserted, not assumed; over F_l, with P reduced mod l and the forms
-built mod l, it gives the congruences.  Every divisor inversion here
-(exponents, fitted congruence, twisted round trip) is ``_divisor_sieve``.
+built mod l, it gives the congruences.  ``check`` needs only A mod l and
+the divisibility 6n | 6nA, so it solves and inverts in Z/M for
+M = 6 l lcm(1..n_max) (``exponent_residues``).  Every divisor inversion
+here (exponents, fitted congruence, twisted round trip) is
+``_divisor_sieve``.
 
 Fitting: over F_l the series L is a combination of E_{l+1} and the
 weight l+1 cusp eigenforms; the constant term gives c0 and an r x r
@@ -21,7 +24,7 @@ whole series identity is re-verified to the requested order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .arith import (Record, divisors, is_fundamental_discriminant, kronecker,
@@ -29,8 +32,8 @@ from .arith import (Record, divisors, is_fundamental_discriminant, kronecker,
 from .classpoly import degree_rules_out, eligibility, hilbert_class_poly
 from .errors import (IneligiblePairError, InputError,
                      InternalConsistencyError, TruncationError)
-from .qseries import (GF, QQ, ZZ, QSeries, eisenstein, monomial_basis,
-                      monomial_forms)
+from .qseries import (GF, QQ, ZZ, QSeries, _solve_triangular, eisenstein,
+                      monomial_basis, monomial_forms)
 from .ssforms import (EigenformBasis, _solve_linear_mod, eigenbasis,
                       eisenstein_cusp_split)
 
@@ -49,7 +52,8 @@ class ExponentTable(Record):
         return {"d": self.d, "n_max": self.n_max, "values": list(self.values)}
 
 
-def _log_derivative(d: int, n: int, ring, cache_dir: str | None) -> QSeries:
+def _log_derivative(d: int, n: int, ring, cache_dir: str | None,
+                    modulus: int | None = None) -> QSeries:
     """6 L, for L = -q d/dq log of the weighted class polynomial at j, to order n.
 
     ring is ZZ or GF(l) (each factor is reduced mod l first), and the
@@ -61,6 +65,10 @@ def _log_derivative(d: int, n: int, ring, cache_dir: str | None) -> QSeries:
     q Delta'/Delta = E2, the factor's -q S'/S for S = P(j) is
     k E2 - q T'/T: no j-series, and T's coefficients grow only
     polynomially.  The constant term is 6 h(d) (checked).
+
+    With a modulus M (ring ZZ), T is built over ZZ as before and each
+    q T'/T is solved mod M, so the series is congruent to 6 L mod M; its
+    constant term, which the solve does not touch, stays the integer.
     """
     wcp = hilbert_class_poly(d, cache_dir=cache_dir)
     k_max = max(poly.degree for poly, _ in wcp.components)
@@ -75,7 +83,12 @@ def _log_derivative(d: int, n: int, ring, cache_dir: str | None) -> QSeries:
         t = QSeries.constant(ring, top, n)
         for c, power in zip(reversed(rest), disc_powers):
             t = t * e4_cubed + power.scale(c)
-        total = total + (e2.scale(poly.degree) - t.log_derivative()).scale(6 * w)
+        if modulus is None:
+            dlog = t.log_derivative()
+        else:  # T_0 = 1, so q T'/T is the triangular solve itself
+            dlog = QSeries(ring, 0, _solve_triangular(
+                t.coeffs, t.q_derivative().coeffs, ring, modulus))
+        total = total + (e2.scale(poly.degree) - dlog).scale(6 * w)
     if total.coeff(0) != ring.coerce(6 * wcp.h):
         raise InternalConsistencyError(
             f"constant term {total.coeff(0)} != 6 h({d}) = {6 * wcp.h} over {ring.name}")
@@ -105,25 +118,56 @@ def _divisor_sieve(B: list[int], chi=None) -> list[int]:
     return B
 
 
-def exact_exponents(d: int, n_max: int, cache_dir: str | None = None) -> ExponentTable:
-    """A(n^2, d) for n = 1..n_max by Moebius inversion of the log derivative.
+def _exponent_quotients(d: int, n_max: int, cache_dir: str | None,
+                        modulus: int | None = None) -> list[int]:
+    """b(n) / (6 n) for n = 1..n_max, b the divisor sieve of 6 L (mod modulus).
 
-    The inversion runs over the integers, on the coefficients of 6 L, so
-    6 n A(n^2, d) must divide exactly; the first n where it does not is
-    reported.
+    b(n) = 6 n A(n^2, d) must divide exactly; the first n where it does
+    not is reported.  With a modulus M that 6 n divides, b(n) mod M
+    divides exactly when b(n) does, with the same gcd, so the check and
+    its first failing n are the same; the quotient is then A(n^2, d) mod
+    M / (6 n), and the message's numerator is known mod M / gcd.
     """
     if n_max < 0:
         raise InputError(f"n_max must be >= 0, got {n_max}")
-    B = _divisor_sieve(_log_derivative(d, n_max, ZZ, cache_dir).coeffs)
+    B = _divisor_sieve(_log_derivative(d, n_max, ZZ, cache_dir, modulus).coeffs)
     out = []
     for n in range(1, n_max + 1):
-        a, r = divmod(B[n], 6 * n)
+        b = B[n] % modulus if modulus else B[n]
+        a, r = divmod(b, 6 * n)
         if r:
-            g = gcd(B[n], 6 * n)
+            g = gcd(b, 6 * n)
+            known = f" (numerator mod {modulus // g})" if modulus else ""
             raise InternalConsistencyError(
-                f"exponent A({n}^2,{d}) = {B[n] // g}/{6 * n // g} is not an integer")
+                f"exponent A({n}^2,{d}) = {b // g}/{6 * n // g}{known} is not an integer")
         out.append(a)
-    return ExponentTable(d, n_max, tuple(out))
+    return out
+
+
+def exact_exponents(d: int, n_max: int, cache_dir: str | None = None) -> ExponentTable:
+    """A(n^2, d) for n = 1..n_max by Moebius inversion of the log derivative.
+
+    The inversion runs over the integers, on the coefficients of 6 L, and
+    its exactness is checked (``_exponent_quotients``).
+    """
+    return ExponentTable(d, n_max, tuple(_exponent_quotients(d, n_max, cache_dir)))
+
+
+def exponent_residues(d: int, ell: int, n_max: int,
+                      cache_dir: str | None = None) -> list[int]:
+    """A(n^2, d) mod l for n = 1..n_max, from 6 L in Z/M for M = 6 l lcm(1..n_max).
+
+    Reduction mod M is a ring homomorphism, and the solve for q T'/T and
+    the divisor sieve are ring operations, so the sieve gives
+    b(n) = 6 n A(n^2, d) mod M.  As 6 n divides M, the integrality check
+    is the one ``exact_exponents`` makes; as 6 n l divides M, b(n) mod
+    6 n l is 6 n (A mod l).  M has hundreds of bits where the exponents
+    have thousands.
+    """
+    if ell < 1:
+        raise InputError(f"ell must be >= 1, got {ell}")
+    modulus = 6 * ell * lcm(*range(1, n_max + 1))
+    return [a % ell for a in _exponent_quotients(d, n_max, cache_dir, modulus)]
 
 
 def log_derivative_mod(d: int, ell: int, n: int,
@@ -240,15 +284,18 @@ def formula_eval_primes(F: CongruenceFormula, primes, columns) -> list[int]:
 
 def verify_congruence(d: int, ell: int, n_max: int,
                       cache_dir: str | None = None) -> tuple[int, int]:
-    """Exact exponents vs formula for all n <= n_max with l not dividing n.
+    """A mod l by the integer route vs the formula, n <= n_max, l not dividing n.
 
-    The formula is the divisor sieve of the fitted series c0 E_2 + sum c_i f_i,
-    whose n-th value is n A(n^2, d) mod l.  Returns (verified, skipped);
-    raises InternalConsistencyError with the first mismatching index
-    otherwise.
+    The integer route is ``exponent_residues``: the exact exponents'
+    solve and sieve run in Z/M for M = 6 l lcm(1..n_max), which gives
+    the same integrality failures and the same A mod l as the full
+    integers, at a fraction of their size.  The formula is the divisor
+    sieve of the fitted series c0 E_2 + sum c_i f_i, whose n-th value is
+    n A(n^2, d) mod l.  Returns (verified, skipped); raises
+    InternalConsistencyError with the first failing index otherwise.
     """
     F = fit_congruence(d, ell, verify_to=max(n_max, 200), cache_dir=cache_dir)
-    table = exact_exponents(d, n_max, cache_dir=cache_dir)
+    residues = exponent_residues(d, ell, n_max, cache_dir=cache_dir)
     fitted = eisenstein(2, n_max, GF(ell)).scale(F.c0)
     for ci, form in zip(F.c, F.basis.forms):
         fitted = fitted + form.truncate(n_max).scale(ci)
@@ -258,9 +305,10 @@ def verify_congruence(d: int, ell: int, n_max: int,
         if n % ell == 0:
             skipped += 1
             continue
-        if table[n] % ell != b[n] * pow(n, -1, ell) % ell:
+        want = b[n] * pow(n, -1, ell) % ell
+        if residues[n - 1] != want:
             raise InternalConsistencyError(
-                f"exact A({n}^2,{d}) = {table[n]} != formula value mod {ell}")
+                f"exact A({n}^2,{d}) = {residues[n - 1]} mod {ell} != formula value {want}")
         verified += 1
     return verified, skipped
 

@@ -89,7 +89,9 @@ def _emit(doc: dict, args, text_lines: list[str]) -> None:
         "config": {k: v for k, v in sorted(vars(args).items())
                    if k not in ("format", "out")},
     }
-    if args.format == "json":
+    if args.format == "json" and args.command == "exponents":
+        body = _exponents_json(doc)
+    elif args.format == "json":
         body = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
     elif args.format == "csv":
         body = _csv(doc)
@@ -100,6 +102,25 @@ def _emit(doc: dict, args, text_lines: list[str]) -> None:
             fh.write(body)
     else:
         sys.stdout.write(body)
+
+
+def _exponents_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n" for an exponents document.
+
+    Each A(n^2, d) goes to decimal once, with ``str``, for both its
+    ``values`` entry and its ``rows`` entry {"n": n, "A": A}; json's
+    pure-Python indenting encoder would convert it twice.  The other keys
+    go through json; "rows" and "values" sort after all of them (cache,
+    d, meta, n_max), so the two arrays close the document.
+    """
+    strs = [str(a) for a in doc["values"]]
+    rest = {k: v for k, v in doc.items() if k not in ("rows", "values")}
+    head = json.dumps(rest, indent=2, sort_keys=True, default=str)[:-2]  # less "\n}"
+    rows = ",\n".join(f'    {{\n      "A": {a},\n      "n": {n}\n    }}'
+                      for n, a in enumerate(strs, 1))
+    values = ",\n".join(f"    {a}" for a in strs)
+    rows, values = (f"[\n{body}\n  ]" if strs else "[]" for body in (rows, values))
+    return f'{head},\n  "rows": {rows},\n  "values": {values}\n}}\n'
 
 
 _NO_CSV = "this command has no CSV form; use --format json"

@@ -366,19 +366,24 @@ def _reduction_ring(ring, ell: int) -> PrimeField:
     return GF(ell)
 
 
-def _solve_triangular(s: list, rhs: list, ring) -> list:
+def _solve_triangular(s: list, rhs: list, ring, modulus: int | None = None) -> list:
     """x with s x = rhs to len(rhs) terms, for power series s with unit s[0].
 
     x_k = (rhs_k - sum_{i=1..k} s_i x_{k-i}) / s_0: one inner product per
     term.  Trailing zeros of s are dropped first, so a polynomial s costs
-    only its degree per term.
+    only its degree per term.  Over ZZ with a modulus M, each x_k is
+    reduced mod M as it is found, which gives x mod M, since the solve
+    is ring operations only; the x_k then stay below M however large the
+    exact ones grow.  s is used as given: its small signed entries would
+    take M's width if reduced.
     """
     s0i = ring.inverse(s[0])
     top = max(i for i, c in enumerate(s) if c)
     tail = s[1:top + 1]
     x = []
-    for k, r in enumerate(rhs):
-        x.append((r - sum(map(operator.mul, tail, reversed(x)), ring.zero)) * s0i)
+    for r in rhs:
+        v = (r - sum(map(operator.mul, tail, reversed(x)), ring.zero)) * s0i
+        x.append(v % modulus if modulus else v)
     return x
 
 

@@ -1,15 +1,18 @@
 import random
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from bpx import borcherds
 from bpx.arith import divisors, kronecker, sieve
 from bpx.borcherds import (_divisor_sieve, _log_derivative, exact_exponents,
-                           fit_congruence, formula_eval, formula_eval_primes,
-                           log_derivative_exact, log_derivative_mod, nu,
-                           twisted_forward, twisted_roundtrip,
-                           verify_congruence)
+                           exponent_residues, fit_congruence, formula_eval,
+                           formula_eval_primes, log_derivative_exact,
+                           log_derivative_mod, nu, twisted_forward,
+                           twisted_roundtrip, verify_congruence)
+from bpx.cli import run
 from bpx.classpoly import hilbert_class_poly, hurwitz_class_number
 from bpx.density import x0_11_eta_traces
 from bpx.errors import IneligiblePairError, InputError, InternalConsistencyError
@@ -257,9 +260,9 @@ def test_verify_congruence_sieve_equals_formula_eval(monkeypatch, d, ell, n_max)
     # fitted series gives formula_eval(F, n) at every n with l not dividing n;
     # (20, 31) has rank 2, d = 12 carries weight 1/3, (3, 5) has rank 0
     F = fit_congruence(d, ell, verify_to=max(n_max, 200))
-    values = tuple(formula_eval(F, n) if n % ell else 0 for n in range(1, n_max + 1))
-    monkeypatch.setattr(borcherds, "exact_exponents",
-                        lambda d, n, cache_dir=None: borcherds.ExponentTable(d, n, values))
+    values = [formula_eval(F, n) if n % ell else 0 for n in range(1, n_max + 1)]
+    monkeypatch.setattr(borcherds, "exponent_residues",
+                        lambda d, ell, n, cache_dir=None: values)
     assert verify_congruence(d, ell, n_max) == (n_max - n_max // ell, n_max // ell)
 
 
@@ -268,7 +271,7 @@ def test_verify_congruence_is_not_vacuous(monkeypatch):
     monkeypatch.setattr(borcherds, "fit_congruence",
                         lambda *a, **k: (F := fit(*a, **k))._replace(c0=F.c0 + 1))
     with pytest.raises(InternalConsistencyError,
-                       match=r"exact A\(1\^2,4\) = 492 != formula value mod 11"):
+                       match=r"exact A\(1\^2,4\) = 8 mod 11 != formula value 6"):
         verify_congruence(4, 11, 60)
 
 
@@ -428,6 +431,46 @@ def test_exponent_sieve_keeps_the_integrality_check(monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match=rf"exponent A\(2\^2,4\) = {want} is not an integer"):
         exact_exponents(4, 6)
+
+
+@pytest.mark.parametrize("d, ell, n_max", [
+    (20, 31, 400), (28, 31, 400), (35, 31, 380), (40, 31, 370),  # bpxbench's check
+    (12, 11, 300), (16, 11, 300), (27, 11, 300),  # weights 1/3 and 1/2 beside 1
+    (3, 5, 200),                                  # rank 0
+    (4, 11, 1), (4, 11, 11), (4, 11, 12),         # n_max = 1, l, l + 1
+    (20, 31, 31), (20, 31, 32),
+])
+def test_exponent_residues_match_exact_exponents(d, ell, n_max):
+    # the solve and sieve in Z/M, M = 6 l lcm(1..n_max), give the exact
+    # exponents mod l
+    want = [a % ell for a in exact_exponents(d, n_max).values]
+    assert exponent_residues(d, ell, n_max) == want
+
+
+def test_check_keeps_the_integrality_check(monkeypatch, capsys):
+    # +6 at q^2 on 6 L over ZZ (A(2^2, 4) + 1/2), as for the exact route;
+    # the fit, which reads 6 L over F_l, is left alone
+    real = borcherds._log_derivative
+
+    def bad(d, n, ring, cache_dir, modulus=None):
+        six_l = real(d, n, ring, cache_dir, modulus)
+        if ring is not ZZ:
+            return six_l
+        return QSeries(ZZ, 0, six_l.coeffs[:2] + [six_l.coeffs[2] + 6] + six_l.coeffs[3:])
+
+    monkeypatch.setattr(borcherds, "_log_derivative", bad)
+    with pytest.raises(InternalConsistencyError) as exc:
+        verify_congruence(4, 11, 6)
+    num, den, mod = map(int, re.fullmatch(
+        r"exponent A\(2\^2,4\) = (\d+)/(\d+) \(numerator mod (\d+)\) is not an integer",
+        str(exc.value)).groups())
+    # the exact route's A(2^2, 4) + 1/2: b(2) = 6 (2 A + 1) has gcd 6
+    # with 12, so the numerator is known mod M / 6
+    want = 2 * EXACT[4, 2] + 1
+    assert den == 2 and mod == 6 * 11 * lcm(1, 2, 3, 4, 5, 6) // 6
+    assert (num - want) % mod == 0
+    assert run(["check", "--d", "4", "--ell", "11", "--n", "6"]) == 1
+    assert "is not an integer" in capsys.readouterr().err
 
 
 def test_exact_exponents_integrality_stress():

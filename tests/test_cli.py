@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ from bpx.arith import sieve
 from bpx.borcherds import ExponentTable, fit_congruence
 from bpx.classpoly import (QuadForm, WeightedClassPoly, degree_rules_out,
                            eligibility, hilbert_class_poly, hurwitz_class_number)
-from bpx.cli import run
+from bpx.cli import _exponents_json, run
 from bpx.density import EllCurve, asymptotic_table
 from bpx.errors import InputError
 from bpx.ssforms import eigenbasis
@@ -418,6 +419,26 @@ def test_exponents_document_beyond_int_str_limit(capsys):
         sys.set_int_max_str_digits(saved)
     assert code == 0, err
     assert len(str(json.loads(out)["values"][-1])) > 640
+
+
+def test_exponents_json_writer_matches_json_dumps(capsys):
+    # the one-str-per-exponent writer against json.dumps on random
+    # documents of the exponents shape, zero and negative values included
+    rng = random.Random(26)
+    for n_max in [0, 1, 2, 3, 17] + [rng.randrange(4, 60) for _ in range(20)]:
+        values = [rng.choice([0, -1, 1, rng.randrange(-10**40, 10**40)])
+                  for _ in range(n_max)]
+        doc = {"d": rng.randrange(3, 1000), "n_max": n_max, "values": values,
+               "rows": [{"n": n, "A": a} for n, a in enumerate(values, 1)],
+               "cache": {"hits": rng.randrange(3), "misses": 0},
+               "meta": {"tool": "bpx 0", "kernel_backend": "python",
+                        "config": {"cache_dir": "cache \u00e9\"dir\"", "d": 4, "n": n_max}}}
+        assert _exponents_json(doc) == json.dumps(doc, indent=2, sort_keys=True,
+                                                  default=str) + "\n"
+    # and the command's document as written
+    code, out, _ = invoke(capsys, "exponents", "--d", "3", "--n", "30", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_density_empirical_below_3_exit_2(capsys):
