@@ -13,10 +13,13 @@ time.  A json document is compared as written, less its ``meta`` and
 class polynomial's ``precision_used`` and ``residual_bound``, which
 describe how it was verified rather than what it is (as the gate
 ``FIELDS`` of bpxbench/run.py does); every mathematical field is
-compared.  A text or csv document holds no run description, so it is
-compared byte for byte (a command with no CSV form must then fail alike
-in both trees).  The exit status and standard error must match too.
-Prints one line per document and exits 1 if any differs.
+compared.  Its bytes must also be those of ``json.dumps(indent=2,
+sort_keys=True)`` plus a newline in each tree, so a change of layout
+counts as a difference.  A text or csv document holds no run
+description, so it is compared byte for byte (a command with no CSV form
+must then fail alike in both trees).  The exit status and standard error
+must match too.  Prints one line per document and exits 1 if any
+differs.
 """
 
 import argparse
@@ -46,7 +49,9 @@ FORMATS = ("json", "text", "csv")
 # beside weight 1, check at rank 0 (l = 5) and at d = 3 to n = 725,
 # past every multiple of 11 up to 715, and check at n = 1 and n = l,
 # where its modulus 6 l lcm(1..n) is smallest, and at n = 600, past the
-# benchmark's n
+# benchmark's n, and exponents at d = 80, 239 and 1151, where the width
+# rule takes Kronecker at Horner steps that the old cost model gave the
+# schoolbook loop
 EXTRA_COMMANDS = [f"supersingular --ell {ell}"
                   for ell in (5, 7, 13, 97, 199, 1009, 10007)]
 EXTRA_COMMANDS += ["table2 --ell 31 --dmax 100", "table2 --ell 17 --dmax 150",
@@ -67,6 +72,8 @@ EXTRA_COMMANDS += ["check --d 16 --ell 11 --n 300", "check --d 27 --ell 11 --n 3
                    "check --d 3 --ell 11 --n 725", "check --d 3 --ell 5 --n 200"]
 EXTRA_COMMANDS += ["check --d 4 --ell 11 --n 1", "check --d 20 --ell 31 --n 31",
                    "check --d 40 --ell 31 --n 600"]
+EXTRA_COMMANDS += ["exponents --d 80 --n 300", "exponents --d 239 --n 200",
+                   "exponents --d 1151 --n 150"]
 
 
 def benchmark_commands(tree: Path) -> list[str]:
@@ -95,18 +102,20 @@ def start(tree: Path, command: str, fmt: str, cache: str) -> subprocess.Popen:
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
-def result(proc: subprocess.Popen, fmt: str) -> tuple[int, str, str]:
-    """(exit status, document less any run keys, standard error)."""
+def result(proc: subprocess.Popen, fmt: str) -> tuple[int, str, str, bool]:
+    """(exit status, document less any run keys, standard error, and whether
+    a json document is laid out as json.dumps(indent=2, sort_keys=True))."""
     stdout, stderr = proc.communicate()
     if fmt != "json":
-        return proc.returncode, stdout, stderr
+        return proc.returncode, stdout, stderr, True
     try:
         doc = json.loads(stdout)
     except ValueError:
-        return proc.returncode, stdout, stderr
+        return proc.returncode, stdout, stderr, True
+    layout = stdout == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     for key in RUN_KEYS:
         doc.pop(key, None)
-    return proc.returncode, json.dumps(doc, indent=2, sort_keys=True), stderr
+    return proc.returncode, json.dumps(doc, indent=2, sort_keys=True), stderr, layout
 
 
 def main(argv=None) -> int:
@@ -127,16 +136,18 @@ def main(argv=None) -> int:
             procs = [start(tree, command, fmt, cache)
                      for tree, cache in zip(trees, (c0, c1))]
             old, new = (result(p, fmt) for p in procs)
-            if old == new:
+            if old == new and old[3]:
                 print(f"same     {fmt:<5} {command}")
                 continue
             differ += 1
             print(f"DIFFERS  {fmt:<5} {command}")
-            for name, (before, after) in zip(("exit status", "document", "stderr"),
-                                             zip(old, new)):
+            for name, before, after in zip(("exit status", "document", "stderr"), old, new):
                 if before != after:
                     print(f"         {name}: parent {str(before)[:200]!r}")
                     print(f"         {' ' * len(name)}  change {str(after)[:200]!r}")
+            for side, (*_, layout) in zip(("parent", "change"), (old, new)):
+                if not layout:
+                    print(f"         {side}: json not laid out as json.dumps(indent=2, sort_keys=True)")
     print(f"{len(runs) - differ} of {len(runs)} documents identical")
     return 1 if differ else 0
 

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from bpx.arith import frac_mod, is_fundamental_discriminant, kronecker
 from bpx.errors import InputError, TruncationError
-from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, _kron_mul, _square_at,
-                         delta, eisenstein, jfunction, monomial_basis,
-                         monomial_forms, pentagonal)
+from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, _kron_mul, _kron_pays,
+                         _square_at, delta, eisenstein, jfunction,
+                         monomial_basis, monomial_forms, pentagonal)
 from oracles import (as_j_polynomial, euler_product, evaluate_series,
                      f2_numeric, monomial_form_by_euler_product,
                      pd_log_coeffs)
@@ -125,6 +125,19 @@ def test_monomial_forms_match_the_per_monomial_euler_route(ell, ring, n):
         assert form.coeffs == want.coeffs, mono
 
 
+@pytest.mark.parametrize("ring", [ZZ, GF(31)], ids=["ZZ", "GF31"])
+def test_monomial_forms_contiguous_power_runs(ring):
+    # contiguous runs of powers, asked for highest first, so the first
+    # request builds every lower power that it needs
+    monos = ([(a, 0, 0) for a in range(12, 0, -1)]
+             + [(0, 0, c) for c in range(7, 0, -1)])
+    n = 40
+    for mono, form in zip(monos, monomial_forms(monos, n, ring)):
+        want = monomial_form_by_euler_product(*mono, n, ring)
+        assert form.lead == want.lead == mono[0] and form.trunc == want.trunc == n
+        assert form.coeffs == want.coeffs, mono
+
+
 def test_monomial_forms_over_qq_are_the_integer_forms():
     monos = monomial_basis(38) + [(1, 0, 0), (2, 1, 1), (0, 0, 0)]
     for zz, qq in zip(monomial_forms(monos, 80, ZZ), monomial_forms(monos, 80, QQ)):
@@ -170,18 +183,6 @@ def _conv_oracle(a, b, n):
     return out
 
 
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=25),
-       st.lists(st.integers(-9, 9), min_size=1, max_size=25))
-@settings(max_examples=80, deadline=None)
-def test_series_product_matches_schoolbook(a, b):
-    n = min(len(a), len(b)) - 1
-    fa = QSeries(ZZ, 0, list(a))
-    fb = QSeries(ZZ, 0, list(b))
-    got = fa * fb
-    want = _conv_oracle(a, b, n)
-    assert [got.coeff(i) for i in range(n + 1)] == want
-
-
 @given(st.lists(st.integers(0, 10), min_size=1, max_size=25),
        st.lists(st.integers(0, 10), min_size=1, max_size=25))
 @settings(max_examples=60, deadline=None)
@@ -193,6 +194,69 @@ def test_gf_product_matches_schoolbook(a, b):
     got = fa * fb
     want = [v % ell for v in _conv_oracle(a, b, n)]
     assert [got.coeff(i) for i in range(n + 1)] == want
+
+
+# operands whose widest coefficients have 1 to 200 bits, often with zeros,
+# so that pairs fall on both sides of the width rule of _kron_pays
+_WIDE = st.integers(1, 200).flatmap(lambda w: st.lists(
+    st.one_of(st.just(0), st.integers(-(2 ** w), 2 ** w)), min_size=1, max_size=30))
+
+
+@given(_WIDE, _WIDE, st.integers(-2, 2), st.integers(-2, 2))
+@settings(max_examples=150, deadline=None)
+def test_series_product_matches_schoolbook(a, b, la, lb):
+    n = min(len(a), len(b)) - 1
+    const = QSeries.constant(ZZ, a[0], len(b) - 1)
+    zero = QSeries.zero(ZZ, len(b) - 1)
+    fa, fb = QSeries(ZZ, la, list(a)), QSeries(ZZ, lb, list(b))
+    for f, g, want in ((fa, fb, _conv_oracle(a, b, n)),
+                       (fa, fa, _conv_oracle(a, a, len(a) - 1)),
+                       (const, fb, [a[0] * v for v in b]),
+                       (zero, fb, [0] * len(b))):
+        got = f * g
+        assert got.lead == f.lead + g.lead and len(got.coeffs) == len(want)
+        assert got.coeffs == want
+
+
+def test_kron_pays_width_rule():
+    rng = random.Random(27)
+    n = 60
+    dense = [rng.getrandbits(100) - 2 ** 99 for _ in range(n)]
+    dense[0] = 2 ** 99  # 100 bits wide exactly
+    assert _kron_pays(dense, list(dense), n)
+    # widest coefficients of 100 and 400 bits: a ratio of 4 still pays,
+    # one bit more does not, in either order
+    wide = [3 ** 250] * n
+    for top, pays in ((2 ** 399, True), (2 ** 400, False), (-(2 ** 400), False)):
+        wide[7] = top
+        assert _kron_pays(dense, wide, n) is pays
+        assert _kron_pays(wide, dense, n) is pays
+    # only the first n_out coefficients count
+    assert _kron_pays(dense, wide, 7)
+    # a zero operand, however the other looks
+    assert not _kron_pays([0] * n, dense, n)
+    assert not _kron_pays(dense, [0] * n, n)
+    # the Horner's first step, 1 x E4^3, at the exponent route's orders
+    for order in (100, 700):
+        e4_cubed, = monomial_forms([(0, 3, 0)], order, ZZ)
+        one = [1] + [0] * order
+        assert not _kron_pays(one, e4_cubed.coeffs, order + 1)
+
+
+def test_product_with_no_known_coefficient_is_empty():
+    # f truncated below its lead knows no coefficient, nor does its product
+    for ring in (ZZ, QQ, GF(11)):
+        f = QSeries(ring, 0, [1, 2, 3])
+        for got in (f.truncate(-1) * f, f * f.truncate(-1)):
+            assert got.trunc == -1 and got.coeffs == []
+            assert got.coeff(-1) == 0
+            with pytest.raises(TruncationError):
+                got.coeff(0)
+        g = QSeries(ring, 2, [])  # valid to q^1, and zero there
+        got = g * f
+        assert got.trunc == 1 and got.coeff(1) == 0
+        with pytest.raises(TruncationError):
+            got.coeff(2)
 
 
 _SIGNED = st.one_of(st.just(0), st.integers(-9, 9),
