@@ -51,7 +51,9 @@ FORMATS = ("json", "text", "csv")
 # where its modulus 6 l lcm(1..n) is smallest, and at n = 600, past the
 # benchmark's n, and exponents at d = 80, 239 and 1151, where the width
 # rule takes Kronecker at Horner steps that the old cost model gave the
-# schoolbook loop
+# schoolbook loop, and the eigenform tallies at l = 37, where a monomial
+# completes the Eisenstein-pair generators, and at l = 31 past the
+# benchmark's X
 EXTRA_COMMANDS = [f"supersingular --ell {ell}"
                   for ell in (5, 7, 13, 97, 199, 1009, 10007)]
 EXTRA_COMMANDS += ["table2 --ell 31 --dmax 100", "table2 --ell 17 --dmax 150",
@@ -74,6 +76,8 @@ EXTRA_COMMANDS += ["check --d 4 --ell 11 --n 1", "check --d 20 --ell 31 --n 31",
                    "check --d 40 --ell 31 --n 600"]
 EXTRA_COMMANDS += ["exponents --d 80 --n 300", "exponents --d 239 --n 200",
                    "exponents --d 1151 --n 150"]
+EXTRA_COMMANDS += ["density --d 8 --ell 37 --empirical 10000",
+                   "density --d 20 --ell 31 --empirical 30000"]
 
 
 def benchmark_commands(tree: Path) -> list[str]:

@@ -419,8 +419,11 @@ class QSeries:
         return self.valuation() is None
 
     def truncate(self, n: int) -> "QSeries":
+        """The series valid to q^n; below its lead, the empty series to q^n."""
         if n > self.trunc:
             raise TruncationError(f"cannot extend truncation {self.trunc} to {n}")
+        if n < self.lead:
+            return QSeries(self.ring, n + 1, [])
         return QSeries(self.ring, self.lead, self.coeffs[: n - self.lead + 1])
 
     def shift(self, k: int) -> "QSeries":

@@ -6,17 +6,26 @@ point counting over F_(l^2) is the independent oracle.  Level-1 Hecke
 operators act on q-expansions, and for the weight l+1 cusp space we
 diagonalize T_2 over F_l to get the normalized eigenforms the exponent
 congruences are expressed in.
+
+The eigenforms are fixed on the monomials Delta^a E4^b E6^c to order
+2r + 2, r = dim S_(l+1).  Their long expansions come from r other cusp
+forms, chosen by rank mod l on q^1..q^r: first the Eisenstein pairs
+E_a E_(l+1-a) - E_(l+1), one series product each (E_(l+1) = E_2 mod l),
+then monomials where the pairs fall short.  At l = 31 the pairs a = 4
+and 6 span S_32 mod 31, so an expansion to order n takes two products of
+length n where the monomial ladder took seven.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import kernel
-from .arith import is_prime
-from .errors import InputError, TruncationError
-from .qseries import (GF, Poly, QSeries, eisenstein, monomial_basis,
+from .arith import is_prime, sigma_prefix
+from .errors import InputError, InternalConsistencyError, TruncationError
+from .qseries import (GF, Poly, QSeries, _kron_mul, eisenstein, monomial_basis,
                       monomial_forms)
 
 
@@ -171,7 +180,13 @@ def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
     """Simultaneous normalized T_p eigenforms of S_{l+1} over F_l.
 
     Requires T_2 to act with distinct eigenvalues in F_l; eigenforms are
-    ordered by decreasing T_2 eigenvalue representative.
+    ordered by decreasing T_2 eigenvalue representative.  The eigenforms
+    are found on the monomial generators to order 2r + 2, which fixes
+    them, since a cusp form mod l is determined by q^1..q^r.  Each long
+    expansion is then the combination of the r forms of
+    ``cusp_generators`` with the same q^1..q^r, mostly Eisenstein-pair
+    products of one series product each, and must agree with its
+    monomial eigenform to q^(2r+2).
     """
     if ell < 5 or not is_prime(ell):
         raise InputError(f"need a prime l >= 5, got {ell}")
@@ -180,8 +195,10 @@ def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
     r = len(monos)
     if r == 0:
         return EigenformBasis(ell, order, (), (), ())
-    n = max(order, 2 * r + 2)
-    gens = monomial_forms(monos, n, GF(ell))
+    ring = GF(ell)
+    short = 2 * r + 2
+    n = max(order, short)
+    gens = monomial_forms(monos, short, ring)
     # matrix of T_2 in the monomial basis from coefficients q^1..q^r: one
     # elimination of [B | H], B's column i the generator gens[i] and H's
     # column i T_2 gens[i], leaves [I | M], M[j][i] the coefficient of
@@ -193,18 +210,120 @@ def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
         raise InputError("singular linear system over F_l")
     mat = [row[r:] for row in reduced]
     pairs = _eigenpairs(mat, ell)
-    forms, combos = [], []
+    small, combos = [], []
     for _, vec in pairs:
         a1 = sum(v * g.coeff(1) for v, g in zip(vec, gens)) % ell
         if not a1:
             raise InputError("eigenform cannot be normalized: a(1) = 0")
         inv = pow(a1, -1, ell)
         vec = [v * inv % ell for v in vec]
-        forms.append(sum((g.scale(v) for v, g in zip(vec, gens) if v),
-                         QSeries.zero(GF(ell), n)))
+        small.append([sum(v * g.coeff(m) for v, g in zip(vec, gens)) % ell
+                      for m in range(short + 1)])
         combos.append(tuple((monos[i], v) for i, v in enumerate(vec) if v))
+    chosen = cusp_generators(ell, short)
+    rows = [[f[m] for _, f in chosen] for m in range(1, r + 1)]
+    long = _generator_forms([key for key, _ in chosen], n, ell)
+    forms = []
+    for want in small:
+        (x0, g0), *rest = [(x, g) for x, g in
+                           zip(_solve_linear_mod(rows, want[1:r + 1], ell), long) if x]
+        acc = [x0 * v for v in g0]
+        for x, g in rest:
+            acc = [s + x * v for s, v in zip(acc, g)]
+        form = QSeries(ring, 0, acc)
+        if form.coeffs[:short + 1] != want:
+            raise InternalConsistencyError(
+                f"eigenform from the cusp generators differs from its "
+                f"monomial combination below q^{short + 1} at l={ell}")
+        forms.append(form)
     return EigenformBasis(ell, n, tuple(forms), tuple(lam for lam, _ in pairs),
                           tuple(combos))
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_mod(ell: int) -> tuple[int, ...]:
+    """B_0..B_(l-3) mod l.
+
+    By von Staudt-Clausen l divides none of their denominators, so the
+    recurrence sum_(j<=n) C(n+1, j) B_j = 0 runs on ints mod l: a cold
+    exact B_28 (``arith.bernoulli``, on Fractions) took 2.2-2.8 ms.
+    """
+    b = [1]
+    for n in range(1, ell - 2):
+        s = sum(math.comb(n + 1, j) * b[j] for j in range(n))
+        b.append(-s * pow(n + 1, -1, ell) % ell)
+    return tuple(b)
+
+
+def _candidates(ell: int):
+    """The keys of the cusp forms of weight k = l + 1 that may span S_k mod l.
+
+    First ("pair", a), for E_a E_(k-a) - E_k with a = 4, 6, ... <= k/2,
+    skipping a pair when l divides the numerator of B_a or of B_(k-a), so
+    that E_a or E_(k-a) has no reduction mod l.  Then ("monomial", (a, b,
+    c)) for each cusp monomial Delta^a E4^b E6^c, which span S_k on their
+    own.  The Bernoulli numbers mod l are computed once the first pair is
+    reached.
+    """
+    k = ell + 1
+    for a in range(4, k // 2 + 1, 2):
+        b = _bernoulli_mod(ell)
+        if b[a] and b[k - a]:
+            yield "pair", a
+    for mono in monomial_basis(k, cusp_only=True):
+        yield "monomial", mono
+
+
+def _eisenstein_mod(w: int, n: int, ell: int) -> list[int]:
+    """E_w to order n as ints in [0, l), for even 2 <= w <= l - 3 with
+    l not dividing B_w: ``eisenstein(w, n, GF(l))``'s coefficients, with
+    no series built."""
+    c = -2 * w * pow(_bernoulli_mod(ell)[w], -1, ell)
+    return [1] + [c * s % ell for s in sigma_prefix(w - 1, n, ell)[1:]]
+
+
+def _generator_forms(keys, n: int, ell: int) -> list[list[int]]:
+    """The forms of the given candidate keys to order n, as int lists from q^0.
+
+    E_a E_(k-a) - E_k is one product of divisor-sum series, with E_k = E_2
+    mod l (see ``eisenstein_cusp_split``); its entries lie in (-l, l).
+    The monomials come from one ``monomial_forms`` table.
+    """
+    k = ell + 1
+    pairs = [a for kind, a in keys if kind == "pair"]
+    monos = [mono for kind, mono in keys if kind == "monomial"]
+    out = {}
+    if pairs:
+        e2 = _eisenstein_mod(2, n, ell)
+        for a in pairs:
+            ea = _eisenstein_mod(a, n, ell)
+            eb = ea if 2 * a == k else _eisenstein_mod(k - a, n, ell)
+            out["pair", a] = [x - y for x, y in zip(_kron_mul(ea, eb, n + 1, ell), e2)]
+    for mono, f in zip(monos, monomial_forms(monos, n, GF(ell))):
+        out["monomial", mono] = [0] * f.lead + f.coeffs
+    return [out[key] for key in keys]
+
+
+def cusp_generators(ell: int, order: int) -> list[tuple[tuple, list[int]]]:
+    """r cusp forms of weight l + 1, independent mod l, with their expansions.
+
+    Candidates are taken in ``_candidates``' order, each built only to
+    ``order`` (at least r), and kept when its q^1..q^r row raises the
+    rank mod l, until the rank is r = dim S_(l+1).  A cusp form mod l is
+    determined by q^1..q^r (the Miller basis is q^i + O(q^(r+1))), so
+    the kept forms span S_(l+1) mod l.  Returns (key, int list to
+    q^order) for each.
+    """
+    r = len(monomial_basis(ell + 1, cusp_only=True))
+    chosen: list[tuple[tuple, list[int]]] = []
+    candidates = _candidates(ell)  # the monomials alone reach rank r
+    while len(chosen) < r:
+        key = next(candidates)
+        f = _generator_forms([key], order, ell)[0]
+        _, pivots = _row_reduce([g[1:r + 1] for _, g in chosen] + [f[1:r + 1]], ell)
+        if len(pivots) > len(chosen):
+            chosen.append((key, f))
+    return chosen
 
 
 def _eigenpairs(mat: list[list[int]], ell: int) -> list[tuple[int, list[int]]]:

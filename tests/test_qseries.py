@@ -259,6 +259,19 @@ def test_product_with_no_known_coefficient_is_empty():
             got.coeff(2)
 
 
+@pytest.mark.parametrize("n", [1, 0, -4])
+def test_truncate_below_lead_is_empty_to_the_order_asked(n):
+    # the slice bound n - lead + 1 was negative here: truncate(1) kept all
+    # but the last coefficient and claimed trunc 4, truncate(0) trunc 3
+    for ring in (ZZ, QQ, GF(11)):
+        f = QSeries(ring, 3, [5, 6, 7])
+        got = f.truncate(n)
+        assert got.trunc == n and got.coeffs == [] and got.coeff(n) == 0
+        with pytest.raises(TruncationError):
+            got.coeff(n + 1)
+        assert f.truncate(2).trunc == 2 and f.truncate(3).coeffs == [5]
+
+
 _SIGNED = st.one_of(st.just(0), st.integers(-9, 9),
                     st.integers(-10 ** 40, 10 ** 40))
 

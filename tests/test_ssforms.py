@@ -1,14 +1,17 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpx.errors import InputError, TruncationError
+from bpx.arith import bernoulli, frac_mod, is_prime
+from bpx.errors import InputError, InternalConsistencyError, TruncationError
 from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, delta, eisenstein,
                          monomial_basis)
-from bpx.ssforms import (_eigenpairs, _solve_linear_mod, eigenbasis,
+from bpx.ssforms import (_bernoulli_mod, _candidates, _eigenpairs, _row_reduce,
+                         _solve_linear_mod, cusp_generators, eigenbasis,
                          eisenstein_cusp_split, hecke_Tp, supersingular_poly,
                          supersingular_poly_bruteforce)
-from bpx.arith import is_prime
 from oracles import (charpoly_roots, monomial_form_by_euler_product,
                      supersingular_j_invariants,
                      supersingular_poly_by_eisenstein)
@@ -138,12 +141,12 @@ def test_eigenbasis_31_is_an_actual_eigenbasis():
         assert eb.t2_eigenvalues[i] == hecke_Tp(form, 2, 32).coeff(1)
 
 
-def test_eigenbasis_31_to_order_9999_matches_the_euler_route():
+def _matches_the_euler_route(ell: int, n: int) -> None:
     # each form, rebuilt from its monomial combination with every monomial
     # expanded on its own (Delta as the Euler product to the 24th power)
-    n, ring = 9999, GF(31)
-    eb = eigenbasis(31, n)
-    small = eigenbasis(31, 60)
+    ring = GF(ell)
+    eb = eigenbasis(ell, n)
+    small = eigenbasis(ell, 60)
     assert eb.order == n and eb.monomial_combos == small.monomial_combos
     assert eb.t2_eigenvalues == small.t2_eigenvalues
     monos = {mono: monomial_form_by_euler_product(*mono, n, ring)
@@ -154,6 +157,114 @@ def test_eigenbasis_31_to_order_9999_matches_the_euler_route():
             want = want + monos[mono].scale(coef)
         assert form.lead == 0 and form.trunc == n
         assert form.coeffs == want.coeffs
+
+
+def test_eigenbasis_31_to_order_9999_matches_the_euler_route():
+    assert [key for key, _ in cusp_generators(31, 6)] == [("pair", 4), ("pair", 6)]
+    _matches_the_euler_route(31, 9999)
+
+
+def test_eigenbasis_37_to_order_9999_matches_the_euler_route():
+    # at l = 37 the Eisenstein pairs reach rank 1 of 2, and the monomial
+    # Delta^2 E4^2 E6 fills in
+    assert [key for key, _ in cusp_generators(37, 6)] == [
+        ("pair", 4), ("monomial", (2, 2, 1))]
+    _matches_the_euler_route(37, 9999)
+
+
+# the Eisenstein pairs fall one short of r at these l
+_PAIRS_SHORT = {37, 43, 53, 61}
+
+
+@pytest.mark.parametrize("ell", [23, 29, 37, 41, 43, 47, 53, 59, 61])
+def test_cusp_generators_span_the_cusp_space(ell):
+    # kept forms: cusp forms, independent mod l, and each equal to the
+    # combination of Euler-product monomials with its q^1..q^r; a pair
+    # form also equals E_a E_(k-a) - E_k, with the exact E_k
+    n, ring, k = 60, GF(ell), ell + 1
+    monos = monomial_basis(k, cusp_only=True)
+    r = len(monos)
+    chosen = cusp_generators(ell, n)
+    pairs = [a for (kind, a), _ in chosen if kind == "pair"]
+    assert len(chosen) == r
+    assert len(pairs) == (r - 1 if ell in _PAIRS_SHORT else r)
+    assert all(kind == "monomial" for (kind, _), _ in chosen[len(pairs):])
+    rows = [[f[m] for m in range(1, r + 1)] for _, f in chosen]
+    assert len(_row_reduce(rows, ell)[1]) == r
+    # monomial a of the basis is q^a + O(q^(a+1))
+    by_valuation = {mono[0]: monomial_form_by_euler_product(*mono, n, ring)
+                    for mono in monos}
+    for (kind, a), f in chosen:
+        assert len(f) == n + 1 and f[0] == 0
+        rest = QSeries(ring, 0, f)
+        for m in range(1, r + 1):
+            rest = rest - by_valuation[m].scale(rest.coeff(m))
+        assert rest.is_zero(), (ell, kind, a)
+        if kind == "pair":
+            e = [eisenstein(w, n, ring) for w in (a, k - a, k)]
+            assert QSeries(ring, 0, f) == e[0] * e[1] - e[2]
+        else:
+            assert QSeries(ring, 0, f) == by_valuation[a[0]]
+
+
+def test_irregular_pairs_are_skipped():
+    # 37 divides the numerator of B_32 and 59 that of B_44
+    assert bernoulli(32).numerator % 37 == 0 and bernoulli(44).numerator % 59 == 0
+    for ell, skipped in ((37, 6), (59, 16)):
+        pairs = [a for kind, a in _candidates(ell) if kind == "pair"]
+        k = ell + 1
+        assert pairs == [a for a in range(4, k // 2 + 1, 2) if a != skipped]
+
+
+def test_eigenbasis_builds_only_the_kept_generators_at_full_order(monkeypatch):
+    # at l = 37 the pairs are chosen on series to q^6, and only the kept
+    # ones, E_4 E_34 - E_2 and Delta^2 E4^2 E6, are built to the order asked
+    from bpx import ssforms
+    built, tables = [], []
+    eis, mono = ssforms._eisenstein_mod, ssforms.monomial_forms
+    monkeypatch.setattr(ssforms, "_eisenstein_mod",
+                        lambda w, n, ell: built.append((w, n)) or eis(w, n, ell))
+    monkeypatch.setattr(ssforms, "monomial_forms",
+                        lambda monos, n, ring: tables.append((monos, n)) or mono(monos, n, ring))
+    ssforms.eigenbasis(37, 300)
+    assert {w for w, n in built if n == 300} == {2, 4, 34}
+    assert {w for w, n in built if n == 6} == {2, 4, 34} | {
+        w for a in range(8, 20, 2) for w in (a, 38 - a)}
+    assert [(monos, n) for monos, n in tables if n == 300] == [([(2, 2, 1)], 300)]
+
+
+def test_bernoulli_numbers_mod_l_match_the_exact_ones():
+    for ell in [p for p in range(5, 200) if is_prime(p)]:
+        table = _bernoulli_mod(ell)
+        assert len(table) == ell - 2 and table[:2] == (1, frac_mod(Fraction(-1, 2), ell))
+        for j in range(2, ell - 2):
+            assert table[j] == (frac_mod(bernoulli(j), ell) if j % 2 == 0 else 0), (ell, j)
+
+
+def test_eigenbasis_needs_no_exact_bernoulli_number(monkeypatch):
+    # a cold exact B_28 costs more than the rest of eigenbasis(31, 200)
+    from bpx import arith, qseries
+    asked = []
+    for module in (arith, qseries):
+        monkeypatch.setattr(module, "bernoulli", lambda m: asked.append(m))
+    eigenbasis(31, 200)
+    eigenbasis(37, 100)
+    assert asked == []
+
+
+def test_eigenbasis_checks_the_long_forms_against_the_monomial_route(monkeypatch):
+    from bpx import ssforms
+    gen = ssforms._generator_forms
+
+    def corrupted(keys, n, ell):
+        forms = gen(keys, n, ell)
+        if n > 6:  # the long build, not the choice on q^0..q^6
+            forms[0][5] += 1  # past q^r = q^2, which the solve matches
+        return forms
+
+    monkeypatch.setattr(ssforms, "_generator_forms", corrupted)
+    with pytest.raises(InternalConsistencyError, match="differs"):
+        ssforms.eigenbasis(31, 200)
 
 
 def test_eigenforms_simultaneous_to_order_50():
