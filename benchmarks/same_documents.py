@@ -41,7 +41,7 @@ FORMATS = ("json", "text", "csv")
 # class polynomials computed at 248 to 549 digits, exponents whose
 # integer series products have class-polynomial-sized coefficients on both
 # sides of the Kronecker/schoolbook choice, the l = 11 curve tally at tiny
-# X (one or two primes, so the square's halves are one or two slots), at
+# X (one, two or four primes, so F is cut to 2, 3 or 7 slots), at
 # another d and just past the eta-product route's limit, where the traces
 # take over, the curve tallies of l = 17 and 19, which always take the
 # traces, the exact exponents, fit and check at d = 12, 16 and 27,

@@ -63,7 +63,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="asymptotic or empirical density table")
     common(p, d=True, ell=True)
-    p.add_argument("--empirical", "--x", dest="x", type=int, default=None,
+    p.add_argument("--empirical", dest="x", type=int, default=None,
                    metavar="X", help="tally primes below X instead of the limit table")
 
     p = sub.add_parser("check", help="verify exact exponents against the formula")
@@ -78,7 +78,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="d <= dmax whose class polynomial divides s_l")
     common(p, ell=True)
     p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--D", type=int, default=1)
     return top
 
 
@@ -210,8 +209,6 @@ def _cmd_classpoly(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_table2(args) -> tuple[dict, list[str]]:
-    if args.D != 1:
-        raise InputError("the divisibility scan is implemented for D = 1")
     flagged = []
     for d in range(3, args.dmax + 1):
         if d % 4 not in (0, 3) or degree_rules_out(d, args.ell):

@@ -215,7 +215,6 @@ def _kron_mul(a: list[int], b: list[int], n_out: int, ell: int | None = None) ->
 
 # Integer arithmetic on Decimals in this context never rounds.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_CHUNK = 4096  # slots per packed string
 
 
 def transform_decimal() -> bool:
@@ -245,12 +244,12 @@ def _square_at(f, positions: list[int]) -> list[int]:
     use a number-theoretic transform.  The slots carry the offset h = B/2,
     as ``_kron_mul``'s do over ZZ.  By Cauchy-Schwarz every coefficient of
     f^2 has |c| <= S = sum f_i^2, and 10^k > 2 S makes h > S.  Only the
-    slots below top, the last position plus one, are read, so with f cut
-    there and split in halves f_0, f_1 of m slots, f^2 mod q^top is
-    f_0^2 + 2 f_0 f_1 q^m.  Adding the all-h value of the low top slots
+    slots below top, the last position plus one, are read, so f is cut
+    there, packed once and squared whole, one product that libmpdec runs
+    as an autoconvolution.  Adding the all-h value of the low top slots
     makes each of them c + h in [0, B); one floor split at B^top then
     leaves them as the fraction, formatted once, and the higher slots,
-    which no position reads, as the floor.
+    which no position reads and whose values S also bounds, as the floor.
     """
     if not positions:
         return []
@@ -261,24 +260,13 @@ def _square_at(f, positions: list[int]) -> list[int]:
         return [0] * len(positions)
     k = len(str(2 * s))  # 10^k > 2 S
     h = 10 ** k // 2
-    m = -(-top // 2)
     with localcontext(_EXACT):
-        # the slot string of v + h for each value v of f
+        # the slot string of v + h for each value v of f, most significant first
         table = {v: f"{v + h:0{k}d}" for v in set(f)}
-
-        def pack(part):
-            """part(B), from its slots plus h less the all-h pack."""
-            packed = Decimal("".join([  # most significant first
-                "".join(map(table.__getitem__, reversed(part[max(hi - _CHUNK, 0):hi])))
-                for hi in range(len(part), 0, -_CHUNK)]))
-            return packed - _all_h(h, k, len(part))
-
-        a0 = pack(f[:m])
-        x = a0 * a0
-        if top > m:
-            x += (a0 * pack(f[m:]) * 2).scaleb(m * k)
-        del a0
-        x = (x + _all_h(h, k, top)).scaleb(-top * k)
+        all_h = _all_h(h, k, top)
+        a = Decimal("".join(map(table.__getitem__, reversed(f)))) - all_h
+        x = (a * a + all_h).scaleb(-top * k)
+        del a
         x -= x.to_integral_value(rounding=ROUND_FLOOR)
         digits = format(x, "f")
     end = len(digits)  # slot t is the t-th group of k digits from the right

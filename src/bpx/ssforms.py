@@ -315,6 +315,9 @@ def cusp_generators(ell: int, order: int) -> list[tuple[tuple, list[int]]]:
     q^order) for each.
     """
     r = len(monomial_basis(ell + 1, cusp_only=True))
+    if order < r:
+        raise InputError(f"cusp generators of weight {ell + 1} need order >= r = {r}, "
+                         f"not {order}")
     chosen: list[tuple[tuple, list[int]]] = []
     candidates = _candidates(ell)  # the monomials alone reach rank r
     while len(chosen) < r:

@@ -91,17 +91,26 @@ def test_density_empirical_thread_count_invariance(capsys, monkeypatch):
         ["cache_dir", "command", "d", "ell", "x"]
 
 
-@pytest.mark.parametrize("argv", [
+_EVERY_COMMAND = [
     ["exponents", "--d", "4"], ["congruence", "--d", "4", "--ell", "11"],
     ["density", "--d", "4", "--ell", "11"], ["check", "--d", "4", "--ell", "11"],
     ["supersingular", "--ell", "11"], ["classpoly", "--d", "4"],
     ["table2", "--ell", "11", "--dmax", "10"],
-], ids=lambda argv: argv[0])
-def test_threads_option_is_gone(argv, capsys):
+]
+
+
+@pytest.mark.parametrize("argv, gone", [
+    *(pytest.param(argv, ["--threads", "4"], id=argv[0]) for argv in _EVERY_COMMAND),
+    # table2 --D took only 1, and --x was an alias of density --empirical
+    pytest.param(["table2", "--ell", "11", "--dmax", "10"], ["--D", "1"], id="table2-D"),
+    pytest.param(["density", "--d", "4", "--ell", "11"], ["--x", "500"], id="density-x"),
+])
+def test_threads_option_is_gone(argv, gone, capsys):
+    # each removed option is refused by the parser, not ignored
     with pytest.raises(SystemExit) as exc:
-        run(argv + ["--threads", "4"])
+        run(argv + gone)
     assert exc.value.code == 2
-    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(gone)}" in capsys.readouterr().err
 
 
 def test_check_command(capsys):
@@ -568,8 +577,7 @@ _ARGV = st.one_of(
               st.just("--n"), st.just("20")),
     st.tuples(st.just("supersingular"), st.just("--ell"), _ELL),
     st.tuples(st.just("table2"), st.just("--ell"), _ELL,
-              st.just("--dmax"), st.sampled_from(["-1", "3", "20"]),
-              st.just("--D"), st.sampled_from(["1", "5"])),
+              st.just("--dmax"), st.sampled_from(["-1", "3", "20"])),
 )
 
 

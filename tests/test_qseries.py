@@ -336,9 +336,9 @@ def test_signed_kronecker_product_edge_cases():
         assert got.coeffs == _conv_oracle(f.coeffs, g.coeffs, got.trunc)
 
 
-def _piece_edges(n):
-    """Every multiple of 4096 below n, with its neighbours: where the
-    4096-slot strings that _square_at joins into its packs meet."""
+def _multiples_of_4096(n):
+    """Every multiple of 4096 below n, with its neighbours: fixed positions
+    spread along a long operand, read beside the random ones."""
     return sorted({t for c in range(4096, n + 1, 4096)
                    for t in (c - 1, c, c + 1) if t < n})
 
@@ -346,22 +346,26 @@ def _piece_edges(n):
 @pytest.mark.parametrize("n, top", [(4097, 1), (2 * 4096 + 3, 100),
                                     (3 * 4096 + 2, 6), (9001, 7)])
 def test_square_at_matches_the_kronecker_square(n, top):
+    # long operands squared whole and read to top = n, odd and even
     rng = random.Random(n)
     f = [rng.randint(-top, top) for _ in range(n)]
     want = _kron_mul(f, f, n)
-    # a run of slots whose value is negative (its highest nonzero slot is)
-    # borrows one from the slots above it unless the all-h value is added
-    # before the split
+    # the sign changes at arbitrary slots: some run of slots is negative as
+    # a whole (its highest nonzero slot is), and it borrows one from the
+    # slots above it unless the all-h value is added before the floor split
     assert any(next(c for c in reversed(want[e - 4096:e]) if c) < 0
                for e in range(4096, n, 4096))
-    positions = sorted(set(_piece_edges(n) + rng.sample(range(n), 300) + [0, n - 1]))
+    positions = sorted(set(_multiples_of_4096(n) + rng.sample(range(n), 300)
+                           + [0, n - 1]))
     assert _square_at(f, positions) == [want[t] for t in positions]
     if top < 128:
         assert _square_at(array("b", f), positions) == [want[t] for t in positions]
 
 
 def test_square_at_negative_low_piece():
-    # (1 - q^4095)^2: the first piece holds -2 q^4095 and the slot q^4096 is 0
+    # (1 - q^4095)^2 = 1 - 2 q^4095 + q^8190: the slots below 4096 are
+    # negative as a whole and the zero slots above them must not lend to
+    # them; top 8191 is odd
     f = [1] + [0] * 4094 + [-1] + [0] * 4100
     positions = [4095, 4096, 4097, 8190]
     assert _square_at(f, positions) == [-2, 0, 0, 1]
@@ -373,7 +377,8 @@ def test_square_at_negative_low_piece():
        st.data())
 @settings(max_examples=100, deadline=None)
 def test_square_at_short_operands(f, data):
-    # one piece, lengths not divisible by 4, slot widths from the values
+    # short f of any length, read at any positions (so odd and even top),
+    # with slot widths from the values
     want = _kron_mul(f, f, len(f))
     positions = sorted(data.draw(st.sets(st.integers(0, len(f) - 1))))
     assert _square_at(f, positions) == [want[t] for t in positions]
@@ -408,6 +413,7 @@ def test_square_at_reaches_the_cauchy_schwarz_bound(k):
 
 
 def test_square_at_one_position_or_every_slot():
+    # top = 1 or n, for short and long f of odd and even length
     rng = random.Random(23)
     for n in (1, 2, 3, 4, 4097, 5001):
         f = [rng.randint(-6, 6) for _ in range(n)]

@@ -207,6 +207,15 @@ def test_cusp_generators_span_the_cusp_space(ell):
             assert QSeries(ring, 0, f) == by_valuation[a[0]]
 
 
+def test_cusp_generators_below_order_r_is_an_input_error():
+    # q^1..q^r decide the rank; below order r = 2 the rows stay short and
+    # the candidates would run out
+    for order in (0, 1):
+        with pytest.raises(InputError, match="r = 2"):
+            cusp_generators(31, order)
+    assert len(cusp_generators(31, 2)) == 2
+
+
 def test_irregular_pairs_are_skipped():
     # 37 divides the numerator of B_32 and 59 that of B_44
     assert bernoulli(32).numerator % 37 == 0 and bernoulli(44).numerator % 59 == 0
