@@ -420,7 +420,10 @@ class QSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_ring(self, other: "QSeries"):
+    def _check_ring(self, other):
+        """Both operands are series over one ring; scalars go through ``scale``."""
+        if not isinstance(other, QSeries):
+            raise TypeError(f"series operand expected, got {type(other).__name__}")
         if self.ring is not other.ring and self.ring.name != other.ring.name:
             raise InputError(f"mixed rings {self.ring.name} / {other.ring.name}")
 
@@ -429,38 +432,24 @@ class QSeries:
         k = self.lead - lead
         return [self.ring.zero] * min(k, n) + self.coeffs[:max(n - k, 0)]
 
-    def _lift_scalar(self, c) -> "QSeries":
-        return QSeries.constant(self.ring, c, max(self.trunc, 0))
-
     def __add__(self, other):
-        if not isinstance(other, QSeries):
-            other = self._lift_scalar(other)
         self._check_ring(other)
         lead = min(self.lead, other.lead)
         n = min(self.trunc, other.trunc) - lead + 1
         return QSeries(self.ring, lead, [a + b for a, b in zip(self._padded(lead, n),
                                                                other._padded(lead, n))])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QSeries(self.ring, self.lead, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            other = self._lift_scalar(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, c) -> "QSeries":
         c = self.ring.coerce(c)
         return QSeries(self.ring, self.lead, [c * v for v in self.coeffs])
 
     def __mul__(self, other):
-        if not isinstance(other, QSeries):
-            return self.scale(other)
         self._check_ring(other)
         lead = self.lead + other.lead
         trunc = min(self.trunc + other.lead, other.trunc + self.lead)
@@ -474,16 +463,12 @@ class QSeries:
             return QSeries(ring, lead, _kron_mul(a, b, n_out))
         return QSeries(ring, lead, _schoolbook(a, b, n_out, ring.zero))
 
-    __rmul__ = __mul__
-
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
         return binary_power(self, e, QSeries.one(self.ring, max(self.trunc, 0)))
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse of a series with invertible leading coefficient."""
-        return 1 / self
+        return QSeries.one(self.ring, len(self.coeffs) - 1) / self
 
     def __truediv__(self, other):
         """f / g for g with invertible leading coefficient, the one series quotient.
@@ -493,8 +478,6 @@ class QSeries:
         inverse of u.  Over any other ring it solves u x = f term by term,
         with no inverse series and no product.
         """
-        if not isinstance(other, QSeries):
-            return self.scale(self.ring.inverse(self.ring.coerce(other)))
         self._check_ring(other)
         v = other.valuation()
         if v is None:
@@ -505,10 +488,6 @@ class QSeries:
             return self * QSeries(ring, -v, _inverse_gf(u, ring.ell))
         n = min(len(self.coeffs), len(u))
         return QSeries(ring, self.lead - v, _solve_triangular(u, self.coeffs[:n], ring))
-
-    def __rtruediv__(self, other):
-        """c / g for a scalar c."""
-        return QSeries.constant(self.ring, other, len(self.coeffs) - 1) / self
 
     def q_derivative(self) -> "QSeries":
         """q d/dq: sends c q^e to e c q^e."""
@@ -602,6 +581,8 @@ class Poly:
         return self.coeffs[-1]
 
     def __add__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + [self.ring.zero] * (n - len(self.coeffs))
         b = other.coeffs + [self.ring.zero] * (n - len(other.coeffs))
@@ -615,13 +596,10 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = self.ring.coerce(other)
-            return Poly(self.ring, [c * v for v in self.coeffs])
+            return NotImplemented
         return Poly(self.ring, _schoolbook(self.coeffs, other.coeffs,
                                            len(self.coeffs) + len(other.coeffs) - 1,
                                            self.ring.zero))
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int):
         return binary_power(self, e, Poly(self.ring, [self.ring.one]))

@@ -617,3 +617,70 @@ def test_ineligible_pair_reported_before_eigenbasis(capsys):
     assert code == 2 and out == ""
     assert "does not divide" in err
     assert "eigenbasis" not in err
+
+
+# Argument vectors of all seven commands, with values in and out of range:
+# d that is no discriminant, l that is 0, 1 or no prime, X below 3, an
+# empty table2 scan.  Every count that argparse checks is >= 1 here.  The
+# d (of -d = 0 or 1 mod 4), the l (primes) and the pairs (d, l) that the
+# fit admits come first, so most vectors reach the work.
+_D = st.one_of(st.integers(1, 15).map(lambda k: 4 * k),
+               st.integers(1, 15).map(lambda k: 4 * k - 1), st.integers(-4, 60))
+_ELL = st.one_of(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31, 37]),
+                 st.integers(0, 37))
+_PAIR = st.one_of(st.sampled_from([(4, 11), (3, 5), (7, 13), (16, 11), (20, 31),
+                                   (8, 37), (3, 17), (4, 19), (27, 11)]),
+                  st.tuples(_D, _ELL))
+
+
+def _option(name, values, absent=True):
+    present = values.map(lambda v: (name, str(v)))
+    return st.one_of(present, st.just(())) if absent else present
+
+
+_VECTORS = st.one_of(
+    st.tuples(st.just(("exponents",)), _option("--d", _D, False),
+              _option("--n", st.integers(1, 60))),
+    st.tuples(st.just(("classpoly",)), _option("--d", _D, False)),
+    st.tuples(st.just(("supersingular",)), _option("--ell", _ELL, False)),
+    st.tuples(st.just(("table2",)), _option("--ell", _ELL, False),
+              _option("--dmax", st.integers(-2, 40), False)),
+    *(st.tuples(st.just((command,)),
+                _PAIR.map(lambda pair: ("--d", str(pair[0]), "--ell", str(pair[1]))),
+                option)
+      for command, option in [
+          ("congruence", _option("--verify-to", st.integers(1, 80))),
+          ("density", _option("--empirical", st.integers(-2, 2000))),
+          ("check", _option("--n", st.integers(1, 60), False))]),
+).map(lambda parts: [word for part in parts for word in part])
+
+
+@pytest.fixture(scope="module")
+def vectors_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-vectors")  # one cache for every vector
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_VECTORS)
+def test_every_command_and_format_answers_or_exits_2(argv, vectors_dir):
+    docs = {}
+    for fmt in ("json", "text", "csv"):
+        path = vectors_dir / f"out.{fmt}"
+        path.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv + ["--format", fmt, "--out", str(path),
+                               "--cache-dir", str(vectors_dir / "cache")])
+        assert code in (0, 2), (argv, fmt, err.getvalue())
+        assert out.getvalue() == ""
+        if code == 2:
+            assert err.getvalue().startswith("error: "), (argv, fmt, err.getvalue())
+        else:
+            docs[fmt] = path.read_text()
+    rows = json.loads(docs["json"]).get("rows") if "json" in docs else None
+    if rows:  # the CSV rows are the JSON rows, as strings
+        assert "csv" in docs, argv
+        header, *lines = docs["csv"].splitlines()
+        header = header.split(",")
+        assert [line.split(",") for line in lines] == [
+            [str(row[k]) for k in header] for row in rows], argv

@@ -738,8 +738,29 @@ def test_one_power_ladder_for_poly_and_series():
         assert (got_j.lead, got_j.trunc) == (-e, 9 - e), e
         assert got_j == want_j, e
         want_f, want_j = want_f * f, want_j * j
-    with pytest.raises(InputError, match="exponent must be >= 0, got -1"):
-        f ** -1
+    for negative_power in (lambda: f ** -1, lambda: j ** -1):
+        with pytest.raises(InputError, match="exponent must be >= 0, got -1"):
+            negative_power()
+
+
+@pytest.mark.parametrize("ring, coeffs, doubled, inverse", [
+    (ZZ, [1, 2, 3, 4], [2, 4, 6, 8], [1, -2, 1, 0]),
+    (GF(7), [3, 2, 5, 1], [6, 4, 3, 2], [5, 6, 4, 2]),
+], ids=["ZZ", "GF7"])
+def test_operators_take_series_only(ring, coeffs, doubled, inverse):
+    s = QSeries(ring, -1, coeffs)
+    p = Poly.from_ints(ring, [1, 1])
+    scalar_operands = [lambda: s + 1, lambda: 1 + s, lambda: s - 1, lambda: 1 - s,
+                       lambda: 2 * s, lambda: s * 2, lambda: s / 2, lambda: 1 / s,
+                       lambda: p * 2, lambda: 2 * p, lambda: p + 1, lambda: 1 - p]
+    for op in scalar_operands:
+        with pytest.raises(TypeError):
+            op()
+    # the values that s * 2 and 1 / s gave when the operators took scalars
+    got = s.scale(2)
+    assert (got.lead, got.trunc, got.coeffs) == (-1, 2, doubled)
+    got = s.inverse()
+    assert (got.lead, got.trunc, got.coeffs) == (1, 4, inverse)
 
 
 def test_poly_evaluate_series_matches_direct():
