@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .arith import (Record, divisors, is_fundamental_discriminant, kronecker,
                     moebius, sigma)
@@ -181,15 +180,10 @@ def log_derivative_mod(d: int, ell: int, n: int,
     return _log_derivative(d, n, GF(ell), cache_dir).scale(pow(6, -1, ell))
 
 
-class CongruenceFormula(NamedTuple):
+class CongruenceFormula(Record):
     """Fitted data: A(n^2,d) = (1/n) sum_{m|n} mu(n/m)(-24 c0 sigma_1(m) + sum c_i a_i(m)) mod l."""
 
-    d: int
-    ell: int
-    c0: int
-    c: tuple[int, ...]
-    basis: EigenformBasis
-    verified_to: int
+    __slots__ = ("d", "ell", "c0", "c", "basis", "verified_to")
 
     @property
     def rank(self) -> int:

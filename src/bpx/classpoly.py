@@ -26,7 +26,6 @@ from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
-from typing import NamedTuple
 
 from .arith import Record, is_prime, kronecker
 from .errors import (InputError, InternalConsistencyError,
@@ -35,13 +34,10 @@ from .qseries import GF, ZZ, Poly, jfunction
 from .ssforms import supersingular_poly
 
 
-class QuadForm(NamedTuple):
+class QuadForm(Record):
     """Reduced positive definite form a x^2 + b xy + c y^2 of discriminant -d."""
 
-    a: int
-    b: int
-    c: int
-    weight: int  # 3 for scalings of x^2+xy+y^2, 2 for x^2+y^2, else 1
+    __slots__ = ("a", "b", "c", "weight")  # weight 3 for k(x^2+xy+y^2), 2 for k(x^2+y^2), else 1
 
     @property
     def discriminant(self) -> int:
@@ -428,12 +424,8 @@ def _write_cache(path: str, doc: dict) -> None:
 # eligibility
 
 
-class EligibilityReport(NamedTuple):
-    d: int
-    ell: int
-    divides: bool
-    squarefree: bool
-    class_poly_mod_ell: Poly  # the product of the components over F_l
+class EligibilityReport(Record):
+    __slots__ = ("d", "ell", "divides", "squarefree", "class_poly_mod_ell")
 
 
 def degree_rules_out(d: int, ell: int) -> bool:

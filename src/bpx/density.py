@@ -18,7 +18,6 @@ import os
 from array import array
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import kernel
 from .arith import Record, is_prime, kronecker, sieve
@@ -36,9 +35,12 @@ def gl2_order(ell: int) -> int:
     return (ell * ell - 1) * (ell * ell - ell)
 
 
-class CharpolyCount(NamedTuple):
-    count: int
-    proportion: Fraction
+class CharpolyCount(Record):
+    __slots__ = ("ell", "count")  # int, int
+
+    @property
+    def proportion(self) -> Fraction:
+        return Fraction(self.count, gl2_order(self.ell))
 
 
 def charpoly_count(ell: int, a: int, b: int) -> CharpolyCount:
@@ -53,7 +55,7 @@ def charpoly_count(ell: int, a: int, b: int) -> CharpolyCount:
     if b % ell == 0:
         raise InputError("determinant 0 is not in GL2")
     count = ell * (ell + kronecker((a * a - 4 * b) % ell, ell))
-    return CharpolyCount(count, Fraction(count, gl2_order(ell)))
+    return CharpolyCount(ell, count)
 
 
 # ---------------------------------------------------------------------------

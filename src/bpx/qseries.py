@@ -604,8 +604,14 @@ class Poly:
     def __pow__(self, e: int):
         return binary_power(self, e, Poly(self.ring, [self.ring.one]))
 
+    @staticmethod
+    def _check_poly(other):
+        if not isinstance(other, Poly):
+            raise TypeError(f"polynomial operand expected, got {type(other).__name__}")
+
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Division with remainder; divisor leading coefficient must be a unit."""
+        self._check_poly(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         ring = self.ring
@@ -625,16 +631,20 @@ class Poly:
         return Poly(ring, quo), Poly(ring, rem[: max(top, 1)])
 
     def __mod__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self.divmod(other)[1]
 
     def divides(self, other: "Poly") -> bool:
         """True iff self divides other exactly."""
+        self._check_poly(other)
         if self.is_zero():
             return other.is_zero()
         return other.divmod(self)[1].is_zero()
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd (over a field)."""
+        self._check_poly(other)
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import kernel
-from .arith import is_prime, sigma_prefix
+from .arith import Record, is_prime, kronecker, sigma_prefix
 from .errors import InputError, InternalConsistencyError, TruncationError
 from .qseries import (GF, Poly, QSeries, _kron_mul, eisenstein, monomial_basis,
                       monomial_forms)
@@ -52,7 +51,6 @@ def supersingular_poly(ell: int) -> Poly:
 
 
 def _nonresidue(ell: int) -> int:
-    from .arith import kronecker
     n = 2
     while kronecker(n, ell) != -1:
         n += 1
@@ -121,14 +119,10 @@ def hecke_Tp(f: QSeries, p: int, k: int, out_order: int | None = None) -> QSerie
     return QSeries(ring, 0, out)
 
 
-class EigenformBasis(NamedTuple):
+class EigenformBasis(Record):
     """Normalized Hecke eigenforms spanning the weight l+1 cusp space mod l."""
 
-    ell: int
-    order: int
-    forms: tuple[QSeries, ...]
-    t2_eigenvalues: tuple[int, ...]
-    monomial_combos: tuple[tuple[tuple[int, tuple[int, int, int]], ...], ...]
+    __slots__ = ("ell", "order", "forms", "t2_eigenvalues", "monomial_combos")
 
     @property
     def dim(self) -> int:

@@ -7,11 +7,12 @@ import pytest
 
 from bpx import borcherds
 from bpx.arith import divisors, kronecker, sieve
-from bpx.borcherds import (_divisor_sieve, _log_derivative, exact_exponents,
-                           exponent_residues, fit_congruence, formula_eval,
-                           formula_eval_primes, log_derivative_exact,
-                           log_derivative_mod, nu, twisted_forward,
-                           twisted_roundtrip, verify_congruence)
+from bpx.borcherds import (CongruenceFormula, _divisor_sieve, _log_derivative,
+                           exact_exponents, exponent_residues, fit_congruence,
+                           formula_eval, formula_eval_primes,
+                           log_derivative_exact, log_derivative_mod, nu,
+                           twisted_forward, twisted_roundtrip,
+                           verify_congruence)
 from bpx.cli import run
 from bpx.classpoly import hilbert_class_poly, hurwitz_class_number
 from bpx.density import x0_11_eta_traces
@@ -268,8 +269,12 @@ def test_verify_congruence_sieve_equals_formula_eval(monkeypatch, d, ell, n_max)
 
 def test_verify_congruence_is_not_vacuous(monkeypatch):
     fit = borcherds.fit_congruence
-    monkeypatch.setattr(borcherds, "fit_congruence",
-                        lambda *a, **k: (F := fit(*a, **k))._replace(c0=F.c0 + 1))
+
+    def off_by_one(*args, **kwargs):
+        F = fit(*args, **kwargs)
+        return CongruenceFormula(F.d, F.ell, F.c0 + 1, F.c, F.basis, F.verified_to)
+
+    monkeypatch.setattr(borcherds, "fit_congruence", off_by_one)
     with pytest.raises(InternalConsistencyError,
                        match=r"exact A\(1\^2,4\) = 8 mod 11 != formula value 6"):
         verify_congruence(4, 11, 60)

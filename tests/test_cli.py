@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bpx
-from bpx.arith import sieve
+from bpx.arith import Record, sieve
 from bpx.borcherds import ExponentTable, fit_congruence
 from bpx.classpoly import (QuadForm, WeightedClassPoly, degree_rules_out,
                            eligibility, hilbert_class_poly, hurwitz_class_number)
 from bpx.cli import _exponents_json, run
-from bpx.density import EllCurve, asymptotic_table
+from bpx.density import EllCurve, asymptotic_table, charpoly_count
 from bpx.errors import InputError
 from bpx.ssforms import eigenbasis
 from oracles import corollary_conditions
@@ -290,13 +290,14 @@ def test_table2_reads_each_class_polynomial_once(tmp_path, capsys):
     assert doc["cache"] == {"hits": 0, "misses": len(os.listdir(cache))}
 
 
-def _loaded_after_cli_import(*modules):
-    """The given modules that a fresh ``import bpx.cli`` leaves loaded."""
+def _loaded_after_cli_import(*modules, flags=()):
+    """The given modules that a fresh ``import bpx.cli`` leaves loaded, with
+    the interpreter flags given."""
     script = f"import sys, bpx.cli\nprint([m for m in {modules!r} if m in sys.modules])\n"
     src = os.path.dirname(os.path.dirname(bpx.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -308,17 +309,25 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # the records are NamedTuples or slotted classes: dataclasses would
+    # the records are slotted arith.Record classes: dataclasses would
     # load inspect, ast, dis and tokenize at every start
     assert _loaded_after_cli_import("dataclasses", "inspect") == "[]\n"
 
 
-# One of each record type, and whether it hashes: a record hashes as its
-# fields do, so the two that hold series (which are unhashable) do not.
+def test_cli_import_leaves_typing_unloaded():
+    # no bpx module imports typing; -S, since a site .pth file may import it
+    # before bpx does
+    assert _loaded_after_cli_import("typing", flags=("-S",)) == "[]\n"
+
+
+# One of each frozen record type, and whether it hashes: a record hashes as
+# its fields do, so the two that hold series (which are unhashable) do not.
+# Every one but the test oracle's CorollaryReport is an arith.Record.
 _FROZEN_RECORDS = {
     "PrimeStream": (lambda: sieve(30), True),
     "ExponentTable": (lambda: ExponentTable(4, 2, (492, 143376)), True),
     "QuadForm": (lambda: QuadForm(1, 0, 1, 2), True),
+    "CharpolyCount": (lambda: charpoly_count(11, 0, 1), True),
     "EligibilityReport": (lambda: eligibility(4, 11), True),
     "CorollaryReport": (lambda: corollary_conditions(1, 4, 11), True),
     "EllCurve": (lambda: EllCurve(0, -1, 1, -10, -20, "X0(11)"), True),
@@ -332,6 +341,7 @@ def test_frozen_records_compare_hash_copy_and_refuse_assignment(name):
     make, hashable = _FROZEN_RECORDS[name]
     a, b = make(), make()
     assert type(a).__name__ == name
+    assert isinstance(a, Record) == (name != "CorollaryReport")
     assert a == b and not a != b and a != object()
     assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
     if hashable:

@@ -752,7 +752,9 @@ def test_operators_take_series_only(ring, coeffs, doubled, inverse):
     p = Poly.from_ints(ring, [1, 1])
     scalar_operands = [lambda: s + 1, lambda: 1 + s, lambda: s - 1, lambda: 1 - s,
                        lambda: 2 * s, lambda: s * 2, lambda: s / 2, lambda: 1 / s,
-                       lambda: p * 2, lambda: 2 * p, lambda: p + 1, lambda: 1 - p]
+                       lambda: p * 2, lambda: 2 * p, lambda: p + 1, lambda: 1 - p,
+                       lambda: p % 2, lambda: p.divmod(2), lambda: p.divides(2),
+                       lambda: p.gcd(2)]
     for op in scalar_operands:
         with pytest.raises(TypeError):
             op()
