@@ -24,6 +24,7 @@ interpreted products and lists that replace it.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
 
 _M64 = (1 << 64) - 1
@@ -39,7 +40,7 @@ def primes_below(limit: int) -> list[int]:
     for i in range(2, isqrt(limit - 1) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, limit, i)))
-    return [i for i in range(limit) if flags[i]]
+    return list(compress(range(limit), flags))
 
 
 # ---------------------------------------------------------------------------

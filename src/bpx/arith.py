@@ -246,8 +246,7 @@ def binary_power(x, e: int, one):
 
 class Record:
     """A frozen record on ``__slots__``, built from its fields in slot order,
-    compared and hashed by ``_key()``.  A mutable record restores ``object``'s
-    ``__setattr__`` and ``__delattr__`` and sets ``__hash__`` to None."""
+    compared and hashed by ``_key()``."""
 
     __slots__ = ()
 

@@ -33,8 +33,7 @@ from .errors import (IneligiblePairError, InputError,
                      InternalConsistencyError, TruncationError)
 from .qseries import (GF, QQ, ZZ, QSeries, _solve_triangular, eisenstein,
                       monomial_basis, monomial_forms)
-from .ssforms import (EigenformBasis, _solve_linear_mod, eigenbasis,
-                      eisenstein_cusp_split)
+from .ssforms import _solve_linear_mod, eigenbasis
 
 
 class ExponentTable(Record):
@@ -189,6 +188,14 @@ class CongruenceFormula(Record):
     def rank(self) -> int:
         return len(self.c)
 
+    def series(self, n: int) -> QSeries:
+        """The fitted log derivative c0 E_2 + sum c_i f_i over F_l to order n:
+        E_(l+1) = E_2 mod l by Kummer's congruence and Fermat, so no B_(l+1)."""
+        out = eisenstein(2, n, GF(self.ell)).scale(self.c0)
+        for ci, form in zip(self.c, self.basis.forms):
+            out = out + form.truncate(n).scale(ci)
+        return out
+
     def to_document(self) -> dict:
         return {
             "d": self.d,
@@ -218,23 +225,22 @@ def fit_congruence(d: int, ell: int, verify_to: int | None = None,
     # is reported as such
     lbar = log_derivative_mod(d, ell, n, cache_dir=cache_dir)
     basis = eigenbasis(ell, order=n)
-    c0, cusp = eisenstein_cusp_split(lbar, ell)
+    c0 = lbar.coeff(0)
+    e2 = eisenstein(2, r, GF(ell))
     rows = [[basis.coefficient(i, m) for i in range(r)] for m in range(1, r + 1)]
-    rhs = [cusp.coeff(m) for m in range(1, r + 1)]
+    rhs = [lbar.coeff(m) - c0 * e2.coeff(m) for m in range(1, r + 1)]
     try:
         cvec = _solve_linear_mod(rows, rhs, ell)
     except InputError as exc:
         raise InternalConsistencyError(
             f"eigenform coefficient matrix is singular for l={ell}: "
             f"{exc}") from exc
-    for ci, form in zip(cvec, basis.forms):
-        if ci:
-            cusp = cusp - form.truncate(n).scale(ci)
-    for m in range(n + 1):
-        if cusp.coeff(m):
-            raise InternalConsistencyError(
-                f"congruence verification failed at q^{m} for (d={d}, l={ell})")
-    return CongruenceFormula(d, ell, c0, tuple(cvec), basis, n)
+    F = CongruenceFormula(d, ell, c0, tuple(cvec), basis, n)
+    m = (lbar - F.series(n)).valuation()
+    if m is not None:
+        raise InternalConsistencyError(
+            f"congruence verification failed at q^{m} for (d={d}, l={ell})")
+    return F
 
 
 def formula_eval(F: CongruenceFormula, n: int) -> int:
@@ -290,10 +296,7 @@ def verify_congruence(d: int, ell: int, n_max: int,
     """
     F = fit_congruence(d, ell, verify_to=max(n_max, 200), cache_dir=cache_dir)
     residues = exponent_residues(d, ell, n_max, cache_dir=cache_dir)
-    fitted = eisenstein(2, n_max, GF(ell)).scale(F.c0)
-    for ci, form in zip(F.c, F.basis.forms):
-        fitted = fitted + form.truncate(n_max).scale(ci)
-    b = _divisor_sieve([fitted.coeff(m) for m in range(n_max + 1)])
+    b = _divisor_sieve(F.series(n_max).coeffs)
     verified = skipped = 0
     for n in range(1, n_max + 1):
         if n % ell == 0:

@@ -204,7 +204,6 @@ class WeightedClassPoly(Record):
     """Hurwitz-weighted class polynomial: (monic integer factor, weight) pairs."""
 
     __slots__ = ("d", "components", "h", "precision_used", "residual_bound", "cached")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def _key(self) -> tuple:  # equality ignores cached
         return super()._key()[:-1]

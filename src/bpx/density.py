@@ -191,7 +191,6 @@ class DensityTable(Record):
     to a Fraction, "empirical" to a count of the primes p < x, total = pi(x)."""
 
     __slots__ = ("d", "ell", "kind", "entries", "x", "total")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def ratio(self, t: int) -> float:
         if self.kind == "asymptotic":

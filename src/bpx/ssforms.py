@@ -24,7 +24,7 @@ from functools import lru_cache
 from . import kernel
 from .arith import Record, is_prime, kronecker, sigma_prefix
 from .errors import InputError, InternalConsistencyError, TruncationError
-from .qseries import (GF, Poly, QSeries, _kron_mul, eisenstein, monomial_basis,
+from .qseries import (GF, Poly, QSeries, _kron_mul, monomial_basis,
                       monomial_forms)
 
 
@@ -280,7 +280,7 @@ def _generator_forms(keys, n: int, ell: int) -> list[list[int]]:
     """The forms of the given candidate keys to order n, as int lists from q^0.
 
     E_a E_(k-a) - E_k is one product of divisor-sum series, with E_k = E_2
-    mod l (see ``eisenstein_cusp_split``); its entries lie in (-l, l).
+    mod l by Kummer's congruence and Fermat; its entries lie in (-l, l).
     The monomials come from one ``monomial_forms`` table.
     """
     k = ell + 1
@@ -350,17 +350,3 @@ def _eigenpairs(mat: list[list[int]], ell: int) -> list[tuple[int, list[int]]]:
             f"eigenbasis not defined over F_{ell}: T_2 eigenvalues are not "
             f"distinct elements of F_{ell}")
     return pairs
-
-
-def eisenstein_cusp_split(f: QSeries, ell: int) -> tuple[int, QSeries]:
-    """Split a weight l+1 form mod l as c0 * E_{l+1} plus a cusp expansion.
-
-    E_{l+1} = E_2 mod l (l >= 5), by Kummer's congruence B_{l+1}/(l+1) =
-    B_2/2 and Fermat's sigma_l = sigma_1, so E_2 is subtracted: no B_{l+1}.
-    """
-    ring = GF(ell)
-    if f.ring.name != ring.name:
-        raise InputError(f"series must live over GF({ell})")
-    c0 = f.coeff(0)
-    cusp = f - eisenstein(2, f.trunc, ring).scale(c0)
-    return c0, cusp

@@ -281,7 +281,7 @@ def test_verify_congruence_is_not_vacuous(monkeypatch):
 
 
 def test_fit_asks_for_no_bernoulli_number_past_b2(monkeypatch):
-    # the cusp split subtracts E_2, which is E_(l+1) mod l, so no B_(l+1)
+    # the fitted form takes E_2, which is E_(l+1) mod l, so no B_(l+1)
     from bpx import qseries
     asked = []
     bernoulli = qseries.bernoulli
@@ -290,6 +290,17 @@ def test_fit_asks_for_no_bernoulli_number_past_b2(monkeypatch):
     F = fit_congruence(20, 31)
     assert (F.c0, F.c) == (2, (22, 1))
     assert asked and max(asked) == 2
+
+
+def test_congruence_formula_series_is_the_log_derivative():
+    # c0 E_2 + sum c_i f_i is the log derivative mod l to the verified
+    # order, at ranks 1, 2 and 0, and its constant term is c0
+    for d, ell, rank in ((4, 11, 1), (20, 31, 2), (3, 5, 0)):
+        F = fit_congruence(d, ell)
+        fitted = F.series(F.verified_to)
+        assert F.rank == rank
+        assert fitted == log_derivative_mod(d, ell, F.verified_to)
+        assert fitted.coeff(0) == F.c0
 
 
 def test_congruence_document():

@@ -10,7 +10,7 @@ from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, delta, eisenstein,
                          monomial_basis)
 from bpx.ssforms import (_bernoulli_mod, _candidates, _eigenpairs, _row_reduce,
                          _solve_linear_mod, cusp_generators, eigenbasis,
-                         eisenstein_cusp_split, hecke_Tp, supersingular_poly,
+                         hecke_Tp, supersingular_poly,
                          supersingular_poly_bruteforce)
 from oracles import (charpoly_roots, monomial_form_by_euler_product,
                      supersingular_j_invariants,
@@ -377,17 +377,3 @@ def test_solve_linear_mod():
     assert _solve_linear_mod([[0, 1], [1, 0]], [5, 6], 7) == [6, 5]
     with pytest.raises(InputError, match="singular"):
         _solve_linear_mod([[1, 2], [2, 4]], [1, 2], 7)
-
-
-def test_eisenstein_cusp_split():
-    ell = 11
-    ring = GF(ell)
-    f = eisenstein(ell + 1, 40, ring)
-    c0, cusp = eisenstein_cusp_split(f, ell)
-    assert c0 == 1
-    assert cusp.is_zero()
-    # idempotence: split(c0 E_{l+1} + cusp) returns (c0, cusp) exactly
-    g = eisenstein(ell + 1, 40, ring).scale(7) + delta(40, ring).scale(3)
-    c0g, cuspg = eisenstein_cusp_split(g, ell)
-    assert c0g == 7
-    assert cuspg == delta(40, ring).scale(3)
