@@ -53,7 +53,8 @@ FORMATS = ("json", "text", "csv")
 # rule takes Kronecker at Horner steps that the old cost model gave the
 # schoolbook loop, and the eigenform tallies at l = 37, where a monomial
 # completes the Eisenstein-pair generators, and at l = 31 past the
-# benchmark's X
+# benchmark's X, and the l = 37 fit, whose document prints that basis and
+# its T_2 eigenvalues (the pair a = 6 is skipped, since 37 divides B_32)
 EXTRA_COMMANDS = [f"supersingular --ell {ell}"
                   for ell in (5, 7, 13, 97, 199, 1009, 10007)]
 EXTRA_COMMANDS += ["table2 --ell 31 --dmax 100", "table2 --ell 17 --dmax 150",
@@ -78,6 +79,7 @@ EXTRA_COMMANDS += ["exponents --d 80 --n 300", "exponents --d 239 --n 200",
                    "exponents --d 1151 --n 150"]
 EXTRA_COMMANDS += ["density --d 8 --ell 37 --empirical 10000",
                    "density --d 20 --ell 31 --empirical 30000"]
+EXTRA_COMMANDS += ["congruence --d 8 --ell 37 --verify-to 400"]
 
 
 def benchmark_commands(tree: Path) -> list[str]:

@@ -4,7 +4,7 @@ Integers are Python ints, rationals are ``fractions.Fraction`` (always
 normalized, positive denominator, structural equality), an element of a
 prime field F_l is a plain int in [0, l) (``frac_mod`` reduces a rational
 into one).  On top of those live the classical number-theoretic functions
-(Kronecker symbol, Bernoulli numbers, divisor sums, Moebius).
+(Kronecker symbol, Bernoulli numbers exact and mod l, divisor sums, Moebius).
 """
 
 from __future__ import annotations
@@ -180,6 +180,20 @@ def bernoulli(m: int) -> Fraction:
             s = sum(math.comb(n + 1, j) * bs[j] for j in range(n))
             bs.append(Fraction(-s, n + 1))
     return bs[m]
+
+
+def bernoulli_mod(k: int, ell: int) -> int:
+    """B_k mod l, as an int in [0, l), for even 2 <= k <= l - 3.
+
+    By Faulhaber, sum_(a<l) a^k = sum_(j<=k) C(k+1, j) B_j l^(k+1-j)/(k+1),
+    and by von Staudt-Clausen l divides no denominator of B_1..B_k, so one
+    power sum of small ints is l B_k mod l^2; nothing is cached.
+    """
+    _check_odd_prime(ell)
+    if k < 2 or k % 2 or k > ell - 3:
+        raise InputError(f"bernoulli_mod needs even 2 <= k <= l - 3, got k={k} at l={ell}")
+    square = ell * ell
+    return sum(pow(a, k, square) for a in range(1, ell)) % square // ell
 
 
 def is_fundamental_discriminant(D: int) -> bool:

@@ -34,8 +34,8 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_FLOOR, Context,
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import (_check_odd_prime, bernoulli, binary_power, frac_mod,
-                    sigma_prefix)
+from .arith import (_check_odd_prime, bernoulli, bernoulli_mod, binary_power,
+                    frac_mod, sigma_prefix)
 from .errors import InputError, TruncationError
 
 # ---------------------------------------------------------------------------
@@ -556,10 +556,11 @@ class Poly:
 
     def __init__(self, ring, coeffs: list):
         coeffs = ring.normalize(coeffs)
-        while len(coeffs) > 1 and not coeffs[-1]:
-            coeffs = coeffs[:-1]
+        end = len(coeffs)  # past the last nonzero coefficient, or 1
+        while end > 1 and not coeffs[end - 1]:
+            end -= 1
         self.ring = ring
-        self.coeffs = coeffs if coeffs else [ring.zero]
+        self.coeffs = coeffs[:end] or [ring.zero]
 
     @classmethod
     def from_ints(cls, ring, ints) -> "Poly":
@@ -700,19 +701,22 @@ def eisenstein(k: int, n: int, ring=QQ) -> QSeries:
 
     k = 2 is allowed (the quasi-modular E_2, same expansion).  Over F_l with
     (l - 1) | k the series is 1: by von Staudt-Clausen l divides the
-    denominator of B_k once and not its numerator, so l | 2k/B_k, and no
-    Bernoulli number is computed.
+    denominator of B_k once and not its numerator, so l | 2k/B_k.  At
+    k <= l - 3 B_k mod l is ``bernoulli_mod``'s power sum, so over F_l only
+    k > l - 1 takes the exact B_k.  An l dividing B_k raises InputError.
     """
     if k < 2 or k % 2:
         raise InputError(f"Eisenstein weight must be even and >= 2, got {k}")
-    if isinstance(ring, PrimeField) and k % (ring.ell - 1) == 0:
+    # over F_l the divisor sums are reduced as they are summed
+    modulus = ring.ell if isinstance(ring, PrimeField) else None
+    if modulus and k % (modulus - 1) == 0:
         return QSeries.one(ring, n)
-    factor = Fraction(-2 * k) / bernoulli(k)
     coeffs = [ring.one]
     if n >= 1:
-        c = ring.coerce(factor)
-        # over F_l the divisor sums are reduced as they are summed
-        modulus = ring.ell if isinstance(ring, PrimeField) else None
+        b = bernoulli_mod(k, modulus) if modulus and k < modulus else bernoulli(k)
+        if not b:
+            raise InputError(f"{modulus} divides B_{k}, so E_{k} has no reduction mod {modulus}")
+        c = ring.coerce(Fraction(-2 * k) / b)
         coeffs += [c * s for s in sigma_prefix(k - 1, n, modulus)[1:]]
     return QSeries(ring, 0, coeffs)
 

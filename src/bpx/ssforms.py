@@ -18,13 +18,12 @@ length n where the monomial ladder took seven.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from . import kernel
-from .arith import Record, is_prime, kronecker, sigma_prefix
+from .arith import Record, bernoulli_mod, is_prime, kronecker
 from .errors import InputError, InternalConsistencyError, TruncationError
-from .qseries import (GF, Poly, QSeries, _kron_mul, monomial_basis,
+from .qseries import (GF, Poly, QSeries, _kron_mul, eisenstein, monomial_basis,
                       monomial_forms)
 
 
@@ -234,21 +233,6 @@ def eigenbasis(ell: int, order: int = 60) -> EigenformBasis:
                           tuple(combos))
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_mod(ell: int) -> tuple[int, ...]:
-    """B_0..B_(l-3) mod l.
-
-    By von Staudt-Clausen l divides none of their denominators, so the
-    recurrence sum_(j<=n) C(n+1, j) B_j = 0 runs on ints mod l: a cold
-    exact B_28 (``arith.bernoulli``, on Fractions) took 2.2-2.8 ms.
-    """
-    b = [1]
-    for n in range(1, ell - 2):
-        s = sum(math.comb(n + 1, j) * b[j] for j in range(n))
-        b.append(-s * pow(n + 1, -1, ell) % ell)
-    return tuple(b)
-
-
 def _candidates(ell: int):
     """The keys of the cusp forms of weight k = l + 1 that may span S_k mod l.
 
@@ -256,24 +240,14 @@ def _candidates(ell: int):
     skipping a pair when l divides the numerator of B_a or of B_(k-a), so
     that E_a or E_(k-a) has no reduction mod l.  Then ("monomial", (a, b,
     c)) for each cusp monomial Delta^a E4^b E6^c, which span S_k on their
-    own.  The Bernoulli numbers mod l are computed once the first pair is
-    reached.
+    own.  B_a and B_(k-a) mod l are two power sums (``bernoulli_mod``).
     """
     k = ell + 1
     for a in range(4, k // 2 + 1, 2):
-        b = _bernoulli_mod(ell)
-        if b[a] and b[k - a]:
+        if bernoulli_mod(a, ell) and bernoulli_mod(k - a, ell):
             yield "pair", a
     for mono in monomial_basis(k, cusp_only=True):
         yield "monomial", mono
-
-
-def _eisenstein_mod(w: int, n: int, ell: int) -> list[int]:
-    """E_w to order n as ints in [0, l), for even 2 <= w <= l - 3 with
-    l not dividing B_w: ``eisenstein(w, n, GF(l))``'s coefficients, with
-    no series built."""
-    c = -2 * w * pow(_bernoulli_mod(ell)[w], -1, ell)
-    return [1] + [c * s % ell for s in sigma_prefix(w - 1, n, ell)[1:]]
 
 
 def _generator_forms(keys, n: int, ell: int) -> list[list[int]]:
@@ -288,10 +262,10 @@ def _generator_forms(keys, n: int, ell: int) -> list[list[int]]:
     monos = [mono for kind, mono in keys if kind == "monomial"]
     out = {}
     if pairs:
-        e2 = _eisenstein_mod(2, n, ell)
+        e2 = eisenstein(2, n, GF(ell)).coeffs
         for a in pairs:
-            ea = _eisenstein_mod(a, n, ell)
-            eb = ea if 2 * a == k else _eisenstein_mod(k - a, n, ell)
+            ea = eisenstein(a, n, GF(ell)).coeffs
+            eb = ea if 2 * a == k else eisenstein(k - a, n, GF(ell)).coeffs
             out["pair", a] = [x - y for x, y in zip(_kron_mul(ea, eb, n + 1, ell), e2)]
     for mono, f in zip(monos, monomial_forms(monos, n, GF(ell))):
         out["monomial", mono] = [0] * f.lead + f.coeffs

@@ -280,8 +280,9 @@ def test_verify_congruence_is_not_vacuous(monkeypatch):
         verify_congruence(4, 11, 60)
 
 
-def test_fit_asks_for_no_bernoulli_number_past_b2(monkeypatch):
-    # the fitted form takes E_2, which is E_(l+1) mod l, so no B_(l+1)
+def test_fit_asks_for_no_exact_bernoulli_number(monkeypatch):
+    # the fitted form takes E_2, which is E_(l+1) mod l, so no B_(l+1), and
+    # B_2 mod l is a power sum
     from bpx import qseries
     asked = []
     bernoulli = qseries.bernoulli
@@ -289,7 +290,7 @@ def test_fit_asks_for_no_bernoulli_number_past_b2(monkeypatch):
                         lambda m: asked.append(m) or bernoulli(m))
     F = fit_congruence(20, 31)
     assert (F.c0, F.c) == (2, (22, 1))
-    assert asked and max(asked) == 2
+    assert asked == []
 
 
 def test_congruence_formula_series_is_the_log_derivative():

@@ -31,11 +31,13 @@ def test_eisenstein_small():
 def test_eisenstein_over_gf_is_the_reduced_rational_series(ell, monkeypatch):
     from bpx import qseries
     n = 30
-    for k in (ell - 1, 2 * (ell - 1), ell + 1):
+    for k in (2, 4, ell - 3, ell - 1, 2 * (ell - 1), ell + 1):
         want = [frac_mod(c, ell) for c in eisenstein(k, n, QQ).coeffs]
         if k % (ell - 1) == 0:
             assert want == [1] + [0] * n
-            # von Staudt-Clausen: l | 2k/B_k, so no Bernoulli number is needed
+        if k % (ell - 1) == 0 or k < ell:
+            # von Staudt-Clausen: l | 2k/B_k at (l - 1) | k, and below l - 1
+            # B_k mod l is a power sum, so no exact Bernoulli number is needed
             monkeypatch.setattr(qseries, "bernoulli", None)
         got = eisenstein(k, n, GF(ell))
         monkeypatch.undo()
@@ -715,6 +717,9 @@ def test_poly_divmod_gcd():
     assert not (x - Poly(ring, [5])).divides(s)
     g = s.gcd(x)
     assert str(g) == "x"
+    # a long run of trailing zeros is stripped in one pass
+    long_tail = Poly(ring, [1] + [0] * 20000)
+    assert long_tail.degree == 0 and long_tail.coeffs == [1]
 
 
 def test_poly_squarefree():

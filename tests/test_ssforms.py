@@ -1,14 +1,12 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpx.arith import bernoulli, frac_mod, is_prime
+from bpx.arith import bernoulli, bernoulli_mod, frac_mod, is_prime
 from bpx.errors import InputError, InternalConsistencyError, TruncationError
 from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, delta, eisenstein,
                          monomial_basis)
-from bpx.ssforms import (_bernoulli_mod, _candidates, _eigenpairs, _row_reduce,
+from bpx.ssforms import (_candidates, _eigenpairs, _row_reduce,
                          _solve_linear_mod, cusp_generators, eigenbasis,
                          hecke_Tp, supersingular_poly,
                          supersingular_poly_bruteforce)
@@ -219,6 +217,8 @@ def test_cusp_generators_below_order_r_is_an_input_error():
 def test_irregular_pairs_are_skipped():
     # 37 divides the numerator of B_32 and 59 that of B_44
     assert bernoulli(32).numerator % 37 == 0 and bernoulli(44).numerator % 59 == 0
+    with pytest.raises(InputError):  # so E_32 has no reduction mod 37
+        eisenstein(32, 5, GF(37))
     for ell, skipped in ((37, 6), (59, 16)):
         pairs = [a for kind, a in _candidates(ell) if kind == "pair"]
         k = ell + 1
@@ -230,9 +230,9 @@ def test_eigenbasis_builds_only_the_kept_generators_at_full_order(monkeypatch):
     # ones, E_4 E_34 - E_2 and Delta^2 E4^2 E6, are built to the order asked
     from bpx import ssforms
     built, tables = [], []
-    eis, mono = ssforms._eisenstein_mod, ssforms.monomial_forms
-    monkeypatch.setattr(ssforms, "_eisenstein_mod",
-                        lambda w, n, ell: built.append((w, n)) or eis(w, n, ell))
+    eis, mono = ssforms.eisenstein, ssforms.monomial_forms
+    monkeypatch.setattr(ssforms, "eisenstein",
+                        lambda w, n, ring: built.append((w, n)) or eis(w, n, ring))
     monkeypatch.setattr(ssforms, "monomial_forms",
                         lambda monos, n, ring: tables.append((monos, n)) or mono(monos, n, ring))
     ssforms.eigenbasis(37, 300)
@@ -243,11 +243,13 @@ def test_eigenbasis_builds_only_the_kept_generators_at_full_order(monkeypatch):
 
 
 def test_bernoulli_numbers_mod_l_match_the_exact_ones():
+    # the power sum l B_k mod l^2 of arith.bernoulli_mod, for even 2 <= k <= l - 3
     for ell in [p for p in range(5, 200) if is_prime(p)]:
-        table = _bernoulli_mod(ell)
-        assert len(table) == ell - 2 and table[:2] == (1, frac_mod(Fraction(-1, 2), ell))
-        for j in range(2, ell - 2):
-            assert table[j] == (frac_mod(bernoulli(j), ell) if j % 2 == 0 else 0), (ell, j)
+        for k in range(2, ell - 2, 2):
+            assert bernoulli_mod(k, ell) == frac_mod(bernoulli(k), ell), (ell, k)
+        for k in (0, 3, ell - 1):
+            with pytest.raises(InputError):
+                bernoulli_mod(k, ell)
 
 
 def test_eigenbasis_needs_no_exact_bernoulli_number(monkeypatch):
