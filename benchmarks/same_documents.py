@@ -54,7 +54,10 @@ FORMATS = ("json", "text", "csv")
 # schoolbook loop, and the eigenform tallies at l = 37, where a monomial
 # completes the Eisenstein-pair generators, and at l = 31 past the
 # benchmark's X, and the l = 37 fit, whose document prints that basis and
-# its T_2 eigenvalues (the pair a = 6 is skipped, since 37 divides B_32)
+# its T_2 eigenvalues (the pair a = 6 is skipped, since 37 divides B_32),
+# and the exact exponents at d = 48, where j = 0 (solved against E4) sits
+# beside a degree-3 factor, and at d = 23 and 71 to n = 400, near the
+# length at which the sectioned solve's width rule stops splitting
 EXTRA_COMMANDS = [f"supersingular --ell {ell}"
                   for ell in (5, 7, 13, 97, 199, 1009, 10007)]
 EXTRA_COMMANDS += ["table2 --ell 31 --dmax 100", "table2 --ell 17 --dmax 150",
@@ -69,7 +72,7 @@ EXTRA_COMMANDS += ["density --d 4 --ell 11 --empirical 3",
                    "density --d 4 --ell 11 --empirical 100001",
                    "density --d 3 --ell 17 --empirical 100000",
                    "density --d 4 --ell 19 --empirical 20000"]
-EXTRA_COMMANDS += [f"exponents --d {d} --n 300" for d in (12, 16, 27)]
+EXTRA_COMMANDS += [f"exponents --d {d} --n 300" for d in (12, 16, 27, 48)]
 EXTRA_COMMANDS += ["congruence --d 12 --ell 11", "check --d 12 --ell 11 --n 300"]
 EXTRA_COMMANDS += ["check --d 16 --ell 11 --n 300", "check --d 27 --ell 11 --n 300",
                    "check --d 3 --ell 11 --n 725", "check --d 3 --ell 5 --n 200"]
@@ -80,6 +83,7 @@ EXTRA_COMMANDS += ["exponents --d 80 --n 300", "exponents --d 239 --n 200",
 EXTRA_COMMANDS += ["density --d 8 --ell 37 --empirical 10000",
                    "density --d 20 --ell 31 --empirical 30000"]
 EXTRA_COMMANDS += ["congruence --d 8 --ell 37 --verify-to 400"]
+EXTRA_COMMANDS += ["exponents --d 23 --n 400", "exponents --d 71 --n 400"]
 
 
 def benchmark_commands(tree: Path) -> list[str]:

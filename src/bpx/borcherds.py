@@ -7,9 +7,10 @@ m A(m^2,d).  One routine computes 6 L over either ring, with no j-series
 and no rationals: each factor P of degree k becomes the holomorphic form
 T = Delta^k P(E4^3/Delta), and its share of 6 L is 6 w (k E2 - q T'/T)
 for its Hurwitz weight w in {1, 1/2, 1/3}.  Over Z it gives the
-exponents, recovered by an integer Moebius inversion whose exactness is
-asserted, not assumed; over F_l, with P reduced mod l and the forms
-built mod l, it gives the congruences.  ``check`` needs only A mod l and
+exponents, solved by even and odd sections and recovered by an integer
+Moebius inversion whose exactness is asserted, not assumed; over F_l,
+with P reduced mod l and the forms built mod l, it gives the
+congruences.  ``check`` needs only A mod l and
 the divisibility 6n | 6nA, so it solves and inverts in Z/M for
 M = 6 l lcm(1..n_max) (``exponent_residues``).  Every divisor inversion
 here (exponents, fitted congruence, twisted round trip) is
@@ -31,8 +32,8 @@ from .arith import (Record, divisors, is_fundamental_discriminant, kronecker,
 from .classpoly import degree_rules_out, eligibility, hilbert_class_poly
 from .errors import (IneligiblePairError, InputError,
                      InternalConsistencyError, TruncationError)
-from .qseries import (GF, QQ, ZZ, QSeries, _solve_triangular, eisenstein,
-                      monomial_basis, monomial_forms)
+from .qseries import (GF, QQ, ZZ, QSeries, _solve_sections, _solve_triangular,
+                      eisenstein, monomial_basis, monomial_forms)
 from .ssforms import _solve_linear_mod, eigenbasis
 
 
@@ -62,31 +63,43 @@ def _log_derivative(d: int, n: int, ring, cache_dir: str | None,
     ``monomial_forms`` table shared by every factor.  Since
     q Delta'/Delta = E2, the factor's -q S'/S for S = P(j) is
     k E2 - q T'/T: no j-series, and T's coefficients grow only
-    polynomially.  The constant term is 6 h(d) (checked).
+    polynomially.  For P = x and x - 1728, T = E4^3 and E6^2, and q T'/T
+    is m q R'/R for R = E4, m = 3 and R = E6, m = 2 in any ring; R comes
+    from the same table, and if every factor is one of these no E4^3,
+    Delta^k or T is built.  The constant term is 6 h(d) (checked).
 
-    With a modulus M (ring ZZ), T is built over ZZ as before and each
-    q T'/T is solved mod M, so the series is congruent to 6 L mod M; its
-    constant term, which the solve does not touch, stays the integer.
+    Over ZZ, q T'/T is ``_solve_sections``'s solve.  With a modulus M it
+    is the direct solve mod M, where a split only widens the divisor, so
+    the series is congruent to 6 L mod M; its constant term, which the
+    solve does not touch, stays the integer.
     """
     wcp = hilbert_class_poly(d, cache_dir=cache_dir)
-    k_max = max(poly.degree for poly, _ in wcp.components)
-    e4_cubed, *disc_powers = monomial_forms(
-        [(0, 3, 0)] + [(a, 0, 0) for a in range(1, k_max + 1)], n, ring)
+    roots = {(0, 1): ((0, 1, 0), 3), (-1728, 1): ((0, 0, 1), 2)}
+    keys = [tuple(p.coeffs) for p, _ in wcp.components]
+    k_max = max((len(key) - 1 for key in keys if key not in roots), default=0)
+    monos = [roots[key][0] for key in keys if key in roots]
+    if k_max:
+        monos += [(0, 3, 0)] + [(a, 0, 0) for a in range(1, k_max + 1)]
+    forms = dict(zip(monos, monomial_forms(monos, n, ring)))
     e2 = eisenstein(2, n, ring)
     total = QSeries.zero(ring, n)
-    for poly, w in wcp.components:
+    for (poly, w), key in zip(wcp.components, keys):
+        mono, m = roots.get(key, (None, 1))
+        t = forms.get(mono)
+        if t is None:
+            if ring is not ZZ:
+                poly = poly.reduce_mod(ring.ell)
+            *rest, top = poly.coeffs
+            t = QSeries.constant(ring, top, n)
+            for a, c in enumerate(reversed(rest), 1):
+                t = t * forms[(0, 3, 0)] + forms[(a, 0, 0)].scale(c)
         if ring is not ZZ:
-            poly = poly.reduce_mod(ring.ell)
-        *rest, top = poly.coeffs
-        t = QSeries.constant(ring, top, n)
-        for c, power in zip(reversed(rest), disc_powers):
-            t = t * e4_cubed + power.scale(c)
-        if modulus is None:
             dlog = t.log_derivative()
         else:  # T_0 = 1, so q T'/T is the triangular solve itself
-            dlog = QSeries(ring, 0, _solve_triangular(
-                t.coeffs, t.q_derivative().coeffs, ring, modulus))
-        total = total + (e2.scale(poly.degree) - dlog).scale(6 * w)
+            s, qs = t.coeffs, t.q_derivative().coeffs
+            dlog = QSeries(ring, 0, _solve_triangular(s, qs, ring, modulus)
+                           if modulus else _solve_sections(s, qs))
+        total = total + (e2.scale(poly.degree) - dlog.scale(m)).scale(6 * w)
     if total.coeff(0) != ring.coerce(6 * wcp.h):
         raise InternalConsistencyError(
             f"constant term {total.coeff(0)} != 6 h({d}) = {6 * wcp.h} over {ring.name}")

@@ -153,17 +153,52 @@ def test_log_derivative_mod_builds_no_integer_series(monkeypatch):
     (16, 150),                           # weights 1 and 1/2
     (23, 150),                           # h = 3
     (719, 30),                           # one component of degree 31
+    (48, 150),                           # j = 0 beside a degree-3 factor
 ])
-@pytest.mark.parametrize("ring", [ZZ, GF(11), GF(31)], ids=str)
+@pytest.mark.parametrize("ring", [ZZ, GF(5), GF(7), GF(11), GF(31)], ids=str)
 def test_log_derivative_matches_j_route(d, n, ring):
-    # 6 L from E2 and T = Delta^k P(E4^3/Delta), in the ring it is given,
-    # against 6 times S = P(j) and q S'/S; over ZZ, coerce asserts that
-    # 6 times the j route's rational coefficients are integers
+    # 6 L from E2 and T = Delta^k P(E4^3/Delta), or E4 and E6 for the
+    # factors x and x - 1728, in the ring it is given, against 6 times
+    # S = P(j) and q S'/S; over ZZ, coerce asserts that 6 times the j
+    # route's rational coefficients are integers.  E4 = 1 mod 5 and
+    # E6 = 1 mod 7, so there the root's log derivative vanishes
     got = _log_derivative(d, n, ring, None)
     want = log_derivative_by_j(d, n, ring)
     assert got.ring.name == ring.name
     assert got.lead == want.lead == 0 and got.trunc == want.trunc == n
     assert got.coeffs == [ring.coerce(6 * c) for c in want.coeffs]
+
+
+def test_exact_route_solves_elliptic_factors_by_sections(monkeypatch):
+    # d = 4 is x - 1728 alone: monomial_forms is asked for E6 and nothing
+    # else, and the exact solve splits; check's solve in Z/M never does
+    from bpx import qseries
+    asked, sections, split = [], [], []
+
+    def spy_forms(monos, n, ring):
+        asked.append(list(monos))
+        return monomial_forms(monos, n, ring)
+
+    def spy_direct(*args):
+        sections.append(args[3:])
+        return direct(*args)
+
+    def spy_split(s, rhs):
+        split.append(len(rhs))
+        return qseries._solve_sections(s, rhs)
+
+    direct = qseries._solve_triangular
+    monkeypatch.setattr(borcherds, "monomial_forms", spy_forms)
+    monkeypatch.setattr(qseries, "_solve_triangular", spy_direct)
+    monkeypatch.setattr(borcherds, "_solve_triangular", spy_direct)
+    monkeypatch.setattr(borcherds, "_solve_sections", spy_split)
+    _log_derivative(4, 200, ZZ, None)
+    assert asked == [[(0, 0, 1)]] and split == [201]
+    assert len(sections) >= 2 and all(extra == () for extra in sections)
+    sections.clear()
+    split.clear()
+    exponent_residues(20, 31, 100)
+    assert not split and len(sections) == 1 and sections[0][0] > 1
 
 
 def test_fit_congruence_4_11():

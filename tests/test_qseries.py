@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from bpx.arith import frac_mod, is_fundamental_discriminant, kronecker
 from bpx.errors import InputError, TruncationError
 from bpx.qseries import (GF, QQ, ZZ, Poly, QSeries, _kron_mul, _kron_pays,
-                         _square_at, delta, eisenstein, jfunction,
+                         _solve_sections, _solve_triangular, _square_at,
+                         delta, eisenstein, jfunction,
                          monomial_basis, monomial_forms, pentagonal)
 from oracles import (as_j_polynomial, euler_product, evaluate_series,
                      f2_numeric, monomial_form_by_euler_product,
@@ -547,6 +548,37 @@ def test_zz_quotient_takes_no_inverse_and_no_product_of_the_divisor(monkeypatch)
     j = jfunction(60, ZZ)
     assert len(divisors) == 2 and q.coeffs == j.coeffs[:q.trunc + 2]
     assert not any(d is x for d in divisors for x in inverted + multiplied)
+
+
+@pytest.mark.parametrize("bits", [2, 100], ids=["narrow", "wide"])
+def test_solve_by_sections_is_the_direct_solve(monkeypatch, bits):
+    # random signed divisors with s_0 = +-1, as power series and as
+    # polynomials shorter than rhs, at every length 0..80 (every residue
+    # mod 4); a narrow divisor splits at least twice from length 40, and
+    # a wide one, wider than rhs is long, never
+    from bpx import qseries
+    rng = random.Random(bits)
+    sections = []
+
+    def spy(*args):
+        sections.append(len(args[1]))
+        return _solve_triangular(*args)
+
+    monkeypatch.setattr(qseries, "_solve_triangular", spy)
+    for n in range(81):
+        for length in (n + 3, 1, 4):
+            s = [rng.choice((1, -1))] + [rng.randrange(-2 ** bits, 2 ** bits)
+                                         for _ in range(length - 1)]
+            for rhs in ([rng.randrange(-2 ** bits, 2 ** bits) for _ in range(n)],
+                        [0] * min(n, 2) + [rng.randrange(-9, 9) for _ in range(n - 2)]):
+                want = _solve_triangular(s, rhs, ZZ)
+                sections.clear()
+                assert _solve_sections(s, rhs) == want
+                assert sum(sections) == n
+                if n <= 1 or bits == 100 and length > 1:  # s = +-1 is narrow
+                    assert len(sections) == 1
+                elif n >= 40:
+                    assert len(sections) >= 4
 
 
 # ---------------------------------------------------------------------------
