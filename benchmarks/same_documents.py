@@ -57,7 +57,10 @@ FORMATS = ("json", "text", "csv")
 # its T_2 eigenvalues (the pair a = 6 is skipped, since 37 divides B_32),
 # and the exact exponents at d = 48, where j = 0 (solved against E4) sits
 # beside a degree-3 factor, and at d = 23 and 71 to n = 400, near the
-# length at which the sectioned solve's width rule stops splitting
+# length at which the sectioned solve's width rule stops splitting, and
+# exponents at d = 4 to n = 2000, past the benchmark's n, where the solve
+# and the output are all the work, and the class polynomial of d = 1151
+# (degree 41), whose residual_bound already underflows to 0.0 as a float
 EXTRA_COMMANDS = [f"supersingular --ell {ell}"
                   for ell in (5, 7, 13, 97, 199, 1009, 10007)]
 EXTRA_COMMANDS += ["table2 --ell 31 --dmax 100", "table2 --ell 17 --dmax 150",
@@ -84,6 +87,7 @@ EXTRA_COMMANDS += ["density --d 8 --ell 37 --empirical 10000",
                    "density --d 20 --ell 31 --empirical 30000"]
 EXTRA_COMMANDS += ["congruence --d 8 --ell 37 --verify-to 400"]
 EXTRA_COMMANDS += ["exponents --d 23 --n 400", "exponents --d 71 --n 400"]
+EXTRA_COMMANDS += ["exponents --d 4 --n 2000", "classpoly --d 1151"]
 
 
 def benchmark_commands(tree: Path) -> list[str]:

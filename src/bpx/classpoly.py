@@ -1,16 +1,16 @@
 """Binary quadratic forms, Hurwitz class numbers, and class polynomials.
 
 Class polynomials are computed analytically: evaluate the exact integer
-q-expansion of j at each CM point to a proven tail bound, multiply out
-the factors, round, and verify the rounding twice (coefficient distance
-to the nearest integer, and residuals of the rounded polynomial at the
-roots recomputed with 20 extra digits, relative to the size of the
-terms).  The precision is chosen once, from a bound on the coefficient
-size (Enge, Math. Comp. 2009), so there are no retries: a verification
-failure at that precision is a bug.  The arithmetic is the standard
-library's ``decimal`` (libmpdec in CPython), with a complex number held
-as a (real, imaginary) pair.  Results are cached on disk as
-decimal-coefficient documents.
+q-expansion of j once at each CM point, to a proven tail bound, multiply
+out the factors, round, and check the rounding (coefficient distance to
+the nearest integer, and residuals of the rounded polynomial at those
+roots, relative to the size of the terms).  The precision is chosen once,
+from a bound on the coefficient size (Enge, Math. Comp. 2009), so there
+are no retries: a failure at that precision is a bug.  Every polynomial
+returned, built or read from the disk cache, passes one certificate that
+reads no singular modulus (``_certified``).  The arithmetic is the
+standard library's ``decimal`` (libmpdec in CPython), with a complex
+number held as a (real, imaginary) pair.
 
 The Hurwitz convention is used throughout: imprimitive forms are counted,
 with weights 2 and 3 for the scalings of x^2+y^2 and x^2+xy+y^2.
@@ -309,11 +309,11 @@ def _expand_and_round(roots) -> tuple[list[int], float]:
 
 
 def hilbert_class_poly(d: int, cache_dir: str | None = None) -> WeightedClassPoly:
-    """Weighted class polynomial of discriminant -d, verified and cached.
+    """Weighted class polynomial of discriminant -d, certified and cached.
 
-    Computed once, at the precision of ``_precision_bound``.  Raises
-    PrecisionError if verification fails at that precision, which would
-    indicate a bug, not bad input.
+    Built once, at the precision of ``_precision_bound``, and cached only if
+    it passes ``_certified``, as every cache read must; a PrecisionError or
+    InternalConsistencyError from a build is a bug, not bad input.
     """
     _check_discriminant(d)
     cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
@@ -324,11 +324,7 @@ def hilbert_class_poly(d: int, cache_dir: str | None = None) -> WeightedClassPol
                 cached = WeightedClassPoly.from_document(json.load(fh))
         except ValueError:
             cached = None
-        # a malformed document, one for another d or missing h(d), or one whose
-        # roots are not CM j-invariants is corrupt: recompute and overwrite it
-        if (cached is not None and cached.d == d
-                and cached.h == hurwitz_class_number(d)
-                and _roots_reduce_supersingular(cached)):
+        if cached is not None and _certified(cached, d):  # else recompute, overwrite
             _CACHE_STATS["hits"] += 1
             return cached
     _CACHE_STATS["misses"] += 1
@@ -337,14 +333,18 @@ def hilbert_class_poly(d: int, cache_dir: str | None = None) -> WeightedClassPol
         groups.setdefault(f.weight, []).append(f)
     prec = _precision_bound(d, groups)
     comps, residual = _build_components(groups, prec)
-    h = hurwitz_class_number(d)
-    got = sum((w * p.degree for p, w in comps), Fraction(0))
-    if got != h:
-        raise InternalConsistencyError(
-            f"degree/weight sum {got} != h({d}) = {h}")
+    h = sum((w * p.degree for p, w in comps), Fraction(0))
     wcp = WeightedClassPoly(d, comps, h, prec, residual, False)
+    if not _certified(wcp, d):
+        raise InternalConsistencyError(f"class polynomial of -{d} fails its certificate")
     _write_cache(path, wcp.to_document())
     return wcp
+
+
+def _certified(wcp: WeightedClassPoly, d: int) -> bool:
+    """Is wcp for d, with degree/weight sum h(d) and CM roots (Deuring)?"""
+    return (wcp.d == d and wcp.h == hurwitz_class_number(d)
+            and _roots_reduce_supersingular(wcp))
 
 
 def _roots_reduce_supersingular(wcp: WeightedClassPoly) -> bool:
@@ -374,25 +374,25 @@ def _roots_reduce_supersingular(wcp: WeightedClassPoly) -> bool:
 def _build_components(groups, prec) -> tuple[list[tuple[Poly, Fraction]], float]:
     """Round each weight group's polynomial and verify it at ``prec`` digits.
 
-    The residual at each root is taken relative to max(1, sum |c_k| |r|^k),
-    the size of the terms it sums (the 1 keeps the root j = 0 well
-    defined), and must stay below 10^-(prec/2).
+    Each root is evaluated once, to prec + 20 digits, and the product is
+    rounded in that context; the residual of the rounded polynomial at
+    those roots is taken at prec + 30 digits, relative to max(1, sum
+    |c_k| |r|^k), the size of the terms it sums (the 1 keeps the root
+    j = 0 well defined), and must stay below 10^-(prec/2).
     """
-    comps = []
-    worst = 0.0
+    comps, worst = [], 0.0
     for w in sorted(groups):
-        qs = groups[w]
+        roots = _singular_moduli(groups[w], prec + 20)
         with localcontext() as ctx:
-            ctx.prec = prec + 10
-            ints, err = _expand_and_round(_singular_moduli(qs, prec))
+            ctx.prec = prec + 20
+            ints, err = _expand_and_round(roots)
         if err > 1e-6:
             raise PrecisionError(f"rounding error {err:.2e} at {prec} digits")
         poly = Poly.from_ints(ZZ, ints)
-        # verify at higher precision: residuals of the rounded polynomial
         with localcontext() as ctx:
             ctx.prec = prec + 30
             tol = Decimal(1).scaleb(-prec).sqrt()  # 10^-(prec/2)
-            for r_re, r_im in _singular_moduli(qs, prec + 20):
+            for r_re, r_im in roots:
                 v_re, v_im = _horner(poly.coeffs, (r_re, r_im))
                 r_abs, size = (r_re * r_re + r_im * r_im).sqrt(), Decimal(0)
                 for c in reversed(poly.coeffs):

@@ -8,7 +8,9 @@ the independent route to the log derivative of a class polynomial, which
 the package builds from E2, E4^3 and Delta with no j.  The package takes
 s_l and the twisted inverse nu from their closed forms; the factorization
 of E_(l-1) and the Dirichlet inversion recurrence here are their checks,
-and one Moebius sum per n checks the exponents' divisor sieve.
+and one Moebius sum per n checks the exponents' divisor sieve.  Zagier's
+table of weight 3/2 forms g_D, built from g_1 and j(4 tau) alone, gives
+every exponent A(D, d) with no class polynomial.
 The kernel's baby-step/giant-step search is checked against one scalar
 multiplication per N in the window.  The corollary's sufficient
 conditions for eligibility are here as well, checked against the class
@@ -172,6 +174,45 @@ def zagier_g1(n: int) -> QSeries:
     for k in range(isqrt(n + 1) + 1):
         theta[k * k] = 1 if k == 0 else 2 * (-1) ** k
     return (QSeries(ZZ, 0, theta) * QSeries(ZZ, 0, spread)).shift(-1)
+
+
+def zagier_table(D_max: int, order: int) -> dict[int, QSeries]:
+    """Zagier's g_D = q^-D + sum_d B(D, d) q^d to q^order, for D <= D_max, D = 0, 1 mod 4.
+
+    Zagier ("Traces of singular moduli", 2002): A(D, d) = -B(D, d), so the
+    exponent A(n^2, d) is read from g_(n^2) and the twisted A(D n^2, d)
+    from g_(D n^2).  Only g_1 goes in (``zagier_g1``); no class
+    polynomial, singular modulus or divisor sieve is involved.  g_4 is
+    (g_1 | T(4) - g_1) / 2, with the plus-space Hecke operator
+    (g | T(4))(e) = b(4e) + (-e/2) b(e) + 2 b(e/4) read at e = 0, 3 mod 4.
+    Then g_(D+4) is g_D j(4 tau) less c_k g_k for every k < D + 4 whose
+    q^-k coefficient c_k is left, and the principal part that remains
+    must be q^(-D-4) alone.  Each product by j(4 tau) = q^-4 + 744 + ...
+    loses four orders, so the work starts at order + D_max + 8.
+    """
+    m = order + D_max + 8
+    g1 = zagier_g1(4 * m + 4)
+    b = g1.coeff
+    g4 = [0] * (m + 5)  # q^-4 .. q^m, zero outside the plus space
+    for e in range(-4, m + 1):
+        if e % 4 in (0, 3):
+            t = b(4 * e) + kronecker(-e, 2) * b(e) + (2 * b(e // 4) if e % 4 == 0 else 0)
+            assert (t - b(e)) % 2 == 0, e
+            g4[e + 4] = (t - b(e)) // 2
+    g = {1: g1.truncate(m), 4: QSeries(ZZ, -4, g4)}
+    j4 = [0] * (m + D_max + 9)
+    j4[::4] = jfunction((m + D_max + 4) // 4).coeffs  # q^(4i - 4) for i = 0, 1, ...
+    j4 = QSeries(ZZ, -4, j4)
+    for D in range(1, D_max - 3):
+        if D % 4 not in (0, 1):
+            continue
+        f = g[D] * j4
+        for k in range(D + 3, 0, -1):
+            if f.coeff(-k) and k in g:
+                f = f - g[k].scale(f.coeff(-k))
+        assert f.lead == -D - 4 and f.coeffs[0] == 1 and not any(f.coeffs[1:D + 4]), D
+        g[D + 4] = f
+    return {D: s.truncate(order) for D, s in g.items()}
 
 
 def evaluate_series(poly: Poly, s: QSeries) -> QSeries:

@@ -19,7 +19,8 @@ from bpx.density import x0_11_eta_traces
 from bpx.errors import IneligiblePairError, InputError, InternalConsistencyError
 from bpx.qseries import GF, QQ, ZZ, QSeries, delta, eisenstein, monomial_forms
 from oracles import (dirichlet_convolve, dirichlet_inverse, f2_numeric,
-                     log_derivative_by_j, moebius_exponents, zagier_g1)
+                     log_derivative_by_j, moebius_exponents, zagier_g1,
+                     zagier_table)
 
 
 # exact square-index exponents, frozen from the product identity
@@ -79,6 +80,42 @@ def test_zagier_duality_without_class_polynomials():
             below = p * g1.coeff(d // (p * p)) if d % (p * p) == 0 else 0
             t = g1.coeff(p * p * d) + kronecker(-d, p) * g1.coeff(d) + below - g1.coeff(d)
             assert t % p == 0 and A[p] == -t // p, (d, p)
+
+
+@pytest.fixture(scope="module")
+def zagier():
+    """Zagier's g_D to q^60 for D <= 144: -A(n^2, d) for every n <= 12 and d <= 60."""
+    return zagier_table(144, 60)
+
+
+def test_exact_exponents_match_zagier_table(zagier):
+    # composite n, where the divisor sieve does its real work, and primes
+    # past 7, with no class polynomial on the oracle's side
+    for d in range(3, 61):
+        if d % 4 in (0, 3):
+            want = tuple(-zagier[n * n].coeff(d) for n in range(1, 13))
+            assert exact_exponents(d, 12).values == want, d
+
+
+@pytest.mark.parametrize("d, ell", [(4, 11), (20, 31), (8, 37)])
+def test_residues_and_fitted_sieve_match_zagier_table(zagier, d, ell):
+    # A(n^2, d) mod l from the solve in Z/M, and n A(n^2, d) mod l from the
+    # divisor sieve of the fitted c0 E_2 + sum c_i f_i, l | n included
+    want = [-zagier[n * n].coeff(d) for n in range(1, 13)]
+    assert exponent_residues(d, ell, 12) == [a % ell for a in want]
+    b = _divisor_sieve(fit_congruence(d, ell).series(12).coeffs)
+    assert [c % ell for c in b[1:]] == [n * a % ell for n, a in enumerate(want, 1)]
+
+
+def test_twisted_roundtrip_on_zagier_sequences(zagier):
+    # the real twisted exponents A(D n^2, d), beside the random sequences
+    for D in (5, 8, 12, 13):
+        for d in range(3, 61):
+            if d % 4 in (0, 3):
+                seq = [-zagier[D * n * n].coeff(d)
+                       for n in range(1, 13) if D * n * n <= 144]
+                assert len(seq) >= 3 and any(seq), (D, d)
+                assert twisted_roundtrip(D, seq) == seq, (D, d)
 
 
 def test_exponent_table_document_and_bounds():

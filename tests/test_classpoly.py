@@ -13,7 +13,8 @@ from bpx.classpoly import (QuadForm, WeightedClassPoly, _precision_bound,
                            eligibility, hilbert_class_poly,
                            hurwitz_class_number, reduced_forms,
                            singular_modulus)
-from bpx.errors import InputError, NotADiscriminantError, PrecisionError
+from bpx.errors import (InputError, InternalConsistencyError,
+                        NotADiscriminantError, PrecisionError)
 from bpx.arith import is_fundamental_discriminant
 from bpx.qseries import ZZ, Poly
 from bpx.ssforms import supersingular_poly
@@ -156,13 +157,19 @@ def test_singular_moduli_match_kleinj_at_the_bound(d):
 
 @pytest.mark.parametrize("d", [3, 12, 27, 719, 1151, 2351, 2624])
 def test_one_precision_attempt_at_the_bound(tmp_path, monkeypatch, d):
-    # roots at the bound and once more at bound + 20 for the residuals:
-    # no doubling.  2351 passed only at 8x its old base, 2624 not at all;
+    # the roots are evaluated once per weight group, at bound + 20, and both
+    # the rounding and the residuals read them: no doubling and no second
+    # evaluation.  2351 passed only at 8x its old base, 2624 not at all;
     # 3, 12 and 27 have the root j = 0
+    calls = []
+    real = classpoly._singular_moduli
+    monkeypatch.setattr(classpoly, "_singular_moduli",
+                        lambda qs, prec: calls.append(prec) or real(qs, prec))
     w, seen = _precisions_seen(monkeypatch, d, str(tmp_path))
     prec = _bound(d)
     assert w.precision_used == prec
-    assert seen == {prec, prec + 20}
+    assert seen == {prec + 20}
+    assert calls == [prec + 20] * len({f.weight for f in reduced_forms(d)})
     assert sum((wt * p.degree for p, wt in w.components), Fraction(0)) \
         == hurwitz_class_number(d)
     assert w.residual_bound < 10.0 ** (-prec / 2)
@@ -174,6 +181,19 @@ def test_verification_failure_raises_without_retry(tmp_path, monkeypatch):
     monkeypatch.setattr(classpoly, "_precision_bound", lambda d, groups: 30)
     with pytest.raises(PrecisionError, match="at 30 digits"):
         _precisions_seen(monkeypatch, 719, str(tmp_path))
+
+
+def test_build_from_the_wrong_roots_is_refused_before_caching(tmp_path, monkeypatch):
+    # d = 24's two roots in place of d = 20's: they round to the integer
+    # polynomial H_24, whose degree is h(20) = 2 too and whose residuals
+    # are tiny, so only Deuring's reduction at the primes inert in
+    # Q(sqrt(-5)) tells the two apart; nothing is written to the cache
+    real = classpoly._singular_moduli
+    monkeypatch.setattr(classpoly, "_singular_moduli",
+                        lambda qs, prec: real(reduced_forms(24), prec))
+    with pytest.raises(InternalConsistencyError, match="-20"):
+        hilbert_class_poly(20, cache_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == []
 
 
 def test_class_poly_components_squarefree_over_q():
